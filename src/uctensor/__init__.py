@@ -54,6 +54,7 @@ from .exceptions import (
     InvalidGammaError,
     InvalidKError,
     MissingFeatureFileError,
+    NonFiniteValueError,
     NonPositiveValueError,
     NotAMatrixError,
     ParseError,

@@ -14,6 +14,7 @@ cannot hold zeros or negatives); MovieLens needs no shift, Jester gets
 
 from __future__ import annotations
 
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -116,45 +117,36 @@ class RatingsDataset:
 
 def _dense_vocab(raw_ids: np.ndarray) -> tuple[dict, np.ndarray]:
     """First-encounter-order vocabulary and the per-record dense indices."""
-    vocab: dict = {}
-    dense = np.empty(len(raw_ids), dtype=np.int64)
-    for i, raw in enumerate(raw_ids.tolist()):
-        idx = vocab.get(raw)
-        if idx is None:
-            idx = len(vocab)
-            vocab[raw] = idx
-        dense[i] = idx
-    return vocab, dense
-
-
-def _drop_duplicates(u: np.ndarray, p: np.ndarray):
-    """Indices of first occurrences of each (user, product) pair, in file order."""
-    pair = u.astype(np.int64) * (p.max() + 1 if len(p) else 1) + p
-    _, first = np.unique(pair, return_index=True)
-    first.sort()
-    return first, len(u) - len(first)
+    uniq, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return dict(zip(uniq[order].tolist(), range(len(order)))), rank[inverse]
 
 
 def _finalize(name, raw_u, raw_p, ratings, timestamps, shift, native_range, features):
-    keep, dropped = _drop_duplicates(raw_u, raw_p)
-    raw_u, raw_p, ratings = raw_u[keep], raw_p[keep], ratings[keep]
-    timestamps = timestamps[keep] if timestamps is not None else None
     users, u_dense = _dense_vocab(raw_u)
     products, p_dense = _dense_vocab(raw_p)
+    # first occurrence of each (user, product) pair, in file order.  Dense
+    # keys stay below n_users * n_products whatever the raw ids are, and a
+    # user's (or product's) first record is always kept, so dropping
+    # duplicates leaves both vocabularies unchanged.
+    _, keep = np.unique(u_dense * len(products) + p_dense, return_index=True)
+    keep.sort()
     return RatingsDataset(
         name=name,
         users=users,
         products=products,
-        user_index=u_dense,
-        product_index=p_dense,
-        rating_values=ratings.astype(np.float64),
-        raw_user_ids=raw_u,
-        raw_product_ids=raw_p,
-        timestamps=timestamps,
+        user_index=u_dense[keep],
+        product_index=p_dense[keep],
+        rating_values=ratings[keep].astype(np.float64),
+        raw_user_ids=raw_u[keep],
+        raw_product_ids=raw_p[keep],
+        timestamps=timestamps[keep],
         shift=float(shift),
         native_range=native_range,
         features=features,
-        duplicates_dropped=dropped,
+        duplicates_dropped=len(raw_u) - len(keep),
     )
 
 
@@ -192,6 +184,67 @@ def _load_movielens_users(path) -> dict:
     return features
 
 
+def _parse_movielens_bulk(text: str):
+    """Columns of a well-formed rating file in one ``np.loadtxt`` call, or
+    None when the text needs the line-by-line parser: a blank line holding
+    whitespace, mixed 3- and 4-field lines, a lone ``:``, a token numpy
+    reads differently from ``int``/``float``, or any malformed line.  Every
+    input accepted here parses to the same values line by line."""
+    if text.count(":") != 2 * text.count("::") or not text.strip():
+        return None
+    n_fields = text.lstrip("\n").split("\n", 1)[0].count("::") + 1
+    if n_fields not in (3, 4):
+        return None
+    try:
+        cols = np.loadtxt(
+            io.StringIO(text.replace("::", ":")),
+            dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64), ("t", np.int64)][:n_fields],
+            delimiter=":",
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    stamps = cols["t"] if n_fields == 4 else np.full(len(cols), -1, dtype=np.int64)
+    return cols["u"], cols["p"], cols["r"], stamps
+
+
+def _parse_movielens_lines(text: str, path, lo: float):
+    """Line-by-line parse; raises ParseError naming the first bad line."""
+    native_range = (lo, 5.0)
+    raw_u, raw_p, ratings, stamps = [], [], [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("::")
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}:{lineno}: expected UserID::MovieID::Rating[::Timestamp]")
+        try:
+            uid = int(parts[0])
+            pid = int(parts[1])
+            rating = float(parts[2])
+            ts = int(parts[3]) if len(parts) == 4 else -1
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not lo <= rating <= 5.0:
+            raise ParseError(
+                f"{path}:{lineno}: rating {rating} outside native range {native_range}"
+            )
+        raw_u.append(uid)
+        raw_p.append(pid)
+        ratings.append(rating)
+        stamps.append(ts)
+    if not raw_u:
+        raise ParseError(f"{path}: no rating lines found")
+    return (
+        np.asarray(raw_u, dtype=np.int64),
+        np.asarray(raw_p, dtype=np.int64),
+        np.asarray(ratings),
+        np.asarray(stamps, dtype=np.int64),
+    )
+
+
 def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDataset:
     """Parse a MovieLens rating file (``UserID::MovieID::Rating::Timestamp``).
 
@@ -202,46 +255,25 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     if fmt not in ("1m", "10m"):
         raise ValueError(f"fmt must be '1m' or '10m', got {fmt!r}")
     lo = 1.0 if fmt == "1m" else 0.5
-    native_range = (lo, 5.0)
 
-    raw_u, raw_p, ratings, stamps = [], [], [], []
     with open(ratings_path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) not in (3, 4):
-                raise ParseError(
-                    f"{ratings_path}:{lineno}: expected UserID::MovieID::Rating[::Timestamp]"
-                )
-            try:
-                uid = int(parts[0])
-                pid = int(parts[1])
-                rating = float(parts[2])
-                ts = int(parts[3]) if len(parts) == 4 else -1
-            except ValueError as exc:
-                raise ParseError(f"{ratings_path}:{lineno}: {exc}") from None
-            if not lo <= rating <= 5.0:
-                raise ParseError(
-                    f"{ratings_path}:{lineno}: rating {rating} outside native range {native_range}"
-                )
-            raw_u.append(uid)
-            raw_p.append(pid)
-            ratings.append(rating)
-            stamps.append(ts)
-    if not raw_u:
-        raise ParseError(f"{ratings_path}: no rating lines found")
+        text = fh.read()
+    cols = _parse_movielens_bulk(text)
+    # out-of-range ratings (nan included) go to the line parser for the
+    # error message with its line number
+    if cols is None or not np.all((cols[2] >= lo) & (cols[2] <= 5.0)):
+        cols = _parse_movielens_lines(text, ratings_path, lo)
+    raw_u, raw_p, ratings, stamps = cols
 
     features = _load_movielens_users(users_path) if users_path else None
     return _finalize(
         name=f"movielens{fmt}",
-        raw_u=np.asarray(raw_u, dtype=np.int64),
-        raw_p=np.asarray(raw_p, dtype=np.int64),
-        ratings=np.asarray(ratings),
-        timestamps=np.asarray(stamps, dtype=np.int64),
+        raw_u=raw_u,
+        raw_p=raw_p,
+        ratings=ratings,
+        timestamps=stamps,
         shift=0.0,  # already strictly positive
-        native_range=native_range,
+        native_range=(lo, 5.0),
         features=features,
     )
 
@@ -410,28 +442,28 @@ def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
 
 def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int):
     """Train tensor (users x products, shifted values) from all records
-    outside ``test_fold``, plus the held-out [(u, p, shifted truth), ...]."""
+    outside ``test_fold``, plus the held-out records as arrays: an (M, 2)
+    array of (user, product) indices and their M shifted truths.
+
+    Returns ``(tensor, pairs, truth)``."""
     test = fold_plan.test_mask(test_fold)
     train = ~test
     shape = (dataset.n_users, dataset.n_products)
+    values = dataset.shifted_values
     indices = np.stack([dataset.user_index[train], dataset.product_index[train]], axis=1)
-    tensor = SparseTensor(shape, indices, dataset.shifted_values[train])
-    truths = dataset.shifted_values[test]
-    pairs = list(
-        zip(
-            dataset.user_index[test].tolist(),
-            dataset.product_index[test].tolist(),
-            truths.tolist(),
-        )
-    )
-    return tensor, pairs
+    tensor = SparseTensor(shape, indices, values[train])
+    pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
+    return tensor, pairs, values[test]
 
 
 def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):
     """Train tensor (users x features x products): each training record
     writes its shifted rating at [u, f, p] for every feature index f of its
-    user.  The test mask lists, per held-out (u, p), all its feature
-    indices: [(u, p, shifted truth, (f, ...)), ...]."""
+    user.  The held-out records come as arrays: (M, 2) (user, product)
+    indices, M shifted truths, and the (M, n_cat) feature indices of each
+    record's user, one column per included category.
+
+    Returns ``(tensor, pairs, truth, features)``."""
     if dataset.features is None:
         raise MissingFeatureFileError(
             f"dataset {dataset.name!r} has no user features; 3-D mode needs a users file"
@@ -459,13 +491,9 @@ def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, te
     shape = (dataset.n_users, enc.dim, dataset.n_products)
     tensor = SparseTensor(shape, indices, values)
 
-    mask = [
-        (int(uu), int(pp), float(tt), tuple(int(f) for f in feats_per_user[uu]))
-        for uu, pp, tt in zip(
-            dataset.user_index[test], dataset.product_index[test], dataset.shifted_values[test]
-        )
-    ]
-    return tensor, mask
+    test_users = dataset.user_index[test]
+    pairs = np.stack([test_users, dataset.product_index[test]], axis=1)
+    return tensor, pairs, dataset.shifted_values[test], feats_per_user[test_users]
 
 
 # ---------------------------------------------------------------------------

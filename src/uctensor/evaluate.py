@@ -28,20 +28,24 @@ FEATURE_MASK_MODES = ("user", "all")
 
 
 def _pairs_to_arrays(pairs):
-    arr = np.asarray(list(pairs), dtype=np.float64).reshape(-1, 2)
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     if len(arr) == 0:
         raise EmptyInputError("no (predicted, truth) pairs")
     return arr[:, 0], arr[:, 1]
 
 
 def rmse(pairs) -> float:
-    """Root mean squared error over (predicted, truth) pairs."""
+    """Root mean squared error over (predicted, truth) pairs: an iterable
+    of 2-tuples or an (M, 2) array."""
     pred, truth = _pairs_to_arrays(pairs)
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
 def mae(pairs) -> float:
-    """Mean absolute error over (predicted, truth) pairs."""
+    """Mean absolute error over (predicted, truth) pairs: an iterable of
+    2-tuples or an (M, 2) array."""
     pred, truth = _pairs_to_arrays(pairs)
     return float(np.mean(np.abs(pred - truth)))
 
@@ -168,8 +172,8 @@ def _metrics(preds_native, truth_native, dataset, clamp_primary):
     lo, hi = dataset.native_range
     clamped = np.clip(preds_native, lo, hi)
     primary = clamped if clamp_primary else preds_native
-    pairs = list(zip(primary, truth_native))
-    pairs_clamped = list(zip(clamped, truth_native))
+    pairs = np.column_stack([primary, truth_native])
+    pairs_clamped = np.column_stack([clamped, truth_native])
     return rmse(pairs), mae(pairs), rmse(pairs_clamped), mae(pairs_clamped)
 
 
@@ -185,13 +189,11 @@ def _solve(tensor: SparseTensor, k: int, config: ExperimentConfig):
 
 
 def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
-    tensor, pairs = build_tensor_2d(dataset, fold_plan, fold)
+    tensor, pairs, truth_shifted = build_tensor_2d(dataset, fold_plan, fold)
     model, converged, wall = _solve(tensor, 1, config)
 
-    idx = np.array([(u, p) for u, p, _ in pairs], dtype=np.int64).reshape(-1, 2)
-    truth_shifted = np.array([t for _, _, t in pairs])
-    preds_shifted = np.exp(-model.scales.log_sum_at(idx))
-    cold = int(model.scales.empty_key_mask(idx).sum())
+    preds_shifted = np.exp(-model.scales.log_sum_at(pairs))
+    cold = int(model.scales.empty_key_mask(pairs).sum())
 
     preds_native = preds_shifted - dataset.shift
     truth_native = truth_shifted - dataset.shift
@@ -200,35 +202,33 @@ def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
 
 
 def _fold_3d(dataset, fold_plan, fold, config) -> FoldResult:
-    tensor, mask = build_tensor_3d(dataset, config.categories, fold_plan, fold)
+    tensor, pairs, truth_shifted, feats = build_tensor_3d(
+        dataset, config.categories, fold_plan, fold
+    )
     model, converged, wall = _solve(tensor, 2, config)
 
-    n_features = tensor.shape[1]
-    users = np.array([u for u, _, _, _ in mask], dtype=np.int64)
-    prods = np.array([p for _, p, _, _ in mask], dtype=np.int64)
-    truth_shifted = np.array([t for _, _, t, _ in mask])
+    n_test = len(pairs)
     if config.feature_mask == "all":
-        feats = np.broadcast_to(np.arange(n_features, dtype=np.int64), (len(mask), n_features))
-    else:
-        feats = np.array([f for _, _, _, f in mask], dtype=np.int64).reshape(len(mask), -1)
+        n_features = tensor.shape[1]
+        feats = np.broadcast_to(np.arange(n_features, dtype=np.int64), (n_test, n_features))
     n_cand = feats.shape[1]
 
-    idx = np.empty((len(mask) * n_cand, 3), dtype=np.int64)
-    idx[:, 0] = np.repeat(users, n_cand)
+    idx = np.empty((n_test * n_cand, 3), dtype=np.int64)
+    idx[:, 0] = np.repeat(pairs[:, 0], n_cand)
     idx[:, 1] = feats.reshape(-1)
-    idx[:, 2] = np.repeat(prods, n_cand)
-    fills = np.exp(-model.scales.log_sum_at(idx)).reshape(len(mask), n_cand)
-    weak = model.scales.empty_key_mask(idx).reshape(len(mask), n_cand)
+    idx[:, 2] = np.repeat(pairs[:, 1], n_cand)
+    fills = np.exp(-model.scales.log_sum_at(idx)).reshape(n_test, n_cand)
+    weak = model.scales.empty_key_mask(idx).reshape(n_test, n_cand)
 
     best = fills.argmax(axis=1)
-    rows = np.arange(len(mask))
+    rows = np.arange(n_test)
     preds_shifted = fills[rows, best]
     cold = int(weak[rows, best].sum())
 
     preds_native = preds_shifted - dataset.shift
     truth_native = truth_shifted - dataset.shift
     r, m, rc, mc = _metrics(preds_native, truth_native, dataset, config.clamp)
-    return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, len(mask))
+    return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, n_test)
 
 
 def run_experiment(dataset: RatingsDataset, mode: str, config: ExperimentConfig) -> EvalReport:
@@ -288,10 +288,10 @@ def convergence_trace(dataset: RatingsDataset, mode: str, config: ExperimentConf
     mode = mode.lower()
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
     if mode == "2d":
-        tensor, _ = build_tensor_2d(dataset, fold_plan, 0)
+        tensor = build_tensor_2d(dataset, fold_plan, 0)[0]
         k = 1
     elif mode == "3d":
-        tensor, _ = build_tensor_3d(dataset, config.categories, fold_plan, 0)
+        tensor = build_tensor_3d(dataset, config.categories, fold_plan, 0)[0]
         k = 2
     else:
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")

@@ -9,6 +9,10 @@ class NonPositiveValueError(UctensorError, ValueError):
     """An observed value was <= 0 (zero is reserved for 'unobserved')."""
 
 
+class NonFiniteValueError(UctensorError, ValueError):
+    """An observed value was inf or nan."""
+
+
 class IndexOutOfBoundsError(UctensorError, IndexError):
     """An index lies outside the tensor shape."""
 

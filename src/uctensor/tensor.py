@@ -19,6 +19,7 @@ from .exceptions import (
     DuplicateIndexError,
     IndexOutOfBoundsError,
     InvalidKError,
+    NonFiniteValueError,
     NonPositiveValueError,
     ShapeMismatchError,
 )
@@ -40,7 +41,9 @@ class SparseTensor:
 
     __slots__ = ("shape", "indices", "values", "_flat")
 
-    def __init__(self, shape, indices, values, *, _sorted=False):
+    def __init__(self, shape, indices, values, *, _sorted=False, _flat=None):
+        # ``_flat`` is the flat-key array of an already validated pattern
+        # that ``indices`` belongs to: only the values are checked then
         shape = tuple(int(s) for s in shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"shape must be non-empty with all dims >= 1, got {shape}")
@@ -49,39 +52,42 @@ class SparseTensor:
         if len(indices) != len(values):
             raise ValueError("indices and values length mismatch")
 
-        if len(values) and not np.all(values > 0.0):
-            bad = int(np.argmin(values > 0.0))
+        ok = np.isfinite(values) & (values > 0.0)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            at = f"value {values[bad]} at index {tuple(indices[bad].tolist())}"
+            if not np.isfinite(values[bad]):
+                raise NonFiniteValueError(f"{at} is not finite")
             raise NonPositiveValueError(
-                f"value {values[bad]} at index {tuple(indices[bad])} is not strictly "
-                "positive (zero marks an unobserved cell)"
+                f"{at} is not strictly positive (zero marks an unobserved cell)"
             )
-        if len(indices):
-            lo = indices.min(axis=0)
-            hi = indices.max(axis=0)
-            if (lo < 0).any() or (hi >= np.asarray(shape)).any():
-                d = int(np.argmax((lo < 0) | (hi >= np.asarray(shape))))
-                raise IndexOutOfBoundsError(
-                    f"index out of bounds in dimension {d} for shape {shape}"
-                )
-
-        flat = (
-            np.ravel_multi_index(indices.T, shape)
-            if len(indices)
-            else np.empty(0, dtype=np.int64)
-        )
-        if not _sorted and len(flat) > 1:
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-            indices = indices[order]
-            values = values[order]
-        if len(flat) > 1 and np.any(np.diff(flat) == 0):
-            pos = int(np.argmax(np.diff(flat) == 0))
-            raise DuplicateIndexError(f"duplicate index {tuple(indices[pos])}")
+        if _flat is None:
+            if len(indices):
+                lo = indices.min(axis=0)
+                hi = indices.max(axis=0)
+                if (lo < 0).any() or (hi >= np.asarray(shape)).any():
+                    d = int(np.argmax((lo < 0) | (hi >= np.asarray(shape))))
+                    raise IndexOutOfBoundsError(
+                        f"index out of bounds in dimension {d} for shape {shape}"
+                    )
+            _flat = (
+                np.ravel_multi_index(indices.T, shape)
+                if len(indices)
+                else np.empty(0, dtype=np.int64)
+            )
+            if not _sorted and len(_flat) > 1:
+                order = np.argsort(_flat, kind="stable")
+                _flat = _flat[order]
+                indices = indices[order]
+                values = values[order]
+            if len(_flat) > 1 and np.any(np.diff(_flat) == 0):
+                pos = int(np.argmax(np.diff(_flat) == 0))
+                raise DuplicateIndexError(f"duplicate index {tuple(indices[pos].tolist())}")
 
         self.shape = shape
         self.indices = indices
         self.values = values
-        self._flat = flat
+        self._flat = _flat
         for a in (self.indices, self.values, self._flat):
             a.setflags(write=False)
 
@@ -135,8 +141,10 @@ class SparseTensor:
         return self._flat[pos] == flat
 
     def with_values(self, values: np.ndarray) -> "SparseTensor":
-        """Same observed pattern, new (positive) values."""
-        return SparseTensor(self.shape, self.indices, values, _sorted=True)
+        """Same observed pattern, new values (one per entry, in entry
+        order; finite and strictly positive).  The pattern is shared, not
+        validated again."""
+        return SparseTensor(self.shape, self.indices, values, _flat=self._flat)
 
     def to_dense(self, fill: float = 0.0) -> np.ndarray:
         if self.n_cells > MAX_DENSE_CELLS:

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctensor import (
     MissingFeatureFileError,
@@ -15,7 +20,7 @@ from uctensor import (
     save_tensor_text,
     split_kfold,
 )
-from uctensor.datasets import UserFeatures, age_group
+from uctensor.datasets import RatingRecord, UserFeatures, age_group
 
 from conftest import write_movielens_fixture
 
@@ -92,6 +97,159 @@ class TestMovieLens:
         a = load_movielens(ratings)
         b = load_movielens(ratings)
         assert a.users == b.users and a.products == b.products
+
+
+def reference_load(path, fmt="1m"):
+    """Line-by-line MovieLens reader written from the format's rules:
+    strip each line, skip blank ones, split on ``::`` into 3 or 4 fields,
+    ``int``/``float`` each, check the rating range, keep the first record
+    of each (user, product) pair, number users and products in order of
+    first appearance.  Returns (users, products, records, dropped)."""
+    lo = 1.0 if fmt == "1m" else 0.5
+    records = []
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("::")
+            if len(parts) not in (3, 4):
+                raise ParseError(f"{path}:{lineno}: expected UserID::MovieID::Rating[::Timestamp]")
+            try:
+                uid, pid, rating = int(parts[0]), int(parts[1]), float(parts[2])
+                ts = int(parts[3]) if len(parts) == 4 else -1
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not lo <= rating <= 5.0:
+                raise ParseError(
+                    f"{path}:{lineno}: rating {rating} outside native range {(lo, 5.0)}"
+                )
+            records.append(RatingRecord(uid, pid, rating, ts if ts >= 0 else None))
+    if not records:
+        raise ParseError(f"{path}: no rating lines found")
+    seen, kept, users, products = set(), [], {}, {}
+    for r in records:
+        if (r.user_id, r.product_id) not in seen:
+            seen.add((r.user_id, r.product_id))
+            kept.append(r)
+            users.setdefault(r.user_id, len(users))
+            products.setdefault(r.product_id, len(products))
+    return users, products, kept, len(records) - len(kept)
+
+
+def assert_loads_like_reference(path, fmt="1m"):
+    try:
+        users, products, records, dropped = reference_load(path, fmt)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_movielens(path, fmt=fmt)
+        assert str(got.value) == str(exc)
+        return
+    ds = load_movielens(path, fmt=fmt)
+    assert list(ds.users.items()) == list(users.items())
+    assert list(ds.products.items()) == list(products.items())
+    assert list(ds.records) == records
+    assert ds.duplicates_dropped == dropped
+    assert ds.user_index.tolist() == [users[r.user_id] for r in records]
+    assert ds.product_index.tolist() == [products[r.product_id] for r in records]
+
+
+# (usual, unusual) tokens; unusual ones, some valid and some not, are drawn
+# one time in 25
+ID_TOKENS = (["1", "2", "3", "17", "4294967296"],
+             ["01", "+3", "-2", " 5 ", "\t6", "9\xa0", "1_0", "1.0", "1e3", "", "x", "+ 1", "#1"])
+RATING_TOKENS = (["1", "2", "3", "5", "4.5"],
+                 ["0.5", "3.", ".5", "5e0", " 4 ", "+2", "5_0", "6", "0", "-1", "nan", "inf", ""])
+STAMP_TOKENS = (["97830", "1"], ["-1", " 2 ", "x", "1.5"])
+SEPARATORS = (["::"], [":", ":::", " :: ", "::::"])
+PADDING = ([""], [" ", "\t", "\x0c", "\xa0", "\x85"])
+NEWLINES = (["\n"], ["\r\n", "\r", "\n\n", "\n \n"])
+
+
+@st.composite
+def rating_texts(draw):
+    def token(kinds):
+        usual, unusual = kinds
+        return draw(st.sampled_from(unusual if draw(st.integers(0, 24)) == 0 else usual))
+
+    n_fields = draw(st.sampled_from([4] * 6 + [3] * 3 + [2, 5]))
+    text = ""
+    for _ in range(draw(st.integers(0, 8))):
+        # most files keep one field count; some lines change it
+        n = n_fields if draw(st.integers(0, 9)) else draw(st.sampled_from([3, 4]))
+        fields = [token(ID_TOKENS), token(ID_TOKENS), token(RATING_TOKENS)]
+        fields += [token(STAMP_TOKENS) for _ in range(n - 3)]
+        line = fields[0]
+        for field in fields[1:n]:
+            line += token(SEPARATORS) + field
+        text += token(PADDING) + line + token(PADDING) + token(NEWLINES)
+    return text
+
+
+class TestMovieLensParser:
+    """load_movielens parses whole files at once; it must agree with the
+    line-by-line reference on values, order, vocabularies and errors."""
+
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            ("1::10::5::1\n\n2::11::4::2\n\n", "1m"),  # blank lines
+            ("  1::10::5::1  \r\n\t2::11::4::2\r\n", "1m"),  # padding, CRLF
+            ("1 :: 10 :: 5 :: 1\n", "1m"),  # padded fields
+            ("1::10::5::1\n2::11::4\n3::12::3::3\n", "1m"),  # mixed 3 and 4 fields
+            ("1::10::5\n2::11::4\n", "1m"),  # 3 fields only
+            ("1::10::0.5::1\n2::10::4.5::2\n3::11::3::3\n", "10m"),  # half stars
+            ("1::10::5::1\n1::10::2::2\n2::10::3::3\n2::11::1::4\n1::10::4::5\n", "1m"),
+            ("\n\n3::7::2::-1\n", "1m"),  # explicit negative timestamp
+            ("1::10::5::1\n   \n2::11::4::2\n", "1m"),  # whitespace-only line
+        ],
+    )
+    def test_matches_reference(self, tmp_path, text, fmt):
+        path = tmp_path / "r.dat"
+        path.write_text(text, encoding="latin-1", newline="")
+        assert_loads_like_reference(path, fmt)
+
+    @given(rating_texts(), st.sampled_from(["1m", "10m"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_generated_files(self, text, fmt):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.dat"
+            path.write_text(text, encoding="latin-1", newline="")
+            assert_loads_like_reference(path, fmt)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1::10::5::1\n2::11::4::2::9\n", 2),  # five fields
+            ("1::10::5::1\n2::11\n", 2),  # two fields
+            ("1::10::5::1\n2:11:4:2\n", 2),  # single colons
+            ("1::10::5::1\n1::11::oops::2\n", 2),  # non-numeric token
+            ("1::10::5::1\n\n1::11::nan::2\n", 3),  # nan after a blank line
+            ("1::10::5::1\n\n\n1::11::7::2\n", 4),  # out of range after blank lines
+            ("1::10::5::1\n# comment\n", 2),  # no comment syntax
+            ("1::10::5::1\r\n2::11::x::2\r\n", 2),  # CRLF line counting
+        ],
+    )
+    def test_malformed_line_is_named(self, tmp_path, text, line):
+        path = tmp_path / "bad.dat"
+        path.write_text(text, encoding="latin-1", newline="")
+        with pytest.raises(ParseError, match=f"bad.dat:{line}: "):
+            load_movielens(path)
+        assert_loads_like_reference(path)
+
+    def test_no_rating_lines(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        path.write_text("\n  \n\n")
+        with pytest.raises(ParseError, match="no rating lines"):
+            load_movielens(path)
+
+    def test_raw_ids_beyond_32_bits_are_distinct_pairs(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_text("4294967296::5::5::1\n0::5::4::2\n1::4294967295::3::3\n")
+        ds = load_movielens(path)
+        assert len(ds.records) == 3
+        assert ds.duplicates_dropped == 0
+        assert ds.users == {4294967296: 0, 0: 1, 1: 2}
 
 
 class TestJester:
@@ -201,12 +359,12 @@ class TestTensorConstruction:
         ds = load_movielens(ml_files[0])
         plan = split_kfold(ds, 5, seed=0)
         for fold in range(5):
-            train, test = build_tensor_2d(ds, plan, fold)
+            train, test, _ = build_tensor_2d(ds, plan, fold)
             assert train.n_observed == 4
             assert len(test) == 1
         # shifted truth unshifts to a native rating
-        _, test = build_tensor_2d(ds, plan, 0)
-        u, p, truth = test[0]
+        _, test, truths = build_tensor_2d(ds, plan, 0)
+        (u, p), truth = test[0], truths[0]
         assert truth - ds.shift in {1.0, 3.0, 4.0, 5.0}
 
     def test_cold_user_possible(self, ml_files):
@@ -215,28 +373,28 @@ class TestTensorConstruction:
         # user 3 has a single record: whichever fold holds it leaves the
         # user's row empty in training
         fold = int(plan.assignment[[r.user_id for r in ds.records].index(3)])
-        train, _ = build_tensor_2d(ds, plan, fold)
+        train = build_tensor_2d(ds, plan, fold)[0]
         row = ds.users[3]
         assert not (train.indices[:, 0] == row).any()
 
     def test_3d_writes_one_entry_per_category(self, ml_files):
         ds = load_movielens(*ml_files)
         plan = split_kfold(ds, 5, seed=0)
-        train2, _ = build_tensor_2d(ds, plan, 0)
-        train3, mask = build_tensor_3d(ds, ("age", "gender"), plan, 0)
+        train2 = build_tensor_2d(ds, plan, 0)[0]
+        train3, _, _, feats_per_test = build_tensor_3d(ds, ("age", "gender"), plan, 0)
         assert train3.n_observed == 2 * train2.n_observed
         assert train3.shape == (3, 8, 2)
-        single, _ = build_tensor_3d(ds, ("gender",), plan, 0)
+        single = build_tensor_3d(ds, ("gender",), plan, 0)[0]
         assert single.n_observed == train2.n_observed
         # the worked example: one record lands at both its age-group index
         # and its gender index, with the same value
-        u, p, truth, feats = mask[0]
+        feats = feats_per_test[0]
         assert len(feats) == 2
 
     def test_3d_shared_feature_slice(self, ml_files):
         ds = load_movielens(*ml_files)
         plan = split_kfold(ds, 5, seed=0)
-        train, _ = build_tensor_3d(ds, ("gender",), plan, 0)
+        train = build_tensor_3d(ds, ("gender",), plan, 0)[0]
         # users 2 and 3 are both male: their entries share feature index 1
         male_rows = train.indices[train.indices[:, 1] == 1]
         assert len({int(r[0]) for r in male_rows}) >= 2

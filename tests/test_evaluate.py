@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +147,31 @@ class TestRunExperiment:
         ds = synthetic_dataset(0)
         with pytest.raises(ValueError):
             run_experiment(ds, "4d", ExperimentConfig())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenReports:
+    """Reports on ``write_movielens_fixture``, recorded from the harness of
+    the first release, which held out tuple lists and parsed line by line:
+    parsing, folds and metrics must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name,mode,options",
+        [("report_2d", "2d", {}), ("report_3d", "3d", {}),
+         ("report_3d_all", "3d", {"feature_mask": "all"})],
+    )
+    def test_run_experiment(self, tmp_path, name, mode, options):
+        ds = load_movielens(*write_movielens_fixture(tmp_path))
+        report = run_experiment(ds, mode, ExperimentConfig(**options))
+        assert report.to_json(include_timing=False) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+    def test_baseline(self, tmp_path):
+        ds = load_movielens(*write_movielens_fixture(tmp_path))
+        report = baseline_predict(ds, split_kfold(ds, 5, 0), "item_mean")
+        expected = (GOLDEN / "baseline_item_mean.json").read_text()
+        assert report.to_json(include_timing=False) + "\n" == expected
 
 
 class TestBaselines:

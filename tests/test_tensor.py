@@ -10,6 +10,7 @@ from uctensor import (
     DuplicateIndexError,
     IndexOutOfBoundsError,
     InvalidKError,
+    NonFiniteValueError,
     NonPositiveValueError,
     ScaleSet,
     ShapeMismatchError,
@@ -38,6 +39,29 @@ class TestConstruction:
     def test_negative_value(self):
         with pytest.raises(NonPositiveValueError):
             make_tensor((2, 2), {(0, 0): -1.5})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(NonFiniteValueError, match=r"at index \(1, 0\) is not finite"):
+            make_tensor((2, 2), {(0, 0): 2.0, (1, 0): bad})
+
+    def test_errors_print_plain_int_indices(self):
+        with pytest.raises(NonPositiveValueError, match=r"at index \(1, 0\) is not strictly"):
+            make_tensor((2, 2), {(1, 0): -1.0})
+        with pytest.raises(DuplicateIndexError, match=r"duplicate index \(0, 1\)$"):
+            make_tensor((2, 2), [((0, 1), 1.0), ((0, 1), 2.0)])
+
+    def test_with_values_checks_only_the_values(self, three_entry_2x2):
+        t = three_entry_2x2
+        again = t.with_values([3.0, 5.0, 7.0])
+        assert np.shares_memory(again.indices, t.indices) and again._flat is t._flat
+        assert again.value_at((1, 0)) == 7.0
+        with pytest.raises(ValueError, match="length mismatch"):
+            t.with_values([1.0, 2.0])
+        with pytest.raises(NonFiniteValueError):
+            t.with_values([1.0, math.inf, 2.0])
+        with pytest.raises(NonPositiveValueError):
+            t.with_values([1.0, 0.0, 2.0])
 
     def test_out_of_bounds(self):
         with pytest.raises(IndexOutOfBoundsError):
