@@ -16,8 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import LatentModel, SolverConfig, balance
-from .exceptions import InvalidGammaError, InvalidKError, NotAMatrixError
+from .exceptions import InvalidGammaError, InvalidKError, NonFiniteValueError, NotAMatrixError
 from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, scale_apply
+
+
+def require_finite(values: np.ndarray, cell_at) -> np.ndarray:
+    """``values``, once checked to be finite.  A fill overflows to inf when
+    the log scales of its cell sum below about -709 (a tiny observed value
+    can do that); the error names the first such cell, ``cell_at(i)``
+    giving the cell of flat position i."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteValueError(
+            f"fill {float(values.flat[bad])} at index {cell_at(bad)} is not finite"
+        )
+    return values
 
 
 class CompletedTensor:
@@ -46,8 +60,9 @@ class CompletedTensor:
 
     def fill_at(self, index) -> float:
         """The inverse-scale-product fill, regardless of observedness."""
-        idx = np.asarray(self.source._check_index(index), dtype=np.int64)
-        return float(np.exp(-self.scales.log_sum_at(idx[None, :])[0]))
+        index = self.source._check_index(index)
+        fill = np.exp(-self.scales.log_sum_at(np.array([index], dtype=np.int64)))
+        return float(require_finite(fill, lambda _: index)[0])
 
     def value_at(self, index) -> float:
         observed = self.source.value_at(index)
@@ -56,15 +71,18 @@ class CompletedTensor:
         return self.fill_at(index)
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized value_at over an (M, D) index array."""
+        """Vectorized value_at over an (M, D) index array: one lookup of
+        the rows in the sorted pattern serves both the observed test and
+        the stored values."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.source.ndim)
         out = np.exp(-self.scales.log_sum_at(indices))
-        mask = self.source.observed_mask_for(indices)
-        if mask.any():
-            flat = np.ravel_multi_index(indices[mask].T, self.shape)
-            pos = np.searchsorted(self.source._flat, flat)
-            out[mask] = self.source.values[pos]
-        return out
+        stored = self.source._flat
+        if len(indices) and len(stored):
+            flat = np.ravel_multi_index(indices.T, self.shape)
+            pos = np.minimum(np.searchsorted(stored, flat), len(stored) - 1)
+            hit = stored[pos] == flat
+            out[hit] = self.source.values[pos[hit]]
+        return require_finite(out, lambda i: tuple(indices[i].tolist()))
 
     def weakly_determined(self, index) -> bool:
         """True when some containing subtensor has no observed entry, so the
@@ -79,7 +97,9 @@ class CompletedTensor:
             raise ValueError(f"refusing to materialize {self.source.n_cells} cells")
         grid = 1.0 / self.scales.factor_grid()
         grid.flat[self.source._flat] = self.source.values
-        return grid
+        return require_finite(
+            grid, lambda i: tuple(int(c) for c in np.unravel_index(i, self.shape))
+        )
 
 
 def complete(

@@ -29,6 +29,7 @@ from .exceptions import (
 from .tensor import SparseTensor
 
 JESTER_SENTINEL = 99.0
+_INT64 = np.iinfo(np.int64)
 
 # feature blocks, in the fixed concatenation order
 AGE_GROUPS = 6
@@ -67,12 +68,12 @@ class _RecordsView(Sequence):
         ds = self._ds
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        ts = int(ds.timestamps[i]) if ds.timestamps is not None else None
+        stamped = ds.has_timestamp is not None and ds.has_timestamp[i]
         return RatingRecord(
             int(ds.raw_user_ids[i]),
             int(ds.raw_product_ids[i]),
             float(ds.rating_values[i]),
-            None if ts is None or ts < 0 else ts,
+            int(ds.timestamps[i]) if stamped else None,
         )
 
 
@@ -89,11 +90,12 @@ class RatingsDataset:
     rating_values: np.ndarray  # per-record native-scale rating
     raw_user_ids: np.ndarray
     raw_product_ids: np.ndarray
-    timestamps: np.ndarray | None
+    timestamps: np.ndarray | None  # per-record timestamp, 0 where absent
     shift: float
     native_range: tuple
     features: dict | None = None  # raw user id -> UserFeatures
     duplicates_dropped: int = 0
+    has_timestamp: np.ndarray | None = None  # per record: a timestamp was given
 
     @property
     def records(self) -> Sequence:
@@ -124,7 +126,7 @@ def _dense_vocab(raw_ids: np.ndarray) -> tuple[dict, np.ndarray]:
     return dict(zip(uniq[order].tolist(), range(len(order)))), rank[inverse]
 
 
-def _finalize(name, raw_u, raw_p, ratings, timestamps, shift, native_range, features):
+def _finalize(name, raw_u, raw_p, ratings, timestamps, has_timestamp, shift, native_range, features):
     users, u_dense = _dense_vocab(raw_u)
     products, p_dense = _dense_vocab(raw_p)
     # first occurrence of each (user, product) pair, in file order.  Dense
@@ -143,6 +145,7 @@ def _finalize(name, raw_u, raw_p, ratings, timestamps, shift, native_range, feat
         raw_user_ids=raw_u[keep],
         raw_product_ids=raw_p[keep],
         timestamps=timestamps[keep],
+        has_timestamp=has_timestamp[keep],
         shift=float(shift),
         native_range=native_range,
         features=features,
@@ -205,14 +208,14 @@ def _parse_movielens_bulk(text: str):
         )
     except ValueError:
         return None
-    stamps = cols["t"] if n_fields == 4 else np.full(len(cols), -1, dtype=np.int64)
-    return cols["u"], cols["p"], cols["r"], stamps
+    stamps = cols["t"] if n_fields == 4 else np.zeros(len(cols), dtype=np.int64)
+    return cols["u"], cols["p"], cols["r"], stamps, np.full(len(cols), n_fields == 4)
 
 
 def _parse_movielens_lines(text: str, path, lo: float):
     """Line-by-line parse; raises ParseError naming the first bad line."""
     native_range = (lo, 5.0)
-    raw_u, raw_p, ratings, stamps = [], [], [], []
+    raw_u, raw_p, ratings, stamps, has_stamp = [], [], [], [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -224,8 +227,11 @@ def _parse_movielens_lines(text: str, path, lo: float):
             uid = int(parts[0])
             pid = int(parts[1])
             rating = float(parts[2])
-            ts = int(parts[3]) if len(parts) == 4 else -1
-        except ValueError as exc:
+            ts = int(parts[3]) if len(parts) == 4 else None
+            for value in (uid, pid, ts):
+                if value is not None and not _INT64.min <= value <= _INT64.max:
+                    raise OverflowError(f"{value} does not fit in 64 bits")
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         if not lo <= rating <= 5.0:
             raise ParseError(
@@ -234,7 +240,8 @@ def _parse_movielens_lines(text: str, path, lo: float):
         raw_u.append(uid)
         raw_p.append(pid)
         ratings.append(rating)
-        stamps.append(ts)
+        stamps.append(0 if ts is None else ts)
+        has_stamp.append(ts is not None)
     if not raw_u:
         raise ParseError(f"{path}: no rating lines found")
     return (
@@ -242,6 +249,7 @@ def _parse_movielens_lines(text: str, path, lo: float):
         np.asarray(raw_p, dtype=np.int64),
         np.asarray(ratings),
         np.asarray(stamps, dtype=np.int64),
+        np.asarray(has_stamp, dtype=bool),
     )
 
 
@@ -263,7 +271,7 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     # error message with its line number
     if cols is None or not np.all((cols[2] >= lo) & (cols[2] <= 5.0)):
         cols = _parse_movielens_lines(text, ratings_path, lo)
-    raw_u, raw_p, ratings, stamps = cols
+    raw_u, raw_p, ratings, stamps, has_stamp = cols
 
     features = _load_movielens_users(users_path) if users_path else None
     return _finalize(
@@ -272,6 +280,7 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
         raw_p=raw_p,
         ratings=ratings,
         timestamps=stamps,
+        has_timestamp=has_stamp,
         shift=0.0,  # already strictly positive
         native_range=(lo, 5.0),
         features=features,

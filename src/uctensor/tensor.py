@@ -10,6 +10,7 @@ substrate for both the balancing solver and the completion rules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -140,6 +141,13 @@ class SparseTensor:
         pos = np.minimum(pos, len(self._flat) - 1)
         return self._flat[pos] == flat
 
+    def row_slice(self, i: int) -> slice:
+        """The entries whose first coordinate is ``i``, as a slice of
+        ``indices`` and ``values``: row-major order keeps them contiguous."""
+        stride = math.prod(self.shape[1:])
+        lo, hi = np.searchsorted(self._flat, [i * stride, (i + 1) * stride])
+        return slice(int(lo), int(hi))
+
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Same observed pattern, new values (one per entry, in entry
         order; finite and strictly positive).  The pattern is shared, not
@@ -249,7 +257,8 @@ class ScaleSet:
 
     Stored as dense per-family arrays (linear and log); the mapping
     interface exposes only non-empty subtensor keys.  Empty subtensors
-    carry an implicit scale of 1.
+    carry an implicit scale of 1, stored as such (log 0) whatever the
+    constructor was given for them.
     """
 
     __slots__ = ("shape", "k", "_scale", "_log", "_nonempty", "_fams")
@@ -258,9 +267,9 @@ class ScaleSet:
         self.shape = tuple(shape)
         self.k = int(k)
         self._fams = subtensor_families(len(self.shape), self.k)
-        self._scale = {f: np.asarray(scale_arrays[f], dtype=np.float64) for f in self._fams}
-        self._log = {f: np.asarray(log_arrays[f], dtype=np.float64) for f in self._fams}
         self._nonempty = {f: np.asarray(nonempty[f], dtype=bool) for f in self._fams}
+        self._scale = {f: np.where(self._nonempty[f], scale_arrays[f], 1.0) for f in self._fams}
+        self._log = {f: np.where(self._nonempty[f], log_arrays[f], 0.0) for f in self._fams}
 
     @classmethod
     def from_log_arrays(cls, shape, k, log_arrays, nonempty) -> "ScaleSet":
@@ -355,8 +364,30 @@ class ScaleSet:
         for fixed in self._fams:
             dims = [self.shape[d] for d in fixed]
             ids = np.ravel_multi_index([indices[:, d] for d in fixed], dims)
-            logs = np.where(self._nonempty[fixed], self._log[fixed], 0.0)
-            total += logs[ids]
+            total += self._log[fixed][ids]
+        return total
+
+    def log_sum_fiber(self, prefix) -> np.ndarray:
+        """``log_sum_at`` of the cells (*prefix, j) for every j along the
+        last dimension, summed in the same order, so the two agree bit
+        for bit."""
+        prefix = tuple(int(i) for i in prefix)
+        last = len(self.shape) - 1
+        if len(prefix) != last or any(not 0 <= i < s for i, s in zip(prefix, self.shape)):
+            raise IndexOutOfBoundsError(
+                f"fiber prefix {prefix} out of bounds for shape {self.shape}"
+            )
+        cell = prefix + (0,)
+        n = self.shape[last]
+        total = np.zeros(n)
+        for fixed in self._fams:
+            start = 0
+            for d in fixed:
+                start = start * self.shape[d] + cell[d]
+            logs = self._log[fixed]
+            # a family fixing the last dimension holds the fiber's keys
+            # contiguously from (*prefix, 0); any other family, one key
+            total += logs[start : start + n] if fixed[-1] == last else logs[start]
         return total
 
     def empty_key_mask(self, indices: np.ndarray) -> np.ndarray:
@@ -377,14 +408,13 @@ class ScaleSet:
         grid = np.ones(self.shape)
         for fixed in self._fams:
             dims = [self.shape[d] for d in fixed]
-            factors = np.where(self._nonempty[fixed], self._scale[fixed], 1.0)
             bshape = [self.shape[d] if d in fixed else 1 for d in range(len(self.shape))]
-            grid = grid * factors.reshape(dims).reshape(bshape)
+            grid = grid * self._scale[fixed].reshape(dims).reshape(bshape)
         return grid
 
     def inverse(self) -> "ScaleSet":
-        scale = {f: np.where(self._nonempty[f], 1.0 / a, 1.0) for f, a in self._scale.items()}
-        log = {f: np.where(self._nonempty[f], -a, 0.0) for f, a in self._log.items()}
+        scale = {f: 1.0 / a for f, a in self._scale.items()}
+        log = {f: -a for f, a in self._log.items()}
         return ScaleSet(self.shape, self.k, scale, log, self._nonempty)
 
     def __repr__(self):

@@ -4,16 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
+    CompletedTensor,
     InvalidGammaError,
     InvalidKError,
+    LatentModel,
+    NonFiniteValueError,
     NotAMatrixError,
     OrderingSpec,
+    ScaleSet,
     SolverConfig,
+    SparseTensor,
     check_consensus_ordering,
     check_full_support,
     complete,
     complete_matrix,
     make_tensor,
+    subtensor_families,
     unit_consistency_gap,
 )
 from uctensor.properties import (
@@ -239,3 +245,69 @@ class TestUniqueness:
         rev = complete(tensor, 1, SolverConfig(epsilon=1e-24, max_sweeps=20_000,
                                                sweep_order="reversed"))
         np.testing.assert_allclose(lex.to_dense(), rev.to_dense(), atol=1e-8)
+
+
+@st.composite
+def completions(draw):
+    """A completion of a 2-D or 3-D tensor on an arbitrary pattern, with
+    arbitrary scales (some keys empty): values_at must agree with
+    value_at whether or not the scales solve anything."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    n_cells = int(np.prod(shape))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells)))
+    indices = np.argwhere(mask.reshape(shape))
+    values = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0]), min_size=len(indices), max_size=len(indices)))
+    source = SparseTensor(shape, indices, values)
+    k = draw(st.integers(1, len(shape) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs, nonempty = {}, {}
+    for fixed in subtensor_families(len(shape), k):
+        size = int(np.prod([shape[d] for d in fixed]))
+        logs[fixed] = rng.uniform(-2.0, 2.0, size)
+        nonempty[fixed] = rng.random(size) > 0.3
+    scales = ScaleSet.from_log_arrays(shape, k, logs, nonempty)
+    model = LatentModel(source=source, balanced=source, scales=scales, sweeps_run=0, final_residual=0.0)
+    return CompletedTensor(model)
+
+
+class TestValuesAt:
+    @given(completions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_cell_value_at(self, completed, data):
+        shape = completed.shape
+        cells = np.argwhere(np.ones(shape, dtype=bool))
+        # any rows, in any order, repeats included
+        rows = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=2 * len(cells)))
+        query = cells[np.asarray(rows, dtype=np.int64)].reshape(-1, len(shape))
+        batch = completed.values_at(query)
+        assert batch.tolist() == [completed.value_at(tuple(q)) for q in query.tolist()]
+        for q, v in zip(query.tolist(), batch.tolist()):
+            stored = completed.source.value_at(q)
+            assert v == (stored if stored is not None else completed.fill_at(q))
+
+
+class TestOverflowingFills:
+    """A tiny observed value can put a fill beyond the float range; every
+    path that returns fills raises instead of handing back inf."""
+
+    @staticmethod
+    def tiny_corner():
+        return complete(make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0}), 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_every_fill_path_raises_naming_the_cell(self):
+        completed = self.tiny_corner()
+        calls = [
+            lambda: completed.value_at((1, 1)),
+            lambda: completed.fill_at((1, 1)),
+            lambda: completed.values_at([(0, 0), (1, 1)]),
+            lambda: completed.to_dense(),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteValueError, match=r"index \(1, 1\)"):
+                call()
+
+    def test_observed_cells_still_answer(self):
+        completed = self.tiny_corner()
+        assert completed.value_at((0, 0)) == 1e-320
+        assert completed.values_at([(0, 1), (1, 0)]).tolist() == [1.0, 1.0]

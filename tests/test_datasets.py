@@ -117,14 +117,17 @@ def reference_load(path, fmt="1m"):
                 raise ParseError(f"{path}:{lineno}: expected UserID::MovieID::Rating[::Timestamp]")
             try:
                 uid, pid, rating = int(parts[0]), int(parts[1]), float(parts[2])
-                ts = int(parts[3]) if len(parts) == 4 else -1
+                ts = int(parts[3]) if len(parts) == 4 else None
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            for value in (uid, pid, ts):
+                if value is not None and not -(2**63) <= value < 2**63:
+                    raise ParseError(f"{path}:{lineno}: {value} does not fit in 64 bits")
             if not lo <= rating <= 5.0:
                 raise ParseError(
                     f"{path}:{lineno}: rating {rating} outside native range {(lo, 5.0)}"
                 )
-            records.append(RatingRecord(uid, pid, rating, ts if ts >= 0 else None))
+            records.append(RatingRecord(uid, pid, rating, ts))
     if not records:
         raise ParseError(f"{path}: no rating lines found")
     seen, kept, users, products = set(), [], {}, {}
@@ -250,6 +253,44 @@ class TestMovieLensParser:
         assert len(ds.records) == 3
         assert ds.duplicates_dropped == 0
         assert ds.users == {4294967296: 0, 0: 1, 1: 2}
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "99999999999999999999::5::5::1\n",  # user id
+            "1::5::5::1\n2::-9223372036854775809::4::2\n",  # product id
+            "1::5::5::9223372036854775808\n",  # timestamp
+        ],
+    )
+    def test_ids_beyond_int64_are_parse_errors(self, tmp_path, text):
+        path = tmp_path / "big.dat"
+        path.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ParseError, match=f"big.dat:{line}: .* does not fit in 64 bits"):
+            load_movielens(path)
+        assert_loads_like_reference(path)
+
+    def test_int64_extremes_load(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_text("9223372036854775807::-9223372036854775808::5::-9223372036854775808\n")
+        (record,) = load_movielens(path).records
+        assert record == RatingRecord(2**63 - 1, -(2**63), 5.0, -(2**63))
+
+    @pytest.mark.parametrize(
+        "text,stamps",
+        [
+            ("3::7::2::-5\n", [-5]),  # one line, bulk parse
+            ("3::7::2::-5\n4::7::2::0\n", [-5, 0]),
+            ("3::7::2::-1\n4::7::2\n", [-1, None]),  # mixed fields, line parse
+            ("3::7::2\n4::7::2\n", [None, None]),  # no timestamps at all
+        ],
+    )
+    def test_negative_timestamps_are_kept(self, tmp_path, text, stamps):
+        path = tmp_path / "r.dat"
+        path.write_text(text)
+        assert [r.timestamp for r in load_movielens(path).records] == stamps
+        assert_loads_like_reference(path)
 
 
 class TestJester:

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uctensor import (
     CompletedTensor,
+    DidNotConvergeError,
     IndexOutOfBoundsError,
     LatentModel,
+    NonFiniteValueError,
     NotAMatrixError,
+    Prediction,
     ScaleSet,
+    SolverConfig,
+    SparseTensor,
     complete,
     complete_matrix,
     make_tensor,
@@ -182,3 +189,100 @@ class TestTopN:
             top_n(completed, 0, 0)
         with pytest.raises(IndexOutOfBoundsError):
             top_n(completed, 99, 3)
+
+
+def reference_top_n(completed, user, n, exclude_observed=False):
+    """top_n as it was first written: every product of the row looked up
+    through the whole pattern, then a full stable sort on descending
+    value (ties stay in ascending product order)."""
+    n_products = completed.shape[1]
+    idx = np.stack([np.full(n_products, user), np.arange(n_products)], axis=1)
+    values = np.exp(-completed.scales.log_sum_at(idx))
+    observed = completed.source.observed_mask_for(idx)
+    if observed.any():
+        flat = np.ravel_multi_index(idx[observed].T, completed.shape)
+        values[observed] = completed.source.values[np.searchsorted(completed.source._flat, flat)]
+    candidates = np.flatnonzero(~observed) if exclude_observed else np.arange(n_products)
+    order = candidates[np.argsort(-values[candidates], kind="stable")]
+    return [
+        Prediction(user, int(p), float(values[p]), "observed" if observed[p] else "completed")
+        for p in order[:n]
+    ]
+
+
+@st.composite
+def rating_completions(draw):
+    """A 2-D completion of ratings from {1..5}, so that ties are common.
+    Each user rates a random subset, every product, or nothing.  The
+    scales are either solved (a few sweeps, converged or not) or drawn
+    from {1/2, 1, 2}, which makes fills tie as well."""
+    n_users, n_products = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(n_users):
+        kind = draw(st.sampled_from(["some", "some", "all", "none"]))
+        if kind == "some":
+            rows.append(draw(st.lists(st.booleans(), min_size=n_products, max_size=n_products)))
+        else:
+            rows.append([kind == "all"] * n_products)
+    indices = np.argwhere(np.array(rows, dtype=bool).reshape(n_users, n_products))
+    assume(len(indices) > 0)
+    ratings = draw(st.lists(st.integers(1, 5), min_size=len(indices), max_size=len(indices)))
+    tensor = SparseTensor((n_users, n_products), indices, np.array(ratings, dtype=float))
+    if draw(st.booleans()):
+        try:
+            return complete_matrix(tensor, SolverConfig(max_sweeps=draw(st.integers(1, 30))))
+        except DidNotConvergeError as exc:
+            return CompletedTensor(exc.model)
+    logs = {
+        fixed: np.log(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=size, max_size=size)))
+        for fixed, size in (((0,), n_users), ((1,), n_products))
+    }
+    nonempty = {f: np.ones(len(a), dtype=bool) for f, a in logs.items()}
+    scales = ScaleSet.from_log_arrays((n_users, n_products), 1, logs, nonempty)
+    model = LatentModel(source=tensor, balanced=tensor, scales=scales, sweeps_run=0, final_residual=0.0)
+    return CompletedTensor(model)
+
+
+class TestTopNEquivalence:
+    """top_n reads one row slice and ranks by partial selection; it must
+    give exactly the answers of the full lookup and full sort."""
+
+    @given(rating_completions(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_sort_reference(self, completed, data):
+        n_users, n_products = completed.shape
+        for user in range(n_users):
+            for exclude in (False, True):
+                n = data.draw(st.integers(1, n_products + 2))
+                assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+                assert top_n(completed, user, n_products, exclude) == reference_top_n(
+                    completed, user, n_products, exclude
+                )
+
+    def test_ties_straddling_the_cut(self):
+        # fills 2, 1, 2, 2, 1, 2: the 2nd and 3rd picks tie with two more
+        logs = {(0,): np.zeros(1), (1,): -np.log([2.0, 1.0, 2.0, 2.0, 1.0, 2.0])}
+        nonempty = {f: np.ones(len(a), dtype=bool) for f, a in logs.items()}
+        source = make_tensor((1, 6), {(0, 4): 1.0})
+        model = LatentModel(
+            source=source,
+            balanced=source,
+            scales=ScaleSet.from_log_arrays((1, 6), 1, logs, nonempty),
+            sweeps_run=0,
+            final_residual=0.0,
+        )
+        completed = CompletedTensor(model)
+        assert [p.product for p in top_n(completed, 0, 3)] == [0, 2, 3]
+        assert [p.product for p in top_n(completed, 0, 5)] == [0, 2, 3, 5, 1]
+        assert [p.product for p in top_n(completed, 0, 6)] == [0, 2, 3, 5, 1, 4]
+        assert [p.product for p in top_n(completed, 0, 5, exclude_observed=True)] == [0, 2, 3, 5, 1]
+        assert [p.source for p in top_n(completed, 0, 6)][-1] == "observed"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_fill_raises(self):
+        completed = complete(make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0}), 1)
+        for exclude in (False, True):
+            with pytest.raises(NonFiniteValueError, match=r"index \(1, 1\)"):
+                top_n(completed, 1, 1, exclude_observed=exclude)
+        # user 0 rated both products: nothing of its row is a fill
+        assert [p.rating for p in top_n(completed, 0, 2)] == [1.0, 1e-320]

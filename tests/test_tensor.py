@@ -244,3 +244,71 @@ class TestMembershipCounting:
         for k in (1, 2):
             total = sum(int(c.sum()) for _, c in subtensor_products(t, k).values())
             assert total == math.comb(3, 3 - k) * t.n_observed
+
+
+shapes = st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple)
+
+
+@st.composite
+def patterns(draw, shape=None):
+    """A tensor of ``shape`` (drawn if None) on an arbitrary, possibly
+    empty, pattern."""
+    shape = draw(shapes) if shape is None else shape
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape))))
+    indices = np.argwhere(mask.reshape(shape))
+    return make_tensor(shape, {tuple(ix): float(i + 1) for i, ix in enumerate(indices.tolist())})
+
+
+@st.composite
+def drawn_logs(draw, shape):
+    """(k, logs, nonempty) of a scale set of ``shape`` whose empty keys
+    hold arbitrary logs, as a hand-built or loaded model may."""
+    k = draw(st.integers(1, len(shape) - 1))
+    logs, nonempty = {}, {}
+    for fixed in itertools.combinations(range(len(shape)), len(shape) - k):
+        size = math.prod(shape[d] for d in fixed)
+        logs[fixed] = np.array(draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)))
+        nonempty[fixed] = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    return k, logs, nonempty
+
+
+class TestRowSlice:
+    @given(patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_slice_holds_exactly_the_row(self, t):
+        for i in range(t.shape[0]):
+            rows = t.row_slice(i)
+            np.testing.assert_array_equal(t.indices[rows], t.indices[t.indices[:, 0] == i])
+            np.testing.assert_array_equal(t.values[rows], t.values[t.indices[:, 0] == i])
+
+
+class TestLogSums:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fiber_equals_log_sum_at_bit_for_bit(self, data):
+        shape = data.draw(shapes)
+        scales = ScaleSet.from_log_arrays(shape, *data.draw(drawn_logs(shape)))
+        for prefix in itertools.product(*(range(s) for s in shape[:-1])):
+            cells = np.array([(*prefix, j) for j in range(shape[-1])])
+            assert scales.log_sum_fiber(prefix).tolist() == scales.log_sum_at(cells).tolist()
+
+    def test_fiber_prefix_is_checked(self):
+        scales = ScaleSet.from_dict((2, 3, 4), 1, {})
+        for bad in [(0,), (0, 3), (-1, 0), (0, 0, 0)]:
+            with pytest.raises(IndexOutOfBoundsError):
+                scales.log_sum_fiber(bad)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_empty_keys_count_as_scale_one_whatever_they_hold(self, data):
+        shape = data.draw(shapes)
+        k, logs, nonempty = data.draw(drawn_logs(shape))
+        scales = ScaleSet.from_log_arrays(shape, k, logs, nonempty)
+        cells = np.argwhere(np.ones(shape, dtype=bool))
+        expected = np.zeros(len(cells))
+        for fixed in logs:
+            ids = np.ravel_multi_index(cells[:, list(fixed)].T, [shape[d] for d in fixed])
+            expected += np.where(nonempty[fixed][ids], logs[fixed][ids], 0.0)
+        assert scales.log_sum_at(cells).tolist() == expected.tolist()
+        np.testing.assert_allclose(scales.factor_grid().reshape(-1), np.exp(expected), rtol=1e-12)
+        assert scales.inverse().log_sum_at(cells).tolist() == (-expected).tolist()
