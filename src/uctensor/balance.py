@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DidNotConvergeError, EmptyTensorError
-from .tensor import ScaleSet, SparseTensor, family_sub_ids, subtensor_families
+from .tensor import ScaleSet, SparseTensor, family_sub_ids, scale_apply, subtensor_families
 
 SWEEP_ORDERS = ("lex", "reversed")
 
@@ -85,26 +85,18 @@ class BalanceState:
             v += float(rho @ rho)
         return v
 
-    def nonempty(self) -> dict:
-        return {f: self._counts[f] > 0 for f in self.families}
-
     def scale_set(self) -> ScaleSet:
-        return ScaleSet.from_log_arrays(
-            self.tensor.shape, self.k, dict(self.log_scales), self.nonempty()
-        )
-
-    def balanced_tensor(self) -> SparseTensor:
-        return self.tensor.with_values(np.exp(self.log_values))
+        nonempty = {f: self._counts[f] > 0 for f in self.families}
+        return ScaleSet(self.tensor.shape, self.k, dict(self.log_scales), nonempty)
 
 
 @dataclass
 class LatentModel:
-    """Result of a balance solve: the balanced tensor (same observed
-    pattern as the input), the accumulated per-subtensor scales, and
-    convergence diagnostics."""
+    """Result of a balance solve: the source tensor, the accumulated
+    per-subtensor scales, and convergence diagnostics.  The scales are
+    the whole solution; the balanced tensor is derived from them."""
 
     source: SparseTensor
-    balanced: SparseTensor
     scales: ScaleSet
     sweeps_run: int
     final_residual: float
@@ -118,6 +110,11 @@ class LatentModel:
     def shape(self) -> tuple:
         return self.source.shape
 
+    @property
+    def balanced(self) -> SparseTensor:
+        """The source times its scales, computed on each access."""
+        return scale_apply(self.source, self.scales)
+
 
 def balance(tensor: SparseTensor, k: int, config: SolverConfig | None = None) -> LatentModel:
     """Balance every family-k subtensor's observed-entry product to 1.
@@ -130,25 +127,18 @@ def balance(tensor: SparseTensor, k: int, config: SolverConfig | None = None) ->
     state = BalanceState(tensor, k, config.sweep_order)
     trace = []
     for _ in range(config.max_sweeps):
-        v = state.sweep()
-        trace.append(v)
-        if v < config.epsilon:
-            return LatentModel(
-                source=tensor,
-                balanced=state.balanced_tensor(),
-                scales=state.scale_set(),
-                sweeps_run=len(trace),
-                final_residual=v,
-                residual_trace=tuple(trace),
-            )
+        trace.append(state.sweep())
+        if trace[-1] < config.epsilon:
+            break
     model = LatentModel(
         source=tensor,
-        balanced=state.balanced_tensor(),
         scales=state.scale_set(),
         sweeps_run=len(trace),
         final_residual=trace[-1],
         residual_trace=tuple(trace),
     )
+    if trace[-1] < config.epsilon:
+        return model
     raise DidNotConvergeError(
         f"residual {trace[-1]:.3e} still >= epsilon {config.epsilon:.3e} "
         f"after {config.max_sweeps} sweeps",

@@ -16,18 +16,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import LatentModel, SolverConfig, balance
-from .exceptions import InvalidGammaError, InvalidKError, NonFiniteValueError, NotAMatrixError
+from .exceptions import (
+    InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
+)
 from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, scale_apply
 
 
-def require_finite(values: np.ndarray, cell_at) -> np.ndarray:
-    """``values``, once checked to be finite.  A fill overflows to inf when
-    the log scales of its cell sum below about -709 (a tiny observed value
-    can do that); the error names the first such cell, ``cell_at(i)``
-    giving the cell of flat position i."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
+    """The fills exp(-log_sums).  A log sum in (-700, 700) gives a normal
+    float; otherwise ``require_representable`` checks them.  Callers zero
+    the log sums of the cells they answer from the source."""
+    if len(log_sums) and -700.0 < log_sums.min() and log_sums.max() < 700.0:
+        return np.exp(-log_sums)
+    with np.errstate(over="ignore"):
+        return require_representable(np.exp(-log_sums), cell_at)
+
+
+def require_representable(values: np.ndarray, cell_at) -> np.ndarray:
+    """``values``, once checked to be finite and non-zero.  A fill whose
+    log sum is below about -709 overflows to inf (a tiny observed value
+    can do that), and one above about 745 underflows to 0, the unobserved
+    marker.  The error names the first such cell, ``cell_at(i)`` giving
+    the cell of flat position i."""
+    ok = np.isfinite(values) & (values > 0.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        if values.flat[bad] == 0.0:
+            raise NonPositiveValueError(f"fill at index {cell_at(bad)} underflows to 0")
         raise NonFiniteValueError(
             f"fill {float(values.flat[bad])} at index {cell_at(bad)} is not finite"
         )
@@ -51,18 +66,14 @@ class CompletedTensor:
     def k(self) -> int:
         return self.scales.k
 
-    @property
-    def source_pattern(self) -> np.ndarray:
-        return self.source.indices
-
     def is_observed(self, index) -> bool:
         return self.source.is_observed(index)
 
     def fill_at(self, index) -> float:
         """The inverse-scale-product fill, regardless of observedness."""
         index = self.source._check_index(index)
-        fill = np.exp(-self.scales.log_sum_at(np.array([index], dtype=np.int64)))
-        return float(require_finite(fill, lambda _: index)[0])
+        logs = self.scales.log_sum_at(np.array([index], dtype=np.int64))
+        return float(inverse_scale_fills(logs, lambda _: index)[0])
 
     def value_at(self, index) -> float:
         observed = self.source.value_at(index)
@@ -75,14 +86,15 @@ class CompletedTensor:
         the rows in the sorted pattern serves both the observed test and
         the stored values."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.source.ndim)
-        out = np.exp(-self.scales.log_sum_at(indices))
+        logs = self.scales.log_sum_at(indices)
         stored = self.source._flat
-        if len(indices) and len(stored):
-            flat = np.ravel_multi_index(indices.T, self.shape)
-            pos = np.minimum(np.searchsorted(stored, flat), len(stored) - 1)
-            hit = stored[pos] == flat
-            out[hit] = self.source.values[pos[hit]]
-        return require_finite(out, lambda i: tuple(indices[i].tolist()))
+        flat = np.ravel_multi_index(indices.T, self.shape)
+        pos = np.minimum(np.searchsorted(stored, flat), len(stored) - 1)
+        hit = stored[pos] == flat if len(stored) else np.zeros(len(flat), dtype=bool)
+        logs[hit] = 0.0
+        out = inverse_scale_fills(logs, lambda i: tuple(indices[i].tolist()))
+        out[hit] = self.source.values[pos[hit]]
+        return out
 
     def weakly_determined(self, index) -> bool:
         """True when some containing subtensor has no observed entry, so the
@@ -95,9 +107,9 @@ class CompletedTensor:
         to small shapes."""
         if self.source.n_cells > MAX_DENSE_CELLS:
             raise ValueError(f"refusing to materialize {self.source.n_cells} cells")
-        grid = 1.0 / self.scales.factor_grid()
+        grid = self.scales.inverse().factor_grid()
         grid.flat[self.source._flat] = self.source.values
-        return require_finite(
+        return require_representable(
             grid, lambda i: tuple(int(c) for c in np.unravel_index(i, self.shape))
         )
 

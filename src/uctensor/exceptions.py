@@ -6,11 +6,12 @@ class UctensorError(Exception):
 
 
 class NonPositiveValueError(UctensorError, ValueError):
-    """An observed value was <= 0 (zero is reserved for 'unobserved')."""
+    """An observed value or a scale was <= 0, or a fill underflowed to 0
+    (zero is reserved for 'unobserved')."""
 
 
 class NonFiniteValueError(UctensorError, ValueError):
-    """An observed value was inf or nan."""
+    """An observed value was inf or nan, or a fill overflowed to inf."""
 
 
 class IndexOutOfBoundsError(UctensorError, IndexError):

@@ -1,6 +1,8 @@
 """Model persistence: one JSON document holding everything a serving query
 needs (shape, k, per-subtensor log scales, the observed entries for
-verbatim passthrough/exclusion, shift, vocabularies, config echo)."""
+verbatim passthrough/exclusion, shift, vocabularies, config echo).  The
+balanced tensor is derived from the entries and the scales, so it is not
+stored."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from .complete import CompletedTensor
 from .tensor import ScaleSet, SparseTensor
 
 FORMAT = "uctensor-model"
-VERSION = 1
+VERSION = 2
 
 
 def save_model(
@@ -47,7 +49,6 @@ def save_model(
         "entries": {
             "indices": model.source.indices.tolist(),
             "values": model.source.values.tolist(),
-            "balanced_values": model.balanced.values.tolist(),
         },
         "users": [[raw, idx] for raw, idx in users.items()] if users is not None else None,
         "products": [[raw, idx] for raw, idx in products.items()] if products is not None else None,
@@ -64,7 +65,8 @@ def load_model(path):
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} document")
-    if doc.get("version") != VERSION:
+    # version 1 also stored entries.balanced_values; being derived, it is not read
+    if doc.get("version") not in (1, VERSION):
         raise ValueError(f"unsupported model version {doc.get('version')}")
     shape = tuple(doc["shape"])
     source = SparseTensor(
@@ -79,14 +81,11 @@ def load_model(path):
         fixed = tuple(block["fixed_dims"])
         logs[fixed] = np.asarray(block["log_scale"])
         nonempty[fixed] = np.asarray(block["nonempty"], dtype=bool)
-    scales = ScaleSet.from_log_arrays(shape, doc["k"], logs, nonempty)
     model = LatentModel(
         source=source,
-        balanced=source.with_values(np.asarray(doc["entries"]["balanced_values"])),
-        scales=scales,
+        scales=ScaleSet(shape, doc["k"], logs, nonempty),
         sweeps_run=doc["sweeps_run"],
         final_residual=doc["final_residual"],
-        residual_trace=(),
     )
     doc["users"] = dict((raw, idx) for raw, idx in doc["users"]) if doc.get("users") else None
     doc["products"] = (

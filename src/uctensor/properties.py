@@ -117,7 +117,7 @@ def random_scale_set(rng, shape, k, low=0.1, high=10.0) -> ScaleSet:
         size = int(np.prod([shape[d] for d in fixed], dtype=np.int64))
         logs[fixed] = rng.uniform(np.log(low), np.log(high), size=size)
         nonempty[fixed] = np.ones(size, dtype=bool)
-    return ScaleSet.from_log_arrays(shape, k, logs, nonempty)
+    return ScaleSet(shape, k, logs, nonempty)
 
 
 def synthetic_dataset(

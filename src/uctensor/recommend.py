@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complete import CompletedTensor, require_finite
+from .complete import CompletedTensor, inverse_scale_fills
 from .exceptions import IndexOutOfBoundsError, NotAMatrixError
 
 
@@ -114,9 +114,10 @@ def top_n(
     source = completed.source
     row = source.row_slice(user)
     rated = source.indices[row, 1]
-    values = np.exp(-completed.scales.log_sum_fiber((user,)))
+    logs = completed.scales.log_sum_fiber((user,))
+    logs[rated] = 0.0
+    values = inverse_scale_fills(logs, lambda p: (user, p))
     values[rated] = source.values[row]
-    require_finite(values, lambda p: (user, p))
     observed = np.zeros(len(values), dtype=bool)
     observed[rated] = True
 

@@ -255,26 +255,20 @@ def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
 class ScaleSet:
     """Strictly positive per-subtensor scales for one family dimensionality k.
 
-    Stored as dense per-family arrays (linear and log); the mapping
-    interface exposes only non-empty subtensor keys.  Empty subtensors
-    carry an implicit scale of 1, stored as such (log 0) whatever the
-    constructor was given for them.
+    Stored as dense per-family log arrays; the mapping interface exposes
+    only non-empty subtensor keys.  Empty subtensors carry an implicit
+    scale of 1, stored as such (log 0) whatever the constructor was given
+    for them.
     """
 
-    __slots__ = ("shape", "k", "_scale", "_log", "_nonempty", "_fams")
+    __slots__ = ("shape", "k", "_log", "_nonempty", "_fams")
 
-    def __init__(self, shape, k, scale_arrays, log_arrays, nonempty):
+    def __init__(self, shape, k, log_arrays, nonempty):
         self.shape = tuple(shape)
         self.k = int(k)
         self._fams = subtensor_families(len(self.shape), self.k)
         self._nonempty = {f: np.asarray(nonempty[f], dtype=bool) for f in self._fams}
-        self._scale = {f: np.where(self._nonempty[f], scale_arrays[f], 1.0) for f in self._fams}
         self._log = {f: np.where(self._nonempty[f], log_arrays[f], 0.0) for f in self._fams}
-
-    @classmethod
-    def from_log_arrays(cls, shape, k, log_arrays, nonempty) -> "ScaleSet":
-        scale = {f: np.exp(a) for f, a in log_arrays.items()}
-        return cls(shape, k, scale, log_arrays, nonempty)
 
     @classmethod
     def from_dict(cls, shape, k, mapping) -> "ScaleSet":
@@ -284,16 +278,16 @@ class ScaleSet:
         (implicit scale 1)."""
         shape = tuple(shape)
         fams = subtensor_families(len(shape), k)
-        scale = {}
+        log = {}
         nonempty = {}
         for f in fams:
             size = int(np.prod([shape[d] for d in f], dtype=np.int64))
-            scale[f] = np.ones(size)
+            log[f] = np.zeros(size)
             nonempty[f] = np.zeros(size, dtype=bool)
         for key, value in mapping.items():
             coords = key.coords if isinstance(key, SubtensorKey) else tuple(key)
             fixed = tuple(d for d, c in enumerate(coords) if c is not None)
-            if len(coords) != len(shape) or fixed not in scale:
+            if len(coords) != len(shape) or fixed not in log:
                 raise InvalidKError(f"key {coords} is not a family-{k} key of shape {shape}")
             if any(coords[d] < 0 or coords[d] >= shape[d] for d in fixed):
                 raise IndexOutOfBoundsError(f"key {coords} out of bounds for shape {shape}")
@@ -301,16 +295,15 @@ class ScaleSet:
                 raise NonPositiveValueError(f"scale for key {coords} must be positive, got {value}")
             dims = [shape[d] for d in fixed]
             sub = int(np.ravel_multi_index([coords[d] for d in fixed], dims))
-            scale[fixed][sub] = float(value)
+            log[fixed][sub] = np.log(float(value))
             nonempty[fixed][sub] = True
-        log = {f: np.log(a) for f, a in scale.items()}
-        return cls(shape, k, scale, log, nonempty)
+        return cls(shape, k, log, nonempty)
 
     # -- mapping interface over non-empty keys ------------------------------
     def _locate(self, key):
         coords = key.coords if isinstance(key, SubtensorKey) else tuple(key)
         fixed = tuple(d for d, c in enumerate(coords) if c is not None)
-        if fixed not in self._scale:
+        if fixed not in self._log:
             raise KeyError(key)
         dims = [self.shape[d] for d in fixed]
         sub = int(np.ravel_multi_index([coords[d] for d in fixed], dims))
@@ -320,7 +313,7 @@ class ScaleSet:
         fixed, sub = self._locate(key)
         if not self._nonempty[fixed][sub]:
             raise KeyError(key)
-        return float(self._scale[fixed][sub])
+        return float(np.exp(self._log[fixed][sub]))
 
     def get(self, key, default: float = 1.0) -> float:
         try:
@@ -401,21 +394,21 @@ class ScaleSet:
         return mask
 
     def factor_grid(self) -> np.ndarray:
-        """Dense per-cell product of scales over all containing keys
-        (empty keys contribute 1).  Small shapes only."""
+        """Dense per-cell product of scales over all containing keys (empty
+        keys contribute 1), summed in log space; a product beyond the float
+        range is inf or 0, with no warning.  Small shapes only."""
         if int(np.prod(self.shape, dtype=np.int64)) > MAX_DENSE_CELLS:
             raise ValueError("shape too large for a dense factor grid")
-        grid = np.ones(self.shape)
+        grid = np.zeros(self.shape)
         for fixed in self._fams:
             dims = [self.shape[d] for d in fixed]
             bshape = [self.shape[d] if d in fixed else 1 for d in range(len(self.shape))]
-            grid = grid * self._scale[fixed].reshape(dims).reshape(bshape)
-        return grid
+            grid = grid + self._log[fixed].reshape(dims).reshape(bshape)
+        with np.errstate(over="ignore"):
+            return np.exp(grid)
 
     def inverse(self) -> "ScaleSet":
-        scale = {f: 1.0 / a for f, a in self._scale.items()}
-        log = {f: -a for f, a in self._log.items()}
-        return ScaleSet(self.shape, self.k, scale, log, self._nonempty)
+        return ScaleSet(self.shape, self.k, {f: -a for f, a in self._log.items()}, self._nonempty)
 
     def __repr__(self):
         return f"ScaleSet(shape={self.shape}, k={self.k}, n_scales={len(self)})"
@@ -423,15 +416,17 @@ class ScaleSet:
 
 def scale_apply(tensor: SparseTensor, scales: ScaleSet) -> SparseTensor:
     """Multiply every observed entry by the scales of all its containing
-    keys; the unobserved pattern is untouched."""
+    keys; the unobserved pattern is untouched.  The factor exp(L) is
+    applied as exp(L/2) twice, so a tiny entry times a huge factor stays
+    in range up to |L| ~ 1416, and scaling by 1 stays exact."""
     if scales.shape != tensor.shape:
         raise ShapeMismatchError(
             f"scale set for shape {scales.shape} applied to tensor of shape {tensor.shape}"
         )
     if tensor.n_observed == 0:
         return tensor
-    factors = np.exp(scales.log_sum_at(tensor.indices))
-    return tensor.with_values(tensor.values * factors)
+    half = np.exp(scales.log_sum_at(tensor.indices) / 2)
+    return tensor.with_values(tensor.values * half * half)
 
 
 def subtensor_products(tensor: SparseTensor, k: int):

@@ -138,6 +138,15 @@ class TestConvergedProperties:
         redone = scale_apply(t, model.scales)
         np.testing.assert_allclose(redone.values, model.balanced.values, atol=1e-8)
 
+    def test_balanced_tensor_of_a_tiny_entry_is_finite(self):
+        # the scales of this pattern reach ~e^±490, beyond what a linear
+        # factor exp(sum of log scales) can hold; the entries balance to 1
+        t = make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0})
+        model = balance(t, 1, TIGHT)
+        for values in (model.balanced.values, scale_apply(t, model.scales).values):
+            assert np.isfinite(values).all()
+            np.testing.assert_allclose(values, np.ones(3), rtol=0, atol=1e-12)
+
     def test_gauge_freedom(self, rng):
         # T with product 1 over every observed entry's containing keys:
         # row scales (t, t) against column scales (1/t, 1/t)

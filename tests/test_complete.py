@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from uctensor import (
     InvalidKError,
     LatentModel,
     NonFiniteValueError,
+    NonPositiveValueError,
     NotAMatrixError,
     OrderingSpec,
     ScaleSet,
@@ -20,6 +23,7 @@ from uctensor import (
     complete_matrix,
     make_tensor,
     subtensor_families,
+    top_n,
     unit_consistency_gap,
 )
 from uctensor.properties import (
@@ -265,8 +269,8 @@ def completions(draw):
         size = int(np.prod([shape[d] for d in fixed]))
         logs[fixed] = rng.uniform(-2.0, 2.0, size)
         nonempty[fixed] = rng.random(size) > 0.3
-    scales = ScaleSet.from_log_arrays(shape, k, logs, nonempty)
-    model = LatentModel(source=source, balanced=source, scales=scales, sweeps_run=0, final_residual=0.0)
+    scales = ScaleSet(shape, k, logs, nonempty)
+    model = LatentModel(source=source, scales=scales, sweeps_run=0, final_residual=0.0)
     return CompletedTensor(model)
 
 
@@ -311,3 +315,61 @@ class TestOverflowingFills:
         completed = self.tiny_corner()
         assert completed.value_at((0, 0)) == 1e-320
         assert completed.values_at([(0, 1), (1, 0)]).tolist() == [1.0, 1.0]
+
+    def test_cells_answered_from_the_source_need_no_fill(self):
+        # the fill of rated cell (0, 0) is exp(800); no query returns it
+        source = make_tensor((1, 3), {(0, 0): 2.0})
+        logs = {(0,): np.zeros(1), (1,): np.array([-800.0, 0.0, 0.0])}
+        scales = ScaleSet((1, 3), 1, logs, {f: np.ones(len(a), dtype=bool) for f, a in logs.items()})
+        model = LatentModel(source=source, scales=scales, sweeps_run=0, final_residual=0.0)
+        completed = CompletedTensor(model)
+        assert completed.values_at([(0, 0), (0, 1)]).tolist() == [2.0, 1.0]
+        assert [p.rating for p in top_n(completed, 0, 3)] == [2.0, 1.0, 1.0]
+
+    def test_no_numpy_warning_comes_first(self):
+        # the scale set, the fills and the dense grid all leave the float
+        # range here; the error naming the cell is the only signal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            completed = self.tiny_corner()
+            completed.scales.factor_grid()
+            calls = [
+                lambda: completed.value_at((1, 1)),
+                lambda: completed.fill_at((1, 1)),
+                lambda: completed.values_at([(0, 0), (1, 1)]),
+                lambda: completed.to_dense(),
+                lambda: top_n(completed, 1, 1),
+            ]
+            for call in calls:
+                with pytest.raises(NonFiniteValueError, match=r"index \(1, 1\)"):
+                    call()
+
+
+class TestUnderflowingFills:
+    """A huge observed value can put a fill below the smallest float; it
+    would come back as 0, the unobserved marker, so every fill path
+    raises instead."""
+
+    @staticmethod
+    def huge_corner():
+        return complete(make_tensor((2, 2), {(0, 0): 1e300, (0, 1): 1e-200, (1, 0): 1e-200}), 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.fill_at((1, 1)),
+            lambda c: c.value_at((1, 1)),
+            lambda c: c.values_at([(0, 0), (1, 1)]),
+            lambda c: c.to_dense(),
+            lambda c: top_n(c, 1, 1),
+        ],
+        ids=["fill_at", "value_at", "values_at", "to_dense", "top_n"],
+    )
+    def test_fill_path_raises_naming_the_cell(self, call):
+        with pytest.raises(NonPositiveValueError, match=r"index \(1, 1\) underflows to 0"):
+            call(self.huge_corner())
+
+    def test_observed_cells_still_answer(self):
+        completed = self.huge_corner()
+        assert completed.value_at((0, 0)) == 1e300
+        assert completed.values_at([(0, 0), (0, 1)]).tolist() == [1e300, 1e-200]

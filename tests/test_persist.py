@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uctensor import balance, load_model, save_model
+from uctensor import balance, load_model, save_model, top_n
 from uctensor.complete import CompletedTensor
 from uctensor.properties import random_sparse_tensor
 
@@ -31,6 +31,34 @@ def test_rejects_foreign_documents(tmp_path):
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(ValueError, match="not a"):
         load_model(path)
-    path.write_text(json.dumps({"format": "uctensor-model", "version": 99}))
-    with pytest.raises(ValueError, match="version"):
-        load_model(path)
+    for version in (3, 99):
+        path.write_text(json.dumps({"format": "uctensor-model", "version": version}))
+        with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+
+def test_saved_file_stores_no_derived_values(tmp_path, rng):
+    path = tmp_path / "model.json"
+    save_model(path, balance(random_sparse_tensor(rng, (6, 5), 0.5), 1, TIGHT))
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert set(doc["entries"]) == {"indices", "values"}
+
+
+def test_version_1_documents_still_load(tmp_path, rng):
+    model = balance(random_sparse_tensor(rng, (9, 7), 0.4), 1, TIGHT)
+    v2 = tmp_path / "v2.json"
+    save_model(v2, model)
+    doc = json.loads(v2.read_text())
+    doc["version"] = 1
+    doc["entries"]["balanced_values"] = model.balanced.values.tolist()
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(doc))
+
+    old, _ = load_model(v1)
+    new, _ = load_model(v2)
+    grid = np.array([(i, j) for i in range(9) for j in range(7)])
+    np.testing.assert_array_equal(old.values_at(grid), new.values_at(grid))
+    for user in range(9):
+        for exclude in (False, True):
+            assert top_n(old, user, 7, exclude) == top_n(new, user, 7, exclude)

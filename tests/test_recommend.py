@@ -41,9 +41,7 @@ def fake_completion_3d(fiber_fills, source_entries):
             for f, fill in enumerate(fiber_fills)
         },
     )
-    model = LatentModel(
-        source=source, balanced=source, scales=scales, sweeps_run=0, final_residual=0.0
-    )
+    model = LatentModel(source=source, scales=scales, sweeps_run=0, final_residual=0.0)
     return CompletedTensor(model)
 
 
@@ -238,8 +236,8 @@ def rating_completions(draw):
         for fixed, size in (((0,), n_users), ((1,), n_products))
     }
     nonempty = {f: np.ones(len(a), dtype=bool) for f, a in logs.items()}
-    scales = ScaleSet.from_log_arrays((n_users, n_products), 1, logs, nonempty)
-    model = LatentModel(source=tensor, balanced=tensor, scales=scales, sweeps_run=0, final_residual=0.0)
+    scales = ScaleSet((n_users, n_products), 1, logs, nonempty)
+    model = LatentModel(source=tensor, scales=scales, sweeps_run=0, final_residual=0.0)
     return CompletedTensor(model)
 
 
@@ -266,8 +264,7 @@ class TestTopNEquivalence:
         source = make_tensor((1, 6), {(0, 4): 1.0})
         model = LatentModel(
             source=source,
-            balanced=source,
-            scales=ScaleSet.from_log_arrays((1, 6), 1, logs, nonempty),
+            scales=ScaleSet((1, 6), 1, logs, nonempty),
             sweeps_run=0,
             final_residual=0.0,
         )

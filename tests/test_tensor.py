@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,10 +217,21 @@ class TestScaleSetMapping:
         assert scales.get((1, None)) == 1.0
         with pytest.raises(KeyError):
             scales[(1, None)]
+        # scales are stored as logs: 3.0 reads back as exp(log 3), one ulp above
         assert dict(scales.items()) == {
             SubtensorKey((0, None)): 2.0,
-            SubtensorKey((None, 1)): 3.0,
+            SubtensorKey((None, 1)): float(np.exp(np.log(3.0))),
         }
+
+    def test_logs_beyond_the_float_range_build_without_warning(self):
+        # exp(800) is inf: only the log is stored, so nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = {(0,): np.array([800.0, -800.0]), (1,): np.zeros(2)}
+            scales = ScaleSet((2, 2), 1, logs, {f: np.ones(2, dtype=bool) for f in logs})
+            inverse = scales.inverse()
+        assert scales.log_sum_at([[0, 0], [1, 0]]).tolist() == [800.0, -800.0]
+        assert inverse.log_sum_at([[0, 0], [1, 0]]).tolist() == [-800.0, 800.0]
 
     def test_positive_scales_required(self):
         with pytest.raises(NonPositiveValueError):
@@ -287,7 +299,7 @@ class TestLogSums:
     @settings(max_examples=150, deadline=None)
     def test_fiber_equals_log_sum_at_bit_for_bit(self, data):
         shape = data.draw(shapes)
-        scales = ScaleSet.from_log_arrays(shape, *data.draw(drawn_logs(shape)))
+        scales = ScaleSet(shape, *data.draw(drawn_logs(shape)))
         for prefix in itertools.product(*(range(s) for s in shape[:-1])):
             cells = np.array([(*prefix, j) for j in range(shape[-1])])
             assert scales.log_sum_fiber(prefix).tolist() == scales.log_sum_at(cells).tolist()
@@ -303,7 +315,7 @@ class TestLogSums:
     def test_empty_keys_count_as_scale_one_whatever_they_hold(self, data):
         shape = data.draw(shapes)
         k, logs, nonempty = data.draw(drawn_logs(shape))
-        scales = ScaleSet.from_log_arrays(shape, k, logs, nonempty)
+        scales = ScaleSet(shape, k, logs, nonempty)
         cells = np.argwhere(np.ones(shape, dtype=bool))
         expected = np.zeros(len(cells))
         for fixed in logs:
