@@ -19,7 +19,7 @@ print("observed cells:", A.n_observed, "of", A.n_cells)
 # Balancing learns one positive scale per row and per column such that the
 # product of observed entries in every row and column becomes 1.
 model = balance(A, k=1, config=cfg)
-print("sweeps:", model.sweeps_run, " final residual:", model.final_residual)
+print("iterations:", model.sweeps_run, " final residual:", model.final_residual)
 print("balanced entries:", np.round(model.balanced.values, 12))
 for key, scale in model.scales.items():
     print(f"  scale {key} = {scale:.6f}")

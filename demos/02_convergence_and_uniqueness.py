@@ -16,17 +16,19 @@ print(f"tensor {tensor.shape}, {tensor.n_observed} observed "
       f"({tensor.density:.0%} dense)")
 
 # ---------------------------------------------------------------------------
-# The per-sweep residual v (sum of squared removed log-means) decays
-# geometrically; epsilon is the only knob the method has.
+# The residual after each conjugate-gradient iteration (the largest squared
+# subtensor log-product, recomputed from the scales at the end) falls until
+# it is below epsilon, the only knob the method has.
 # ---------------------------------------------------------------------------
 model = balance(tensor, 1, SolverConfig(epsilon=1e-10))
 print("\nresidual trace:")
 for i, v in enumerate(model.residual_trace, start=1):
-    print(f"  sweep {i:2d}  v = {v:.3e}")
+    print(f"  iteration {i:2d}  residual = {v:.3e}")
 
 # ---------------------------------------------------------------------------
-# Sweeping families in the opposite order lands on the same balanced
-# tensor: the fixed point is order-independent.
+# Solving with the families in the opposite order (so the other family is
+# eliminated exactly) lands on the same balanced tensor: the fixed point is
+# order-independent.
 # ---------------------------------------------------------------------------
 tight = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
 lex = balance(tensor, 1, tight)

@@ -79,8 +79,9 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _add_common(p):
-    p.add_argument("--epsilon", type=float, default=1e-10, help="stopping rate (default 1e-10)")
-    p.add_argument("--max-sweeps", type=int, default=1000)
+    p.add_argument("--epsilon", type=float, default=1e-10,
+                   help="stop once every squared subtensor log-product is below this (default 1e-10)")
+    p.add_argument("--max-sweeps", type=int, default=1000, help="solver iteration cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--data-root", default=None, help="overrides $UCTENSOR_DATA (default ./data)")

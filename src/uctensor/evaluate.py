@@ -284,7 +284,7 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
 
 
 def convergence_trace(dataset: RatingsDataset, mode: str, config: ExperimentConfig) -> list:
-    """Per-sweep residuals of the first fold's solve (for plotting)."""
+    """Per-iteration residuals of the first fold's solve (for plotting)."""
     mode = mode.lower()
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
     if mode == "2d":

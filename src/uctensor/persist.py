@@ -16,6 +16,29 @@ from .tensor import ScaleSet, SparseTensor
 
 FORMAT = "uctensor-model"
 VERSION = 2
+# longest list encoded in one json.dumps call by _write_json
+JSON_SLICE = 1024
+
+
+def _write_json(fh, value) -> None:
+    """Write the text of ``json.dumps(value)`` to fh, long lists a slice at a
+    time.  ``json.dumps`` encodes in C, several times faster than the
+    streaming ``json.dump``, but it keeps up to 100,000 fragment strings
+    before joining them (CPython 3.11), megabytes for a large model; a
+    slice's fragments are a few hundred kilobytes."""
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, list) and len(value) > JSON_SLICE:
+        fh.write("[")
+        for lo in range(0, len(value), JSON_SLICE):
+            fh.write((", " if lo else "") + json.dumps(value[lo : lo + JSON_SLICE])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))
 
 
 def save_model(
@@ -55,7 +78,7 @@ def save_model(
         "config": config or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
 
 
 def load_model(path):

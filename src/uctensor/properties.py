@@ -34,9 +34,10 @@ from .tensor import (
     subtensor_families,
 )
 
-# tight stopping threshold for property suites: the residual bounds only the
-# latest sweep's update, so hitting a 1e-8 value tolerance needs far smaller
-# per-sweep movement than the 1e-10 default used for dataset runs
+# tight stopping threshold for property suites: the residual bounds the
+# subtensor log-products, and a fill's error can exceed them by the factor
+# by which the pattern's weakest links amplify it, so a 1e-8 value tolerance
+# needs a far smaller threshold than the 1e-10 default used for dataset runs
 PROPERTY_EPSILON = 1e-24
 PROPERTY_SWEEPS = 20_000
 

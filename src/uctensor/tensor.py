@@ -76,7 +76,8 @@ class SparseTensor:
                 if len(indices)
                 else np.empty(0, dtype=np.int64)
             )
-            if not _sorted and len(_flat) > 1:
+            # ``_sorted`` only spares the sort of input already in order
+            if len(_flat) > 1 and (not _sorted or np.any(_flat[1:] < _flat[:-1])):
                 order = np.argsort(_flat, kind="stable")
                 _flat = _flat[order]
                 indices = indices[order]
@@ -242,13 +243,16 @@ def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
     """Per-entry subtensor ids for one family, plus the dense id-space size.
 
     Ids are the row-major ravel of the fixed coordinates, so ascending id
-    order equals lexicographic key order within the family.
+    order equals lexicographic key order within the family.  The entries
+    are in bounds and the whole shape's ravel fits int64, so the ravel is
+    plain arithmetic, without ``ravel_multi_index``'s checks.
     """
     dims = [tensor.shape[d] for d in fixed_dims]
     size = int(np.prod(dims, dtype=np.int64))
-    if tensor.n_observed == 0:
-        return np.empty(0, dtype=np.int64), size
-    ids = np.ravel_multi_index([tensor.indices[:, d] for d in fixed_dims], dims)
+    ids = tensor.indices[:, fixed_dims[0]].copy()
+    for d in fixed_dims[1:]:
+        ids *= tensor.shape[d]
+        ids += tensor.indices[:, d]
     return ids, size
 
 
@@ -272,7 +276,7 @@ class ScaleSet:
 
     @classmethod
     def from_dict(cls, shape, k, mapping) -> "ScaleSet":
-        """Build from {SubtensorKey or coords-tuple: positive scale}.
+        """Build from {SubtensorKey or coords-tuple: finite positive scale}.
 
         Keys absent from the mapping are treated as empty subtensors
         (implicit scale 1)."""
@@ -291,6 +295,8 @@ class ScaleSet:
                 raise InvalidKError(f"key {coords} is not a family-{k} key of shape {shape}")
             if any(coords[d] < 0 or coords[d] >= shape[d] for d in fixed):
                 raise IndexOutOfBoundsError(f"key {coords} out of bounds for shape {shape}")
+            if not math.isfinite(value):
+                raise NonFiniteValueError(f"scale for key {coords} is not finite, got {value}")
             if not value > 0:
                 raise NonPositiveValueError(f"scale for key {coords} must be positive, got {value}")
             dims = [shape[d] for d in fixed]

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,19 +8,79 @@ from hypothesis import strategies as st
 
 from uctensor import (
     BalanceState,
+    CompletedTensor,
     DidNotConvergeError,
     EmptyTensorError,
     ScaleSet,
     SolverConfig,
+    SparseTensor,
     balance,
+    check_full_support,
+    complete_matrix,
     enumerate_subtensors,
     make_tensor,
     max_balance_violation,
     scale_apply,
+    subtensor_families,
 )
-from uctensor.properties import random_sparse_tensor
+from uctensor.properties import hide_with_full_support, random_sparse_tensor
+from uctensor.tensor import family_sub_ids
 
 from conftest import TIGHT
+from sweep_oracle import sweep, sweep_balance
+
+
+def max_squared_log_product(tensor, k):
+    """The balance violation the solver stops on, recomputed from scratch."""
+    logs = np.log(tensor.values)
+    worst = 0.0
+    for fixed in subtensor_families(tensor.ndim, k):
+        ids, size = family_sub_ids(tensor, fixed)
+        worst = max(worst, float(np.max(np.bincount(ids, weights=logs, minlength=size) ** 2)))
+    return worst
+
+
+def banded_rank1(n=80, half_width=3, seed=0):
+    """A positive rank-1 n x n matrix observed only where |i - j| <= half_width:
+    a pattern that mixes slowly.  Returns the tensor and the dense truth."""
+    rng = np.random.default_rng(seed)
+    truth = np.outer(np.exp(rng.uniform(-1, 1, n)), np.exp(rng.uniform(-1, 1, n)))
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= half_width)
+    return SparseTensor((n, n), np.stack([i, j], axis=1), truth[i, j]), truth
+
+
+@st.composite
+def patterns(draw):
+    """A random 2-D or 3-D positive tensor, a k for it, and its dense
+    values when they are rank-1.  Half the patterns hide cells only where
+    full support survives; the others may have empty subtensors (a cleared
+    slice) and may fall apart into two parts that no subtensor links."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(2, 7 if ndim == 2 else 4), min_size=ndim, max_size=ndim)))
+    k = draw(st.integers(1, ndim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank1 = draw(st.booleans())
+    if rank1:
+        dense = functools.reduce(np.multiply, np.ix_(*(np.exp(rng.normal(0.0, 1.0, s)) for s in shape)))
+    else:
+        dense = np.exp(rng.normal(0.0, 1.0, shape))
+    truth = dense if rank1 else None
+    if draw(st.booleans()):
+        tensor, _, _ = hide_with_full_support(rng, dense, draw(st.sampled_from([0.2, 0.4])))
+        return tensor, k, truth
+    mask = rng.random(shape) < draw(st.sampled_from([0.3, 0.6, 0.9]))
+    if draw(st.booleans()):  # two diagonal blocks: a disconnected pattern
+        cut = [s // 2 for s in shape]
+        blocks = np.zeros(shape, dtype=bool)
+        blocks[tuple(slice(0, c) for c in cut)] = True
+        blocks[tuple(slice(c, None) for c in cut)] = True
+        mask &= blocks
+    if draw(st.booleans()):  # an empty slice
+        dim = int(rng.integers(ndim))
+        mask[(slice(None),) * dim + (int(rng.integers(shape[dim])),)] = False
+    if not mask.any():
+        mask[tuple(int(rng.integers(s)) for s in shape)] = True
+    return SparseTensor(shape, np.argwhere(mask), dense[mask]), k, truth
 
 
 class TestSolves:
@@ -54,7 +117,8 @@ class TestSolves:
 
 
 class TestSweep:
-    """Hand-derived single-sweep arithmetic (rows first, then columns)."""
+    """Hand-derived single-sweep arithmetic of the reference sweeps (rows
+    first, then columns)."""
 
     @staticmethod
     def state_from_logs(log_matrix):
@@ -68,7 +132,7 @@ class TestSweep:
 
     def test_zero_mean_subtensor_is_untouched(self):
         state = self.state_from_logs([[1.0, -1.0]])
-        v = state.sweep()
+        v = sweep(state)
         # row already zero-mean; the two singleton columns then each remove
         # their (already zero) entry
         np.testing.assert_allclose(state.log_values, [0.0, 0.0], atol=1e-12)
@@ -78,7 +142,7 @@ class TestSweep:
         # one observed log value 2.0 in its own row: rho = -2, entry -> 0,
         # contributing 4 to v; the column pass then contributes nothing
         state = self.state_from_logs([[2.0]])
-        v = state.sweep()
+        v = sweep(state)
         np.testing.assert_allclose(state.log_values, [0.0], atol=1e-12)
         np.testing.assert_allclose(v, 4.0, rtol=1e-12)
 
@@ -86,7 +150,7 @@ class TestSweep:
         # [[0, 2], [2, 0]]: rows remove means +-1 (v += 2) leaving
         # [[-1, 1], [1, -1]], whose columns are already zero-mean
         state = self.state_from_logs([[0.0, 2.0], [2.0, 0.0]])
-        v = state.sweep()
+        v = sweep(state)
         np.testing.assert_allclose(
             state.log_values, [-1.0, 1.0, 1.0, -1.0], atol=1e-12
         )
@@ -96,7 +160,7 @@ class TestSweep:
         # [[0, 2], [0, 2]]: rows leave [[-1, 1], [-1, 1]] (v += 2), then the
         # columns remove means -+1 (v += 2) landing on the fixed point
         state = self.state_from_logs([[0.0, 2.0], [0.0, 2.0]])
-        v = state.sweep()
+        v = sweep(state)
         np.testing.assert_allclose(state.log_values, np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(v, 4.0, rtol=1e-12)
 
@@ -179,6 +243,84 @@ class TestConvergedProperties:
         t = random_sparse_tensor(rng, (8, 6), 0.4)
         model = balance(t, 1, TIGHT)
         assert all(v > 0 for _, v in model.scales.items())
+
+
+class TestMatchesReferenceSweeps:
+    """The conjugate-gradient solve against the reference sweeps, both run
+    tightly.  Scales carry gauge freedom, so they are compared only through
+    what they determine: the balanced tensor and the pinned fills."""
+
+    @given(patterns(), st.sampled_from(["lex", "reversed"]))
+    @settings(max_examples=150, deadline=None)
+    def test_balanced_values_and_pinned_fills_agree(self, case, order):
+        tensor, k, rank1_truth = case
+        ours = balance(tensor, k, dataclasses.replace(TIGHT, sweep_order=order))
+        ref = sweep_balance(tensor, k, TIGHT.epsilon)
+        np.testing.assert_allclose(ours.balanced.values, ref.balanced.values, rtol=1e-8)
+        if check_full_support(tensor).fully_supported:
+            fills = CompletedTensor(ours).to_dense()
+            np.testing.assert_allclose(fills, CompletedTensor(ref).to_dense(), rtol=1e-8)
+            if rank1_truth is not None:  # a rank-1 tensor is recovered exactly
+                np.testing.assert_allclose(fills, rank1_truth, rtol=1e-8)
+
+    @given(st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_closed_form_2x2(self, abc):
+        a, b, c = abc
+        t = make_tensor((2, 2), {(0, 0): a, (0, 1): b, (1, 0): c})
+        for model in (balance(t, 1, TIGHT), sweep_balance(t, 1, TIGHT.epsilon)):
+            assert CompletedTensor(model).value_at((1, 1)) == pytest.approx(b * c / a, rel=1e-10)
+
+    @pytest.mark.parametrize("order", ["lex", "reversed"])
+    def test_slow_mixing_chain_converges_within_the_default_cap(self, order):
+        # ~2,800 reference sweeps at this epsilon; the default cap is 1000
+        tensor, truth = banded_rank1()
+        completed = complete_matrix(tensor, SolverConfig(epsilon=1e-18, sweep_order=order))
+        cells = np.argwhere(truth > 0)
+        fill_err = np.abs(completed.values_at(cells) / truth.ravel() - 1.0).max()
+        assert fill_err <= 1e-6
+
+
+class TestReportedResidual:
+    """final_residual is the true constraint violation at the returned scales."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([((12, 9), 1), ((6, 5, 4), 1), ((6, 5, 4), 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_violation_recomputed_from_the_balanced_tensor(self, seed, case):
+        shape, k = case
+        t = random_sparse_tensor(np.random.default_rng(seed), shape, 0.4)
+        model = balance(t, k)
+        assert model.residual_trace[-1] == model.final_residual
+        assert model.final_residual < 1e-10
+        recomputed = max_squared_log_product(model.balanced, k)
+        assert model.final_residual == pytest.approx(recomputed, rel=1e-6, abs=1e-24)
+
+    def test_equals_the_recomputed_violation_on_a_slow_mixing_chain(self):
+        tensor, _ = banded_rank1()
+        model = balance(tensor, 1, SolverConfig(epsilon=1e-18))
+        recomputed = max_squared_log_product(model.balanced, 1)
+        assert model.final_residual == pytest.approx(recomputed, rel=1e-6, abs=1e-24)
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 3])
+    def test_partial_model_reports_its_own_violation(self, rng, max_sweeps):
+        t = random_sparse_tensor(rng, (12, 9), 0.4)
+        with pytest.raises(DidNotConvergeError) as err:
+            balance(t, 1, SolverConfig(max_sweeps=max_sweeps))
+        model = err.value.model
+        assert model.sweeps_run == max_sweeps
+        recomputed = max_squared_log_product(model.balanced, 1)
+        assert model.final_residual == pytest.approx(recomputed, rel=1e-6, abs=1e-24)
+
+    def test_epsilon_zero_stops_without_a_search_direction(self):
+        # the residual is exactly 0, never below epsilon = 0, and the
+        # conjugate-gradient direction is 0: the solve stops at once
+        # instead of dividing by p·Ap = 0
+        t = make_tensor((2, 3), {(i, j): 1.0 for i in range(2) for j in range(3)})
+        with pytest.raises(DidNotConvergeError) as err:
+            balance(t, 1, SolverConfig(epsilon=0.0, max_sweeps=50))
+        model = err.value.model
+        assert model.final_residual == 0.0
+        np.testing.assert_array_equal(model.balanced.values, np.ones(6))
 
 
 class TestSolverConfig:

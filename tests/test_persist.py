@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uctensor import balance, load_model, save_model, top_n
+from uctensor import balance, load_model, persist, save_model, top_n
 from uctensor.complete import CompletedTensor
 from uctensor.properties import random_sparse_tensor
 
@@ -43,6 +43,31 @@ def test_saved_file_stores_no_derived_values(tmp_path, rng):
     doc = json.loads(path.read_text())
     assert doc["version"] == 2
     assert set(doc["entries"]) == {"indices", "values"}
+
+
+@pytest.mark.parametrize("json_slice", [1, 3, persist.JSON_SLICE])
+def test_saved_text_is_the_default_encoding_of_the_document(tmp_path, rng, monkeypatch, json_slice):
+    # long lists are written a slice at a time; the text must not show it
+    monkeypatch.setattr(persist, "JSON_SLICE", json_slice)
+    path = tmp_path / "model.json"
+    save_model(path, balance(random_sparse_tensor(rng, (6, 5), 0.5), 1, TIGHT),
+               users={10: 0, 11: 1}, products={100: 0}, config={"epsilon": 1e-24})
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text))
+
+
+def test_entries_out_of_order_still_load(tmp_path, rng):
+    model = balance(random_sparse_tensor(rng, (6, 5), 0.5), 1, TIGHT)
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    doc = json.loads(path.read_text())
+    for field in ("indices", "values"):
+        doc["entries"][field] = doc["entries"][field][::-1]
+    path.write_text(json.dumps(doc))
+    loaded, _ = load_model(path)
+    np.testing.assert_array_equal(loaded.source.indices, model.source.indices)
+    for index, value in zip(model.source.indices.tolist(), model.source.values.tolist()):
+        assert loaded.is_observed(index) and loaded.value_at(index) == value
 
 
 def test_version_1_documents_still_load(tmp_path, rng):

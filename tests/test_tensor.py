@@ -237,6 +237,11 @@ class TestScaleSetMapping:
         with pytest.raises(NonPositiveValueError):
             ScaleSet.from_dict((2, 2), 1, {(0, None): 0.0})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_finite_scales_required(self, value):
+        with pytest.raises(NonFiniteValueError, match=r"key \(0, None\) is not finite"):
+            ScaleSet.from_dict((2, 2), 1, {(0, None): value})
+
     def test_wrong_family_key(self):
         with pytest.raises(InvalidKError):
             ScaleSet.from_dict((2, 2, 2), 1, {(0, None, None): 2.0})  # that is a k=2 key
