@@ -21,8 +21,10 @@ print("observed cells:", A.n_observed, "of", A.n_cells)
 model = balance(A, k=1, config=cfg)
 print("iterations:", model.sweeps_run, " final residual:", model.final_residual)
 print("balanced entries:", np.round(model.balanced.values, 12))
-for key, scale in model.scales.items():
-    print(f"  scale {key} = {scale:.6f}")
+# The scales are stored as logs, one array per family: rows fix dim 0,
+# columns fix dim 1.
+for f in model.scales.families:
+    print(f"  scales of family {f}:", np.round(np.exp(model.scales.log[f]), 6))
 
 # Completion fills the missing cell with the product of inverse scales.
 completed = complete_matrix(A, cfg)

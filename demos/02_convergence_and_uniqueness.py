@@ -42,11 +42,8 @@ print(f"\nmax |balanced(lex) - balanced(reversed)| = {gap:.2e}")
 # changes the scale set but reproduces the same balanced tensor.
 # ---------------------------------------------------------------------------
 t = 2.5
-twisted = {}
-for key, scale in lex.scales.items():
-    row_key = key.coords[1] is None
-    twisted[key] = scale * (t if row_key else 1.0 / t)
-z2 = ScaleSet.from_dict(tensor.shape, 1, twisted)
+twisted = {(0,): lex.scales.log[(0,)] + np.log(t), (1,): lex.scales.log[(1,)] - np.log(t)}
+z2 = ScaleSet(tensor.shape, 1, twisted, lex.scales.nonempty)
 a = scale_apply(tensor, lex.scales)
 b = scale_apply(tensor, z2)
 print("max |A*Z - A*(Z.T)| on observed cells:",

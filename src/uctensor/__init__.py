@@ -65,18 +65,14 @@ from .exceptions import (
     UnknownUserError,
 )
 from .persist import load_model, save_model
-from .recommend import Prediction, predict_max_feature, predict_rating, top_n
+from .recommend import Prediction, predict_rating, top_n
 from .tensor import (
     ScaleSet,
     SparseTensor,
-    SubtensorKey,
-    containing_keys,
-    enumerate_subtensors,
     make_tensor,
     max_balance_violation,
     scale_apply,
     subtensor_families,
-    subtensor_products,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import properties
 from .balance import SolverConfig, balance
-from .datasets import load_jester, load_movielens, load_tensor_text
+from .datasets import load_jester, load_movielens, load_tensor_text, save_tensor_text
 from .evaluate import (
     BASELINE_KINDS,
     ExperimentConfig,
@@ -99,10 +99,7 @@ def cmd_complete(args) -> int:
                 f"{tensor.n_cells} cells is too large for a dense listing; use --model-out"
             )
         dense = completed.to_dense()
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("shape " + ",".join(str(s) for s in tensor.shape) + "\n")
-            for idx in np.ndindex(*tensor.shape):
-                fh.write(",".join(str(i) for i in idx) + f",{float(dense[idx])!r}\n")
+        save_tensor_text(args.out, tensor.shape, np.ndindex(*tensor.shape), dense.reshape(-1))
         print(f"completed tensor written to {args.out}")
     if args.model_out:
         save_model(args.model_out, model, config={"epsilon": args.epsilon, "k": k})

@@ -545,7 +545,9 @@ def load_tensor_text(path) -> SparseTensor:
 
 
 def save_tensor_text(path, shape, indices, values) -> None:
+    """Write the cells in the format ``load_tensor_text`` reads.  ``indices``
+    may be any iterable of index rows, e.g. ``np.ndindex(*shape)``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("shape " + ",".join(str(s) for s in shape) + "\n")
-        for idx, val in zip(np.asarray(indices), np.asarray(values)):
+        for idx, val in zip(indices, values):
             fh.write(",".join(str(int(i)) for i in idx) + f",{float(val)!r}\n")

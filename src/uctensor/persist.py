@@ -12,6 +12,7 @@ import numpy as np
 
 from .balance import LatentModel
 from .complete import CompletedTensor
+from .exceptions import ParseError, UctensorError
 from .tensor import ScaleSet, SparseTensor
 
 FORMAT = "uctensor-model"
@@ -64,10 +65,10 @@ def save_model(
         "scales": [
             {
                 "fixed_dims": list(fixed),
-                "log_scale": scales._log[fixed].tolist(),
-                "nonempty": scales._nonempty[fixed].astype(int).tolist(),
+                "log_scale": scales.log[fixed].tolist(),
+                "nonempty": scales.nonempty[fixed].astype(int).tolist(),
             }
-            for fixed in scales._fams
+            for fixed in scales.families
         ],
         "entries": {
             "indices": model.source.indices.tolist(),
@@ -83,33 +84,41 @@ def save_model(
 
 def load_model(path):
     """Rebuild the completion query interface plus metadata:
-    returns (CompletedTensor, doc-dict)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"{path} is not a {FORMAT} document")
+    returns (CompletedTensor, doc-dict).
+
+    Errors name the path: ParseError for a file that is not a model
+    document of a known version, and the error of the part it breaks
+    (ShapeMismatchError for a scale block of the wrong size, ...) for a
+    malformed one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise ParseError(f"{path} is not a {FORMAT} document")
     # version 1 also stored entries.balanced_values; being derived, it is not read
     if doc.get("version") not in (1, VERSION):
-        raise ValueError(f"unsupported model version {doc.get('version')}")
-    shape = tuple(doc["shape"])
-    source = SparseTensor(
-        shape,
-        np.asarray(doc["entries"]["indices"], dtype=np.int64).reshape(-1, len(shape)),
-        np.asarray(doc["entries"]["values"]),
-        _sorted=True,
-    )
-    logs = {}
-    nonempty = {}
-    for block in doc["scales"]:
-        fixed = tuple(block["fixed_dims"])
-        logs[fixed] = np.asarray(block["log_scale"])
-        nonempty[fixed] = np.asarray(block["nonempty"], dtype=bool)
-    model = LatentModel(
-        source=source,
-        scales=ScaleSet(shape, doc["k"], logs, nonempty),
-        sweeps_run=doc["sweeps_run"],
-        final_residual=doc["final_residual"],
-    )
+        raise ParseError(f"{path}: unsupported model version {doc.get('version')}")
+    try:
+        shape = tuple(doc["shape"])
+        source = SparseTensor(shape, doc["entries"]["indices"], doc["entries"]["values"])
+        logs = {}
+        nonempty = {}
+        for block in doc["scales"]:
+            fixed = tuple(block["fixed_dims"])
+            logs[fixed] = np.asarray(block["log_scale"], dtype=np.float64)
+            nonempty[fixed] = np.asarray(block["nonempty"], dtype=bool)
+        model = LatentModel(
+            source=source,
+            scales=ScaleSet(shape, doc["k"], logs, nonempty),
+            sweeps_run=doc["sweeps_run"],
+            final_residual=doc["final_residual"],
+        )
+    except UctensorError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed {FORMAT} document: {exc!r}") from None
     doc["users"] = dict((raw, idx) for raw, idx in doc["users"]) if doc.get("users") else None
     doc["products"] = (
         dict((raw, idx) for raw, idx in doc["products"]) if doc.get("products") else None

@@ -1,10 +1,5 @@
-"""Rating prediction and ranking over completed tensors.
-
-2-D models answer (user, product) queries directly; 3-D models
-(user x feature x product) project onto the feature dimension by taking
-the maximum completed value, optionally restricted to a caller-supplied
-feature set.
-"""
+"""Rating prediction and ranking over completed 2-D (user x product)
+tensors."""
 
 from __future__ import annotations
 
@@ -22,7 +17,6 @@ class Prediction:
     product: int
     rating: float
     source: str  # "observed" | "completed"
-    argmax_feature: int | None = None
 
 
 def _check_axis(value: int, size: int, what: str) -> int:
@@ -43,42 +37,6 @@ def predict_rating(completed: CompletedTensor, user: int, product: int) -> Predi
     if observed is not None:
         return Prediction(user, product, observed, "observed")
     return Prediction(user, product, completed.fill_at((user, product)), "completed")
-
-
-def predict_max_feature(
-    completed: CompletedTensor,
-    user: int,
-    product: int,
-    feature_indices=None,
-) -> Prediction:
-    """3-D query: maximum completed value over the feature dimension of the
-    (user, :, product) fiber; ties resolve to the lowest feature index.
-
-    ``feature_indices`` restricts the projection (e.g. to the features a
-    user actually carries); None scans the whole dimension.
-    """
-    if len(completed.shape) != 3:
-        raise IndexOutOfBoundsError("predict_max_feature expects a 3-D completion")
-    n_users, n_features, n_products = completed.shape
-    user = _check_axis(user, n_users, "user")
-    product = _check_axis(product, n_products, "product")
-    if feature_indices is None:
-        feats = np.arange(n_features, dtype=np.int64)
-    else:
-        feats = np.asarray(sorted(int(f) for f in feature_indices), dtype=np.int64)
-        if len(feats) == 0:
-            raise IndexOutOfBoundsError("feature_indices must be non-empty")
-        if feats[0] < 0 or feats[-1] >= n_features:
-            raise IndexOutOfBoundsError(f"feature index out of range [0, {n_features})")
-    idx = np.empty((len(feats), 3), dtype=np.int64)
-    idx[:, 0] = user
-    idx[:, 1] = feats
-    idx[:, 2] = product
-    values = completed.values_at(idx)
-    best = int(np.argmax(values))
-    feature = int(feats[best])
-    source = "observed" if completed.source.is_observed((user, feature, product)) else "completed"
-    return Prediction(user, product, float(values[best]), source, argmax_feature=feature)
 
 
 def _first_n(keys: np.ndarray, n: int) -> np.ndarray:

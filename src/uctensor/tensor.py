@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -42,12 +41,13 @@ class SparseTensor:
 
     __slots__ = ("shape", "indices", "values", "_flat")
 
-    def __init__(self, shape, indices, values, *, _sorted=False, _flat=None):
+    def __init__(self, shape, indices, values, *, _flat=None):
         # ``_flat`` is the flat-key array of an already validated pattern
         # that ``indices`` belongs to: only the values are checked then
         shape = tuple(int(s) for s in shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"shape must be non-empty with all dims >= 1, got {shape}")
+        given = (indices, values)
         indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, len(shape))
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         if len(indices) != len(values):
@@ -76,15 +76,22 @@ class SparseTensor:
                 if len(indices)
                 else np.empty(0, dtype=np.int64)
             )
-            # ``_sorted`` only spares the sort of input already in order
-            if len(_flat) > 1 and (not _sorted or np.any(_flat[1:] < _flat[:-1])):
+            # input in strictly increasing order is neither sorted nor
+            # searched for duplicates again
+            if len(_flat) > 1 and not (_flat[1:] > _flat[:-1]).all():
                 order = np.argsort(_flat, kind="stable")
                 _flat = _flat[order]
                 indices = indices[order]
                 values = values[order]
-            if len(_flat) > 1 and np.any(np.diff(_flat) == 0):
-                pos = int(np.argmax(np.diff(_flat) == 0))
-                raise DuplicateIndexError(f"duplicate index {tuple(indices[pos].tolist())}")
+                dup = _flat[1:] == _flat[:-1]
+                if dup.any():
+                    pos = int(np.argmax(dup))
+                    raise DuplicateIndexError(f"duplicate index {tuple(indices[pos].tolist())}")
+            else:  # no sort copied them: a caller's later writes must not reach the tensor
+                if isinstance(given[0], np.ndarray):
+                    indices = indices.copy()
+                if isinstance(given[1], np.ndarray):
+                    values = values.copy()
 
         self.shape = shape
         self.indices = indices
@@ -178,67 +185,6 @@ def make_tensor(shape, entries) -> SparseTensor:
     return SparseTensor(shape, indices, values)
 
 
-@dataclass(frozen=True)
-class SubtensorKey:
-    """A length-D coordinate vector with exactly k null (None) slots.
-
-    The null slots are the free dimensions the subtensor spans; the fixed
-    slots pin the remaining coordinates.
-    """
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-
-    @property
-    def free_dims(self) -> tuple[int, ...]:
-        return tuple(d for d, c in enumerate(self.coords) if c is None)
-
-    @property
-    def fixed_dims(self) -> tuple[int, ...]:
-        return tuple(d for d, c in enumerate(self.coords) if c is not None)
-
-    @property
-    def k(self) -> int:
-        return len(self.free_dims)
-
-    def contains(self, index) -> bool:
-        return all(c is None or c == i for c, i in zip(self.coords, index))
-
-    def __str__(self):
-        return "(" + ", ".join("·" if c is None else str(c) for c in self.coords) + ")"
-
-
-def enumerate_subtensors(shape, k: int) -> list[SubtensorKey]:
-    """Every family-k key of ``shape``: one per (choice of fixed dims) x
-    (assignment of fixed coordinates), families then keys in lexicographic order."""
-    shape = tuple(shape)
-    keys = []
-    for fixed in subtensor_families(len(shape), k):
-        for assign in itertools.product(*(range(shape[d]) for d in fixed)):
-            coords = [None] * len(shape)
-            for d, c in zip(fixed, assign):
-                coords[d] = c
-            keys.append(SubtensorKey(tuple(coords)))
-    return keys
-
-
-def containing_keys(index, k: int, shape) -> list[SubtensorKey]:
-    """The C(D, D-k) family-k keys whose subtensor contains ``index``."""
-    shape = tuple(shape)
-    index = tuple(int(i) for i in index)
-    if len(index) != len(shape) or any(i < 0 or i >= s for i, s in zip(index, shape)):
-        raise IndexOutOfBoundsError(f"index {index} out of bounds for shape {shape}")
-    keys = []
-    for fixed in subtensor_families(len(shape), k):
-        coords = [None] * len(shape)
-        for d in fixed:
-            coords[d] = index[d]
-        keys.append(SubtensorKey(tuple(coords)))
-    return keys
-
-
 def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
     """Per-entry subtensor ids for one family, plus the dense id-space size.
 
@@ -257,102 +203,53 @@ def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
 
 
 class ScaleSet:
-    """Strictly positive per-subtensor scales for one family dimensionality k.
+    """Strictly positive per-subtensor scales for one family dimensionality k,
+    stored as their logs.
 
-    Stored as dense per-family log arrays; the mapping interface exposes
-    only non-empty subtensor keys.  Empty subtensors carry an implicit
-    scale of 1, stored as such (log 0) whatever the constructor was given
-    for them.
+    ``families`` lists the family-k families (their fixed dims) in
+    canonical order.  For each family f, ``log[f]`` holds one log scale per
+    subtensor, indexed by the row-major ravel of the fixed coordinates,
+    and ``nonempty[f]`` flags the subtensors holding observed entries.
+    Empty subtensors carry an implicit scale of 1, stored as such (log 0)
+    whatever the constructor was given for them.  The arrays are
+    read-only.
     """
 
-    __slots__ = ("shape", "k", "_log", "_nonempty", "_fams")
+    __slots__ = ("shape", "k", "families", "log", "nonempty")
 
     def __init__(self, shape, k, log_arrays, nonempty):
         self.shape = tuple(shape)
         self.k = int(k)
-        self._fams = subtensor_families(len(self.shape), self.k)
-        self._nonempty = {f: np.asarray(nonempty[f], dtype=bool) for f in self._fams}
-        self._log = {f: np.where(self._nonempty[f], log_arrays[f], 0.0) for f in self._fams}
-
-    @classmethod
-    def from_dict(cls, shape, k, mapping) -> "ScaleSet":
-        """Build from {SubtensorKey or coords-tuple: finite positive scale}.
-
-        Keys absent from the mapping are treated as empty subtensors
-        (implicit scale 1)."""
-        shape = tuple(shape)
-        fams = subtensor_families(len(shape), k)
-        log = {}
-        nonempty = {}
-        for f in fams:
-            size = int(np.prod([shape[d] for d in f], dtype=np.int64))
-            log[f] = np.zeros(size)
-            nonempty[f] = np.zeros(size, dtype=bool)
-        for key, value in mapping.items():
-            coords = key.coords if isinstance(key, SubtensorKey) else tuple(key)
-            fixed = tuple(d for d, c in enumerate(coords) if c is not None)
-            if len(coords) != len(shape) or fixed not in log:
-                raise InvalidKError(f"key {coords} is not a family-{k} key of shape {shape}")
-            if any(coords[d] < 0 or coords[d] >= shape[d] for d in fixed):
-                raise IndexOutOfBoundsError(f"key {coords} out of bounds for shape {shape}")
-            if not math.isfinite(value):
-                raise NonFiniteValueError(f"scale for key {coords} is not finite, got {value}")
-            if not value > 0:
-                raise NonPositiveValueError(f"scale for key {coords} must be positive, got {value}")
-            dims = [shape[d] for d in fixed]
-            sub = int(np.ravel_multi_index([coords[d] for d in fixed], dims))
-            log[fixed][sub] = np.log(float(value))
-            nonempty[fixed][sub] = True
-        return cls(shape, k, log, nonempty)
-
-    # -- mapping interface over non-empty keys ------------------------------
-    def _locate(self, key):
-        coords = key.coords if isinstance(key, SubtensorKey) else tuple(key)
-        fixed = tuple(d for d, c in enumerate(coords) if c is not None)
-        if fixed not in self._log:
-            raise KeyError(key)
-        dims = [self.shape[d] for d in fixed]
-        sub = int(np.ravel_multi_index([coords[d] for d in fixed], dims))
-        return fixed, sub
-
-    def __getitem__(self, key) -> float:
-        fixed, sub = self._locate(key)
-        if not self._nonempty[fixed][sub]:
-            raise KeyError(key)
-        return float(np.exp(self._log[fixed][sub]))
-
-    def get(self, key, default: float = 1.0) -> float:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key) -> bool:
-        try:
-            fixed, sub = self._locate(key)
-        except (KeyError, ValueError):
-            return False
-        return bool(self._nonempty[fixed][sub])
-
-    def __len__(self) -> int:
-        return sum(int(m.sum()) for m in self._nonempty.values())
-
-    def keys(self) -> Iterator[SubtensorKey]:
-        for fixed in self._fams:
-            dims = [self.shape[d] for d in fixed]
-            for sub in np.flatnonzero(self._nonempty[fixed]):
-                assign = np.unravel_index(int(sub), dims)
-                coords = [None] * len(self.shape)
-                for d, c in zip(fixed, assign):
-                    coords[d] = int(c)
-                yield SubtensorKey(tuple(coords))
-
-    def __iter__(self):
-        return self.keys()
-
-    def items(self):
-        for key in self.keys():
-            yield key, self[key]
+        self.families = tuple(subtensor_families(len(self.shape), self.k))
+        foreign = {*log_arrays, *nonempty} - set(self.families)
+        if foreign:
+            raise InvalidKError(
+                f"{min(foreign)} is not a family-{self.k} family of shape {self.shape}"
+            )
+        self.log = {}
+        self.nonempty = {}
+        for f in self.families:
+            dims = tuple(self.shape[d] for d in f)
+            size = math.prod(dims)
+            for what, given in (("log scales", log_arrays), ("non-empty flags", nonempty)):
+                got = np.shape(given[f]) if f in given else None
+                if got != (size,):
+                    raise ShapeMismatchError(
+                        f"{what} of family {f} have shape {got}, expected ({size},)"
+                    )
+            ne = np.array(nonempty[f], dtype=bool)  # a copy: it is frozen below
+            log = np.where(ne, log_arrays[f], 0.0)
+            finite = np.isfinite(log)
+            if not finite.all():
+                sub = int(np.argmin(finite))
+                at = f"family {f} subtensor {tuple(int(c) for c in np.unravel_index(sub, dims))}"
+                if log[sub] == -np.inf:
+                    raise NonPositiveValueError(f"scale of {at} is 0 (log -inf)")
+                raise NonFiniteValueError(f"log scale of {at} is not finite, got {log[sub]}")
+            for a in (ne, log):
+                a.setflags(write=False)
+            self.nonempty[f] = ne
+            self.log[f] = log
 
     # -- vectorized views ----------------------------------------------------
     def log_sum_at(self, indices: np.ndarray) -> np.ndarray:
@@ -360,10 +257,10 @@ class ScaleSet:
         of an (M, D) index array.  Empty subtensors contribute 0."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(self.shape))
         total = np.zeros(len(indices))
-        for fixed in self._fams:
+        for fixed in self.families:
             dims = [self.shape[d] for d in fixed]
             ids = np.ravel_multi_index([indices[:, d] for d in fixed], dims)
-            total += self._log[fixed][ids]
+            total += self.log[fixed][ids]
         return total
 
     def log_sum_fiber(self, prefix) -> np.ndarray:
@@ -379,11 +276,11 @@ class ScaleSet:
         cell = prefix + (0,)
         n = self.shape[last]
         total = np.zeros(n)
-        for fixed in self._fams:
+        for fixed in self.families:
             start = 0
             for d in fixed:
                 start = start * self.shape[d] + cell[d]
-            logs = self._log[fixed]
+            logs = self.log[fixed]
             # a family fixing the last dimension holds the fiber's keys
             # contiguously from (*prefix, 0); any other family, one key
             total += logs[start : start + n] if fixed[-1] == last else logs[start]
@@ -393,10 +290,10 @@ class ScaleSet:
         """True for index rows having at least one empty containing subtensor."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(self.shape))
         mask = np.zeros(len(indices), dtype=bool)
-        for fixed in self._fams:
+        for fixed in self.families:
             dims = [self.shape[d] for d in fixed]
             ids = np.ravel_multi_index([indices[:, d] for d in fixed], dims)
-            mask |= ~self._nonempty[fixed][ids]
+            mask |= ~self.nonempty[fixed][ids]
         return mask
 
     def factor_grid(self) -> np.ndarray:
@@ -406,18 +303,19 @@ class ScaleSet:
         if int(np.prod(self.shape, dtype=np.int64)) > MAX_DENSE_CELLS:
             raise ValueError("shape too large for a dense factor grid")
         grid = np.zeros(self.shape)
-        for fixed in self._fams:
+        for fixed in self.families:
             dims = [self.shape[d] for d in fixed]
             bshape = [self.shape[d] if d in fixed else 1 for d in range(len(self.shape))]
-            grid = grid + self._log[fixed].reshape(dims).reshape(bshape)
+            grid = grid + self.log[fixed].reshape(dims).reshape(bshape)
         with np.errstate(over="ignore"):
             return np.exp(grid)
 
     def inverse(self) -> "ScaleSet":
-        return ScaleSet(self.shape, self.k, {f: -a for f, a in self._log.items()}, self._nonempty)
+        return ScaleSet(self.shape, self.k, {f: -a for f, a in self.log.items()}, self.nonempty)
 
     def __repr__(self):
-        return f"ScaleSet(shape={self.shape}, k={self.k}, n_scales={len(self)})"
+        n_scales = sum(int(m.sum()) for m in self.nonempty.values())
+        return f"ScaleSet(shape={self.shape}, k={self.k}, n_scales={n_scales})"
 
 
 def scale_apply(tensor: SparseTensor, scales: ScaleSet) -> SparseTensor:
@@ -435,27 +333,13 @@ def scale_apply(tensor: SparseTensor, scales: ScaleSet) -> SparseTensor:
     return tensor.with_values(tensor.values * half * half)
 
 
-def subtensor_products(tensor: SparseTensor, k: int):
-    """Per-family arrays of (product of observed entries, observed count).
-
-    Returns {fixed_dims: (products, counts)}; products are 1 for empty
-    subtensors.  Used by the balance-constraint checkers.
-    """
-    out = {}
-    logs = np.log(tensor.values)
-    for fixed in subtensor_families(tensor.ndim, k):
-        ids, size = family_sub_ids(tensor, fixed)
-        counts = np.bincount(ids, minlength=size)
-        sums = np.bincount(ids, weights=logs, minlength=size)
-        out[fixed] = (np.exp(sums), counts)
-    return out
-
-
 def max_balance_violation(tensor: SparseTensor, k: int) -> float:
     """max over non-empty family-k subtensors of |product of entries - 1|."""
     worst = 0.0
-    for products, counts in subtensor_products(tensor, k).values():
-        ne = counts > 0
-        if ne.any():
-            worst = max(worst, float(np.abs(products[ne] - 1.0).max()))
+    logs = np.log(tensor.values)
+    for fixed in subtensor_families(tensor.ndim, k):
+        ids, size = family_sub_ids(tensor, fixed)
+        if len(ids):
+            sums = np.bincount(ids, weights=logs, minlength=size)
+            worst = max(worst, float(np.abs(np.exp(sums[ids]) - 1.0).max()))
     return worst

@@ -1,11 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
-from uctensor import SolverConfig, make_tensor
+from uctensor import ScaleSet, SolverConfig, make_tensor, subtensor_families
 
 # tight solver settings for value-level assertions: the default 1e-10
 # threshold bounds only the last sweep's movement (~1e-5 in the values)
 TIGHT = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
+
+
+def scale_set(shape, k, scales):
+    """A ScaleSet from {family: its positive scales, one per subtensor}:
+    the subtensors of a listed family are non-empty, those of an unlisted
+    family empty."""
+    logs, nonempty = {}, {}
+    for fixed in subtensor_families(len(shape), k):
+        size = math.prod(shape[d] for d in fixed)
+        listed = fixed in scales
+        logs[fixed] = np.log(scales[fixed]) if listed else np.zeros(size)
+        nonempty[fixed] = np.full(size, listed)
+    return ScaleSet(shape, k, logs, nonempty)
 
 
 @pytest.fixture

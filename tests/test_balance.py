@@ -17,7 +17,6 @@ from uctensor import (
     balance,
     check_full_support,
     complete_matrix,
-    enumerate_subtensors,
     make_tensor,
     max_balance_violation,
     scale_apply,
@@ -218,15 +217,8 @@ class TestConvergedProperties:
         model = balance(t, 1, TIGHT)
         z = model.scales
         factor = 3.7
-        gauge = {
-            (0, None): factor,
-            (1, None): factor,
-            (None, 0): 1.0 / factor,
-            (None, 1): 1.0 / factor,
-        }
-        z_twisted = ScaleSet.from_dict(
-            (2, 2), 1, {key: z[key] * gauge[key.coords] for key in enumerate_subtensors((2, 2), 1)}
-        )
+        gauge = {(0,): np.log(factor), (1,): -np.log(factor)}
+        z_twisted = ScaleSet((2, 2), 1, {f: z.log[f] + gauge[f] for f in z.families}, z.nonempty)
         a = scale_apply(t, z)
         b = scale_apply(t, z_twisted)
         np.testing.assert_allclose(a.values, model.balanced.values, atol=1e-8)
@@ -242,7 +234,10 @@ class TestConvergedProperties:
     def test_scales_strictly_positive(self, rng):
         t = random_sparse_tensor(rng, (8, 6), 0.4)
         model = balance(t, 1, TIGHT)
-        assert all(v > 0 for _, v in model.scales.items())
+        # a scale is stored as its log: a finite log is a positive scale
+        for f in model.scales.families:
+            assert model.scales.nonempty[f].any()
+            assert np.isfinite(model.scales.log[f]).all()
 
 
 class TestMatchesReferenceSweeps:

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from uctensor import SolverConfig, complete, load_tensor_text
 from uctensor.cli import main
 
 from conftest import write_movielens_fixture
@@ -37,6 +39,18 @@ class TestComplete:
         cells = read_cells(out)
         assert cells[(1, 1)] == pytest.approx(16.0, rel=1e-8)
         assert cells[(0, 0)] == 2.0
+
+    def test_out_lists_every_cell_in_row_major_order(self, toy_tensor, tmp_path):
+        # the listing's bytes: a shape header, then each cell's indices and
+        # the repr of its value
+        out = tmp_path / "completed.txt"
+        assert main(["complete", "--input", str(toy_tensor), "--out", str(out),
+                     "--epsilon", "1e-18"]) == 0
+        dense = complete(load_tensor_text(toy_tensor), 1, SolverConfig(epsilon=1e-18)).to_dense()
+        expected = "shape 2,2\n" + "".join(
+            f"{i},{j},{float(dense[i, j])!r}\n" for i, j in np.ndindex(*dense.shape)
+        )
+        assert out.read_text() == expected
 
     def test_fully_observed_round_trips(self, tmp_path):
         src = tmp_path / "full.txt"

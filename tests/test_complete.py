@@ -252,6 +252,47 @@ class TestUniqueness:
 
 
 @st.composite
+def lifted_patterns(draw):
+    """A user x product tensor on an arbitrary non-empty pattern (cold
+    rows and columns and disconnected parts included), per-user codes in
+    1-3 categories, and the user x feature x product tensor that repeats
+    each rating at every feature index of its user, as the 3-D harness
+    builds it."""
+    n_users, n_products = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_products,
+                                  max_size=n_users * n_products))).reshape(n_users, n_products)
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    pairs = np.argwhere(mask)
+    values = np.array(draw(st.lists(positive, min_size=len(pairs), max_size=len(pairs))))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    offsets = np.cumsum([0] + sizes[:-1])
+    codes = np.array([[draw(st.integers(0, n - 1)) + o for n, o in zip(sizes, offsets)]
+                      for _ in range(n_users)])
+    n_cat = len(sizes)
+    cells = np.stack([np.repeat(pairs[:, 0], n_cat), codes[pairs[:, 0]].reshape(-1),
+                      np.repeat(pairs[:, 1], n_cat)], axis=1)
+    flat = SparseTensor((n_users, n_products), pairs, values)
+    lifted = SparseTensor((n_users, sum(sizes), n_products), cells, np.repeat(values, n_cat))
+    return flat, lifted
+
+
+class TestFeatureLift:
+    @given(lifted_patterns())
+    @settings(max_examples=150, deadline=None)
+    def test_3d_fills_equal_the_2d_fills_at_every_feature(self, tensors):
+        # every feature slice is a union of whole user rows, so it balances
+        # at scale 1 and the user and product scales are the 2-D ones
+        flat, lifted = tensors
+        n_users, n_features, n_products = lifted.shape
+        fills_2d = np.exp(-complete(flat, 1, TIGHT).scales.log_sum_at(
+            np.argwhere(np.ones(flat.shape, dtype=bool)))).reshape(flat.shape)
+        fills_3d = np.exp(-complete(lifted, 2, TIGHT).scales.log_sum_at(
+            np.argwhere(np.ones(lifted.shape, dtype=bool)))).reshape(lifted.shape)
+        for f in range(n_features):
+            np.testing.assert_allclose(fills_3d[:, f, :], fills_2d, rtol=1e-9, atol=0)
+
+
+@st.composite
 def completions(draw):
     """A completion of a 2-D or 3-D tensor on an arbitrary pattern, with
     arbitrary scales (some keys empty): values_at must agree with

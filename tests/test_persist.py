@@ -1,9 +1,23 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from uctensor import balance, load_model, persist, save_model, top_n
+from uctensor import (
+    InvalidKError,
+    NonFiniteValueError,
+    ParseError,
+    ShapeMismatchError,
+    UctensorError,
+    balance,
+    load_model,
+    make_tensor,
+    persist,
+    save_model,
+    top_n,
+)
+from uctensor.cli import main
 from uctensor.complete import CompletedTensor
 from uctensor.properties import random_sparse_tensor
 
@@ -87,3 +101,50 @@ def test_version_1_documents_still_load(tmp_path, rng):
     for user in range(9):
         for exclude in (False, True):
             assert top_n(old, user, 7, exclude) == top_n(new, user, 7, exclude)
+
+
+def _drop_last(block, field):
+    block[field] = block[field][:-1]
+
+
+# each case corrupts a saved 3x4 model document (or replaces its text)
+CORRUPTIONS = {
+    "row block one short": (lambda doc: _drop_last(doc["scales"][0], "log_scale"), ShapeMismatchError),
+    "row block one long": (lambda doc: doc["scales"][0]["log_scale"].append(0.0), ShapeMismatchError),
+    "nan log scale": (lambda doc: doc["scales"][0]["log_scale"].__setitem__(0, float("nan")),
+                      NonFiniteValueError),
+    "missing family": (lambda doc: doc["scales"].pop(1), ShapeMismatchError),
+    "nonempty one short": (lambda doc: _drop_last(doc["scales"][1], "nonempty"), ShapeMismatchError),
+    "foreign family": (lambda doc: doc["scales"][1].__setitem__("fixed_dims", [0, 1]), InvalidKError),
+    "missing entries": (lambda doc: doc.pop("entries"), ParseError),
+    "not JSON": (lambda doc: "uctensor-model, version 2", ParseError),
+    "not an object": (lambda doc: "[1, 2]", ParseError),
+}
+
+
+def write_corrupted(path, corrupt):
+    model = balance(make_tensor((3, 4), {(i, j): 1.0 + i + 2 * j for i in range(3) for j in range(4)
+                                         if (i, j) != (2, 3)}), 1, TIGHT)
+    save_model(path, model)
+    doc = json.loads(path.read_text())
+    text = corrupt(doc)
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_malformed_documents_raise_a_named_error(tmp_path, case):
+    corrupt, error = CORRUPTIONS[case]
+    path = tmp_path / "model.json"
+    write_corrupted(path, corrupt)
+    with pytest.raises(error, match=re.escape(str(path))) as info:
+        load_model(path)
+    assert isinstance(info.value, UctensorError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("case", ["not JSON", "row block one short"])
+def test_cli_reports_a_malformed_model(tmp_path, capsys, case):
+    path = tmp_path / "model.json"
+    write_corrupted(path, CORRUPTIONS[case][0])
+    assert main(["recommend", "--model", str(path), "--user", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err

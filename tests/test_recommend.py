@@ -17,32 +17,13 @@ from uctensor import (
     complete,
     complete_matrix,
     make_tensor,
-    predict_max_feature,
     predict_rating,
     scale_apply,
     top_n,
 )
-from uctensor.properties import _ordered_3d, random_sparse_tensor
+from uctensor.properties import random_sparse_tensor
 
-from conftest import TIGHT
-
-
-def fake_completion_3d(fiber_fills, source_entries):
-    """A hand-built 3-D completion whose (1, :, 1) fiber fills equal
-    ``fiber_fills``: slice scales along the feature dimension are the
-    inverses of the wanted values; all other subtensors stay at scale 1."""
-    shape = (2, len(fiber_fills), 2)
-    source = make_tensor(shape, source_entries)
-    scales = ScaleSet.from_dict(
-        shape,
-        2,
-        {
-            tuple([None, f, None]): 1.0 / fill
-            for f, fill in enumerate(fiber_fills)
-        },
-    )
-    model = LatentModel(source=source, scales=scales, sweeps_run=0, final_residual=0.0)
-    return CompletedTensor(model)
+from conftest import TIGHT, scale_set
 
 
 class TestPredictRating:
@@ -71,59 +52,6 @@ class TestPredictRating:
         completed = complete(random_sparse_tensor(rng, (3, 3, 3), 0.6), 2, TIGHT)
         with pytest.raises(NotAMatrixError):
             predict_rating(completed, 0, 0)
-
-
-class TestPredictMaxFeature:
-    def test_max_of_fiber(self):
-        completed = fake_completion_3d([1.2, 3.4, 0.9], {(0, 0, 0): 1.0})
-        pred = predict_max_feature(completed, 1, 1)
-        assert pred.rating == pytest.approx(3.4, rel=1e-12)
-        assert pred.argmax_feature == 1
-        assert pred.source == "completed"
-
-    def test_tie_breaks_to_lowest_feature(self):
-        completed = fake_completion_3d([2.0, 2.0], {(0, 0, 0): 1.0})
-        pred = predict_max_feature(completed, 1, 1)
-        assert pred.rating == pytest.approx(2.0, rel=1e-12)
-        assert pred.argmax_feature == 0
-
-    def test_feature_subset_restricts_projection(self):
-        completed = fake_completion_3d([1.2, 3.4, 0.9], {(0, 0, 0): 1.0})
-        pred = predict_max_feature(completed, 1, 1, feature_indices=(0, 2))
-        assert pred.rating == pytest.approx(1.2, rel=1e-12)
-        assert pred.argmax_feature == 0
-
-    def test_observed_cell_wins_with_source_flag(self):
-        completed = fake_completion_3d([1.2, 3.4, 0.9], {(1, 0, 1): 5.0})
-        pred = predict_max_feature(completed, 1, 1)
-        assert pred.rating == 5.0
-        assert pred.argmax_feature == 0
-        assert pred.source == "observed"
-
-    def test_slice_scale_ordering_drives_argmax(self, rng):
-        # constructed tensor whose feature slices are ordered by gamma:
-        # every fully-unobserved (u, p) pair must argmax at gamma's last
-        tensor, gamma, _ = _ordered_3d(rng, shape=(5, 4, 6), dim=1)
-        completed = complete(tensor, 2, TIGHT)
-        observed_pairs = {(int(i[0]), int(i[2])) for i in tensor.indices}
-        hits = 0
-        for u in range(5):
-            for p in range(6):
-                if (u, p) in observed_pairs:
-                    continue
-                pred = predict_max_feature(completed, u, p)
-                assert pred.argmax_feature == gamma[-1]
-                hits += 1
-        assert hits > 0
-
-    def test_never_below_any_fiber_value(self, rng):
-        t = random_sparse_tensor(rng, (4, 5, 3), 0.4)
-        completed = complete(t, 2, TIGHT)
-        for u in range(4):
-            for p in range(3):
-                pred = predict_max_feature(completed, u, p)
-                fiber = [completed.value_at((u, f, p)) for f in range(5)]
-                assert pred.rating >= max(fiber) - 1e-12
 
 
 class TestTopN:
@@ -170,10 +98,7 @@ class TestTopN:
 
     def test_row_scaling_leaves_ranking_unchanged(self, rng):
         t = random_sparse_tensor(rng, (8, 6), 0.5)
-        row_scales = {
-            (i, None): float(np.exp(rng.uniform(-1.5, 1.5))) for i in range(8)
-        }
-        scales = ScaleSet.from_dict((8, 6), 1, row_scales)
+        scales = scale_set((8, 6), 1, {(0,): np.exp(rng.uniform(-1.5, 1.5, 8))})
         base = complete_matrix(t, TIGHT)
         scaled = complete_matrix(scale_apply(t, scales), TIGHT)
         for user in range(8):

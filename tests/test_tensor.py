@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
+    BalanceState,
     DuplicateIndexError,
     IndexOutOfBoundsError,
     InvalidKError,
@@ -15,13 +16,13 @@ from uctensor import (
     NonPositiveValueError,
     ScaleSet,
     ShapeMismatchError,
-    SubtensorKey,
-    containing_keys,
-    enumerate_subtensors,
+    SparseTensor,
     make_tensor,
     scale_apply,
-    subtensor_products,
+    subtensor_families,
 )
+
+from conftest import scale_set
 
 
 class TestConstruction:
@@ -76,114 +77,78 @@ class TestConstruction:
         t = make_tensor((3, 3), [((2, 0), 1.0), ((0, 1), 2.0), ((1, 2), 3.0)])
         assert [tuple(ix) for ix in t.indices] == [(0, 1), (1, 2), (2, 0)]
 
+    def test_input_already_in_order_is_copied(self):
+        # no sort is needed, but writes to the caller's arrays must not reach the tensor
+        indices = np.array([[0, 0], [0, 1], [1, 0]])
+        values = np.array([2.0, 8.0, 4.0])
+        t = SparseTensor((2, 2), indices, values)
+        indices[0, 1] = 1
+        values[0] = 5.0
+        assert t.value_at((0, 0)) == 2.0 and not t.is_observed((1, 1))
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             make_tensor((0, 2), {})
 
 
 class TestEnumeration:
+    """The families a ScaleSet stores one log array for."""
+
     def test_rows_and_columns(self):
-        keys = enumerate_subtensors((2, 3), 1)
-        assert len(keys) == 5  # 2 row keys + 3 column keys
-        assert SubtensorKey((0, None)) in keys
-        assert SubtensorKey((None, 2)) in keys
+        # rows fix dim 0, columns fix dim 1
+        assert subtensor_families(2, 1) == [(0,), (1,)]
 
     def test_cube_fibers_match_brute_force(self):
-        # independent oracle: all coordinate vectors with exactly one null
-        # slot and in-bounds fixed slots
-        shape = (2, 2, 2)
-        brute = set()
-        for coords in itertools.product(*[list(range(s)) + [None] for s in shape]):
-            if sum(c is None for c in coords) == 1:
-                brute.add(coords)
-        keys = enumerate_subtensors(shape, 1)
-        assert len(keys) == 12
-        assert {k.coords for k in keys} == brute
+        # independent oracle: all choices of the D-k fixed dims, listed
+        # lexicographically
+        brute = sorted(
+            tuple(d for d in range(3) if fixed[d])
+            for fixed in itertools.product((False, True), repeat=3)
+            if sum(fixed) == 2
+        )
+        assert subtensor_families(3, 1) == brute == [(0, 1), (0, 2), (1, 2)]
 
     def test_cube_slices(self):
-        keys = enumerate_subtensors((2, 2, 2), 2)
-        assert len(keys) == 6
-        assert all(k.k == 2 for k in keys)
+        assert subtensor_families(3, 2) == [(0,), (1,), (2,)]
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_invalid_k(self, k):
         with pytest.raises(InvalidKError):
-            enumerate_subtensors((2, 3), k)
+            subtensor_families(2, k)
 
     def test_key_count_formula(self):
-        # total = sum over fixed-dim subsets of the product of their sizes
+        # a scale set holds one log per coordinate vector with exactly k
+        # free slots and in-bounds fixed slots
         shape = (3, 4, 2)
         for k in (1, 2):
-            keys = enumerate_subtensors(shape, k)
-            expected = sum(
-                int(np.prod([shape[d] for d in fixed]))
-                for fixed in itertools.combinations(range(3), 3 - k)
+            brute = sum(
+                sum(c is None for c in coords) == k
+                for coords in itertools.product(*[list(range(s)) + [None] for s in shape])
             )
-            assert len(keys) == expected
-
-
-class TestContainingKeys:
-    def test_matrix_row_and_column(self):
-        keys = containing_keys((1, 2), 1, (2, 3))
-        assert {k.coords for k in keys} == {(1, None), (None, 2)}
-
-    def test_cube_slices(self):
-        keys = containing_keys((0, 1, 1), 2, (2, 2, 2))
-        assert {k.coords for k in keys} == {(0, None, None), (None, 1, None), (None, None, 1)}
-
-    def test_cube_fibers(self):
-        keys = containing_keys((0, 1, 1), 1, (2, 2, 2))
-        assert {k.coords for k in keys} == {(0, 1, None), (0, None, 1), (None, 1, 1)}
-
-    def test_out_of_bounds(self):
-        with pytest.raises(IndexOutOfBoundsError):
-            containing_keys((5, 0), 1, (2, 2))
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_count_is_d_choose_d_minus_k(self, data):
-        ndim = data.draw(st.integers(2, 4))
-        shape = tuple(data.draw(st.integers(1, 4)) for _ in range(ndim))
-        k = data.draw(st.integers(1, ndim - 1))
-        index = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
-        keys = containing_keys(index, k, shape)
-        assert len(keys) == math.comb(ndim, ndim - k)
-        assert all(key.contains(index) for key in keys)
+            scales = scale_set(shape, k, {})
+            assert sum(len(scales.log[f]) for f in scales.families) == brute
 
 
 class TestScaleApply:
     def test_identity(self, three_entry_2x2):
-        ones = ScaleSet.from_dict(
-            (2, 2), 1, {k: 1.0 for k in enumerate_subtensors((2, 2), 1)}
-        )
+        ones = scale_set((2, 2), 1, {(0,): [1.0, 1.0], (1,): [1.0, 1.0]})
         out = scale_apply(three_entry_2x2, ones)
         np.testing.assert_array_equal(out.values, three_entry_2x2.values)
 
     def test_row_column_products(self):
         t = make_tensor((2, 2), {(i, j): 1.0 for i in range(2) for j in range(2)})
-        scales = ScaleSet.from_dict(
-            (2, 2),
-            1,
-            {
-                (0, None): 2.0,
-                (1, None): 3.0,
-                (None, 0): 5.0,
-                (None, 1): 7.0,
-            },
-        )
+        scales = scale_set((2, 2), 1, {(0,): [2.0, 3.0], (1,): [5.0, 7.0]})
         out = scale_apply(t, scales)
         np.testing.assert_allclose(out.to_dense(), [[10.0, 14.0], [15.0, 21.0]], rtol=1e-12)
 
     def test_pattern_preserved(self, three_entry_2x2):
-        scales = ScaleSet.from_dict(
-            (2, 2), 1, {k: 2.0 for k in enumerate_subtensors((2, 2), 1)}
-        )
+        scales = scale_set((2, 2), 1, {(0,): [2.0, 2.0], (1,): [2.0, 2.0]})
         out = scale_apply(three_entry_2x2, scales)
         assert not out.is_observed((1, 1))
         assert out.n_observed == 3
 
     def test_shape_mismatch(self, three_entry_2x2):
-        scales = ScaleSet.from_dict((3, 3), 1, {(0, None): 2.0})
+        scales = scale_set((3, 3), 1, {(0,): [2.0, 1.0, 1.0]})
         with pytest.raises(ShapeMismatchError):
             scale_apply(three_entry_2x2, scales)
 
@@ -198,30 +163,20 @@ class TestScaleApply:
         mask.flat[0] = True
         t = make_tensor(shape, {tuple(ix): float(v) for ix, v in
                                 zip(np.argwhere(mask), np.exp(rng.normal(0, 1, int(mask.sum()))))})
-        scales = ScaleSet.from_dict(
+        scales = scale_set(
             shape,
             k,
-            {key: float(np.exp(rng.uniform(-2, 2))) for key in enumerate_subtensors(shape, k)},
+            {
+                fixed: np.exp(rng.uniform(-2, 2, math.prod(shape[d] for d in fixed)))
+                for fixed in subtensor_families(ndim, k)
+            },
         )
         back = scale_apply(scale_apply(t, scales), scales.inverse())
         np.testing.assert_allclose(back.values, t.values, rtol=1e-12)
 
 
 class TestScaleSetMapping:
-    def test_mapping_interface(self):
-        scales = ScaleSet.from_dict((2, 2), 1, {(0, None): 2.0, (None, 1): 3.0})
-        assert len(scales) == 2
-        assert scales[SubtensorKey((0, None))] == 2.0
-        assert (None, 1) in scales
-        assert (1, None) not in scales  # empty key: implicit scale 1
-        assert scales.get((1, None)) == 1.0
-        with pytest.raises(KeyError):
-            scales[(1, None)]
-        # scales are stored as logs: 3.0 reads back as exp(log 3), one ulp above
-        assert dict(scales.items()) == {
-            SubtensorKey((0, None)): 2.0,
-            SubtensorKey((None, 1)): float(np.exp(np.log(3.0))),
-        }
+    """A ScaleSet is built from, and exposes, per-family log arrays."""
 
     def test_logs_beyond_the_float_range_build_without_warning(self):
         # exp(800) is inf: only the log is stored, so nothing overflows
@@ -234,17 +189,48 @@ class TestScaleSetMapping:
         assert inverse.log_sum_at([[0, 0], [1, 0]]).tolist() == [-800.0, 800.0]
 
     def test_positive_scales_required(self):
-        with pytest.raises(NonPositiveValueError):
-            ScaleSet.from_dict((2, 2), 1, {(0, None): 0.0})
+        # a log of -inf is a scale of 0
+        logs = {(0,): np.array([-np.inf, 0.0]), (1,): np.zeros(2)}
+        nonempty = {(0,): np.array([True, False]), (1,): np.zeros(2, dtype=bool)}
+        with pytest.raises(NonPositiveValueError, match=r"family \(0,\) subtensor \(0,\) is 0"):
+            ScaleSet((2, 2), 1, logs, nonempty)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_finite_scales_required(self, value):
-        with pytest.raises(NonFiniteValueError, match=r"key \(0, None\) is not finite"):
-            ScaleSet.from_dict((2, 2), 1, {(0, None): value})
+        logs = {(0,): np.array([value, 0.0]), (1,): np.zeros(2)}
+        nonempty = {(0,): np.array([True, False]), (1,): np.zeros(2, dtype=bool)}
+        with pytest.raises(NonFiniteValueError, match=r"family \(0,\) subtensor \(0,\) is not finite"):
+            ScaleSet((2, 2), 1, logs, nonempty)
+        # an empty subtensor's log is not read: it is stored as 0
+        nonempty[(0,)][0] = False
+        assert ScaleSet((2, 2), 1, logs, nonempty).log[(0,)].tolist() == [0.0, 0.0]
 
     def test_wrong_family_key(self):
+        logs = {(0,): np.zeros(2)}  # that is a k=2 family of a 3-D shape
         with pytest.raises(InvalidKError):
-            ScaleSet.from_dict((2, 2, 2), 1, {(0, None, None): 2.0})  # that is a k=2 key
+            ScaleSet((2, 2, 2), 1, logs, {(0,): np.ones(2, dtype=bool)})
+
+    @pytest.mark.parametrize("part", ["log", "nonempty"])
+    @pytest.mark.parametrize("size", [None, 1, 3, (2, 1)])
+    def test_every_family_array_has_the_family_size(self, part, size):
+        logs = {(0,): np.zeros(2), (1,): np.zeros(2)}
+        nonempty = {(0,): np.ones(2, dtype=bool), (1,): np.ones(2, dtype=bool)}
+        arrays = logs if part == "log" else nonempty
+        if size is None:
+            del arrays[(1,)]
+        else:
+            arrays[(1,)] = np.ones(size, dtype=arrays[(1,)].dtype)
+        with pytest.raises(ShapeMismatchError, match=r"family \(1,\)"):
+            ScaleSet((2, 2), 1, logs, nonempty)
+
+    def test_state_is_read_only(self):
+        scales = scale_set((2, 3), 1, {(0,): [2.0, 3.0]})
+        assert scales.families == ((0,), (1,))
+        for part in (scales.log, scales.nonempty):
+            for array in part.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        assert repr(scales) == "ScaleSet(shape=(2, 3), k=1, n_scales=2)"
 
 
 class TestMembershipCounting:
@@ -259,7 +245,7 @@ class TestMembershipCounting:
         }
         t = make_tensor(shape, entries)
         for k in (1, 2):
-            total = sum(int(c.sum()) for _, c in subtensor_products(t, k).values())
+            total = sum(int(c.sum()) for c in BalanceState(t, k).counts.values())
             assert total == math.comb(3, 3 - k) * t.n_observed
 
 
@@ -310,7 +296,7 @@ class TestLogSums:
             assert scales.log_sum_fiber(prefix).tolist() == scales.log_sum_at(cells).tolist()
 
     def test_fiber_prefix_is_checked(self):
-        scales = ScaleSet.from_dict((2, 3, 4), 1, {})
+        scales = scale_set((2, 3, 4), 1, {})
         for bad in [(0,), (0, 3), (-1, 0), (0, 0, 0)]:
             with pytest.raises(IndexOutOfBoundsError):
                 scales.log_sum_fiber(bad)
