@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="tensor file: 'shape d1,d2,...' header then i1,...,value lines")
     p.add_argument("--k", type=int, default=None, help="subtensor dimensionality (default D-1)")
     p.add_argument("--out", default=None, help="write all completed cells in the same format")
-    p.add_argument("--model-out", default=None, help="write the trained model JSON")
+    p.add_argument("--model-out", default=None, help="write the trained model file")
     _add_common(p)
     p.set_defaults(fn=cmd_complete)
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-n products for a user")
-    p.add_argument("--model", default=None, help="model JSON from 'complete --model-out'")
+    p.add_argument("--model", default=None, help="model file from 'complete --model-out'")
     p.add_argument("--dataset", choices=DATASET_KINDS, default="tensor")
     p.add_argument("--ratings", default=None)
     p.add_argument("--users", default=None)

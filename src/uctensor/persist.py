@@ -1,45 +1,53 @@
-"""Model persistence: one JSON document holding everything a serving query
-needs (shape, k, per-subtensor log scales, the observed entries for
-verbatim passthrough/exclusion, shift, vocabularies, config echo).  The
-balanced tensor is derived from the entries and the scales, so it is not
-stored."""
+"""Model persistence.
+
+A model file holds only what cannot be derived from the rest: the
+observed entries (their row-major flat keys and their values), one
+array of log scales per family, the raw-id vocabularies, and a small
+JSON header (format, version, shape, k, shift, native range, the
+solve's diagnostics, the config echo).  Everything else is derived on
+load: the entries' (N, D) indices from the flat keys, the non-empty
+flags from the entries (a subtensor is non-empty iff an entry lies in
+it), and the balanced tensor from the entries and the scales.
+
+``save_model`` writes format version 3: an uncompressed numpy ``.npz``
+archive, under whatever file name the caller gives.  ``load_model``
+tells the formats apart by their first bytes, not by the file name: a
+zip archive (``PK\\x03\\x04``) is read as version 3 with
+``allow_pickle=False``, and anything else as a JSON document of version
+1 or 2, the formats written before.  Either way the model is rebuilt
+through the validating ``SparseTensor`` and ``ScaleSet`` constructors.
+"""
 
 from __future__ import annotations
 
 import json
+import math
+import zipfile
 
 import numpy as np
 
 from .balance import LatentModel
 from .complete import CompletedTensor
 from .exceptions import ParseError, UctensorError
-from .tensor import ScaleSet, SparseTensor
+from .tensor import ScaleSet, SparseTensor, family_sub_ids, subtensor_families
 
 FORMAT = "uctensor-model"
-VERSION = 2
-# longest list encoded in one json.dumps call by _write_json
-JSON_SLICE = 1024
+VERSION = 3
+JSON_VERSIONS = (1, 2)
+ZIP_MAGIC = b"PK\x03\x04"
+VOCABULARIES = ("users", "products")
 
 
-def _write_json(fh, value) -> None:
-    """Write the text of ``json.dumps(value)`` to fh, long lists a slice at a
-    time.  ``json.dumps`` encodes in C, several times faster than the
-    streaming ``json.dump``, but it keeps up to 100,000 fragment strings
-    before joining them (CPython 3.11), megabytes for a large model; a
-    slice's fragments are a few hundred kilobytes."""
-    if isinstance(value, dict):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, list) and len(value) > JSON_SLICE:
-        fh.write("[")
-        for lo in range(0, len(value), JSON_SLICE):
-            fh.write((", " if lo else "") + json.dumps(value[lo : lo + JSON_SLICE])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value))
+def _raw_ids(name: str, vocab: dict) -> np.ndarray:
+    """The raw ids of a vocabulary as an int64 or unicode array whose
+    ``tolist()`` gives back the same keys."""
+    keys = list(vocab)
+    raw = np.asarray(keys) if keys else np.empty(0, dtype=np.int64)
+    if raw.ndim != 1 or raw.dtype.kind not in "iU" or raw.tolist() != keys:
+        raise UctensorError(
+            f"{name} raw ids must be all int (within int64) or all str, got {raw.dtype} values"
+        )
+    return raw
 
 
 def save_model(
@@ -52,8 +60,7 @@ def save_model(
     products: dict | None = None,
     config: dict | None = None,
 ) -> None:
-    scales = model.scales
-    doc = {
+    header = {
         "format": FORMAT,
         "version": VERSION,
         "shape": list(model.shape),
@@ -62,65 +69,137 @@ def save_model(
         "native_range": list(native_range) if native_range is not None else None,
         "sweeps_run": model.sweeps_run,
         "final_residual": model.final_residual,
-        "scales": [
-            {
-                "fixed_dims": list(fixed),
-                "log_scale": scales.log[fixed].tolist(),
-                "nonempty": scales.nonempty[fixed].astype(int).tolist(),
-            }
-            for fixed in scales.families
-        ],
-        "entries": {
-            "indices": model.source.indices.tolist(),
-            "values": model.source.values.tolist(),
-        },
-        "users": [[raw, idx] for raw, idx in users.items()] if users is not None else None,
-        "products": [[raw, idx] for raw, idx in products.items()] if products is not None else None,
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc)
+    members = {
+        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        "keys": model.source._flat,
+        "values": model.source.values,
+    }
+    for i, fixed in enumerate(model.scales.families):
+        members[f"log_{i}"] = model.scales.log[fixed]
+    for name, vocab in zip(VOCABULARIES, (users, products)):
+        if vocab is not None:
+            members[f"{name}_raw"] = _raw_ids(name, vocab)
+            members[f"{name}_index"] = np.asarray(list(vocab.values()), dtype=np.int64)
+    # through a handle, so that numpy keeps the caller's file name
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _check_header(doc, versions) -> None:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise ParseError(f"not a {FORMAT} document")
+    if doc.get("version") not in versions:
+        raise ParseError(f"unsupported model version {doc.get('version')}")
+
+
+def _member(z, name: str, kinds: str) -> np.ndarray:
+    """A 1-D member of the archive whose dtype kind is one of ``kinds``."""
+    a = z[name]
+    if a.ndim != 1 or a.dtype.kind not in kinds:
+        raise ParseError(f"member {name!r} is a {a.dtype} array of shape {a.shape}")
+    return a
+
+
+def _read_npz(fh):
+    """Version 3: (metadata, source tensor, log arrays by family, None)."""
+    with np.load(fh, allow_pickle=False) as z:
+        if "header" not in z.files:
+            raise ParseError(f"not a {FORMAT} file: no header member")
+        doc = json.loads(_member(z, "header", "u").tobytes())
+        _check_header(doc, (VERSION,))
+        shape = tuple(doc["shape"])
+        keys = _member(z, "keys", "i")
+        if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+            raise ParseError("flat keys are not strictly increasing")
+        if len(keys) and (keys[0] < 0 or keys[-1] >= math.prod(shape)):
+            raise ParseError(f"flat keys out of range for shape {shape}")
+        indices = np.stack(np.unravel_index(keys, shape), axis=1)
+        source = SparseTensor(shape, indices, _member(z, "values", "f"))
+        families = subtensor_families(len(shape), doc["k"])
+        logs = {f: _member(z, f"log_{i}", "f") for i, f in enumerate(families)}
+        for name in VOCABULARIES:
+            doc[name] = None
+            if f"{name}_raw" in z.files or f"{name}_index" in z.files:
+                raw = _member(z, f"{name}_raw", "iU")
+                index = _member(z, f"{name}_index", "i")
+                if len(raw) != len(index):
+                    raise ParseError(f"{name} has {len(raw)} raw ids but {len(index)} indices")
+                doc[name] = dict(zip(raw.tolist(), index.tolist()))
+    return doc, source, logs, None
+
+
+def _read_json(fh):
+    """Versions 1 and 2: (metadata, source tensor, log arrays by family,
+    the stored non-empty flags by family)."""
+    try:
+        doc = json.loads(fh.read())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"not JSON: {exc}") from None
+    _check_header(doc, JSON_VERSIONS)
+    # version 1 also stored entries.balanced_values; being derived, it is not read
+    entries = doc.pop("entries")
+    source = SparseTensor(doc["shape"], entries["indices"], entries["values"])
+    logs, flags = {}, {}
+    for block in doc.pop("scales"):
+        fixed = tuple(block["fixed_dims"])
+        logs[fixed] = np.asarray(block["log_scale"], dtype=np.float64)
+        flags[fixed] = np.asarray(block["nonempty"], dtype=bool)
+    for name in VOCABULARIES:
+        doc[name] = dict((raw, idx) for raw, idx in doc[name]) if doc.get(name) else None
+    return doc, source, logs, flags
+
+
+def _scale_set(source: SparseTensor, k, logs: dict, flags: dict | None) -> ScaleSet:
+    """The ScaleSet of the log arrays, whose non-empty flags are derived
+    from the entries: a subtensor is non-empty iff an entry lies in it.
+    Stored ``flags`` (versions 1 and 2) must agree with them."""
+    derived = {}
+    for fixed in subtensor_families(source.ndim, k):
+        ids, size = family_sub_ids(source, fixed)
+        derived[fixed] = np.bincount(ids, minlength=size) > 0
+    scales = ScaleSet(source.shape, k, logs, derived if flags is None else flags)
+    for fixed in scales.families:
+        wrong = scales.nonempty[fixed] != derived[fixed]
+        if wrong.any():
+            sub = int(np.argmax(wrong))
+            at = tuple(int(c) for c in np.unravel_index(sub, [source.shape[d] for d in fixed]))
+            held = "holds entries" if derived[fixed][sub] else "holds none"
+            raise ParseError(
+                f"non-empty flag of family {fixed} subtensor {at} disagrees with the entries: "
+                f"it {held}"
+            )
+    return scales
 
 
 def load_model(path):
     """Rebuild the completion query interface plus metadata:
-    returns (CompletedTensor, doc-dict).
+    returns (CompletedTensor, doc-dict).  The doc holds the header's
+    fields (format, version, shape, k, shift, native_range, sweeps_run,
+    final_residual, config) and ``users``/``products`` as raw id ->
+    dense index dicts, or None.
 
-    Errors name the path: ParseError for a file that is not a model
-    document of a known version, and the error of the part it breaks
-    (ShapeMismatchError for a scale block of the wrong size, ...) for a
-    malformed one."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ParseError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ParseError(f"{path} is not a {FORMAT} document")
-    # version 1 also stored entries.balanced_values; being derived, it is not read
-    if doc.get("version") not in (1, VERSION):
-        raise ParseError(f"{path}: unsupported model version {doc.get('version')}")
-    try:
-        shape = tuple(doc["shape"])
-        source = SparseTensor(shape, doc["entries"]["indices"], doc["entries"]["values"])
-        logs = {}
-        nonempty = {}
-        for block in doc["scales"]:
-            fixed = tuple(block["fixed_dims"])
-            logs[fixed] = np.asarray(block["log_scale"], dtype=np.float64)
-            nonempty[fixed] = np.asarray(block["nonempty"], dtype=bool)
-        model = LatentModel(
-            source=source,
-            scales=ScaleSet(shape, doc["k"], logs, nonempty),
-            sweeps_run=doc["sweeps_run"],
-            final_residual=doc["final_residual"],
-        )
-    except UctensorError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed {FORMAT} document: {exc!r}") from None
-    doc["users"] = dict((raw, idx) for raw, idx in doc["users"]) if doc.get("users") else None
-    doc["products"] = (
-        dict((raw, idx) for raw, idx in doc["products"]) if doc.get("products") else None
-    )
+    Errors name the path: ParseError for a file that is not a model of a
+    known version or is malformed as a file (truncated, a member
+    missing or of the wrong type, non-empty flags that disagree with
+    the entries, ...), and the error of the part it breaks
+    (ShapeMismatchError for a scale array of the wrong size,
+    NonFiniteValueError for a nan value, ...) otherwise."""
+    with open(path, "rb") as fh:
+        binary = fh.read(len(ZIP_MAGIC)) == ZIP_MAGIC
+        fh.seek(0)
+        try:
+            doc, source, logs, flags = (_read_npz if binary else _read_json)(fh)
+            scales = _scale_set(source, doc["k"], logs, flags)
+            model = LatentModel(
+                source=source,
+                scales=scales,
+                sweeps_run=doc["sweeps_run"],
+                final_residual=doc["final_residual"],
+            )
+        except UctensorError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: malformed {FORMAT} file: {exc!r}") from None
     return CompletedTensor(model), doc

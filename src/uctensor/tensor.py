@@ -159,7 +159,9 @@ class SparseTensor:
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Same observed pattern, new values (one per entry, in entry
         order; finite and strictly positive).  The pattern is shared, not
-        validated again."""
+        validated again; the values are copied, so a caller's later writes
+        do not reach the tensor."""
+        values = np.array(values, dtype=np.float64)
         return SparseTensor(self.shape, self.indices, values, _flat=self._flat)
 
     def to_dense(self, fill: float = 0.0) -> np.ndarray:

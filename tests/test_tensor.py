@@ -86,6 +86,12 @@ class TestConstruction:
         values[0] = 5.0
         assert t.value_at((0, 0)) == 2.0 and not t.is_observed((1, 1))
 
+    def test_with_values_copies_the_values(self, three_entry_2x2):
+        values = np.array([3.0, 5.0, 7.0])
+        again = three_entry_2x2.with_values(values)
+        values[0] = -5.0
+        assert again.value_at((0, 0)) == 3.0
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             make_tensor((0, 2), {})
