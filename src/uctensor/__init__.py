@@ -53,6 +53,7 @@ from .exceptions import (
     IndexOutOfBoundsError,
     InvalidGammaError,
     InvalidKError,
+    KeyOrderError,
     MissingFeatureFileError,
     NonFiniteValueError,
     NonPositiveValueError,

@@ -15,12 +15,14 @@ cannot hold zeros or negatives); MovieLens needs no shift, Jester gets
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (
+    KeyOrderError,
     MissingFeatureFileError,
     ParseError,
     TooFewRecordsError,
@@ -77,10 +79,16 @@ class _RecordsView(Sequence):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatingsDataset:
     """Rating records (columnar), vocabularies, optional user features, and
-    the positivity shift."""
+    the positivity shift.
+
+    Records stay in file order.  ``key_order`` lists the record positions
+    by strictly increasing (user, product) key, the row-major order of a
+    users x products tensor; it is checked once, here, and every fold's
+    training tensor is a subsequence of it.  The key order and the two
+    dense index columns are read-only."""
 
     name: str
     users: dict  # raw user id -> dense index
@@ -93,9 +101,43 @@ class RatingsDataset:
     timestamps: np.ndarray | None  # per-record timestamp, 0 where absent
     shift: float
     native_range: tuple
+    key_order: np.ndarray  # record positions by ascending (user, product) key
     features: dict | None = None  # raw user id -> UserFeatures
     duplicates_dropped: int = 0
     has_timestamp: np.ndarray | None = None  # per record: a timestamp was given
+
+    def __post_init__(self):
+        n = len(self.rating_values)
+        for name in ("key_order", "user_index", "product_index"):
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            if column.shape != (n,):
+                raise KeyOrderError(f"{name} has shape {column.shape}, expected ({n},)")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if n == 0:
+            return
+        order, u, p = self.key_order, self.user_index, self.product_index
+        for name, column, size in (
+            ("key_order position", order, n),
+            ("dense user index", u, self.n_users),
+            ("dense product index", p, self.n_products),
+        ):
+            if column.min() < 0 or column.max() >= size:
+                raise KeyOrderError(f"a {name} lies outside [0, {size})")
+        keys = u[order]
+        keys *= self.n_products
+        keys += p[order]
+        # strictly increasing keys also make the in-range positions distinct,
+        # so the order is a permutation of the records
+        step = keys[1:] > keys[:-1]
+        if not step.all():
+            i = int(np.argmin(step))
+            a, b = int(order[i]), int(order[i + 1])
+            what = "share" if keys[i] == keys[i + 1] else "are out of order in"
+            raise KeyOrderError(
+                f"records {a} and {b} {what} the key order: (user, product) "
+                f"{(int(u[a]), int(p[a]))} then {(int(u[b]), int(p[b]))}"
+            )
 
     @property
     def records(self) -> Sequence:
@@ -119,22 +161,44 @@ class RatingsDataset:
 
 def _dense_vocab(raw_ids: np.ndarray) -> tuple[dict, np.ndarray]:
     """First-encounter-order vocabulary and the per-record dense indices."""
-    uniq, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    uniq, inverse = np.unique(raw_ids, return_inverse=True)
+    first = np.full(len(uniq), len(raw_ids), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(raw_ids)))
+    order = np.argsort(first)  # first positions are distinct: no ties to keep stable
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     return dict(zip(uniq[order].tolist(), range(len(order)))), rank[inverse]
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of each key's first occurrence, in file order, and the
+    key order of those kept records (their ranks among the kept, by
+    ascending key).  One stable sort gives both: the first record of each
+    run of equal keys is the first occurrence."""
+    # temporaries are dropped as soon as they are spent: this runs at the
+    # peak of a load's memory
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    del sorted_keys
+    kept = order[first]  # in key order
+    del order, first
+    is_kept = np.zeros(len(keys), dtype=bool)
+    is_kept[kept] = True
+    keep = np.flatnonzero(is_kept)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[keep] = np.arange(len(keep))
+    return keep, rank[kept]
+
+
 def _finalize(name, raw_u, raw_p, ratings, timestamps, has_timestamp, shift, native_range, features):
     users, u_dense = _dense_vocab(raw_u)
     products, p_dense = _dense_vocab(raw_p)
-    # first occurrence of each (user, product) pair, in file order.  Dense
-    # keys stay below n_users * n_products whatever the raw ids are, and a
-    # user's (or product's) first record is always kept, so dropping
-    # duplicates leaves both vocabularies unchanged.
-    _, keep = np.unique(u_dense * len(products) + p_dense, return_index=True)
-    keep.sort()
+    # dense keys stay below n_users * n_products whatever the raw ids are,
+    # and a user's (or product's) first record is always kept, so dropping
+    # duplicates leaves both vocabularies unchanged
+    keep, key_order = _first_occurrences(u_dense * len(products) + p_dense)
     return RatingsDataset(
         name=name,
         users=users,
@@ -148,6 +212,7 @@ def _finalize(name, raw_u, raw_p, ratings, timestamps, has_timestamp, shift, nat
         has_timestamp=has_timestamp[keep],
         shift=float(shift),
         native_range=native_range,
+        key_order=key_order,
         features=features,
         duplicates_dropped=len(raw_u) - len(keep),
     )
@@ -187,26 +252,40 @@ def _load_movielens_users(path) -> dict:
     return features
 
 
+_FIRST_LINE = re.compile(r"[^\n]+")
+
+
 def _parse_movielens_bulk(text: str):
     """Columns of a well-formed rating file in one ``np.loadtxt`` call, or
     None when the text needs the line-by-line parser: a blank line holding
     whitespace, mixed 3- and 4-field lines, a lone ``:``, a token numpy
     reads differently from ``int``/``float``, or any malformed line.  Every
-    input accepted here parses to the same values line by line."""
-    if text.count(":") != 2 * text.count("::") or not text.strip():
+    input accepted here parses to the same values line by line.
+
+    ``loadtxt`` splits on single colons and reads every other column, so
+    no line may hold a lone colon, and every parsed line must hold exactly
+    ``n_fields - 1`` separators: ``usecols`` alone would drop a surplus
+    field without a word.  Neither check copies the text."""
+    separators = text.count("::")
+    if text.count(":") != 2 * separators or not text or text.isspace():
         return None
-    n_fields = text.lstrip("\n").split("\n", 1)[0].count("::") + 1
+    n_fields = _FIRST_LINE.search(text).group().count("::") + 1
     if n_fields not in (3, 4):
         return None
     try:
         cols = np.loadtxt(
-            io.StringIO(text.replace("::", ":")),
+            # bytes, not a StringIO: that would hold a 4-byte-per-character copy
+            io.BytesIO(text.encode("latin-1")),
             dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64), ("t", np.int64)][:n_fields],
             delimiter=":",
+            usecols=(0, 2, 4, 6)[:n_fields],
             comments=None,
             ndmin=1,
+            encoding="latin-1",
         )
     except ValueError:
+        return None
+    if separators != (n_fields - 1) * len(cols):
         return None
     stamps = cols["t"] if n_fields == 4 else np.zeros(len(cols), dtype=np.int64)
     return cols["u"], cols["p"], cols["r"], stamps, np.full(len(cols), n_fields == 4)
@@ -264,6 +343,7 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
         raise ValueError(f"fmt must be '1m' or '10m', got {fmt!r}")
     lo = 1.0 if fmt == "1m" else 0.5
 
+    # text mode: universal newlines turn \r\n and \r into \n
     with open(ratings_path, encoding="latin-1") as fh:
         text = fh.read()
     cols = _parse_movielens_bulk(text)
@@ -271,6 +351,7 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     # error message with its line number
     if cols is None or not np.all((cols[2] >= lo) & (cols[2] <= 5.0)):
         cols = _parse_movielens_lines(text, ratings_path, lo)
+    del text  # not needed past the parse
     raw_u, raw_p, ratings, stamps, has_stamp = cols
 
     features = _load_movielens_users(users_path) if users_path else None
@@ -358,6 +439,7 @@ def load_jester(path, delimiter: str = ",") -> RatingsDataset:
         timestamps=None,
         shift=shift,
         native_range=(-10.0, 10.0),
+        key_order=np.arange(len(raw_u)),  # rows, then columns: already row-major
     )
 
 
@@ -452,15 +534,33 @@ def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
 def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int):
     """Train tensor (users x products, shifted values) from all records
     outside ``test_fold``, plus the held-out records as arrays: an (M, 2)
-    array of (user, product) indices and their M shifted truths.
+    array of (user, product) indices and their M shifted truths, in file
+    order.
+
+    The training records are taken as a subsequence of the dataset's
+    validated key order, so the tensor needs no sort and no pattern check;
+    only its values are checked.
 
     Returns ``(tensor, pairs, truth)``."""
-    test = fold_plan.test_mask(test_fold)
-    train = ~test
-    shape = (dataset.n_users, dataset.n_products)
+    assignment = fold_plan.assignment
+    if len(assignment) != len(dataset.rating_values):
+        raise ValueError(
+            f"fold plan assigns {len(assignment)} records, the dataset has "
+            f"{len(dataset.rating_values)}"
+        )
+    n_products = dataset.n_products
     values = dataset.shifted_values
-    indices = np.stack([dataset.user_index[train], dataset.product_index[train]], axis=1)
-    tensor = SparseTensor(shape, indices, values[train])
+    order = dataset.key_order
+    train = order[assignment[order] != test_fold]
+    u = dataset.user_index[train]
+    p = dataset.product_index[train]
+    tensor = SparseTensor(
+        (dataset.n_users, n_products),
+        np.stack([u, p], axis=1),
+        values[train],
+        _flat=u * n_products + p,
+    )
+    test = np.flatnonzero(assignment == test_fold)
     pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
     return tensor, pairs, values[test]
 

@@ -259,26 +259,31 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
     results = []
     for fold in range(fold_plan.n_folds):
-        test = fold_plan.test_mask(fold)
-        train = ~test
+        # record positions in file order, so every sum below adds the same
+        # numbers in the same order as a boolean-mask gather would
+        in_test = fold_plan.test_mask(fold)
+        test = np.flatnonzero(in_test)
+        train = np.flatnonzero(~in_test)
         t0 = time.perf_counter()
         r_train = dataset.rating_values[train]
         global_mean = float(r_train.mean())
         if kind == "global_mean":
-            preds = np.full(int(test.sum()), global_mean)
+            preds = np.full(len(test), global_mean)
             cold = 0
         else:
             axis = dataset.product_index if kind == "item_mean" else dataset.user_index
             size = dataset.n_products if kind == "item_mean" else dataset.n_users
-            sums = np.bincount(axis[train], weights=r_train, minlength=size)
-            counts = np.bincount(axis[train], minlength=size)
+            axis_train = axis[train]
+            axis_test = axis[test]
+            sums = np.bincount(axis_train, weights=r_train, minlength=size)
+            counts = np.bincount(axis_train, minlength=size)
             means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-            preds = means[axis[test]]
-            cold = int((counts[axis[test]] == 0).sum())
+            preds = means[axis_test]
+            cold = int((counts[axis_test] == 0).sum())
         wall = time.perf_counter() - t0
         truth = dataset.rating_values[test]
         r, m, rc, mc = _metrics(preds, truth, dataset, clamp_primary=False)
-        results.append(FoldResult(fold, r, m, rc, mc, 0, wall, cold, True, int(test.sum())))
+        results.append(FoldResult(fold, r, m, rc, mc, 0, wall, cold, True, len(test)))
     echo = {"kind": kind, "n_folds": fold_plan.n_folds, "seed": fold_plan.seed}
     return EvalReport.from_folds(dataset.name, f"baseline:{kind}", None, results, echo)
 

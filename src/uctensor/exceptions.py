@@ -46,6 +46,11 @@ class EmptyInputError(UctensorError, ValueError):
     """A metric was asked for on an empty pair list."""
 
 
+class KeyOrderError(UctensorError, ValueError):
+    """A dataset's key order does not list each of its records once by
+    strictly increasing, in-range (user, product) key."""
+
+
 class ParseError(UctensorError, ValueError):
     """A data file could not be parsed; message carries file and line number."""
 

@@ -150,6 +150,7 @@ def synthetic_dataset(
         timestamps=None,
         shift=0.0,
         native_range=(1.0, 5.0),
+        key_order=np.arange(len(uu)),  # np.nonzero is row-major
     )
 
 

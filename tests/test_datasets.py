@@ -1,14 +1,17 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
+    KeyOrderError,
     MissingFeatureFileError,
     ParseError,
+    SparseTensor,
     TooFewRecordsError,
     UnknownCategoryError,
     build_tensor_2d,
@@ -20,7 +23,14 @@ from uctensor import (
     save_tensor_text,
     split_kfold,
 )
-from uctensor.datasets import RatingRecord, UserFeatures, age_group
+from uctensor.datasets import (
+    RatingRecord,
+    UserFeatures,
+    _dense_vocab,
+    _parse_movielens_bulk,
+    age_group,
+)
+from uctensor.properties import synthetic_dataset
 
 from conftest import write_movielens_fixture
 
@@ -205,6 +215,9 @@ class TestMovieLensParser:
             ("1::10::5::1\n1::10::2::2\n2::10::3::3\n2::11::1::4\n1::10::4::5\n", "1m"),
             ("\n\n3::7::2::-1\n", "1m"),  # explicit negative timestamp
             ("1::10::5::1\n   \n2::11::4::2\n", "1m"),  # whitespace-only line
+            ("1::10::5\n2::11::4::2\n", "1m"),  # a 3-field file with a 4-field line
+            ("1::10::5::1\r\n2::11::4::2\r\n", "1m"),  # CRLF
+            ("1::10::5::1\r2::11::4::2\r", "1m"),  # CR alone
         ],
     )
     def test_matches_reference(self, tmp_path, text, fmt):
@@ -231,6 +244,12 @@ class TestMovieLensParser:
             ("1::10::5::1\n\n\n1::11::7::2\n", 4),  # out of range after blank lines
             ("1::10::5::1\n# comment\n", 2),  # no comment syntax
             ("1::10::5::1\r\n2::11::x::2\r\n", 2),  # CRLF line counting
+            # loadtxt splits on single colons and reads every other column:
+            # lone colons must not pass for separators, not even when the
+            # line's "::" count is that of a good line
+            ("1:x:2:y:3:z:4\n", 1),
+            ("1::10::5::1\n1:x:2:y:3:z:4\n", 2),
+            ("1::10::5::1\n1:x:2:y:3:z:4::a::b::c\n", 2),
         ],
     )
     def test_malformed_line_is_named(self, tmp_path, text, line):
@@ -239,6 +258,21 @@ class TestMovieLensParser:
         with pytest.raises(ParseError, match=f"bad.dat:{line}: "):
             load_movielens(path)
         assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize(
+        "text,bulk",
+        [
+            ("1::10::5::1\n2::11::4::2\n", True),
+            ("\n1::10::5\n2::11::4\n", True),
+            ("1::10::5::1\n2::11::4::2::9\n", False),  # surplus field
+            ("1::10::5\n2::11::4::2\n", False),  # surplus field, 3-field file
+            ("1:x:2:y:3:z:4\n", False),  # lone colons
+            ("1::10::5::1\n1:x:2:y:3:z:4::a::b::c\n", False),  # lone colons, 3 separators
+            ("1::10::5::1\n2::11::4\n", False),  # missing field
+        ],
+    )
+    def test_bulk_parser_takes_only_well_formed_text(self, text, bulk):
+        assert (_parse_movielens_bulk(text) is not None) == bulk
 
     def test_no_rating_lines(self, tmp_path):
         path = tmp_path / "empty.dat"
@@ -445,6 +479,123 @@ class TestTensorConstruction:
         plan = split_kfold(ds, 5, seed=0)
         with pytest.raises(MissingFeatureFileError):
             build_tensor_3d(ds, ("age",), plan, 0)
+
+
+@st.composite
+def datasets_of_every_origin(draw):
+    """Small datasets from each constructor of a RatingsDataset: MovieLens
+    text with duplicate pairs and raw ids in any order, Jester grids with
+    unrated cells and empty rows, and ``synthetic_dataset``."""
+    origin = draw(st.sampled_from(["movielens", "jester", "synthetic"]))
+    if origin == "synthetic":
+        return synthetic_dataset(
+            draw(st.integers(0, 2**16)),
+            n_users=draw(st.integers(2, 12)),
+            n_products=draw(st.integers(2, 12)),
+            density=draw(st.floats(0.05, 1.0)),
+        )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "data"
+        if origin == "movielens":
+            record = st.tuples(st.integers(-3, 8), st.sampled_from([7, 2**40, -5, 0, 11]),
+                               st.integers(1, 5))
+            lines = [f"{u}::{p}::{r}::0" for u, p, r in draw(st.lists(record, min_size=1, max_size=40))]
+            path.write_text("\n".join(lines) + "\n")
+            return load_movielens(path)
+        n_cols = draw(st.integers(1, 6))
+        cell = st.sampled_from(["99", "-10", "0", "3.5", "10"])
+        rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=1, max_size=8))
+        assume(any(c != "99" for row in rows for c in row))
+        path.write_text("".join(",".join(["0", *row]) + "\n" for row in rows))
+        return load_jester(path)
+
+
+class TestKeyOrder:
+    """Every dataset lists its records by (user, product) key once, and
+    each fold's training tensor is a subsequence of that order."""
+
+    @given(datasets_of_every_origin(), st.integers(2, 5), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_fold_tensors_match_a_full_validation(self, ds, n_folds, seed):
+        n = len(ds.rating_values)
+        assume(n >= n_folds)
+        keys = ds.user_index * ds.n_products + ds.product_index
+        assert (np.diff(keys[ds.key_order]) > 0).all()
+        assert sorted(ds.key_order.tolist()) == list(range(n))
+        shape = (ds.n_users, ds.n_products)
+        plan = split_kfold(ds, n_folds, seed)
+        for fold in range(n_folds):
+            train = plan.assignment != fold
+            tensor, pairs, truth = build_tensor_2d(ds, plan, fold)
+            checked = SparseTensor(
+                shape,
+                np.stack([ds.user_index[train], ds.product_index[train]], axis=1),
+                ds.shifted_values[train],
+            )
+            assert tensor.shape == checked.shape
+            for name in ("indices", "values", "_flat"):
+                got, expected = getattr(tensor, name), getattr(checked, name)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+            # held out in file order
+            test = ~train
+            assert np.array_equal(pairs, np.stack([ds.user_index[test], ds.product_index[test]], axis=1))
+            assert np.array_equal(truth, ds.shifted_values[test])
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda o: o[::-1], "are out of order in the key order"),
+            (lambda o: np.r_[o[:1], o[:-1]], "share the key order"),
+            (lambda o: np.r_[o[:-1], len(o)], r"key_order position lies outside \[0, "),
+            (lambda o: o[:-1], r"key_order has shape"),
+        ],
+    )
+    def test_a_wrong_key_order_is_refused(self, change, message):
+        ds = synthetic_dataset(0, n_users=5, n_products=4)
+        with pytest.raises(KeyOrderError, match=message):
+            dataclasses.replace(ds, key_order=change(ds.key_order))
+
+    def test_dense_indices_must_be_in_range(self):
+        ds = synthetic_dataset(0, n_users=5, n_products=4)
+        bad = ds.product_index.copy()
+        bad[0] = 4
+        with pytest.raises(KeyOrderError, match=r"dense product index lies outside \[0, 4\)"):
+            dataclasses.replace(ds, product_index=bad)
+
+    def test_the_validated_columns_cannot_change(self):
+        ds = synthetic_dataset(0)
+        for column in (ds.key_order, ds.user_index, ds.product_index):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.key_order = ds.key_order[::-1]
+
+    def test_a_fold_plan_of_another_dataset_is_refused(self):
+        ds = synthetic_dataset(0)
+        plan = split_kfold(synthetic_dataset(1, n_users=7), 3, 0)
+        with pytest.raises(ValueError, match="fold plan assigns"):
+            build_tensor_2d(ds, plan, 0)
+
+
+def first_encounter_vocab(raw_ids):
+    """``_dense_vocab`` as first written: a stable sort for first positions."""
+    uniq, first, inverse = np.unique(raw_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return dict(zip(uniq[order].tolist(), range(len(order)))), rank[inverse]
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1, 2**40])),
+                min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_dense_vocab_matches_the_stable_sort_version(ids):
+    raw = np.array(ids, dtype=np.int64)
+    vocab, dense = _dense_vocab(raw)
+    expected_vocab, expected_dense = first_encounter_vocab(raw)
+    assert list(vocab.items()) == list(expected_vocab.items())
+    assert dense.dtype == expected_dense.dtype and np.array_equal(dense, expected_dense)
 
 
 class TestTensorText:

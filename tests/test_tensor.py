@@ -69,6 +69,37 @@ class TestConstruction:
         with pytest.raises(IndexOutOfBoundsError):
             make_tensor((2,), {(3,): 1.0})
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_out_of_bounds_names_the_dimension(self, shape):
+        cells = np.array(list(itertools.product(*map(range, shape))))
+        for d, size in enumerate(shape):
+            for bad in (-1, size):
+                indices = cells.copy()
+                indices[len(indices) // 2, d] = bad
+                with pytest.raises(IndexOutOfBoundsError, match=f"in dimension {d} for shape"):
+                    SparseTensor(shape, indices, np.ones(len(indices)))
+                if d > 0:
+                    # an earlier row's fault in a later dimension does not
+                    # hide this one: the first faulty dimension is named
+                    indices[0, -1] = shape[-1]
+                    with pytest.raises(IndexOutOfBoundsError, match=f"in dimension {d} for"):
+                        SparseTensor(shape, indices, np.ones(len(indices)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_out_of_bounds_dimension_matches_a_whole_array_check(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="shape"))
+        rows = data.draw(
+            st.lists(st.tuples(*(st.integers(-2, s + 1) for s in shape)), min_size=1, max_size=8)
+        )
+        indices = np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+        bad = (indices < 0) | (indices >= np.array(shape))
+        if not bad.any():
+            return
+        first = int(np.argmax(bad.any(axis=0)))
+        with pytest.raises(IndexOutOfBoundsError, match=f"in dimension {first} for shape"):
+            SparseTensor(shape, indices, np.ones(len(indices)))
+
     def test_duplicate_index(self):
         with pytest.raises(DuplicateIndexError):
             make_tensor((2, 2), [((0, 0), 1.0), ((0, 0), 2.0)])
