@@ -17,7 +17,13 @@ import numpy as np
 
 from . import properties
 from .balance import SolverConfig, balance
-from .datasets import load_jester, load_movielens, load_tensor_text, save_tensor_text
+from .datasets import (
+    load_jester,
+    load_movielens,
+    load_tensor_text,
+    records_tensor,
+    save_tensor_text,
+)
 from .evaluate import (
     BASELINE_KINDS,
     ExperimentConfig,
@@ -156,13 +162,7 @@ def cmd_recommend(args) -> int:
         completed = CompletedTensor(balance(tensor, 1, _solver_config(args)))
     else:
         dataset = _load_dataset(args)
-        from .tensor import SparseTensor
-
-        indices = np.stack([dataset.user_index, dataset.product_index], axis=1)
-        tensor = SparseTensor(
-            (dataset.n_users, dataset.n_products), indices, dataset.shifted_values
-        )
-        completed = CompletedTensor(balance(tensor, 1, _solver_config(args)))
+        completed = CompletedTensor(balance(records_tensor(dataset), 1, _solver_config(args)))
         shift = dataset.shift
         users = dataset.users
         products = {v: k for k, v in dataset.products.items()}

@@ -57,6 +57,7 @@ class CompletedTensor:
         self.model = model
         self.source = model.source
         self.scales = model.scales
+        self._product_order = None  # top_n's cached product order
 
     @property
     def shape(self) -> tuple:

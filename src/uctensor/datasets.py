@@ -531,6 +531,24 @@ def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     return FoldPlan(n_folds=n_folds, seed=seed, assignment=a)
 
 
+def records_tensor(dataset: RatingsDataset, positions: np.ndarray | None = None) -> SparseTensor:
+    """The users x products tensor of shifted values of the records at
+    ``positions``, a subsequence of the dataset's validated key order (by
+    default all of it).  Taken in that order, the entries need no sort and
+    no pattern check; only their values are checked."""
+    if positions is None:
+        positions = dataset.key_order
+    n_products = dataset.n_products
+    u = dataset.user_index[positions]
+    p = dataset.product_index[positions]
+    return SparseTensor(
+        (dataset.n_users, n_products),
+        np.stack([u, p], axis=1),
+        dataset.shifted_values[positions],
+        _flat=u * n_products + p,
+    )
+
+
 def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int):
     """Train tensor (users x products, shifted values) from all records
     outside ``test_fold``, plus the held-out records as arrays: an (M, 2)
@@ -538,8 +556,7 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     order.
 
     The training records are taken as a subsequence of the dataset's
-    validated key order, so the tensor needs no sort and no pattern check;
-    only its values are checked.
+    validated key order (``records_tensor``).
 
     Returns ``(tensor, pairs, truth)``."""
     assignment = fold_plan.assignment
@@ -548,21 +565,11 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
             f"fold plan assigns {len(assignment)} records, the dataset has "
             f"{len(dataset.rating_values)}"
         )
-    n_products = dataset.n_products
-    values = dataset.shifted_values
     order = dataset.key_order
-    train = order[assignment[order] != test_fold]
-    u = dataset.user_index[train]
-    p = dataset.product_index[train]
-    tensor = SparseTensor(
-        (dataset.n_users, n_products),
-        np.stack([u, p], axis=1),
-        values[train],
-        _flat=u * n_products + p,
-    )
+    tensor = records_tensor(dataset, order[assignment[order] != test_fold])
     test = np.flatnonzero(assignment == test_fold)
     pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
-    return tensor, pairs, values[test]
+    return tensor, pairs, dataset.shifted_values[test]
 
 
 def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):

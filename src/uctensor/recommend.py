@@ -50,6 +50,44 @@ def _first_n(keys: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+# Products whose log scales differ by at most this much are walked past
+# together: their fills can round equal, or out of log-scale order.
+TIE_WINDOW = 1e-9
+
+
+def _product_order(completed: CompletedTensor):
+    """The products by ascending log scale (a stable argsort of
+    ``scales.log[(1,)]``), its inverse permutation, and for each order
+    position the end of the run of products whose log scales are within
+    ``TIE_WINDOW`` of its own.  Computed on a completion's first query and
+    kept on it, keyed on the log array itself, so a replaced ``scales``
+    gets a fresh order."""
+    logs = completed.scales.log[(1,)]
+    cached = completed._product_order
+    if cached is None or cached[0] is not logs:
+        order = np.argsort(logs, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ascending = logs[order]
+        tie_end = np.searchsorted(ascending, ascending + TIE_WINDOW, side="right")
+        cached = completed._product_order = (logs, order, rank, tie_end)
+    return cached[1:]
+
+
+def _walk(order, rank, tie_end, rated, n) -> np.ndarray:
+    """The unrated products, in index order, of the shortest prefix of
+    ``order`` holding n unrated products, extended over every product
+    whose log scale is within ``TIE_WINDOW`` of the n-th one's."""
+    taken = np.sort(rank[rated])
+    # taken[j] - j unrated products come before the j-th rated one, so the
+    # n-th unrated product sits at order position n - 1 + (rated before it)
+    nth = n - 1 + int(np.searchsorted(taken - np.arange(len(taken)), n - 1, side="right"))
+    end = int(tie_end[nth]) if nth < len(order) else len(order)
+    keep = np.ones(end, dtype=bool)
+    keep[taken[: np.searchsorted(taken, end)]] = False
+    return np.sort(order[:end][keep])
+
+
 def top_n(
     completed: CompletedTensor,
     user: int,
@@ -60,10 +98,30 @@ def top_n(
     ascending product index.  Optionally drops products the user already
     rated.
 
-    A query reads the user's row of the pattern as one slice, fills every
-    product from the row's log scale and the product log scales, and
-    ranks by partial selection: O(n_products) plus O(row), independent
-    of the number of stored entries."""
+    A 2-D fill is exp(-(a_u + b_p)), so every user ranks the products it
+    has not rated by one global order: ascending product log scale b_p.
+    A query walks that order, cached on the completion, only until it
+    holds the n-th unrated product, and then on over every product whose
+    b_p is within ``TIE_WINDOW`` of that product's.  Only the unrated
+    products of that prefix (plus the rated ones, when they are kept)
+    are filled, from a_u + b_p summed as ``log_sum_fiber`` sums it, and
+    ranked by partial selection.
+
+    The answer is exact, ties included.  When a_u + min(b) and a_u +
+    max(b) lie in (-700, 700), every sum of the row does, each rounded
+    within 1e-13 of its true value, and its fill is a normal float.  A
+    product past the prefix then has a sum more than 1e-9 - 2e-13 above
+    the n-th unrated product's, and so above those of n unrated products
+    at or before it.  Its fill is smaller than theirs by a relative 1e-9,
+    far beyond ``exp``'s rounding of a few 1e-16, so it can neither rank
+    among the first n nor tie with them.  Otherwise some fill of the
+    row may leave the float range, and the whole row is filled, checked
+    (raising ``NonFiniteValueError`` or ``NonPositiveValueError`` that
+    names the first such cell, rated products excepted) and ranked.
+
+    A query costs O(r log r + prefix) for a row of r rated products,
+    independent of the number of products and of stored entries; the
+    completion pays one O(P log P) sort of its P products."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("top_n expects a 2-D completion")
     if n < 1:
@@ -72,19 +130,30 @@ def top_n(
     source = completed.source
     row = source.row_slice(user)
     rated = source.indices[row, 1]
-    logs = completed.scales.log_sum_fiber((user,))
-    logs[rated] = 0.0
-    values = inverse_scale_fills(logs, lambda p: (user, p))
-    values[rated] = source.values[row]
-    observed = np.zeros(len(values), dtype=bool)
-    observed[rated] = True
-
-    if exclude_observed:
-        candidates = np.flatnonzero(~observed)
-        picks = candidates[_first_n(-values[candidates], n)]
+    scales = completed.scales
+    order, rank, tie_end = _product_order(completed)
+    a, b = scales.log[(0,)][user], scales.log[(1,)]
+    if -700.0 < a + b[order[0]] and a + b[order[-1]] < 700.0:
+        products = _walk(order, rank, tie_end, rated, n)
+        values = np.exp(-(a + b[products]))
     else:
-        picks = _first_n(-values, n)
+        logs = scales.log_sum_fiber((user,))
+        logs[rated] = 0.0
+        values = inverse_scale_fills(logs, lambda p: (user, p))
+        unrated = np.ones(len(values), dtype=bool)
+        unrated[rated] = False
+        products = np.flatnonzero(unrated)
+        values = values[products]
+    if exclude_observed:
+        observed = np.zeros(len(products), dtype=bool)
+    else:
+        merged = np.concatenate([products, rated])
+        by_index = np.argsort(merged)
+        observed = by_index >= len(products)
+        products = merged[by_index]
+        values = np.concatenate([values, source.values[row]])[by_index]
+    picks = _first_n(-values, n)
     return [
         Prediction(user, p, v, "observed" if o else "completed")
-        for p, v, o in zip(picks.tolist(), values[picks].tolist(), observed[picks].tolist())
+        for p, v, o in zip(products[picks].tolist(), values[picks].tolist(), observed[picks].tolist())
     ]

@@ -29,6 +29,7 @@ from uctensor.datasets import (
     _dense_vocab,
     _parse_movielens_bulk,
     age_group,
+    records_tensor,
 )
 from uctensor.properties import synthetic_dataset
 
@@ -510,6 +511,14 @@ def datasets_of_every_origin(draw):
         return load_jester(path)
 
 
+def assert_same_tensor(tensor, expected):
+    assert tensor.shape == expected.shape
+    for name in ("indices", "values", "_flat"):
+        got, want = getattr(tensor, name), getattr(expected, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 class TestKeyOrder:
     """Every dataset lists its records by (user, product) key once, and
     each fold's training tensor is a subsequence of that order."""
@@ -532,15 +541,21 @@ class TestKeyOrder:
                 np.stack([ds.user_index[train], ds.product_index[train]], axis=1),
                 ds.shifted_values[train],
             )
-            assert tensor.shape == checked.shape
-            for name in ("indices", "values", "_flat"):
-                got, expected = getattr(tensor, name), getattr(checked, name)
-                assert got.dtype == expected.dtype
-                assert np.array_equal(got, expected)
+            assert_same_tensor(tensor, checked)
             # held out in file order
             test = ~train
             assert np.array_equal(pairs, np.stack([ds.user_index[test], ds.product_index[test]], axis=1))
             assert np.array_equal(truth, ds.shifted_values[test])
+
+    @given(datasets_of_every_origin())
+    @settings(max_examples=100, deadline=None)
+    def test_all_records_tensor_matches_a_full_validation(self, ds):
+        checked = SparseTensor(
+            (ds.n_users, ds.n_products),
+            np.stack([ds.user_index, ds.product_index], axis=1),
+            ds.shifted_values,
+        )
+        assert_same_tensor(records_tensor(ds), checked)
 
     @pytest.mark.parametrize(
         "change,message",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from uctensor import (
     IndexOutOfBoundsError,
     LatentModel,
     NonFiniteValueError,
+    NonPositiveValueError,
     NotAMatrixError,
     Prediction,
     ScaleSet,
@@ -18,6 +21,7 @@ from uctensor import (
     complete_matrix,
     make_tensor,
     predict_rating,
+    save_model,
     scale_apply,
     top_n,
 )
@@ -166,6 +170,48 @@ def rating_completions(draw):
     return CompletedTensor(model)
 
 
+def completion_of(source, user_logs, product_logs):
+    """A completion of ``source`` with the given log scales, all subtensors
+    flagged non-empty."""
+    logs = {(0,): np.asarray(user_logs, dtype=float), (1,): np.asarray(product_logs, dtype=float)}
+    nonempty = {f: np.ones(len(a), dtype=bool) for f, a in logs.items()}
+    scales = ScaleSet(source.shape, 1, logs, nonempty)
+    return CompletedTensor(LatentModel(source=source, scales=scales, sweeps_run=0, final_residual=0.0))
+
+
+@st.composite
+def wide_completions(draw):
+    """Completions with up to 60 products, most of them rated, so that the
+    walk stops well before the end of a user's row.  The product log
+    scales come from a few levels, each possibly moved by one ulp, by
+    less than the tie window or by just more, so that fills tie, round
+    equal out of log-scale order, or nearly tie."""
+    n_users, n_products = draw(st.integers(1, 4)), draw(st.integers(10, 60))
+    rated = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n_users, max_size=n_users))
+    )[:, None] > np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_products, max_size=n_products)))
+    indices = np.argwhere(rated)
+    assume(len(indices) > 0)
+    ratings = draw(st.lists(st.integers(1, 5), min_size=len(indices), max_size=len(indices)))
+    tensor = SparseTensor((n_users, n_products), indices, np.array(ratings, dtype=float))
+    if draw(st.booleans()):
+        try:
+            return complete_matrix(tensor, SolverConfig(max_sweeps=draw(st.integers(1, 30))))
+        except DidNotConvergeError as exc:
+            return CompletedTensor(exc.model)
+    level = st.sampled_from([np.log(0.5), 0.0, 1e-3, np.log(2.0)])
+    nudge = st.sampled_from(["none", "up", "down", "in", "out"])
+
+    def moved(x, how):
+        if how in ("up", "down"):
+            return np.nextafter(x, np.inf if how == "up" else -np.inf)
+        return x + {"none": 0.0, "in": 4e-10, "out": 3e-9}[how]
+
+    product_logs = [moved(draw(level), draw(nudge)) for _ in range(n_products)]
+    user_logs = draw(st.lists(st.sampled_from([np.log(0.5), 0.0, 1.0, 0.3]), min_size=n_users, max_size=n_users))
+    return completion_of(tensor, user_logs, product_logs)
+
+
 class TestTopNEquivalence:
     """top_n reads one row slice and ranks by partial selection; it must
     give exactly the answers of the full lookup and full sort."""
@@ -200,6 +246,46 @@ class TestTopNEquivalence:
         assert [p.product for p in top_n(completed, 0, 5, exclude_observed=True)] == [0, 2, 3, 5, 1]
         assert [p.source for p in top_n(completed, 0, 6)][-1] == "observed"
 
+    @given(wide_completions(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_sort_reference_past_short_prefixes(self, completed, data):
+        n_users, n_products = completed.shape
+        for user in range(n_users):
+            for exclude in (False, True):
+                for n in (1, 2, 5, data.draw(st.integers(1, n_products + 2))):
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+
+    def test_fills_that_round_equal_out_of_log_scale_order(self):
+        # products 0 and 1, and 2 and 3, have log scales one ulp apart with
+        # the larger on the smaller index; added to the user's log scale 1
+        # they round to the same sum, so the fills tie and the smaller
+        # index ranks first although its log scale is larger
+        x, y = 1e-3, 0.25
+        product_logs = [np.nextafter(x, 1.0), x, np.nextafter(y, 1.0), y, 0.5, x]
+        source = make_tensor((2, 6), {(1, 1): 3.0, (1, 4): 2.0})
+        completed = completion_of(source, [1.0, 1.0], product_logs)
+        fills = [completed.fill_at((0, p)) for p in range(6)]
+        assert fills[0] == fills[1] == fills[5] and fills[2] == fills[3]
+        assert [p.product for p in top_n(completed, 0, 1)] == [0]
+        assert [p.product for p in top_n(completed, 0, 4)] == [0, 1, 5, 2]
+        assert [p.product for p in top_n(completed, 1, 2, exclude_observed=True)] == [0, 5]
+        for user in range(2):
+            for exclude in (False, True):
+                for n in range(1, 8):
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+
+    def test_unrepresentable_fill_past_the_candidates_raises(self):
+        # user 1's best fill is 1, but product 2's log scale of 800 makes
+        # its fill underflow: the query needs only product 0, yet it checks
+        # the whole row
+        source = make_tensor((2, 3), {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0})
+        completed = completion_of(source, [0.0, 0.0], [0.0, 1.0, 800.0])
+        for exclude in (False, True):
+            with pytest.raises(NonPositiveValueError, match=r"index \(1, 2\)"):
+                top_n(completed, 1, 1, exclude_observed=exclude)
+        # user 0 rated every product: nothing of its row is a fill
+        assert [p.product for p in top_n(completed, 0, 1)] == [0]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_fill_raises(self):
         completed = complete(make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0}), 1)
@@ -208,3 +294,56 @@ class TestTopNEquivalence:
                 top_n(completed, 1, 1, exclude_observed=exclude)
         # user 0 rated both products: nothing of its row is a fill
         assert [p.rating for p in top_n(completed, 0, 2)] == [1.0, 1e-320]
+
+
+class TestGlobalOrder:
+    """In 2-D a fill is exp(-(a_u + b_p)): every user ranks the products it
+    has not rated by one order, ascending b_p."""
+
+    @given(st.one_of(rating_completions(), wide_completions()))
+    @settings(max_examples=200, deadline=None)
+    def test_users_never_order_two_unrated_products_oppositely(self, completed):
+        n_users = completed.shape[0]
+        cells = np.argwhere(np.ones(completed.shape, dtype=bool))
+        values = completed.values_at(cells).reshape(completed.shape)
+        observed = completed.source.observed_mask_for(cells).reshape(completed.shape)
+        order = np.sign(values[:, :, None] - values[:, None, :])  # user, p, q
+        for u in range(n_users):
+            for v in range(u + 1, n_users):
+                both = ~observed[u] & ~observed[v]
+                pairs = both[:, None] & both[None, :]
+                assert not (order[u] * order[v] < 0)[pairs].any()
+
+
+class TestProductOrderCache:
+    """top_n keeps the product order on the completion after its first
+    query; it must never serve stale answers or leak into saved models."""
+
+    @staticmethod
+    def completion(rng):
+        return complete_matrix(random_sparse_tensor(rng, (8, 12), 0.4), TIGHT)
+
+    def test_replaced_scales_give_answers_from_the_new_scales(self, rng):
+        completed = self.completion(rng)
+        top_n(completed, 0, 3)
+        old = completed.scales
+        completed.scales = ScaleSet(
+            old.shape, 1, {(0,): old.log[(0,)], (1,): -old.log[(1,)]}, old.nonempty
+        )
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+
+    def test_pickled_after_a_query_gives_identical_answers(self, rng):
+        completed = self.completion(rng)
+        before = [top_n(completed, user, 5, exclude) for user in range(8) for exclude in (False, True)]
+        clone = pickle.loads(pickle.dumps(completed))
+        assert [top_n(clone, user, 5, exclude) for user in range(8) for exclude in (False, True)] == before
+
+    def test_saved_model_is_the_same_with_or_without_queries(self, rng, tmp_path):
+        completed = self.completion(rng)
+        save_model(tmp_path / "before.npz", completed.model)
+        for user in range(8):
+            top_n(completed, user, 3)
+        save_model(tmp_path / "after.npz", completed.model)
+        assert (tmp_path / "before.npz").read_bytes() == (tmp_path / "after.npz").read_bytes()
