@@ -7,7 +7,16 @@ Run:  python demos/02_convergence_and_uniqueness.py
 
 import numpy as np
 
-from uctensor import ScaleSet, SolverConfig, balance, complete, scale_apply
+from uctensor import (
+    BalanceState,
+    CompletedTensor,
+    LatentModel,
+    ScaleSet,
+    SolverConfig,
+    balance,
+    complete,
+    scale_apply,
+)
 from uctensor.properties import random_sparse_tensor
 
 rng = np.random.default_rng(7)
@@ -28,12 +37,13 @@ for i, v in enumerate(model.residual_trace, start=1):
 # ---------------------------------------------------------------------------
 # Solving with the families in the opposite order (so the other family is
 # eliminated exactly) lands on the same balanced tensor: the fixed point is
-# order-independent.
+# order-independent.  BalanceState picks the order.
 # ---------------------------------------------------------------------------
 tight = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
 lex = balance(tensor, 1, tight)
-rev = balance(tensor, 1, SolverConfig(epsilon=1e-24, max_sweeps=20_000,
-                                      sweep_order="reversed"))
+state = BalanceState(tensor, 1, "reversed")
+trace = state.solve(tight.epsilon, tight.max_sweeps)
+rev = LatentModel(tensor, state.scale_set(), len(trace), trace[-1], tuple(trace))
 gap = np.abs(lex.balanced.values - rev.balanced.values).max()
 print(f"\nmax |balanced(lex) - balanced(reversed)| = {gap:.2e}")
 
@@ -52,7 +62,6 @@ print("max |A*Z - A*(Z.T)| on observed cells:",
 # Completions agree too: for row/column balancing on a connected pattern
 # every fill is pinned down, whatever gauge the scales carry.
 c_lex = complete(tensor, 1, tight)
-c_rev = complete(tensor, 1, SolverConfig(epsilon=1e-24, max_sweeps=20_000,
-                                         sweep_order="reversed"))
+c_rev = CompletedTensor(rev)
 print("max completion difference:",
       f"{np.abs(c_lex.to_dense() - c_rev.to_dense()).max():.2e}")

@@ -32,7 +32,7 @@ from uctensor.tensor import SparseTensor
 # mean baselines cannot.
 # ---------------------------------------------------------------------------
 ds = synthetic_dataset(seed=42, n_users=120, n_products=80, density=0.25, noise=0.05)
-print(f"synthetic dataset: {len(ds.records)} ratings, "
+print(f"synthetic dataset: {len(ds.rating_values)} ratings, "
       f"{ds.n_users} users x {ds.n_products} products")
 
 config = ExperimentConfig(epsilon=1e-10, n_folds=5, seed=0)

@@ -23,7 +23,6 @@ from .complete import (
 )
 from .datasets import (
     FoldPlan,
-    RatingRecord,
     RatingsDataset,
     UserFeatures,
     build_tensor_2d,

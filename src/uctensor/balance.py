@@ -43,21 +43,16 @@ class SolverConfig:
     non-empty subtensor, so every product ends within ~sqrt(epsilon) of 1
     (the method's only tuning knob); max_sweeps: cap on the iterations,
     each one pass over the entries (the passes that recompute the residual
-    are not counted); sweep_order: canonical family order
-    or its reverse, which picks the family eliminated exactly (the limit
-    is order-independent)."""
+    are not counted)."""
 
     epsilon: float = 1e-10
     max_sweeps: int = 1000
-    sweep_order: str = "lex"
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.sweep_order not in SWEEP_ORDERS:
-            raise ValueError(f"sweep_order must be one of {SWEEP_ORDERS}")
 
 
 def _max_square(r: np.ndarray) -> float:
@@ -68,7 +63,9 @@ class BalanceState:
     """The solve's arrays: the source's log entries and, per family in
     solve order, each entry's subtensor id, the subtensor counts and
     their inverses (0 for an empty subtensor), and the log scales.
-    ``solve`` fills the log scales."""
+    ``solve`` fills the log scales.  The solve order is the canonical
+    family order, or its reverse for ``sweep_order="reversed"``, which
+    eliminates another family exactly; the limit does not depend on it."""
 
     def __init__(self, tensor: SparseTensor, k: int, sweep_order: str = "lex"):
         if tensor.n_observed == 0:
@@ -229,7 +226,7 @@ def balance(tensor: SparseTensor, k: int, config: SolverConfig | None = None) ->
     (carrying the partial model) if the iteration cap is hit first.
     """
     config = config or SolverConfig()
-    state = BalanceState(tensor, k, config.sweep_order)
+    state = BalanceState(tensor, k)
     trace = state.solve(config.epsilon, config.max_sweeps)
     model = LatentModel(
         source=tensor,

@@ -122,7 +122,6 @@ def cmd_evaluate(args) -> int:
         n_folds=args.folds,
         seed=args.seed,
         clamp=args.clamp,
-        feature_mask=args.feature_mask,
         categories=categories,
         threads=args.threads,
     )
@@ -137,7 +136,7 @@ def cmd_evaluate(args) -> int:
             fh.write(report.to_json(include_timing=not args.omit_timings))
         print(f"report written to {args.out}")
     if args.trace_out:
-        trace = convergence_trace(dataset, args.mode, config)
+        trace = convergence_trace(dataset, config)
         write_trace_csv(args.trace_out, trace)
         print(f"convergence trace written to {args.trace_out}")
     return 0
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="comma list of age,gender,occup (3d mode)")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--clamp", action="store_true", help="clamp predictions to the native range")
-    p.add_argument("--feature-mask", choices=("user", "all"), default="user")
     p.add_argument("--baseline", choices=BASELINE_KINDS, default=None,
                    help="run a mean baseline instead of the solver")
     p.add_argument("--out", default=None, help="write the report JSON here")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,41 +41,11 @@ CATEGORY_ALIASES = {"age": "age", "gender": "gender", "occupation": "occupation"
 
 
 @dataclass(frozen=True)
-class RatingRecord:
-    user_id: int
-    product_id: int
-    rating: float
-    timestamp: int | None = None
-
-
-@dataclass(frozen=True)
 class UserFeatures:
     user_id: int
     gender: str  # "M" | "F"
     age: int
     occupation: int
-
-
-class _RecordsView(Sequence):
-    """Read-only sequence of RatingRecord backed by columnar arrays."""
-
-    def __init__(self, dataset: "RatingsDataset"):
-        self._ds = dataset
-
-    def __len__(self):
-        return len(self._ds.rating_values)
-
-    def __getitem__(self, i):
-        ds = self._ds
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        stamped = ds.has_timestamp is not None and ds.has_timestamp[i]
-        return RatingRecord(
-            int(ds.raw_user_ids[i]),
-            int(ds.raw_product_ids[i]),
-            float(ds.rating_values[i]),
-            int(ds.timestamps[i]) if stamped else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -98,13 +67,11 @@ class RatingsDataset:
     rating_values: np.ndarray  # per-record native-scale rating
     raw_user_ids: np.ndarray
     raw_product_ids: np.ndarray
-    timestamps: np.ndarray | None  # per-record timestamp, 0 where absent
     shift: float
     native_range: tuple
     key_order: np.ndarray  # record positions by ascending (user, product) key
     features: dict | None = None  # raw user id -> UserFeatures
     duplicates_dropped: int = 0
-    has_timestamp: np.ndarray | None = None  # per record: a timestamp was given
 
     def __post_init__(self):
         n = len(self.rating_values)
@@ -138,10 +105,6 @@ class RatingsDataset:
                 f"records {a} and {b} {what} the key order: (user, product) "
                 f"{(int(u[a]), int(p[a]))} then {(int(u[b]), int(p[b]))}"
             )
-
-    @property
-    def records(self) -> Sequence:
-        return _RecordsView(self)
 
     @property
     def n_users(self) -> int:
@@ -192,7 +155,7 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, rank[kept]
 
 
-def _finalize(name, raw_u, raw_p, ratings, timestamps, has_timestamp, shift, native_range, features):
+def _finalize(name, raw_u, raw_p, ratings, shift, native_range, features):
     users, u_dense = _dense_vocab(raw_u)
     products, p_dense = _dense_vocab(raw_p)
     # dense keys stay below n_users * n_products whatever the raw ids are,
@@ -208,8 +171,6 @@ def _finalize(name, raw_u, raw_p, ratings, timestamps, has_timestamp, shift, nat
         rating_values=ratings[keep].astype(np.float64),
         raw_user_ids=raw_u[keep],
         raw_product_ids=raw_p[keep],
-        timestamps=timestamps[keep],
-        has_timestamp=has_timestamp[keep],
         shift=float(shift),
         native_range=native_range,
         key_order=key_order,
@@ -256,8 +217,8 @@ _FIRST_LINE = re.compile(r"[^\n]+")
 
 
 def _parse_movielens_bulk(text: str):
-    """Columns of a well-formed rating file in one ``np.loadtxt`` call, or
-    None when the text needs the line-by-line parser: a blank line holding
+    """The user id, product id and rating columns of a well-formed rating
+    file in one ``np.loadtxt`` call, or None when the text needs the line-by-line parser: a blank line holding
     whitespace, mixed 3- and 4-field lines, a lone ``:``, a token numpy
     reads differently from ``int``/``float``, or any malformed line.  Every
     input accepted here parses to the same values line by line.
@@ -265,7 +226,8 @@ def _parse_movielens_bulk(text: str):
     ``loadtxt`` splits on single colons and reads every other column, so
     no line may hold a lone colon, and every parsed line must hold exactly
     ``n_fields - 1`` separators: ``usecols`` alone would drop a surplus
-    field without a word.  Neither check copies the text."""
+    field without a word.  Neither check copies the text.  A timestamp
+    field is read as an int64, which checks it, and then dropped."""
     separators = text.count("::")
     if text.count(":") != 2 * separators or not text or text.isspace():
         return None
@@ -287,14 +249,14 @@ def _parse_movielens_bulk(text: str):
         return None
     if separators != (n_fields - 1) * len(cols):
         return None
-    stamps = cols["t"] if n_fields == 4 else np.zeros(len(cols), dtype=np.int64)
-    return cols["u"], cols["p"], cols["r"], stamps, np.full(len(cols), n_fields == 4)
+    return cols["u"], cols["p"], cols["r"]
 
 
 def _parse_movielens_lines(text: str, path, lo: float):
-    """Line-by-line parse; raises ParseError naming the first bad line."""
+    """Line-by-line parse; raises ParseError naming the first bad line.  A
+    timestamp field must be an int64; it is checked, not kept."""
     native_range = (lo, 5.0)
-    raw_u, raw_p, ratings, stamps, has_stamp = [], [], [], [], []
+    raw_u, raw_p, ratings = [], [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -319,21 +281,19 @@ def _parse_movielens_lines(text: str, path, lo: float):
         raw_u.append(uid)
         raw_p.append(pid)
         ratings.append(rating)
-        stamps.append(0 if ts is None else ts)
-        has_stamp.append(ts is not None)
     if not raw_u:
         raise ParseError(f"{path}: no rating lines found")
     return (
         np.asarray(raw_u, dtype=np.int64),
         np.asarray(raw_p, dtype=np.int64),
         np.asarray(ratings),
-        np.asarray(stamps, dtype=np.int64),
-        np.asarray(has_stamp, dtype=bool),
     )
 
 
 def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDataset:
     """Parse a MovieLens rating file (``UserID::MovieID::Rating::Timestamp``).
+    The timestamp is optional; when given it must be an int64, and it is
+    not kept: no computation reads it.
 
     fmt "1m" validates whole-star ratings in [1, 5]; "10m" allows
     half-star steps down to 0.5.  ``users_path`` attaches demographics
@@ -352,7 +312,7 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     if cols is None or not np.all((cols[2] >= lo) & (cols[2] <= 5.0)):
         cols = _parse_movielens_lines(text, ratings_path, lo)
     del text  # not needed past the parse
-    raw_u, raw_p, ratings, stamps, has_stamp = cols
+    raw_u, raw_p, ratings = cols
 
     features = _load_movielens_users(users_path) if users_path else None
     return _finalize(
@@ -360,8 +320,6 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
         raw_u=raw_u,
         raw_p=raw_p,
         ratings=ratings,
-        timestamps=stamps,
-        has_timestamp=has_stamp,
         shift=0.0,  # already strictly positive
         native_range=(lo, 5.0),
         features=features,
@@ -436,7 +394,6 @@ def load_jester(path, delimiter: str = ",") -> RatingsDataset:
         rating_values=ratings.astype(np.float64),
         raw_user_ids=raw_u,
         raw_product_ids=raw_p,
-        timestamps=None,
         shift=shift,
         native_range=(-10.0, 10.0),
         key_order=np.arange(len(raw_u)),  # rows, then columns: already row-major
@@ -572,14 +529,11 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     return tensor, pairs, dataset.shifted_values[test]
 
 
-def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):
-    """Train tensor (users x features x products): each training record
-    writes its shifted rating at [u, f, p] for every feature index f of its
-    user.  The held-out records come as arrays: (M, 2) (user, product)
-    indices, M shifted truths, and the (M, n_cat) feature indices of each
-    record's user, one column per included category.
-
-    Returns ``(tensor, pairs, truth, features)``."""
+def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[FeatureEncoding, np.ndarray]:
+    """The feature encoding of ``categories`` and the (n_users, n_cat)
+    array of each dense user's feature indices.  Raises
+    MissingFeatureFileError when the dataset has no features table or a
+    user is missing from it, and UnknownCategoryError for a bad category."""
     if dataset.features is None:
         raise MissingFeatureFileError(
             f"dataset {dataset.name!r} has no user features; 3-D mode needs a users file"
@@ -590,7 +544,22 @@ def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, te
         if raw not in by_raw_user:
             raise MissingFeatureFileError(f"user {raw} missing from the features table")
         feats_per_user[dense] = by_raw_user[raw]
+    return enc, feats_per_user
 
+
+def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):
+    """Train tensor (users x features x products): each training record
+    writes its shifted rating at [u, f, p] for every feature index f of its
+    user.  The held-out records come as arrays: (M, 2) (user, product)
+    indices, M shifted truths, and the (M, n_cat) feature indices of each
+    record's user, one column per included category.
+
+    ``run_experiment`` does not build this tensor: its fills equal the 2-D
+    fills at every feature (README), so a 3-D run solves the 2-D tensor.
+    It is the direct 3-D solve that lift is tested against.
+
+    Returns ``(tensor, pairs, truth, features)``."""
+    enc, feats_per_user = user_feature_indices(dataset, categories)
     test = fold_plan.test_mask(test_fold)
     train = ~test
     u = dataset.user_index[train]

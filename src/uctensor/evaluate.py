@@ -1,12 +1,12 @@
 """Metrics, the cross-validated experiment runner, sanity baselines, and
 convergence diagnostics.
 
-The runner builds one train tensor per fold, balances it (k=1 for the
-2-D user x product mode, k=2 for the 3-D user x feature x product mode),
-predicts the held-out pairs from inverse-scale products, unshifts, and
-reports RMSE/MAE per fold plus mean and standard deviation.  Clamped
-metrics (predictions clipped to the native rating range) ride along as a
-secondary column.
+The runner builds one users x products train tensor per fold, balances
+it at k=1, predicts the held-out pairs from inverse-scale products,
+unshifts, and reports RMSE/MAE per fold plus mean and standard
+deviation.  Clamped metrics (predictions clipped to the native rating
+range) ride along as a secondary column.  The 3-D user x feature x
+product mode runs the same folds (see ``run_experiment``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .balance import SolverConfig, balance
-from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, build_tensor_3d, split_kfold
+from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, split_kfold, user_feature_indices
+from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
 from .exceptions import DidNotConvergeError, EmptyInputError
 from .tensor import SparseTensor
 
 BASELINE_KINDS = ("global_mean", "item_mean", "user_mean")
-FEATURE_MASK_MODES = ("user", "all")
 
 
 def _pairs_to_arrays(pairs):
@@ -52,30 +52,23 @@ def mae(pairs) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs beyond the dataset itself.  ``feature_mask``
-    picks how 3-D test pairs are projected: over the features the user
-    actually carries ("user") or the whole feature dimension ("all")."""
+    """Everything a run needs beyond the dataset itself.  ``categories``
+    names the user features a 3-D run requires."""
 
     epsilon: float = 1e-10
     max_sweeps: int = 1000
     n_folds: int = 5
     seed: int = 0
     clamp: bool = False
-    feature_mask: str = "user"
     categories: tuple = ("age", "gender", "occupation")
     threads: int = 1
-    sweep_order: str = "lex"
 
     def __post_init__(self):
-        if self.feature_mask not in FEATURE_MASK_MODES:
-            raise ValueError(f"feature_mask must be one of {FEATURE_MASK_MODES}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            epsilon=self.epsilon, max_sweeps=self.max_sweeps, sweep_order=self.sweep_order
-        )
+        return SolverConfig(epsilon=self.epsilon, max_sweeps=self.max_sweeps)
 
     def echo(self) -> dict:
         return {
@@ -84,10 +77,8 @@ class ExperimentConfig:
             "n_folds": self.n_folds,
             "seed": self.seed,
             "clamp": self.clamp,
-            "feature_mask": self.feature_mask,
             "categories": list(self.categories),
             "threads": self.threads,
-            "sweep_order": self.sweep_order,
         }
 
 
@@ -177,10 +168,10 @@ def _metrics(preds_native, truth_native, dataset, clamp_primary):
     return rmse(pairs), mae(pairs), rmse(pairs_clamped), mae(pairs_clamped)
 
 
-def _solve(tensor: SparseTensor, k: int, config: ExperimentConfig):
+def _solve(tensor: SparseTensor, config: ExperimentConfig):
     t0 = time.perf_counter()
     try:
-        model = balance(tensor, k, config.solver())
+        model = balance(tensor, 1, config.solver())
         converged = True
     except DidNotConvergeError as exc:  # keep going with the partial model
         model = exc.model
@@ -189,8 +180,14 @@ def _solve(tensor: SparseTensor, k: int, config: ExperimentConfig):
 
 
 def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
+    """One fold of either mode: solve the fold's users x products train
+    tensor at k=1 and score the held-out pairs.  A pair is cold when its
+    user or product has no training record.  The count is exact in 3-D
+    too: a 3-D cell is also cold when its feature slice is empty, and a
+    feature slice holds the rows of every user carrying that feature, so
+    a user's own feature slices are empty only when the user's row is."""
     tensor, pairs, truth_shifted = build_tensor_2d(dataset, fold_plan, fold)
-    model, converged, wall = _solve(tensor, 1, config)
+    model, converged, wall = _solve(tensor, config)
 
     preds_shifted = np.exp(-model.scales.log_sum_at(pairs))
     cold = int(model.scales.empty_key_mask(pairs).sum())
@@ -201,52 +198,31 @@ def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
     return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, len(pairs))
 
 
-def _fold_3d(dataset, fold_plan, fold, config) -> FoldResult:
-    tensor, pairs, truth_shifted, feats = build_tensor_3d(
-        dataset, config.categories, fold_plan, fold
-    )
-    model, converged, wall = _solve(tensor, 2, config)
-
-    n_test = len(pairs)
-    if config.feature_mask == "all":
-        n_features = tensor.shape[1]
-        feats = np.broadcast_to(np.arange(n_features, dtype=np.int64), (n_test, n_features))
-    n_cand = feats.shape[1]
-
-    idx = np.empty((n_test * n_cand, 3), dtype=np.int64)
-    idx[:, 0] = np.repeat(pairs[:, 0], n_cand)
-    idx[:, 1] = feats.reshape(-1)
-    idx[:, 2] = np.repeat(pairs[:, 1], n_cand)
-    fills = np.exp(-model.scales.log_sum_at(idx)).reshape(n_test, n_cand)
-    weak = model.scales.empty_key_mask(idx).reshape(n_test, n_cand)
-
-    best = fills.argmax(axis=1)
-    rows = np.arange(n_test)
-    preds_shifted = fills[rows, best]
-    cold = int(weak[rows, best].sum())
-
-    preds_native = preds_shifted - dataset.shift
-    truth_native = truth_shifted - dataset.shift
-    r, m, rc, mc = _metrics(preds_native, truth_native, dataset, config.clamp)
-    return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, n_test)
+_fold_3d = _fold_2d  # bench_spans.Tracer.install wraps both fold names here
 
 
 def run_experiment(dataset: RatingsDataset, mode: str, config: ExperimentConfig) -> EvalReport:
     """Full cross-validated run; per-fold non-convergence is recorded, not
     fatal.  Folds are independent and may run on a thread pool; results are
-    aggregated in fold order either way."""
+    aggregated in fold order either way.
+
+    A "3d" run first checks that every user carries the configured
+    features, then runs the 2-D folds: each 3-D fill at (user, feature,
+    product) is the 2-D fill at (user, product).  Its report keeps mode
+    "3d" and the categories."""
     mode = mode.lower()
     if mode not in ("2d", "3d"):
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    if mode == "3d":
+        user_feature_indices(dataset, config.categories)
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
-    fold_fn = _fold_2d if mode == "2d" else _fold_3d
 
     folds = range(config.n_folds)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda f: fold_fn(dataset, fold_plan, f, config), folds))
+            results = list(pool.map(lambda f: _fold_2d(dataset, fold_plan, f, config), folds))
     else:
-        results = [fold_fn(dataset, fold_plan, f, config) for f in folds]
+        results = [_fold_2d(dataset, fold_plan, f, config) for f in folds]
 
     categories = config.categories if mode == "3d" else None
     return EvalReport.from_folds(dataset.name, mode, categories, results, config.echo())
@@ -288,19 +264,11 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
     return EvalReport.from_folds(dataset.name, f"baseline:{kind}", None, results, echo)
 
 
-def convergence_trace(dataset: RatingsDataset, mode: str, config: ExperimentConfig) -> list:
-    """Per-iteration residuals of the first fold's solve (for plotting)."""
-    mode = mode.lower()
+def convergence_trace(dataset: RatingsDataset, config: ExperimentConfig) -> list:
+    """Per-iteration residuals of the first fold's solve (for plotting);
+    both modes solve the same tensor."""
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
-    if mode == "2d":
-        tensor = build_tensor_2d(dataset, fold_plan, 0)[0]
-        k = 1
-    elif mode == "3d":
-        tensor = build_tensor_3d(dataset, config.categories, fold_plan, 0)[0]
-        k = 2
-    else:
-        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
-    model, _, _ = _solve(tensor, k, config)
+    model, _, _ = _solve(build_tensor_2d(dataset, fold_plan, 0)[0], config)
     return list(model.residual_trace)
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import SolverConfig, balance
+from .balance import BalanceState, LatentModel, SolverConfig, balance
 from .complete import (
+    CompletedTensor,
     OrderingSpec,
     check_consensus_ordering,
     check_full_support,
@@ -147,7 +148,6 @@ def synthetic_dataset(
         rating_values=ratings.astype(np.float64),
         raw_user_ids=uu.astype(np.int64),
         raw_product_ids=pp.astype(np.int64),
-        timestamps=None,
         shift=0.0,
         native_range=(1.0, 5.0),
         key_order=np.arange(len(uu)),  # np.nonzero is row-major
@@ -239,9 +239,11 @@ def uniqueness(seed: int = 0, n_per_case: int = 5) -> CheckResult:
             tensor, _, report = hide_with_full_support(rng, dense, hide_fraction)
             assert report.fully_supported
             c_lex = complete(tensor, k, _cfg())
-            c_rev = complete(tensor, k, SolverConfig(
-                epsilon=PROPERTY_EPSILON, max_sweeps=PROPERTY_SWEEPS, sweep_order="reversed"
-            ))
+            rev = BalanceState(tensor, k, "reversed")
+            trace = rev.solve(PROPERTY_EPSILON, PROPERTY_SWEEPS)
+            c_rev = CompletedTensor(
+                LatentModel(tensor, rev.scale_set(), len(trace), trace[-1], tuple(trace))
+            )
             worst_bal = max(
                 worst_bal,
                 float(np.abs(c_lex.model.balanced.values - c_rev.model.balanced.values).max()),

@@ -154,8 +154,8 @@ class SparseTensor:
         """The entries whose first coordinate is ``i``, as a slice of
         ``indices`` and ``values``: row-major order keeps them contiguous."""
         stride = math.prod(self.shape[1:])
-        lo, hi = np.searchsorted(self._flat, [i * stride, (i + 1) * stride])
-        return slice(int(lo), int(hi))
+        flat = self._flat
+        return slice(int(flat.searchsorted(i * stride)), int(flat.searchsorted((i + 1) * stride)))
 
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Same observed pattern, new values (one per entry, in entry

@@ -3,11 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from uctensor import ScaleSet, SolverConfig, make_tensor, subtensor_families
+from uctensor import (
+    BalanceState,
+    LatentModel,
+    ScaleSet,
+    SolverConfig,
+    make_tensor,
+    subtensor_families,
+)
 
 # tight solver settings for value-level assertions: the default 1e-10
 # threshold bounds only the last sweep's movement (~1e-5 in the values)
 TIGHT = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
+
+
+def reversed_balance(tensor, k, config):
+    """``balance`` with the families solved in reverse canonical order, so
+    another family is eliminated exactly; ``BalanceState`` picks the
+    order.  Fails unless the solve converges."""
+    state = BalanceState(tensor, k, "reversed")
+    trace = state.solve(config.epsilon, config.max_sweeps)
+    assert trace[-1] < config.epsilon, f"reversed solve stopped at residual {trace[-1]:.3e}"
+    return LatentModel(tensor, state.scale_set(), len(trace), trace[-1], tuple(trace))
 
 
 def scale_set(shape, k, scales):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -25,7 +24,7 @@ from uctensor import (
 from uctensor.properties import hide_with_full_support, random_sparse_tensor
 from uctensor.tensor import family_sub_ids
 
-from conftest import TIGHT
+from conftest import TIGHT, reversed_balance
 from sweep_oracle import sweep, sweep_balance
 
 
@@ -181,9 +180,7 @@ class TestConvergedProperties:
         t = random_sparse_tensor(rng, (10, 8, 6), 0.3)
         for k in (1, 2):
             lex = balance(t, k, TIGHT)
-            rev = balance(
-                t, k, SolverConfig(epsilon=1e-24, max_sweeps=20_000, sweep_order="reversed")
-            )
+            rev = reversed_balance(t, k, TIGHT)
             np.testing.assert_allclose(
                 lex.balanced.values, rev.balanced.values, atol=1e-8
             )
@@ -249,7 +246,7 @@ class TestMatchesReferenceSweeps:
     @settings(max_examples=150, deadline=None)
     def test_balanced_values_and_pinned_fills_agree(self, case, order):
         tensor, k, rank1_truth = case
-        ours = balance(tensor, k, dataclasses.replace(TIGHT, sweep_order=order))
+        ours = balance(tensor, k, TIGHT) if order == "lex" else reversed_balance(tensor, k, TIGHT)
         ref = sweep_balance(tensor, k, TIGHT.epsilon)
         np.testing.assert_allclose(ours.balanced.values, ref.balanced.values, rtol=1e-8)
         if check_full_support(tensor).fully_supported:
@@ -270,7 +267,11 @@ class TestMatchesReferenceSweeps:
     def test_slow_mixing_chain_converges_within_the_default_cap(self, order):
         # ~2,800 reference sweeps at this epsilon; the default cap is 1000
         tensor, truth = banded_rank1()
-        completed = complete_matrix(tensor, SolverConfig(epsilon=1e-18, sweep_order=order))
+        config = SolverConfig(epsilon=1e-18)
+        if order == "lex":
+            completed = complete_matrix(tensor, config)
+        else:
+            completed = CompletedTensor(reversed_balance(tensor, 1, config))
         cells = np.argwhere(truth > 0)
         fill_err = np.abs(completed.values_at(cells) / truth.ravel() - 1.0).max()
         assert fill_err <= 1e-6
@@ -325,4 +326,4 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)
         with pytest.raises(ValueError):
-            SolverConfig(sweep_order="shuffled")
+            BalanceState(make_tensor((2, 2), {(0, 0): 1.0}), 1, "shuffled")

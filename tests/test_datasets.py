@@ -24,7 +24,6 @@ from uctensor import (
     split_kfold,
 )
 from uctensor.datasets import (
-    RatingRecord,
     UserFeatures,
     _dense_vocab,
     _parse_movielens_bulk,
@@ -61,10 +60,8 @@ class TestMovieLens:
     def test_parse_ratings(self, ml_files):
         ratings, users = ml_files
         ds = load_movielens(ratings, users_path=users, fmt="1m")
-        assert len(ds.records) == 5
-        first = ds.records[0]
-        assert (first.user_id, first.product_id, first.rating) == (1, 1193, 5.0)
-        assert first.timestamp == 978300760
+        assert len(ds.rating_values) == 5
+        assert records(ds)[0] == (1, 1193, 5.0)
         assert ds.shift == 0.0
         assert ds.native_range == (1.0, 5.0)
         assert ds.users == {1: 0, 2: 1, 3: 2}
@@ -91,7 +88,7 @@ class TestMovieLens:
     def test_half_stars_only_in_10m(self, tmp_path):
         f = tmp_path / "r.dat"
         f.write_text("1::10::0.5::1\n")
-        assert load_movielens(f, fmt="10m").records[0].rating == 0.5
+        assert load_movielens(f, fmt="10m").rating_values[0] == 0.5
         with pytest.raises(ParseError):
             load_movielens(f, fmt="1m")
 
@@ -99,8 +96,8 @@ class TestMovieLens:
         f = tmp_path / "r.dat"
         f.write_text("1::10::5::1\n1::10::2::2\n2::10::3::3\n")
         ds = load_movielens(f)
-        assert len(ds.records) == 2
-        assert ds.records[0].rating == 5.0
+        assert len(ds.rating_values) == 2
+        assert ds.rating_values[0] == 5.0
         assert ds.duplicates_dropped == 1
 
     def test_vocabulary_stability(self, ml_files):
@@ -110,14 +107,20 @@ class TestMovieLens:
         assert a.users == b.users and a.products == b.products
 
 
+def records(ds):
+    """The dataset's (raw user id, raw product id, rating) rows, in order."""
+    return list(zip(ds.raw_user_ids.tolist(), ds.raw_product_ids.tolist(), ds.rating_values.tolist()))
+
+
 def reference_load(path, fmt="1m"):
     """Line-by-line MovieLens reader written from the format's rules:
     strip each line, skip blank ones, split on ``::`` into 3 or 4 fields,
     ``int``/``float`` each, check the rating range, keep the first record
     of each (user, product) pair, number users and products in order of
-    first appearance.  Returns (users, products, records, dropped)."""
+    first appearance.  Returns (users, products, records, dropped), each
+    record a (user id, product id, rating) tuple."""
     lo = 1.0 if fmt == "1m" else 0.5
-    records = []
+    rows = []
     with open(path, encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -138,22 +141,22 @@ def reference_load(path, fmt="1m"):
                 raise ParseError(
                     f"{path}:{lineno}: rating {rating} outside native range {(lo, 5.0)}"
                 )
-            records.append(RatingRecord(uid, pid, rating, ts))
-    if not records:
+            rows.append((uid, pid, rating))
+    if not rows:
         raise ParseError(f"{path}: no rating lines found")
     seen, kept, users, products = set(), [], {}, {}
-    for r in records:
-        if (r.user_id, r.product_id) not in seen:
-            seen.add((r.user_id, r.product_id))
-            kept.append(r)
-            users.setdefault(r.user_id, len(users))
-            products.setdefault(r.product_id, len(products))
-    return users, products, kept, len(records) - len(kept)
+    for uid, pid, rating in rows:
+        if (uid, pid) not in seen:
+            seen.add((uid, pid))
+            kept.append((uid, pid, rating))
+            users.setdefault(uid, len(users))
+            products.setdefault(pid, len(products))
+    return users, products, kept, len(rows) - len(kept)
 
 
 def assert_loads_like_reference(path, fmt="1m"):
     try:
-        users, products, records, dropped = reference_load(path, fmt)
+        users, products, kept, dropped = reference_load(path, fmt)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             load_movielens(path, fmt=fmt)
@@ -162,10 +165,10 @@ def assert_loads_like_reference(path, fmt="1m"):
     ds = load_movielens(path, fmt=fmt)
     assert list(ds.users.items()) == list(users.items())
     assert list(ds.products.items()) == list(products.items())
-    assert list(ds.records) == records
+    assert records(ds) == kept
     assert ds.duplicates_dropped == dropped
-    assert ds.user_index.tolist() == [users[r.user_id] for r in records]
-    assert ds.product_index.tolist() == [products[r.product_id] for r in records]
+    assert ds.user_index.tolist() == [users[uid] for uid, _, _ in kept]
+    assert ds.product_index.tolist() == [products[pid] for _, pid, _ in kept]
 
 
 # (usual, unusual) tokens; unusual ones, some valid and some not, are drawn
@@ -241,6 +244,8 @@ class TestMovieLensParser:
             ("1::10::5::1\n2::11\n", 2),  # two fields
             ("1::10::5::1\n2:11:4:2\n", 2),  # single colons
             ("1::10::5::1\n1::11::oops::2\n", 2),  # non-numeric token
+            ("1::10::5::1\n2::11::4::x\n", 2),  # timestamps are checked, not kept
+            ("1::10::5::1\n2::11::4::1.5\n", 2),
             ("1::10::5::1\n\n1::11::nan::2\n", 3),  # nan after a blank line
             ("1::10::5::1\n\n\n1::11::7::2\n", 4),  # out of range after blank lines
             ("1::10::5::1\n# comment\n", 2),  # no comment syntax
@@ -285,7 +290,7 @@ class TestMovieLensParser:
         path = tmp_path / "r.dat"
         path.write_text("4294967296::5::5::1\n0::5::4::2\n1::4294967295::3::3\n")
         ds = load_movielens(path)
-        assert len(ds.records) == 3
+        assert len(ds.rating_values) == 3
         assert ds.duplicates_dropped == 0
         assert ds.users == {4294967296: 0, 0: 1, 1: 2}
 
@@ -309,8 +314,7 @@ class TestMovieLensParser:
     def test_int64_extremes_load(self, tmp_path):
         path = tmp_path / "r.dat"
         path.write_text("9223372036854775807::-9223372036854775808::5::-9223372036854775808\n")
-        (record,) = load_movielens(path).records
-        assert record == RatingRecord(2**63 - 1, -(2**63), 5.0, -(2**63))
+        assert records(load_movielens(path)) == [(2**63 - 1, -(2**63), 5.0)]
 
     @pytest.mark.parametrize(
         "text,stamps",
@@ -322,9 +326,11 @@ class TestMovieLensParser:
         ],
     )
     def test_negative_timestamps_are_kept(self, tmp_path, text, stamps):
+        # a negative timestamp is a valid field: its record is kept, by the
+        # bulk and the line parser alike
         path = tmp_path / "r.dat"
         path.write_text(text)
-        assert [r.timestamp for r in load_movielens(path).records] == stamps
+        assert len(load_movielens(path).rating_values) == len(stamps)
         assert_loads_like_reference(path)
 
 
@@ -448,7 +454,7 @@ class TestTensorConstruction:
         plan = split_kfold(ds, 5, seed=0)
         # user 3 has a single record: whichever fold holds it leaves the
         # user's row empty in training
-        fold = int(plan.assignment[[r.user_id for r in ds.records].index(3)])
+        fold = int(plan.assignment[ds.raw_user_ids.tolist().index(3)])
         train = build_tensor_2d(ds, plan, fold)[0]
         row = ds.users[3]
         assert not (train.indices[:, 0] == row).any()

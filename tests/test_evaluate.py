@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from uctensor import (
     EmptyInputError,
     ExperimentConfig,
+    MissingFeatureFileError,
+    UnknownCategoryError,
+    balance,
     baseline_predict,
+    build_tensor_2d,
+    build_tensor_3d,
     convergence_trace,
     load_movielens,
     mae,
@@ -109,34 +114,6 @@ class TestRunExperiment:
         # thread count appears in the config echo but must not change results
         assert json.loads(a)["per_fold"] == json.loads(c)["per_fold"]
 
-    def test_3d_mode_runs_and_mask_switch(self, tmp_path):
-        ratings, users = write_movielens_fixture(tmp_path, seed=5)
-        ds = load_movielens(ratings, users_path=users)
-        base = ExperimentConfig(n_folds=3, seed=0, categories=("age", "gender"))
-        report = run_experiment(ds, "3d", base)
-        assert len(report.per_fold) == 3
-        assert report.categories == ["age", "gender"]
-        full_span = ExperimentConfig(n_folds=3, seed=0, categories=("age", "gender"),
-                                     feature_mask="all")
-        other = run_experiment(ds, "3d", full_span)
-        # with per-record holdout every feature slice is a union of complete
-        # per-user record sets, so feature scales balance to exactly 1 and
-        # the projection is feature-independent: both masks must agree
-        assert other.rmse_mean == pytest.approx(report.rmse_mean, rel=1e-9)
-        assert other.mae_mean == pytest.approx(report.mae_mean, rel=1e-9)
-
-    def test_3d_fills_match_2d_fills(self, tmp_path):
-        # consequence of the same structure: the 3-D mode reproduces the
-        # 2-D metrics under per-record holdout.  The 3-D tensor repeats each
-        # rating once per category, so its log-products differ from the 2-D
-        # ones until both sit at the fixed point: solve both tightly
-        ratings, users = write_movielens_fixture(tmp_path, seed=5)
-        ds = load_movielens(ratings, users_path=users)
-        tight = dict(n_folds=3, seed=0, epsilon=TIGHT.epsilon, max_sweeps=TIGHT.max_sweeps)
-        flat = run_experiment(ds, "2d", ExperimentConfig(**tight))
-        cube = run_experiment(ds, "3d", ExperimentConfig(**tight))
-        assert cube.rmse_mean == pytest.approx(flat.rmse_mean, rel=1e-9)
-
     def test_cold_pairs_counted(self, tmp_path):
         # one user with a single record: the fold holding it sees a cold row
         lines = ["1::10::5::1", "1::11::4::2", "2::10::3::3", "2::11::2::4", "3::10::1::5"]
@@ -152,23 +129,93 @@ class TestRunExperiment:
             run_experiment(ds, "4d", ExperimentConfig())
 
 
+class TestThreeDimensionalMode:
+    """A 3-D run solves the 2-D tensor (the fills are equal, README); it is
+    checked against the direct solve of the user x feature x product
+    tensor at k=2, projected over each held-out user's own features."""
+
+    @staticmethod
+    def direct_3d_fold(ds, categories, plan, fold):
+        """Predictions and cold pairs of one fold by the direct 3-D solve."""
+        tensor, pairs, truth, feats = build_tensor_3d(ds, categories, plan, fold)
+        scales = balance(tensor, 2, TIGHT).scales
+        n_test, n_cat = feats.shape
+        cells = np.stack([np.repeat(pairs[:, 0], n_cat), feats.reshape(-1),
+                          np.repeat(pairs[:, 1], n_cat)], axis=1)
+        fills = np.exp(-scales.log_sum_at(cells)).reshape(n_test, n_cat)
+        empty = scales.empty_key_mask(cells).reshape(n_test, n_cat)
+        rows, best = np.arange(n_test), fills.argmax(axis=1)
+        return pairs, truth, fills[rows, best], int(empty[rows, best].sum())
+
+    @pytest.mark.parametrize(
+        "fixture,categories",
+        [({"seed": 5}, ("age", "gender", "occupation")),
+         # sparse: users and products with a single record, cold pairs in every fold
+         ({"seed": 1, "density": 0.1}, ("age", "gender"))],
+    )
+    def test_lifted_folds_match_the_direct_3d_solve(self, tmp_path, fixture, categories):
+        ds = load_movielens(*write_movielens_fixture(tmp_path, **fixture))
+        config = ExperimentConfig(epsilon=TIGHT.epsilon, max_sweeps=TIGHT.max_sweeps,
+                                  categories=categories)
+        report = run_experiment(ds, "3d", config)
+        assert report.mode == "3d" and report.categories == list(categories)
+        plan = split_kfold(ds, config.n_folds, config.seed)
+        for fold, result in enumerate(report.per_fold):
+            pairs, truth, direct, cold = self.direct_3d_fold(ds, categories, plan, fold)
+            lifted = np.exp(-balance(build_tensor_2d(ds, plan, fold)[0], 1, TIGHT)
+                            .scales.log_sum_at(pairs))
+            np.testing.assert_allclose(lifted, direct, rtol=1e-9, atol=0)
+            scored = np.column_stack([direct - ds.shift, truth - ds.shift])
+            assert result.rmse == pytest.approx(rmse(scored), rel=1e-9)
+            assert result.mae == pytest.approx(mae(scored), rel=1e-9)
+            assert result.cold_pairs == cold
+        if fixture.get("density"):
+            assert all(f.cold_pairs > 0 for f in report.per_fold)
+
+    def test_without_a_users_file(self, tmp_path):
+        ratings, _ = write_movielens_fixture(tmp_path)
+        with pytest.raises(MissingFeatureFileError, match="needs a users file"):
+            run_experiment(load_movielens(ratings), "3d", ExperimentConfig())
+
+    def test_a_user_missing_from_the_users_file(self, tmp_path):
+        ratings, users = write_movielens_fixture(tmp_path)
+        lines = users.read_text().splitlines()
+        users.write_text("\n".join(lines[1:]) + "\n")  # drops user 1
+        ds = load_movielens(ratings, users)
+        with pytest.raises(MissingFeatureFileError, match="user 1 missing"):
+            run_experiment(ds, "3d", ExperimentConfig())
+        run_experiment(ds, "2d", ExperimentConfig(n_folds=2))  # 2-D needs no features
+
+    def test_an_unknown_category(self, tmp_path):
+        ds = load_movielens(*write_movielens_fixture(tmp_path))
+        with pytest.raises(UnknownCategoryError):
+            run_experiment(ds, "3d", ExperimentConfig(categories=("zodiac",)))
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenReports:
-    """Reports on ``write_movielens_fixture``, recorded from the harness of
-    the first release, which held out tuple lists and parsed line by line:
-    parsing, folds and metrics must reproduce them byte for byte."""
+    """Reports on ``write_movielens_fixture``: parsing, folds and metrics
+    must reproduce them byte for byte.  ``report_2d`` and
+    ``baseline_item_mean`` hold the numbers of the first release's
+    harness, which held out tuple lists and parsed line by line;
+    ``report_3d`` is ``report_2d`` with its own mode and categories."""
 
     @pytest.mark.parametrize(
         "name,mode,options",
-        [("report_2d", "2d", {}), ("report_3d", "3d", {}),
-         ("report_3d_all", "3d", {"feature_mask": "all"})],
+        [("report_2d", "2d", {}), ("report_3d", "3d", {})],
     )
     def test_run_experiment(self, tmp_path, name, mode, options):
         ds = load_movielens(*write_movielens_fixture(tmp_path))
         report = run_experiment(ds, mode, ExperimentConfig(**options))
         assert report.to_json(include_timing=False) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+    def test_3d_report_is_the_2d_report(self):
+        flat, cube = (json.loads((GOLDEN / f"{n}.json").read_text()) for n in ("report_2d", "report_3d"))
+        assert (cube.pop("mode"), cube.pop("categories")) == ("3d", ["age", "gender", "occupation"])
+        assert (flat.pop("mode"), flat.pop("categories")) == ("2d", None)
+        assert cube == flat
 
     def test_baseline(self, tmp_path):
         ds = load_movielens(*write_movielens_fixture(tmp_path))
@@ -220,11 +267,11 @@ class TestConvergenceTrace:
         ratings = tmp_path / "r.dat"
         ratings.write_text("\n".join(lines) + "\n")
         ds = load_movielens(ratings)
-        trace = convergence_trace(ds, "2d", ExperimentConfig(n_folds=3, seed=0))
+        trace = convergence_trace(ds, ExperimentConfig(n_folds=3, seed=0))
         assert trace == [0.0]
 
     def test_trace_non_negative(self):
         ds = synthetic_dataset(2, noise=0.2)
-        trace = convergence_trace(ds, "2d", ExperimentConfig(n_folds=3, seed=0))
+        trace = convergence_trace(ds, ExperimentConfig(n_folds=3, seed=0))
         assert all(v >= 0.0 for v in trace)
         assert trace[-1] < 1e-10
