@@ -84,6 +84,14 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(epsilon=args.epsilon, max_sweeps=args.max_sweeps)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--epsilon", type=float, default=1e-10,
                    help="stop once every squared subtensor log-product is below this (default 1e-10)")
@@ -167,15 +175,16 @@ def cmd_recommend(args) -> int:
         products = {v: k for k, v in dataset.products.items()}
 
     raw_user = args.user
+    try:
+        key = int(raw_user)
+    except ValueError:
+        key = None
     if users is not None:
-        key = raw_user if raw_user in users else int(raw_user)
-        if key not in users:
-            raise UnknownUserError(f"unknown user id {raw_user!r}")
-        dense_user = users[key]
+        dense_user = users.get(raw_user, users.get(key))
     else:
-        dense_user = int(raw_user)
-        if not 0 <= dense_user < completed.shape[0]:
-            raise UnknownUserError(f"unknown user id {raw_user!r}")
+        dense_user = key if key is not None and 0 <= key < completed.shape[0] else None
+    if dense_user is None:
+        raise UnknownUserError(f"unknown user id {raw_user!r}")
 
     picks = top_n(completed, dense_user, args.top, exclude_observed=args.exclude_observed)
     for rank, pred in enumerate(picks, start=1):
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", default=None)
     p.add_argument("--input", default=None, help="generic tensor file when --dataset tensor")
     p.add_argument("--user", required=True, help="raw user id")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_positive_int, default=10, help="products to list (>= 1)")
     p.add_argument("--exclude-observed", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_recommend)

@@ -70,6 +70,8 @@ class TooFewRecordsError(UctensorError, ValueError):
 class UnknownUserError(UctensorError, KeyError):
     """A raw user id that is not in the vocabulary."""
 
+    __str__ = Exception.__str__  # not KeyError's, which quotes the message
+
 
 class DidNotConvergeError(UctensorError, RuntimeError):
     """Sweep cap reached before the residual dropped below epsilon.

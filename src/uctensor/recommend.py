@@ -3,7 +3,8 @@ tensors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +12,10 @@ from .complete import CompletedTensor, inverse_scale_fills
 from .exceptions import IndexOutOfBoundsError, NotAMatrixError
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
+    """One ranked or queried cell.  A tuple, so it also compares equal to
+    the plain tuple ``(user, product, rating, source)``."""
+
     user: int
     product: int
     rating: float
@@ -37,17 +40,6 @@ def predict_rating(completed: CompletedTensor, user: int, product: int) -> Predi
     if observed is not None:
         return Prediction(user, product, observed, "observed")
     return Prediction(user, product, completed.fill_at((user, product)), "completed")
-
-
-def _first_n(keys: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the ``n`` smallest keys, ties in ascending position:
-    the first n of a stable argsort.  A partition finds the n-th key, and
-    only the keys at or below it are sorted."""
-    if n < len(keys):
-        nth = np.partition(keys, n - 1)[n - 1]
-        cut = np.flatnonzero(keys <= nth)
-        return cut[np.argsort(keys[cut], kind="stable")[:n]]
-    return np.argsort(keys, kind="stable")
 
 
 # Products whose log scales differ by at most this much are walked past
@@ -75,17 +67,18 @@ def _product_order(completed: CompletedTensor):
 
 
 def _walk(order, rank, tie_end, rated, n) -> np.ndarray:
-    """The unrated products, in index order, of the shortest prefix of
+    """The unrated products, in walk order, of the shortest prefix of
     ``order`` holding n unrated products, extended over every product
     whose log scale is within ``TIE_WINDOW`` of the n-th one's."""
-    taken = np.sort(rank[rated])
+    taken = rank[rated]
+    taken.sort()
     # taken[j] - j unrated products come before the j-th rated one, so the
     # n-th unrated product sits at order position n - 1 + (rated before it)
-    nth = n - 1 + int(np.searchsorted(taken - np.arange(len(taken)), n - 1, side="right"))
+    nth = n - 1 + int((taken - np.arange(len(taken))).searchsorted(n - 1, side="right"))
     end = int(tie_end[nth]) if nth < len(order) else len(order)
     keep = np.ones(end, dtype=bool)
-    keep[taken[: np.searchsorted(taken, end)]] = False
-    return np.sort(order[:end][keep])
+    keep[taken[: taken.searchsorted(end)]] = False
+    return order[:end][keep]
 
 
 def top_n(
@@ -102,10 +95,16 @@ def top_n(
     has not rated by one global order: ascending product log scale b_p.
     A query walks that order, cached on the completion, only until it
     holds the n-th unrated product, and then on over every product whose
-    b_p is within ``TIE_WINDOW`` of that product's.  Only the unrated
-    products of that prefix (plus the rated ones, when they are kept)
-    are filled, from a_u + b_p summed as ``log_sum_fiber`` sums it, and
-    ranked by partial selection.
+    b_p is within ``TIE_WINDOW`` of that product's.  The user's row is
+    one slice of the source's entries, whose bounds the source keeps
+    after its first ``row_slice``.  Only the unrated products of the
+    prefix are filled, from a_u + b_p summed as ``log_sum_fiber`` sums
+    it.  Unless they are excluded, the rated products join them with
+    their observed values, less those below the least of the first n
+    fills, which n fills beat.  One ``sort`` over (-value, product,
+    source) triples ranks them all, ties to the smaller product index.
+    The fills come in walk order, nearly sorted, so sorting them takes
+    linear time even over a run of tied fills.
 
     The answer is exact, ties included.  When a_u + min(b) and a_u +
     max(b) lie in (-700, 700), every sum of the row does, each rounded
@@ -117,11 +116,15 @@ def top_n(
     among the first n nor tie with them.  Otherwise some fill of the
     row may leave the float range, and the whole row is filled, checked
     (raising ``NonFiniteValueError`` or ``NonPositiveValueError`` that
-    names the first such cell, rated products excepted) and ranked.
+    names the first such cell, rated products excepted) and ranked by
+    the same sort, in O(P log P) for P products.
 
     A query costs O(r log r + prefix) for a row of r rated products,
-    independent of the number of products and of stored entries; the
-    completion pays one O(P log P) sort of its P products."""
+    independent of the number of products and of stored entries.  The
+    completion pays one O(P log P) sort of its P products; its source
+    pays, on its first ``row_slice``, one O(U log nnz) search for where
+    each of its U rows starts among its nnz entries, and keeps that
+    list of U + 1 ints."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("top_n expects a 2-D completion")
     if n < 1:
@@ -144,16 +147,14 @@ def top_n(
         unrated[rated] = False
         products = np.flatnonzero(unrated)
         values = values[products]
-    if exclude_observed:
-        observed = np.zeros(len(products), dtype=bool)
-    else:
-        merged = np.concatenate([products, rated])
-        by_index = np.argsort(merged)
-        observed = by_index >= len(products)
-        products = merged[by_index]
-        values = np.concatenate([values, source.values[row]])[by_index]
-    picks = _first_n(-values, n)
-    return [
-        Prediction(user, p, v, "observed" if o else "completed")
-        for p, v, o in zip(products[picks].tolist(), values[picks].tolist(), observed[picks].tolist())
-    ]
+    ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
+    if not exclude_observed:
+        observed = source.values[row]
+        if len(values) >= n:
+            # n fills are at least the least of values[:n]: a rating below
+            # it cannot rank
+            keep = observed >= values[:n].min()
+            observed, rated = observed[keep], rated[keep]
+        ranked += zip((-observed).tolist(), rated.tolist(), repeat("observed"))
+    ranked.sort()
+    return [Prediction(user, p, -v, s) for v, p, s in ranked[:n]]

@@ -39,7 +39,7 @@ def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
 class SparseTensor:
     """Immutable COO tensor; indices kept in lexicographic (row-major) order."""
 
-    __slots__ = ("shape", "indices", "values", "_flat")
+    __slots__ = ("shape", "indices", "values", "_flat", "_row_starts")
 
     def __init__(self, shape, indices, values, *, _flat=None):
         # ``_flat`` is the flat-key array of an already validated pattern
@@ -98,6 +98,7 @@ class SparseTensor:
         self.indices = indices
         self.values = values
         self._flat = _flat
+        self._row_starts = None  # row_slice's boundaries, found on its first call
         for a in (self.indices, self.values, self._flat):
             a.setflags(write=False)
 
@@ -152,10 +153,20 @@ class SparseTensor:
 
     def row_slice(self, i: int) -> slice:
         """The entries whose first coordinate is ``i``, as a slice of
-        ``indices`` and ``values``: row-major order keeps them contiguous."""
-        stride = math.prod(self.shape[1:])
-        flat = self._flat
-        return slice(int(flat.searchsorted(i * stride)), int(flat.searchsorted((i + 1) * stride)))
+        ``indices`` and ``values``: row-major order keeps them contiguous.
+        The first call finds where every row starts, with one search of
+        the flat keys, and keeps that list (one int per row) on the
+        tensor, which never changes."""
+        if not 0 <= i < self.shape[0]:
+            raise IndexOutOfBoundsError(f"row {i} out of range [0, {self.shape[0]})")
+        starts = self._row_starts
+        if starts is None:
+            stride = math.prod(self.shape[1:])
+            flat = self._flat
+            starts = flat.searchsorted(np.arange(self.shape[0]) * stride).tolist()
+            starts.append(len(flat))
+            self._row_starts = starts
+        return slice(starts[i], starts[i + 1])
 
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Same observed pattern, new values (one per entry, in entry

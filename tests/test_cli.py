@@ -91,6 +91,28 @@ class TestRecommend:
         assert code == 1
         assert "unknown user" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "-1"])
+    def test_unknown_user_id_of_a_tensor(self, toy_tensor, capsys, raw):
+        code = main(["recommend", "--dataset", "tensor", "--input", str(toy_tensor),
+                     "--user", raw, "--top", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown user id {raw!r}\n"
+
+    def test_user_id_not_in_the_vocabulary(self, tmp_path, capsys):
+        ratings, _ = write_movielens_fixture(tmp_path, seed=4)
+        code = main(["recommend", "--dataset", "movielens1m", "--ratings", str(ratings),
+                     "--user", "abc", "--top", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown user id 'abc'\n"
+
+    @pytest.mark.parametrize("top", ["0", "-2", "x"])
+    def test_top_below_one_is_a_usage_error(self, toy_tensor, capsys, top):
+        with pytest.raises(SystemExit) as err:
+            main(["recommend", "--dataset", "tensor", "--input", str(toy_tensor),
+                  "--user", "1", "--top", top])
+        assert err.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
     def test_trained_from_dataset_prints_raw_ids(self, tmp_path, capsys):
         ratings, _ = write_movielens_fixture(tmp_path, seed=4)
         code = main(["recommend", "--dataset", "movielens1m", "--ratings", str(ratings),

@@ -58,6 +58,38 @@ class TestPredictRating:
             predict_rating(completed, 0, 0)
 
 
+class TestPrediction:
+    """``Prediction`` is a named tuple of (user, product, rating, source)."""
+
+    def test_fields_and_repr(self):
+        pred = Prediction(1, 2, 3.0, "completed")
+        assert Prediction._fields == ("user", "product", "rating", "source")
+        assert repr(pred) == "Prediction(user=1, product=2, rating=3.0, source='completed')"
+
+    def test_assignment_raises(self):
+        pred = Prediction(1, 2, 3.0, "completed")
+        with pytest.raises(AttributeError):
+            pred.rating = 4.0
+
+    def test_equality_and_hash(self):
+        pred = Prediction(1, 2, 3.0, "completed")
+        twin = Prediction(1, 2, 3.0, "completed")
+        assert pred == twin and hash(pred) == hash(twin) and len({pred, twin}) == 1
+        assert pred == (1, 2, 3.0, "completed")
+        assert pred != Prediction(1, 2, 3.0, "observed")
+        assert pred != Prediction(1, 2, 3.5, "completed")
+
+    def test_queries_return_predictions(self, three_entry_2x2):
+        completed = complete_matrix(three_entry_2x2, TIGHT)
+        picks = [predict_rating(completed, 1, 1), predict_rating(completed, 1, 0)]
+        for exclude in (False, True):
+            picks += top_n(completed, 1, 2, exclude)
+        assert [p.source for p in picks] == ["completed", "observed", "completed", "observed", "completed"]
+        for pred in picks:
+            assert type(pred) is Prediction
+            assert (type(pred.user), type(pred.product), type(pred.rating)) == (int, int, float)
+
+
 class TestTopN:
     @staticmethod
     def column_ordered_model():
@@ -213,8 +245,9 @@ def wide_completions(draw):
 
 
 class TestTopNEquivalence:
-    """top_n reads one row slice and ranks by partial selection; it must
-    give exactly the answers of the full lookup and full sort."""
+    """top_n fills only a prefix of the product order and ranks it with
+    one sort; it must give exactly the answers of the full lookup and
+    full sort."""
 
     @given(rating_completions(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -245,6 +278,15 @@ class TestTopNEquivalence:
         assert [p.product for p in top_n(completed, 0, 6)] == [0, 2, 3, 5, 1, 4]
         assert [p.product for p in top_n(completed, 0, 5, exclude_observed=True)] == [0, 2, 3, 5, 1]
         assert [p.source for p in top_n(completed, 0, 6)][-1] == "observed"
+
+    def test_rating_tied_with_the_nth_fill_ranks_by_index(self):
+        # every fill is exactly 1, and so is the rating of product 0: it
+        # ties with the n-th fill and ranks first by its smaller index
+        source = make_tensor((1, 6), {(0, 0): 1.0, (0, 4): 0.5})
+        completed = completion_of(source, [0.0], np.zeros(6))
+        assert top_n(completed, 0, 2) == [(0, 0, 1.0, "observed"), (0, 1, 1.0, "completed")]
+        assert [p.product for p in top_n(completed, 0, 6)] == [0, 1, 2, 3, 5, 4]
+        assert [p.product for p in top_n(completed, 0, 2, exclude_observed=True)] == [1, 2]
 
     @given(wide_completions(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -286,6 +328,18 @@ class TestTopNEquivalence:
         # user 0 rated every product: nothing of its row is a fill
         assert [p.product for p in top_n(completed, 0, 1)] == [0]
 
+    def test_far_log_scale_ranks_the_whole_row(self):
+        # product 2's log scale of 704 puts a_u + b_p past 700, so the whole
+        # row is filled (its fill, ~1e-306, is still a normal float) and
+        # ranked from product order: the rating 0.5 of product 3 beats the
+        # fill 0.37 of product 0, though not the fill 1 of product 1
+        source = make_tensor((1, 5), {(0, 3): 0.5})
+        completed = completion_of(source, [0.0], [1.0, 0.0, 704.0, 2.0, 3.0])
+        assert [(p.product, p.source) for p in top_n(completed, 0, 2)] == [(1, "completed"), (3, "observed")]
+        for exclude in (False, True):
+            for n in range(1, 7):
+                assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_fill_raises(self):
         completed = complete(make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0}), 1)
@@ -294,6 +348,37 @@ class TestTopNEquivalence:
                 top_n(completed, 1, 1, exclude_observed=exclude)
         # user 0 rated both products: nothing of its row is a fill
         assert [p.rating for p in top_n(completed, 0, 2)] == [1.0, 1e-320]
+
+
+class TestTopNMidSize:
+    """Every user of a seeded 300 x 500 completion whose rows are mostly
+    rated, so that most walks pass many rated products before they stop."""
+
+    @staticmethod
+    def completion():
+        rng = np.random.default_rng(2024)
+        density = rng.uniform(0.5, 0.98, size=(300, 1))
+        density[0], density[1] = 1.0, 0.0  # one row all rated, one unrated
+        indices = np.argwhere(rng.random((300, 500)) < density)
+        ratings = rng.integers(1, 6, size=len(indices)).astype(float)
+        return complete_matrix(SparseTensor((300, 500), indices, ratings))
+
+    @staticmethod
+    def assert_equals_reference(completed):
+        for user in range(completed.shape[0]):
+            for exclude in (False, True):
+                for n in (1, 10, 50):
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+
+    def test_solved_scales(self):
+        self.assert_equals_reference(self.completion())
+
+    def test_one_tie_run_covers_every_row(self):
+        # all product log scales equal: every walk extends over the whole
+        # row, and the fills of each user's unrated products all tie
+        solved = self.completion()
+        tied = completion_of(solved.source, solved.scales.log[(0,)], np.full(500, 0.25))
+        self.assert_equals_reference(tied)
 
 
 class TestGlobalOrder:

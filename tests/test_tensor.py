@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -320,6 +321,25 @@ class TestRowSlice:
             rows = t.row_slice(i)
             np.testing.assert_array_equal(t.indices[rows], t.indices[t.indices[:, 0] == i])
             np.testing.assert_array_equal(t.values[rows], t.values[t.indices[:, 0] == i])
+
+    @given(patterns())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_outside_the_shape_raise(self, t):
+        # the stored boundaries would serve -2 as the last row's slice
+        for i in (-1, -2, t.shape[0], t.shape[0] + 1):
+            with pytest.raises(IndexOutOfBoundsError):
+                t.row_slice(i)
+
+    def test_pickle_round_trip_before_and_after_the_first_call(self):
+        t = make_tensor((4, 3), {(0, 1): 1.0, (2, 0): 2.0, (2, 2): 3.0, (3, 1): 4.0})
+        expected = [slice(0, 1), slice(1, 1), slice(1, 3), slice(3, 4)]
+        fresh = pickle.loads(pickle.dumps(t))
+        assert [fresh.row_slice(i) for i in range(4)] == expected
+        assert [t.row_slice(i) for i in range(4)] == expected
+        queried = pickle.loads(pickle.dumps(t))
+        assert [queried.row_slice(i) for i in range(4)] == expected
+        np.testing.assert_array_equal(queried.indices, t.indices)
+        np.testing.assert_array_equal(queried.values, t.values)
 
 
 class TestLogSums:
