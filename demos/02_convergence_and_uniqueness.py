@@ -8,11 +8,10 @@ Run:  python demos/02_convergence_and_uniqueness.py
 import numpy as np
 
 from uctensor import (
-    BalanceState,
     CompletedTensor,
-    LatentModel,
     ScaleSet,
     SolverConfig,
+    SparseTensor,
     balance,
     complete,
     scale_apply,
@@ -35,17 +34,16 @@ for i, v in enumerate(model.residual_trace, start=1):
     print(f"  iteration {i:2d}  residual = {v:.3e}")
 
 # ---------------------------------------------------------------------------
-# Solving with the families in the opposite order (so the other family is
-# eliminated exactly) lands on the same balanced tensor: the fixed point is
-# order-independent.  BalanceState picks the order.
+# The solve eliminates the first family (here the rows) exactly.  Solving
+# the axis-reversed tensor eliminates the columns instead, and lands on the
+# same balanced tensor: the fixed point does not depend on the route.  .T
+# reverses every axis of a dense result, mapping it back.
 # ---------------------------------------------------------------------------
 tight = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
 lex = balance(tensor, 1, tight)
-state = BalanceState(tensor, 1, "reversed")
-trace = state.solve(tight.epsilon, tight.max_sweeps)
-rev = LatentModel(tensor, state.scale_set(), len(trace), trace[-1], tuple(trace))
-gap = np.abs(lex.balanced.values - rev.balanced.values).max()
-print(f"\nmax |balanced(lex) - balanced(reversed)| = {gap:.2e}")
+rev = balance(SparseTensor(tensor.shape[::-1], tensor.indices[:, ::-1], tensor.values), 1, tight)
+gap = np.abs(lex.balanced.to_dense() - rev.balanced.to_dense().T).max()
+print(f"\nmax |balanced - balanced(axis-reversed).T| = {gap:.2e}")
 
 # ---------------------------------------------------------------------------
 # Gauge freedom: multiplying row scales by t and column scales by 1/t
@@ -64,4 +62,4 @@ print("max |A*Z - A*(Z.T)| on observed cells:",
 c_lex = complete(tensor, 1, tight)
 c_rev = CompletedTensor(rev)
 print("max completion difference:",
-      f"{np.abs(c_lex.to_dense() - c_rev.to_dense()).max():.2e}")
+      f"{np.abs(c_lex.to_dense() - c_rev.to_dense().T).max():.2e}")

@@ -5,7 +5,7 @@ entries and B the entry x subtensor incidence matrix, the log scales x
 solve BᵀB x = −Bᵀ y: at the solution every non-empty subtensor's sum of
 balanced log entries y + Bx (its log-product) is 0, so its product is 1.
 
-The first family in solve order is eliminated exactly.  For fixed scales
+The first family in canonical order is eliminated exactly.  For fixed scales
 of the other ("rest") families, the best first-family scale of each
 subtensor removes that subtensor's mean log entry, so the rest scales
 solve the Schur complement B_RᵀP B_R x_R = −B_RᵀP y, where P removes
@@ -34,8 +34,6 @@ import numpy as np
 from .exceptions import DidNotConvergeError, EmptyTensorError
 from .tensor import ScaleSet, SparseTensor, family_sub_ids, scale_apply, subtensor_families
 
-SWEEP_ORDERS = ("lex", "reversed")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -49,8 +47,8 @@ class SolverConfig:
     max_sweeps: int = 1000
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
@@ -60,57 +58,45 @@ def _max_square(r: np.ndarray) -> float:
 
 
 class BalanceState:
-    """The solve's arrays: the source's log entries and, per family in
-    solve order, each entry's subtensor id, the subtensor counts and
-    their inverses (0 for an empty subtensor), and the log scales.
-    ``solve`` fills the log scales.  The solve order is the canonical
-    family order, or its reverse for ``sweep_order="reversed"``, which
-    eliminates another family exactly; the limit does not depend on it."""
+    """The solve's arrays: the source's log entries, per family the
+    subtensor counts and log scales, and per rest family each entry's
+    subtensor id.  ``solve`` fills the log scales.  The families are
+    solved in canonical order, so the first one fixes the leading dims
+    and is eliminated exactly; the limit does not depend on which family
+    that is (solving the axis-reversed tensor eliminates another)."""
 
-    def __init__(self, tensor: SparseTensor, k: int, sweep_order: str = "lex"):
+    def __init__(self, tensor: SparseTensor, k: int):
         if tensor.n_observed == 0:
             raise EmptyTensorError("cannot balance a tensor with no observed entries")
-        if sweep_order not in SWEEP_ORDERS:
-            raise ValueError(f"sweep_order must be one of {SWEEP_ORDERS}")
         self.tensor = tensor
         self.k = int(k)
         self.families = subtensor_families(tensor.ndim, k)
-        if sweep_order == "reversed":
-            self.families = self.families[::-1]
-        self.log_values = np.log(tensor.values)
-
-        self.ids = {}
+        first, *rest = self.families
         self.counts = {}
-        self.inv_counts = {}
         self.log_scales = {}
+        rest_ids = []
         for fixed in self.families:
             ids, size = family_sub_ids(tensor, fixed)
-            counts = np.bincount(ids, minlength=size)
-            self.ids[fixed] = ids
-            self.counts[fixed] = counts
-            self.inv_counts[fixed] = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
+            self.counts[fixed] = np.bincount(ids, minlength=size)
             self.log_scales[fixed] = np.zeros(size)
+            if fixed != first:
+                rest_ids.append(ids)
 
-        # The solve keeps the entries in first-family order, where each
-        # first-family subtensor is a run of consecutive entries: its sums
-        # and broadcasts are then reduceat/repeat, several times faster
-        # than bincount/gather.  Lexicographic entry order is already that
-        # order when the first family fixes the leading dims.
-        first, *rest = self.families
-        order = None if first == tuple(range(len(first))) else np.argsort(self.ids[first], kind="stable")
+        # Lexicographic entry order is first-family order: each first-family
+        # subtensor is a run of consecutive entries, so its sums and
+        # broadcasts are reduceat/repeat, several times faster than
+        # bincount/gather.
         self._first_nonempty = np.flatnonzero(self.counts[first])
         self._runs = self.counts[first][self._first_nonempty]
         self._starts = np.cumsum(self._runs) - self._runs
         self._inv_runs = 1.0 / self._runs
-        self._y = self.log_values if order is None else self.log_values[order]
+        self._y = np.log(tensor.values)
         # the rest families' scales form one vector x; their entry ids are
         # offset into it
         self._bounds = np.cumsum([0] + [len(self.counts[f]) for f in rest])
-        self._rest_ids = []
-        for f, lo in zip(rest, self._bounds):
-            ids = self.ids[f] if order is None else self.ids[f][order]
-            self._rest_ids.append(ids + lo if lo else ids)
-        self._inv = np.concatenate([self.inv_counts[f] for f in rest])
+        self._rest_ids = [ids + lo if lo else ids for ids, lo in zip(rest_ids, self._bounds)]
+        rest_counts = np.concatenate([self.counts[f] for f in rest])
+        self._inv = np.where(rest_counts > 0, 1.0 / np.maximum(rest_counts, 1), 0.0)
 
     def _gather(self, x: np.ndarray) -> np.ndarray:
         """Per entry, the sum of x over the entry's rest-family subtensors."""

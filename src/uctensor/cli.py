@@ -9,6 +9,7 @@ then against the UCTENSOR_DATA environment variable (or --data-root).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,13 +93,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--epsilon", type=float, default=1e-10,
-                   help="stop once every squared subtensor log-product is below this (default 1e-10)")
-    p.add_argument("--max-sweeps", type=int, default=1000, help="solver iteration cap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--data-root", default=None, help="overrides $UCTENSOR_DATA (default ./data)")
+def _finite_nonnegative_float(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
+# the options several subcommands share; each subcommand adds those it reads
+COMMON_OPTIONS = {
+    "--epsilon": dict(type=_finite_nonnegative_float, default=1e-10,
+                      help="stop once every squared subtensor log-product is below this (default 1e-10)"),
+    "--max-sweeps": dict(type=_positive_int, default=1000, help="solver iteration cap"),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=_positive_int, default=1),
+    "--data-root": dict(default=None, help="overrides $UCTENSOR_DATA (default ./data)"),
+}
+
+
+def _add_common(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **COMMON_OPTIONS[flag])
 
 
 def cmd_complete(args) -> int:
@@ -216,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="subtensor dimensionality (default D-1)")
     p.add_argument("--out", default=None, help="write all completed cells in the same format")
     p.add_argument("--model-out", default=None, help="write the trained model file")
-    _add_common(p)
+    _add_common(p, "--epsilon", "--max-sweeps")
     p.set_defaults(fn=cmd_complete)
 
     p = sub.add_parser("evaluate", help="cross-validated RMSE/MAE on a ratings dataset")
@@ -233,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omit-timings", action="store_true",
                    help="zero wall times in the report for byte-stable output")
     p.add_argument("--trace-out", default=None, help="write fold-0 sweep,residual CSV here")
-    _add_common(p)
+    _add_common(p, "--epsilon", "--max-sweeps", "--seed", "--threads", "--data-root")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-n products for a user")
@@ -245,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", required=True, help="raw user id")
     p.add_argument("--top", type=_positive_int, default=10, help="products to list (>= 1)")
     p.add_argument("--exclude-observed", action="store_true")
-    _add_common(p)
+    _add_common(p, "--epsilon", "--max-sweeps", "--data-root")
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("check", help="run the seeded property-check suites")
     p.add_argument("--inject-fault", action="store_true",
                    help="deliberately corrupt one expectation (harness self-test)")
-    _add_common(p)
+    _add_common(p, "--epsilon", "--seed")
     p.set_defaults(fn=cmd_check)
 
     return parser

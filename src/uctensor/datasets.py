@@ -603,6 +603,8 @@ def load_tensor_text(path) -> SparseTensor:
                     shape = tuple(int(t) for t in line[len("shape"):].strip().split(","))
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
+                if min(shape) < 1:
+                    raise ParseError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
                 continue
             parts = line.split(",")
             if len(parts) != len(shape) + 1:

@@ -98,8 +98,8 @@ def top_n(
     b_p is within ``TIE_WINDOW`` of that product's.  The user's row is
     one slice of the source's entries, whose bounds the source keeps
     after its first ``row_slice``.  Only the unrated products of the
-    prefix are filled, from a_u + b_p summed as ``log_sum_fiber`` sums
-    it.  Unless they are excluded, the rated products join them with
+    prefix are filled, from a_u + b_p, the sum ``log_sum_at`` forms.
+    Unless they are excluded, the rated products join them with
     their observed values, less those below the least of the first n
     fills, which n fills beat.  One ``sort`` over (-value, product,
     source) triples ranks them all, ties to the smaller product index.
@@ -140,7 +140,7 @@ def top_n(
         products = _walk(order, rank, tie_end, rated, n)
         values = np.exp(-(a + b[products]))
     else:
-        logs = scales.log_sum_fiber((user,))
+        logs = a + b
         logs[rated] = 0.0
         values = inverse_scale_fills(logs, lambda p: (user, p))
         unrated = np.ones(len(values), dtype=bool)

@@ -277,29 +277,6 @@ class ScaleSet:
             total += self.log[fixed][ids]
         return total
 
-    def log_sum_fiber(self, prefix) -> np.ndarray:
-        """``log_sum_at`` of the cells (*prefix, j) for every j along the
-        last dimension, summed in the same order, so the two agree bit
-        for bit."""
-        prefix = tuple(int(i) for i in prefix)
-        last = len(self.shape) - 1
-        if len(prefix) != last or any(not 0 <= i < s for i, s in zip(prefix, self.shape)):
-            raise IndexOutOfBoundsError(
-                f"fiber prefix {prefix} out of bounds for shape {self.shape}"
-            )
-        cell = prefix + (0,)
-        n = self.shape[last]
-        total = np.zeros(n)
-        for fixed in self.families:
-            start = 0
-            for d in fixed:
-                start = start * self.shape[d] + cell[d]
-            logs = self.log[fixed]
-            # a family fixing the last dimension holds the fiber's keys
-            # contiguously from (*prefix, 0); any other family, one key
-            total += logs[start : start + n] if fixed[-1] == last else logs[start]
-        return total
-
     def empty_key_mask(self, indices: np.ndarray) -> np.ndarray:
         """True for index rows having at least one empty containing subtensor."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(self.shape))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from uctensor import (
-    BalanceState,
     LatentModel,
     ScaleSet,
     SolverConfig,
+    SparseTensor,
+    balance,
     make_tensor,
     subtensor_families,
 )
@@ -18,13 +19,20 @@ TIGHT = SolverConfig(epsilon=1e-24, max_sweeps=20_000)
 
 
 def reversed_balance(tensor, k, config):
-    """``balance`` with the families solved in reverse canonical order, so
-    another family is eliminated exactly; ``BalanceState`` picks the
-    order.  Fails unless the solve converges."""
-    state = BalanceState(tensor, k, "reversed")
-    trace = state.solve(config.epsilon, config.max_sweeps)
-    assert trace[-1] < config.epsilon, f"reversed solve stopped at residual {trace[-1]:.3e}"
-    return LatentModel(tensor, state.scale_set(), len(trace), trace[-1], tuple(trace))
+    """``balance`` of the axis-reversed tensor, whose first canonical
+    family is ``tensor``'s last, so another family is eliminated exactly.
+    Each family's scales are mapped back onto ``tensor``'s families.
+    Raises DidNotConvergeError unless the solve converges."""
+    axis_reversed = SparseTensor(tensor.shape[::-1], tensor.indices[:, ::-1], tensor.values)
+    flipped = balance(axis_reversed, k, config)
+    logs, nonempty = {}, {}
+    for f in flipped.scales.families:
+        dims = [flipped.shape[d] for d in f]
+        own = tuple(tensor.ndim - 1 - d for d in reversed(f))
+        logs[own] = flipped.scales.log[f].reshape(dims).T.ravel()
+        nonempty[own] = flipped.scales.nonempty[f].reshape(dims).T.ravel()
+    scales = ScaleSet(tensor.shape, k, logs, nonempty)
+    return LatentModel(tensor, scales, flipped.sweeps_run, flipped.final_residual, flipped.residual_trace)
 
 
 def scale_set(shape, k, scales):

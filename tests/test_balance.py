@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
-    BalanceState,
     CompletedTensor,
     DidNotConvergeError,
     EmptyTensorError,
@@ -25,7 +24,7 @@ from uctensor.properties import hide_with_full_support, random_sparse_tensor
 from uctensor.tensor import family_sub_ids
 
 from conftest import TIGHT, reversed_balance
-from sweep_oracle import sweep, sweep_balance
+from sweep_oracle import SweepState, sweep, sweep_balance
 
 
 def max_squared_log_product(tensor, k):
@@ -126,7 +125,7 @@ class TestSweep:
             for i in range(logs.shape[0])
             for j in range(logs.shape[1])
         }
-        return BalanceState(make_tensor(logs.shape, entries), 1)
+        return SweepState(make_tensor(logs.shape, entries), 1)
 
     def test_zero_mean_subtensor_is_untouched(self):
         state = self.state_from_logs([[1.0, -1.0]])
@@ -321,9 +320,8 @@ class TestReportedResidual:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=-1.0)
+        for epsilon in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                SolverConfig(epsilon=epsilon)
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)
-        with pytest.raises(ValueError):
-            BalanceState(make_tensor((2, 2), {(0, 0): 1.0}), 1, "shuffled")

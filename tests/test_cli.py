@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uctensor import SolverConfig, complete, load_tensor_text
-from uctensor.cli import main
+from uctensor.cli import build_parser, main
 
 from conftest import write_movielens_fixture
 
@@ -188,3 +188,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["complete", "--input", "t.txt", "--max-sweeps", "0"], "--max-sweeps"),
+        (["complete", "--input", "t.txt", "--epsilon", "-1"], "--epsilon"),
+        (["complete", "--input", "t.txt", "--epsilon", "nan"], "--epsilon"),
+        (["complete", "--input", "t.txt", "--epsilon", "inf"], "--epsilon"),
+        (["recommend", "--user", "1", "--max-sweeps", "-3"], "--max-sweeps"),
+        (["check", "--epsilon", "-inf"], "--epsilon"),
+        (["evaluate", "--dataset", "movielens1m", "--threads", "0"], "--threads"),
+        (["evaluate", "--dataset", "movielens1m", "--max-sweeps", "x"], "--max-sweeps"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--input", "t.txt", "--seed", "1"],
+        ["complete", "--input", "t.txt", "--threads", "2"],
+        ["complete", "--input", "t.txt", "--data-root", "d"],
+        ["recommend", "--user", "1", "--seed", "1"],
+        ["recommend", "--user", "1", "--threads", "2"],
+        ["check", "--max-sweeps", "10"],
+        ["check", "--threads", "2"],
+        ["check", "--data-root", "d"],
+    ])
+    def test_flag_a_command_ignores_is_not_offered(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_where_they_are_read(self):
+        parser = build_parser()
+        args = parser.parse_args(["complete", "--input", "t.txt", "--epsilon", "0", "--max-sweeps", "5"])
+        assert (args.epsilon, args.max_sweeps) == (0.0, 5)
+        args = parser.parse_args(["evaluate", "--dataset", "jester2", "--seed", "3", "--threads", "2",
+                                  "--data-root", "d", "--epsilon", "1e-8", "--max-sweeps", "7"])
+        assert (args.seed, args.threads, args.data_root, args.epsilon, args.max_sweeps) == (3, 2, "d", 1e-8, 7)
+        args = parser.parse_args(["recommend", "--user", "1", "--data-root", "d", "--epsilon", "1e-6"])
+        assert (args.data_root, args.epsilon, args.max_sweeps) == ("d", 1e-6, 1000)
+        args = parser.parse_args(["check", "--seed", "2", "--epsilon", "1e-3"])
+        assert (args.seed, args.epsilon) == (2, 1e-3)

@@ -639,3 +639,10 @@ class TestTensorText:
         f.write_text("shape 2,2\n0,0,1,2.0\n")
         with pytest.raises(ParseError, match=":2"):
             load_tensor_text(f)
+
+    @pytest.mark.parametrize("dims", ["0,2", "2,-3"])
+    def test_dimension_below_one(self, tmp_path, dims):
+        f = tmp_path / "t.txt"
+        f.write_text(f"# a comment\nshape {dims}\n")
+        with pytest.raises(ParseError, match=r"t\.txt:2: dimensions must be >= 1"):
+            load_tensor_text(f)

@@ -340,6 +340,27 @@ class TestTopNEquivalence:
             for n in range(1, 7):
                 assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
 
+    def test_far_row_with_rounding_log_scales_equals_the_reference(self):
+        # non-integer log scales, so the order of each a_u + b_p sum shows
+        # in its rounding; one product's log scale past 700 sends every
+        # user's query through the whole-row path, whose fills must equal
+        # the reference's bit for bit
+        rng = np.random.default_rng(7)
+        n_users, n_products = 4, 30
+        product_logs = rng.uniform(-3.0, 3.0, n_products)
+        product_logs[11] = rng.uniform(702.0, 705.0)
+        product_logs[20] = product_logs[5]  # a tie
+        user_logs = rng.uniform(-1.0, 1.0, n_users)
+        assert (user_logs + product_logs[11] > 700.0).all()
+        rated = np.argwhere(rng.random((n_users, n_products)) < 0.3)
+        ratings = rng.uniform(0.5, 5.0, len(rated))
+        source = SparseTensor((n_users, n_products), rated, ratings)
+        completed = completion_of(source, user_logs, product_logs)
+        for user in range(n_users):
+            for exclude in (False, True):
+                for n in range(1, n_products + 2):
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_fill_raises(self):
         completed = complete(make_tensor((2, 2), {(0, 0): 1e-320, (0, 1): 1.0, (1, 0): 1.0}), 1)

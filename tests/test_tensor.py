@@ -344,21 +344,6 @@ class TestRowSlice:
 
 class TestLogSums:
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_fiber_equals_log_sum_at_bit_for_bit(self, data):
-        shape = data.draw(shapes)
-        scales = ScaleSet(shape, *data.draw(drawn_logs(shape)))
-        for prefix in itertools.product(*(range(s) for s in shape[:-1])):
-            cells = np.array([(*prefix, j) for j in range(shape[-1])])
-            assert scales.log_sum_fiber(prefix).tolist() == scales.log_sum_at(cells).tolist()
-
-    def test_fiber_prefix_is_checked(self):
-        scales = scale_set((2, 3, 4), 1, {})
-        for bad in [(0,), (0, 3), (-1, 0), (0, 0, 0)]:
-            with pytest.raises(IndexOutOfBoundsError):
-                scales.log_sum_fiber(bad)
-
-    @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_empty_keys_count_as_scale_one_whatever_they_hold(self, data):
         shape = data.draw(shapes)
