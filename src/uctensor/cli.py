@@ -93,6 +93,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _finite_nonnegative_float(text: str) -> float:
     """argparse type: a finite float >= 0."""
     value = float(text)
@@ -106,7 +114,7 @@ COMMON_OPTIONS = {
     "--epsilon": dict(type=_finite_nonnegative_float, default=1e-10,
                       help="stop once every squared subtensor log-product is below this (default 1e-10)"),
     "--max-sweeps": dict(type=_positive_int, default=1000, help="solver iteration cap"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_nonnegative_int, default=0),
     "--threads": dict(type=_positive_int, default=1),
     "--data-root": dict(default=None, help="overrides $UCTENSOR_DATA (default ./data)"),
 }

@@ -3,9 +3,8 @@ structural checkers that certify when the completion is trustworthy:
 full support, unit consistency, and consensus ordering.
 
 An unobserved cell's fill is the product of the inverses of the scales
-of all its containing subtensors (empty subtensors contribute 1, and
-such cells are flagged "weakly determined").  Observed cells are copied
-from the source verbatim.
+of all its containing subtensors (empty subtensors contribute 1).
+Observed cells are copied from the source verbatim.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, scale_apply
+from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, index_rows, scale_apply
 
 
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
@@ -67,41 +66,26 @@ class CompletedTensor:
     def k(self) -> int:
         return self.scales.k
 
-    def is_observed(self, index) -> bool:
-        return self.source.is_observed(index)
-
     def fill_at(self, index) -> float:
         """The inverse-scale-product fill, regardless of observedness."""
         index = self.source._check_index(index)
-        logs = self.scales.log_sum_at(np.array([index], dtype=np.int64))
+        logs = self.scales.log_sum_at([index])
         return float(inverse_scale_fills(logs, lambda _: index)[0])
 
     def value_at(self, index) -> float:
-        observed = self.source.value_at(index)
-        if observed is not None:
-            return observed
-        return self.fill_at(index)
+        return float(self.values_at([self.source._check_index(index)])[0])
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized value_at over an (M, D) index array: one lookup of
         the rows in the sorted pattern serves both the observed test and
         the stored values."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.source.ndim)
-        logs = self.scales.log_sum_at(indices)
-        stored = self.source._flat
-        flat = np.ravel_multi_index(indices.T, self.shape)
-        pos = np.minimum(np.searchsorted(stored, flat), len(stored) - 1)
-        hit = stored[pos] == flat if len(stored) else np.zeros(len(flat), dtype=bool)
+        rows = index_rows(indices, self.shape)
+        pos, hit = self.source._locate(rows)
+        logs = self.scales.log_sum_at(rows)
         logs[hit] = 0.0
-        out = inverse_scale_fills(logs, lambda i: tuple(indices[i].tolist()))
+        out = inverse_scale_fills(logs, lambda i: tuple(rows[i].tolist()))
         out[hit] = self.source.values[pos[hit]]
         return out
-
-    def weakly_determined(self, index) -> bool:
-        """True when some containing subtensor has no observed entry, so the
-        fill leaned on an implicit scale of 1."""
-        idx = np.asarray(self.source._check_index(index), dtype=np.int64)
-        return bool(self.scales.empty_key_mask(idx[None, :])[0])
 
     def to_dense(self) -> np.ndarray:
         """Materialize all cells (observed verbatim, rest filled).  Guarded

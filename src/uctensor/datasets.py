@@ -65,8 +65,6 @@ class RatingsDataset:
     user_index: np.ndarray  # per-record dense user index
     product_index: np.ndarray  # per-record dense product index
     rating_values: np.ndarray  # per-record native-scale rating
-    raw_user_ids: np.ndarray
-    raw_product_ids: np.ndarray
     shift: float
     native_range: tuple
     key_order: np.ndarray  # record positions by ascending (user, product) key
@@ -169,8 +167,6 @@ def _finalize(name, raw_u, raw_p, ratings, shift, native_range, features):
         user_index=u_dense[keep],
         product_index=p_dense[keep],
         rating_values=ratings[keep].astype(np.float64),
-        raw_user_ids=raw_u[keep],
-        raw_product_ids=raw_p[keep],
         shift=float(shift),
         native_range=native_range,
         key_order=key_order,
@@ -392,8 +388,6 @@ def load_jester(path, delimiter: str = ",") -> RatingsDataset:
         user_index=raw_u,
         product_index=raw_p,
         rating_values=ratings.astype(np.float64),
-        raw_user_ids=raw_u,
-        raw_product_ids=raw_p,
         shift=shift,
         native_range=(-10.0, 10.0),
         key_order=np.arange(len(raw_u)),  # rows, then columns: already row-major

@@ -27,26 +27,29 @@ from .tensor import SparseTensor
 BASELINE_KINDS = ("global_mean", "item_mean", "user_mean")
 
 
-def _pairs_to_arrays(pairs):
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
-    if len(arr) == 0:
+def _columns(pred, truth):
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.ndim != 1 or pred.shape != truth.shape:
+        raise ValueError(
+            f"predicted and true values must be 1-D of one length, got {pred.shape} and {truth.shape}"
+        )
+    if len(pred) == 0:
         raise EmptyInputError("no (predicted, truth) pairs")
-    return arr[:, 0], arr[:, 1]
+    return pred, truth
 
 
-def rmse(pairs) -> float:
-    """Root mean squared error over (predicted, truth) pairs: an iterable
-    of 2-tuples or an (M, 2) array."""
-    pred, truth = _pairs_to_arrays(pairs)
+def rmse(pred, truth) -> float:
+    """Root mean squared error of predicted against true values, two
+    equal-length 1-D columns."""
+    pred, truth = _columns(pred, truth)
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def mae(pairs) -> float:
-    """Mean absolute error over (predicted, truth) pairs: an iterable of
-    2-tuples or an (M, 2) array."""
-    pred, truth = _pairs_to_arrays(pairs)
+def mae(pred, truth) -> float:
+    """Mean absolute error of predicted against true values, two
+    equal-length 1-D columns."""
+    pred, truth = _columns(pred, truth)
     return float(np.mean(np.abs(pred - truth)))
 
 
@@ -163,9 +166,10 @@ def _metrics(preds_native, truth_native, dataset, clamp_primary):
     lo, hi = dataset.native_range
     clamped = np.clip(preds_native, lo, hi)
     primary = clamped if clamp_primary else preds_native
-    pairs = np.column_stack([primary, truth_native])
-    pairs_clamped = np.column_stack([clamped, truth_native])
-    return rmse(pairs), mae(pairs), rmse(pairs_clamped), mae(pairs_clamped)
+    return (
+        rmse(primary, truth_native), mae(primary, truth_native),
+        rmse(clamped, truth_native), mae(clamped, truth_native),
+    )
 
 
 def _solve(tensor: SparseTensor, config: ExperimentConfig):

@@ -145,8 +145,6 @@ def synthetic_dataset(
         user_index=uu.astype(np.int64),
         product_index=pp.astype(np.int64),
         rating_values=ratings.astype(np.float64),
-        raw_user_ids=uu.astype(np.int64),
-        raw_product_ids=pp.astype(np.int64),
         shift=0.0,
         native_range=(1.0, 5.0),
         key_order=np.arange(len(uu)),  # np.nonzero is row-major

@@ -36,6 +36,35 @@ def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(ndim), ndim - k))
 
 
+def index_rows(indices, shape) -> np.ndarray:
+    """An (M, D) index array as int64 rows, each coordinate checked to lie
+    in [0, size) of its dimension; the error names the first bad one."""
+    rows = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, len(shape))
+    if len(rows):
+        # column by column: a strided min/max over one column is
+        # far cheaper than numpy's reduction along axis 0
+        for d, size in enumerate(shape):
+            column = rows[:, d]
+            if column.min() < 0 or column.max() >= size:
+                raise IndexOutOfBoundsError(
+                    f"index out of bounds in dimension {d} for shape {tuple(shape)}"
+                )
+    return rows
+
+
+def sub_ids(rows: np.ndarray, shape, fixed_dims: tuple[int, ...]) -> np.ndarray:
+    """The row-major ravel of the ``fixed_dims`` coordinates of checked
+    index rows (see ``index_rows``): with every fixed dimension, the cell
+    keys.  Ascending id order is lexicographic order of those coordinates.
+    The shape's ravel fits int64 (``SparseTensor`` refuses larger shapes),
+    so plain arithmetic forms it."""
+    ids = rows[:, fixed_dims[0]].copy()
+    for d in fixed_dims[1:]:
+        ids *= shape[d]
+        ids += rows[:, d]
+    return ids
+
+
 class SparseTensor:
     """Immutable COO tensor; indices kept in lexicographic (row-major) order."""
 
@@ -47,6 +76,10 @@ class SparseTensor:
         shape = tuple(int(s) for s in shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"shape must be non-empty with all dims >= 1, got {shape}")
+        if math.prod(shape) > np.iinfo(np.int64).max:  # row-major keys would wrap
+            raise IndexOutOfBoundsError(
+                f"shape {shape} has {math.prod(shape)} cells, more than int64 keys can index"
+            )
         given = (indices, values)
         indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, len(shape))
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
@@ -63,20 +96,7 @@ class SparseTensor:
                 f"{at} is not strictly positive (zero marks an unobserved cell)"
             )
         if _flat is None:
-            if len(indices):
-                # column by column: a strided min/max over one column is
-                # far cheaper than numpy's reduction along axis 0
-                for d, size in enumerate(shape):
-                    column = indices[:, d]
-                    if column.min() < 0 or column.max() >= size:
-                        raise IndexOutOfBoundsError(
-                            f"index out of bounds in dimension {d} for shape {shape}"
-                        )
-            _flat = (
-                np.ravel_multi_index(indices.T, shape)
-                if len(indices)
-                else np.empty(0, dtype=np.int64)
-            )
+            _flat = sub_ids(index_rows(indices, shape), shape, tuple(range(len(shape))))
             # input in strictly increasing order is neither sorted nor
             # searched for duplicates again
             if len(_flat) > 1 and not (_flat[1:] > _flat[:-1]).all():
@@ -112,7 +132,7 @@ class SparseTensor:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
     @property
     def density(self) -> float:
@@ -126,30 +146,28 @@ class SparseTensor:
             raise IndexOutOfBoundsError(f"index {index} out of bounds for shape {self.shape}")
         return index
 
+    def _locate(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of an (M, D) index array, checked against the
+        shape: its insertion position in the sorted keys, and whether the
+        cell is stored there (then ``values[pos]`` is its value)."""
+        keys = sub_ids(index_rows(indices, self.shape), self.shape, tuple(range(self.ndim)))
+        stored = self._flat
+        pos = stored.searchsorted(keys)
+        if len(stored) == 0:
+            return pos, np.zeros(len(keys), dtype=bool)
+        return pos, stored.take(pos, mode="clip") == keys
+
     def is_observed(self, index) -> bool:
-        index = self._check_index(index)
-        flat = np.ravel_multi_index(index, self.shape)
-        pos = np.searchsorted(self._flat, flat)
-        return bool(pos < len(self._flat) and self._flat[pos] == flat)
+        return bool(self._locate([self._check_index(index)])[1][0])
 
     def value_at(self, index):
         """Stored value at ``index``, or None if the cell is unobserved."""
-        index = self._check_index(index)
-        flat = np.ravel_multi_index(index, self.shape)
-        pos = np.searchsorted(self._flat, flat)
-        if pos < len(self._flat) and self._flat[pos] == flat:
-            return float(self.values[pos])
-        return None
+        pos, hit = self._locate([self._check_index(index)])
+        return float(self.values[pos[0]]) if hit[0] else None
 
     def observed_mask_for(self, indices: np.ndarray) -> np.ndarray:
         """Boolean mask telling which rows of an (M, D) index array are observed."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.ndim)
-        if len(indices) == 0 or len(self._flat) == 0:
-            return np.zeros(len(indices), dtype=bool)
-        flat = np.ravel_multi_index(indices.T, self.shape)
-        pos = np.searchsorted(self._flat, flat)
-        pos = np.minimum(pos, len(self._flat) - 1)
-        return self._flat[pos] == flat
+        return self._locate(indices)[1]
 
     def row_slice(self, i: int) -> slice:
         """The entries whose first coordinate is ``i``, as a slice of
@@ -200,20 +218,10 @@ def make_tensor(shape, entries) -> SparseTensor:
 
 
 def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
-    """Per-entry subtensor ids for one family, plus the dense id-space size.
-
-    Ids are the row-major ravel of the fixed coordinates, so ascending id
-    order equals lexicographic key order within the family.  The entries
-    are in bounds and the whole shape's ravel fits int64, so the ravel is
-    plain arithmetic, without ``ravel_multi_index``'s checks.
-    """
-    dims = [tensor.shape[d] for d in fixed_dims]
-    size = int(np.prod(dims, dtype=np.int64))
-    ids = tensor.indices[:, fixed_dims[0]].copy()
-    for d in fixed_dims[1:]:
-        ids *= tensor.shape[d]
-        ids += tensor.indices[:, d]
-    return ids, size
+    """Per-entry subtensor ids for one family (``sub_ids`` of the entries),
+    plus the dense id-space size."""
+    size = math.prod(tensor.shape[d] for d in fixed_dims)
+    return sub_ids(tensor.indices, tensor.shape, fixed_dims), size
 
 
 class ScaleSet:
@@ -269,29 +277,25 @@ class ScaleSet:
     def log_sum_at(self, indices: np.ndarray) -> np.ndarray:
         """Sum of log scales over the containing non-empty keys of each row
         of an (M, D) index array.  Empty subtensors contribute 0."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(self.shape))
-        total = np.zeros(len(indices))
+        rows = index_rows(indices, self.shape)
+        total = np.zeros(len(rows))
         for fixed in self.families:
-            dims = [self.shape[d] for d in fixed]
-            ids = np.ravel_multi_index([indices[:, d] for d in fixed], dims)
-            total += self.log[fixed][ids]
+            total += self.log[fixed][sub_ids(rows, self.shape, fixed)]
         return total
 
     def empty_key_mask(self, indices: np.ndarray) -> np.ndarray:
         """True for index rows having at least one empty containing subtensor."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1, len(self.shape))
-        mask = np.zeros(len(indices), dtype=bool)
+        rows = index_rows(indices, self.shape)
+        mask = np.zeros(len(rows), dtype=bool)
         for fixed in self.families:
-            dims = [self.shape[d] for d in fixed]
-            ids = np.ravel_multi_index([indices[:, d] for d in fixed], dims)
-            mask |= ~self.nonempty[fixed][ids]
+            mask |= ~self.nonempty[fixed][sub_ids(rows, self.shape, fixed)]
         return mask
 
     def factor_grid(self) -> np.ndarray:
         """Dense per-cell product of scales over all containing keys (empty
         keys contribute 1), summed in log space; a product beyond the float
         range is inf or 0, with no warning.  Small shapes only."""
-        if int(np.prod(self.shape, dtype=np.int64)) > MAX_DENSE_CELLS:
+        if math.prod(self.shape) > MAX_DENSE_CELLS:
             raise ValueError("shape too large for a dense factor grid")
         grid = np.zeros(self.shape)
         for fixed in self.families:

@@ -64,6 +64,13 @@ class TestComplete:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_shape_too_big_to_index(self, tmp_path, capsys):
+        src = tmp_path / "huge.txt"
+        src.write_text("shape 10000000,10000000,10000000\n0,0,0,2.0\n")
+        assert main(["complete", "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "10000000" in err and "int64" in err
+
 
 class TestRecommend:
     def test_from_model_file(self, toy_tensor, tmp_path, capsys):
@@ -198,6 +205,8 @@ class TestUsage:
         (["check", "--epsilon", "-inf"], "--epsilon"),
         (["evaluate", "--dataset", "movielens1m", "--threads", "0"], "--threads"),
         (["evaluate", "--dataset", "movielens1m", "--max-sweeps", "x"], "--max-sweeps"),
+        (["evaluate", "--dataset", "movielens1m", "--seed", "-1"], "--seed"),
+        (["check", "--seed", "-1"], "--seed"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as err:

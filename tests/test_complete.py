@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from uctensor import (
     CompletedTensor,
+    IndexOutOfBoundsError,
     InvalidGammaError,
     InvalidKError,
     LatentModel,
@@ -83,8 +84,8 @@ class TestCompletion:
     def test_weakly_determined_flag(self):
         t = make_tensor((2, 2), {(0, 0): 2.0, (0, 1): 3.0})  # row 1 empty
         completed = complete_matrix(t, TIGHT)
-        assert completed.weakly_determined((1, 0))
-        assert not completed.weakly_determined((0, 0))
+        assert completed.scales.empty_key_mask([(1, 0)])[0]
+        assert not completed.scales.empty_key_mask([(0, 0)])[0]
         # the fill still exists and is positive
         assert completed.value_at((1, 1)) > 0
 
@@ -328,6 +329,46 @@ class TestValuesAt:
         for q, v in zip(query.tolist(), batch.tolist()):
             stored = completed.source.value_at(q)
             assert v == (stored if stored is not None else completed.fill_at(q))
+
+
+class TestCellLookup:
+    """Every vectorised cell query checks its rows the one way, naming the
+    first dimension holding a coordinate outside the shape, and in range
+    agrees with the dense grids."""
+
+    @given(completions(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_and_dense_grids(self, completed, data):
+        shape = completed.shape
+        rows = np.array(
+            data.draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in shape)), max_size=8)),
+            dtype=np.int64,
+        ).reshape(-1, len(shape))
+        if len(rows):  # put some coordinates below 0 or at or past the size
+            for _ in range(data.draw(st.integers(0, 2), label="faults")):
+                r = data.draw(st.integers(0, len(rows) - 1))
+                d = data.draw(st.integers(0, len(shape) - 1))
+                rows[r, d] = data.draw(st.sampled_from([-3, -1, shape[d], shape[d] + 2]))
+        source, scales = completed.source, completed.scales
+        queries = (source.observed_mask_for, completed.values_at,
+                   scales.log_sum_at, scales.empty_key_mask)
+        bad = (rows < 0) | (rows >= np.array(shape))
+        if bad.any():
+            first = int(np.argmax(bad.any(axis=0)))
+            for query in queries:
+                with pytest.raises(IndexOutOfBoundsError, match=f"in dimension {first} for shape"):
+                    query(rows)
+            return
+        cells = tuple(rows.T)
+        assert source.observed_mask_for(rows).tolist() == (source.to_dense() > 0)[cells].tolist()
+        assert completed.values_at(rows).tolist() == completed.to_dense()[cells].tolist()
+        np.testing.assert_allclose(np.exp(scales.log_sum_at(rows)), scales.factor_grid()[cells],
+                                   rtol=1e-12)
+        empty = np.zeros(shape, dtype=bool)
+        for fixed in scales.families:
+            empty |= ~scales.nonempty[fixed].reshape(
+                [shape[d] if d in fixed else 1 for d in range(len(shape))])
+        assert scales.empty_key_mask(rows).tolist() == empty[cells].tolist()
 
 
 class TestOverflowingFills:

@@ -109,7 +109,10 @@ class TestMovieLens:
 
 def records(ds):
     """The dataset's (raw user id, raw product id, rating) rows, in order."""
-    return list(zip(ds.raw_user_ids.tolist(), ds.raw_product_ids.tolist(), ds.rating_values.tolist()))
+    # each vocabulary lists its raw ids in dense-index order
+    users, products = (np.array(list(vocab), dtype=np.int64) for vocab in (ds.users, ds.products))
+    return list(zip(users[ds.user_index].tolist(), products[ds.product_index].tolist(),
+                    ds.rating_values.tolist()))
 
 
 def reference_load(path, fmt="1m"):
@@ -454,7 +457,7 @@ class TestTensorConstruction:
         plan = split_kfold(ds, 5, seed=0)
         # user 3 has a single record: whichever fold holds it leaves the
         # user's row empty in training
-        fold = int(plan.assignment[ds.raw_user_ids.tolist().index(3)])
+        fold = int(plan.assignment[ds.user_index.tolist().index(ds.users[3])])
         train = build_tensor_2d(ds, plan, fold)[0]
         row = ds.users[3]
         assert not (train.indices[:, 0] == row).any()

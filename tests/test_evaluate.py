@@ -31,45 +31,56 @@ grid_floats = st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 6))
 pair_lists = st.lists(st.tuples(grid_floats, grid_floats), min_size=1, max_size=50)
 
 
+def columns(pairs):
+    """(predicted, truth) pairs as the two columns the metrics take."""
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+
+
 class TestMetrics:
     @pytest.mark.parametrize(
         "pairs,expected",
         [([(1, 1), (2, 2)], 0.0), ([(0, 1), (0, -1)], 1.0), ([(3, 1)], 2.0)],
     )
     def test_rmse(self, pairs, expected):
-        assert rmse(pairs) == pytest.approx(expected, abs=1e-12)
+        assert rmse(*columns(pairs)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "pairs,expected",
         [([(1, 1)], 0.0), ([(0, 2), (0, -2)], 2.0), ([(1, 2), (5, 2)], 2.0)],
     )
     def test_mae(self, pairs, expected):
-        assert mae(pairs) == pytest.approx(expected, abs=1e-12)
+        assert mae(*columns(pairs)) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            rmse([])
+            rmse([], [])
         with pytest.raises(EmptyInputError):
-            mae([])
+            mae([], [])
+
+    @pytest.mark.parametrize("pred,truth", [([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 2.0]])])
+    def test_columns_must_be_1d_of_one_length(self, pred, truth):
+        for metric in (rmse, mae):
+            with pytest.raises(ValueError, match="1-D of one length"):
+                metric(pred, truth)
 
     @given(pair_lists)
     @settings(max_examples=100, deadline=None)
     def test_rmse_dominates_mae(self, pairs):
         # one ulp of slack: sqrt(mean of squares) can round below the mean
         # of |errors| when every error is identical
-        assert rmse(pairs) >= mae(pairs) * (1 - 1e-12)
-        assert mae(pairs) >= 0.0
+        assert rmse(*columns(pairs)) >= mae(*columns(pairs)) * (1 - 1e-12)
+        assert mae(*columns(pairs)) >= 0.0
 
     def test_equal_when_all_errors_equal(self):
         pairs = [(0, 3), (10, 7), (1, 4)]
-        assert rmse(pairs) == pytest.approx(mae(pairs), rel=1e-12)
+        assert rmse(*columns(pairs)) == pytest.approx(mae(*columns(pairs)), rel=1e-12)
 
     @given(pair_lists, st.floats(-50, 50, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_shift_cancels(self, pairs, shift):
         shifted = [(p + shift, t + shift) for p, t in pairs]
-        assert rmse(shifted) == pytest.approx(rmse(pairs), abs=1e-9)
-        assert mae(shifted) == pytest.approx(mae(pairs), abs=1e-9)
+        assert rmse(*columns(shifted)) == pytest.approx(rmse(*columns(pairs)), abs=1e-9)
+        assert mae(*columns(shifted)) == pytest.approx(mae(*columns(pairs)), abs=1e-9)
 
 
 class TestRunExperiment:
@@ -165,9 +176,9 @@ class TestThreeDimensionalMode:
             lifted = np.exp(-balance(build_tensor_2d(ds, plan, fold)[0], 1, TIGHT)
                             .scales.log_sum_at(pairs))
             np.testing.assert_allclose(lifted, direct, rtol=1e-9, atol=0)
-            scored = np.column_stack([direct - ds.shift, truth - ds.shift])
-            assert result.rmse == pytest.approx(rmse(scored), rel=1e-9)
-            assert result.mae == pytest.approx(mae(scored), rel=1e-9)
+            scored = (direct - ds.shift, truth - ds.shift)
+            assert result.rmse == pytest.approx(rmse(*scored), rel=1e-9)
+            assert result.mae == pytest.approx(mae(*scored), rel=1e-9)
             assert result.cold_pairs == cold
         if fixture.get("density"):
             assert all(f.cold_pairs > 0 for f in report.per_fold)

@@ -184,7 +184,7 @@ def test_entries_out_of_order_still_load(tmp_path, rng):
     loaded, _ = load_model(path)
     np.testing.assert_array_equal(loaded.source.indices, model.source.indices)
     for index, value in zip(model.source.indices.tolist(), model.source.values.tolist()):
-        assert loaded.is_observed(index) and loaded.value_at(index) == value
+        assert loaded.source.is_observed(index) and loaded.value_at(index) == value
 
 
 def test_version_1_documents_still_load(tmp_path):

@@ -128,6 +128,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_tensor((0, 2), {})
 
+    def test_shape_beyond_int64_keys(self):
+        # keys are formed by plain arithmetic, which would wrap past 2**63 - 1
+        with pytest.raises(IndexOutOfBoundsError,
+                           match=r"shape \(10000000, 10000000, 10000000\) has 10{21} cells"):
+            make_tensor((10**7,) * 3, {(0, 0, 0): 1.0})
+        with pytest.raises(IndexOutOfBoundsError, match="int64"):
+            SparseTensor((2**32, 2**31), np.empty((0, 2)), [])
+        # 2**62 cells fit: the last one's key is 2**62 - 1
+        t = SparseTensor((2**31, 2**31), [[2**31 - 1, 2**31 - 1], [1, 0]], [3.0, 2.0])
+        assert t.n_cells == 2**62 and t._flat.tolist() == [2**31, 2**62 - 1]
+        assert t.value_at((2**31 - 1, 2**31 - 1)) == 3.0 and not t.is_observed((0, 2**31 - 1))
+
 
 class TestEnumeration:
     """The families a ScaleSet stores one log array for."""
