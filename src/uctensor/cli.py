@@ -153,7 +153,6 @@ def cmd_evaluate(args) -> int:
         max_sweeps=args.max_sweeps,
         n_folds=args.folds,
         seed=args.seed,
-        clamp=args.clamp,
         categories=categories,
         threads=args.threads,
     )
@@ -218,9 +217,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = properties.run_all(
-        seed=args.seed, epsilon=args.epsilon, inject_fault=args.inject_fault
-    )
+    results = properties.run_all(seed=args.seed, epsilon=args.epsilon)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -250,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("2d", "3d"), default="2d")
     p.add_argument("--features", default=None, help="comma list of age,gender,occup (3d mode)")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--clamp", action="store_true", help="clamp predictions to the native range")
     p.add_argument("--baseline", choices=BASELINE_KINDS, default=None,
                    help="run a mean baseline instead of the solver")
     p.add_argument("--out", default=None, help="write the report JSON here")
@@ -273,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("check", help="run the seeded property-check suites")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="deliberately corrupt one expectation (harness self-test)")
     _add_common(p, "--epsilon", "--seed")
     p.set_defaults(fn=cmd_check)
 

@@ -21,30 +21,29 @@ from .exceptions import (
 from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, index_rows, scale_apply
 
 
+# to_dense looks up this many cells at a time
+DENSE_BLOCK = 1 << 18
+
+
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
-    """The fills exp(-log_sums).  A log sum in (-700, 700) gives a normal
-    float; otherwise ``require_representable`` checks them.  Callers zero
-    the log sums of the cells they answer from the source."""
+    """The fills exp(-log_sums), each finite and non-zero: the package's
+    one conversion of log sums to fills (``top_n`` alone skips it, for
+    rows whose every log sum it has bounded).  A log sum in (-700, 700)
+    gives a normal float.  One below about -709 overflows to inf (a tiny
+    observed value can do that), and one above about 745 underflows to 0,
+    the unobserved marker: either raises, naming the first such cell,
+    ``cell_at(i)`` giving the cell of position i.  Callers zero the log
+    sums of the cells they answer from the source."""
     if len(log_sums) and -700.0 < log_sums.min() and log_sums.max() < 700.0:
         return np.exp(-log_sums)
     with np.errstate(over="ignore"):
-        return require_representable(np.exp(-log_sums), cell_at)
-
-
-def require_representable(values: np.ndarray, cell_at) -> np.ndarray:
-    """``values``, once checked to be finite and non-zero.  A fill whose
-    log sum is below about -709 overflows to inf (a tiny observed value
-    can do that), and one above about 745 underflows to 0, the unobserved
-    marker.  The error names the first such cell, ``cell_at(i)`` giving
-    the cell of flat position i."""
+        values = np.exp(-log_sums)
     ok = np.isfinite(values) & (values > 0.0)
     if not ok.all():
         bad = int(np.argmin(ok))
-        if values.flat[bad] == 0.0:
+        if values[bad] == 0.0:
             raise NonPositiveValueError(f"fill at index {cell_at(bad)} underflows to 0")
-        raise NonFiniteValueError(
-            f"fill {float(values.flat[bad])} at index {cell_at(bad)} is not finite"
-        )
+        raise NonFiniteValueError(f"fill {float(values[bad])} at index {cell_at(bad)} is not finite")
     return values
 
 
@@ -68,15 +67,17 @@ class CompletedTensor:
 
     def fill_at(self, index) -> float:
         """The inverse-scale-product fill, regardless of observedness."""
-        index = self.source._check_index(index)
-        logs = self.scales.log_sum_at([index])
-        return float(inverse_scale_fills(logs, lambda _: index)[0])
+        rows = index_rows([index], self.shape)
+        logs = self.scales.log_sum_at(rows)
+        return float(inverse_scale_fills(logs, lambda _: tuple(rows[0].tolist()))[0])
 
     def value_at(self, index) -> float:
-        return float(self.values_at([self.source._check_index(index)])[0])
+        """``values_at`` of the one row ``index``."""
+        return float(self.values_at([index])[0])
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized value_at over an (M, D) index array: one lookup of
+        """Each row's value for an (M, D) index array: observed cells from
+        the source, the rest from ``inverse_scale_fills``.  One lookup of
         the rows in the sorted pattern serves both the observed test and
         the stored values."""
         rows = index_rows(indices, self.shape)
@@ -88,15 +89,20 @@ class CompletedTensor:
         return out
 
     def to_dense(self) -> np.ndarray:
-        """Materialize all cells (observed verbatim, rest filled).  Guarded
-        to small shapes."""
-        if self.source.n_cells > MAX_DENSE_CELLS:
-            raise ValueError(f"refusing to materialize {self.source.n_cells} cells")
-        grid = self.scales.inverse().factor_grid()
-        grid.flat[self.source._flat] = self.source.values
-        return require_representable(
-            grid, lambda i: tuple(int(c) for c in np.unravel_index(i, self.shape))
-        )
+        """Every cell, observed verbatim and the rest filled: ``values_at``
+        over all indices in row-major order, ``DENSE_BLOCK`` cells at a
+        time, reshaped to the grid, so an unrepresentable fill raises
+        naming the first such cell in that order.  Guarded to small
+        shapes."""
+        n = self.source.n_cells
+        if n > MAX_DENSE_CELLS:
+            raise ValueError(f"refusing to materialize {n} cells")
+        out = np.empty(n)
+        for start in range(0, n, DENSE_BLOCK):  # the blocks bound the memory of the index rows
+            flat = np.arange(start, min(start + DENSE_BLOCK, n))
+            cells = np.stack(np.unravel_index(flat, self.shape), axis=1)
+            out[start:start + len(flat)] = self.values_at(cells)
+        return out.reshape(self.shape)
 
 
 def complete(

@@ -606,14 +606,17 @@ def load_tensor_text(path) -> SparseTensor:
                     f"{path}:{lineno}: expected {len(shape)} indices and a value"
                 )
             try:
-                indices.append([int(t) for t in parts[:-1]])
+                row = [int(t) for t in parts[:-1]]
+                for value in row:
+                    if not _INT64.min <= value <= _INT64.max:
+                        raise OverflowError(f"{value} does not fit in 64 bits")
+                indices.append(row)
                 values.append(float(parts[-1]))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
     if shape is None:
         raise ParseError(f"{path}: missing 'shape' header")
-    return SparseTensor(shape, np.asarray(indices, dtype=np.int64).reshape(-1, len(shape)),
-                        np.asarray(values))
+    return SparseTensor(shape, np.asarray(indices, dtype=np.int64), np.asarray(values))
 
 
 def save_tensor_text(path, shape, indices, values) -> None:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .balance import SolverConfig, balance
+from .complete import inverse_scale_fills
 from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, split_kfold, user_feature_indices
 from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
 from .exceptions import DidNotConvergeError, EmptyInputError
@@ -62,7 +63,6 @@ class ExperimentConfig:
     max_sweeps: int = 1000
     n_folds: int = 5
     seed: int = 0
-    clamp: bool = False
     categories: tuple = ("age", "gender", "occupation")
     threads: int = 1
 
@@ -79,7 +79,6 @@ class ExperimentConfig:
             "max_sweeps": self.max_sweeps,
             "n_folds": self.n_folds,
             "seed": self.seed,
-            "clamp": self.clamp,
             "categories": list(self.categories),
             "threads": self.threads,
         }
@@ -162,12 +161,11 @@ class EvalReport:
         )
 
 
-def _metrics(preds_native, truth_native, dataset, clamp_primary):
+def _metrics(preds_native, truth_native, dataset):
     lo, hi = dataset.native_range
     clamped = np.clip(preds_native, lo, hi)
-    primary = clamped if clamp_primary else preds_native
     return (
-        rmse(primary, truth_native), mae(primary, truth_native),
+        rmse(preds_native, truth_native), mae(preds_native, truth_native),
         rmse(clamped, truth_native), mae(clamped, truth_native),
     )
 
@@ -193,12 +191,14 @@ def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
     tensor, pairs, truth_shifted = build_tensor_2d(dataset, fold_plan, fold)
     model, converged, wall = _solve(tensor, config)
 
-    preds_shifted = np.exp(-model.scales.log_sum_at(pairs))
+    preds_shifted = inverse_scale_fills(
+        model.scales.log_sum_at(pairs), lambda i: tuple(pairs[i].tolist())
+    )
     cold = int(model.scales.empty_key_mask(pairs).sum())
 
     preds_native = preds_shifted - dataset.shift
     truth_native = truth_shifted - dataset.shift
-    r, m, rc, mc = _metrics(preds_native, truth_native, dataset, config.clamp)
+    r, m, rc, mc = _metrics(preds_native, truth_native, dataset)
     return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, len(pairs))
 
 
@@ -262,7 +262,7 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
             cold = int((counts[axis_test] == 0).sum())
         wall = time.perf_counter() - t0
         truth = dataset.rating_values[test]
-        r, m, rc, mc = _metrics(preds, truth, dataset, clamp_primary=False)
+        r, m, rc, mc = _metrics(preds, truth, dataset)
         results.append(FoldResult(fold, r, m, rc, mc, 0, wall, cold, True, len(test)))
     echo = {"kind": kind, "n_folds": fold_plan.n_folds, "seed": fold_plan.seed}
     return EvalReport.from_folds(dataset.name, f"baseline:{kind}", None, results, echo)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complete import CompletedTensor, inverse_scale_fills
-from .exceptions import IndexOutOfBoundsError, NotAMatrixError
+from .exceptions import NotAMatrixError
 
 
 class Prediction(NamedTuple):
@@ -22,20 +22,12 @@ class Prediction(NamedTuple):
     source: str  # "observed" | "completed"
 
 
-def _check_axis(value: int, size: int, what: str) -> int:
-    value = int(value)
-    if not 0 <= value < size:
-        raise IndexOutOfBoundsError(f"{what} {value} out of range [0, {size})")
-    return value
-
-
 def predict_rating(completed: CompletedTensor, user: int, product: int) -> Prediction:
     """2-D query: the training value if (user, product) was observed, else
-    the inverse-scale fill."""
+    the inverse-scale fill.  The source's lookup checks the cell's bounds."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("predict_rating expects a 2-D completion")
-    user = _check_axis(user, completed.shape[0], "user")
-    product = _check_axis(product, completed.shape[1], "product")
+    user, product = int(user), int(product)
     observed = completed.source.value_at((user, product))
     if observed is not None:
         return Prediction(user, product, observed, "observed")
@@ -129,24 +121,21 @@ def top_n(
         raise NotAMatrixError("top_n expects a 2-D completion")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    user = _check_axis(user, completed.shape[0], "user")
+    user = int(user)
     source = completed.source
-    row = source.row_slice(user)
+    row = source.row_slice(user)  # checks the user's bounds
     rated = source.indices[row, 1]
     scales = completed.scales
     order, rank, tie_end = _product_order(completed)
     a, b = scales.log[(0,)][user], scales.log[(1,)]
     if -700.0 < a + b[order[0]] and a + b[order[-1]] < 700.0:
         products = _walk(order, rank, tie_end, rated, n)
-        values = np.exp(-(a + b[products]))
+        values = np.exp(-(a + b[products]))  # every sum of the row is in (-700, 700)
     else:
-        logs = a + b
-        logs[rated] = 0.0
-        values = inverse_scale_fills(logs, lambda p: (user, p))
-        unrated = np.ones(len(values), dtype=bool)
+        unrated = np.ones(len(b), dtype=bool)
         unrated[rated] = False
         products = np.flatnonzero(unrated)
-        values = values[products]
+        values = inverse_scale_fills(a + b[products], lambda i: (user, int(products[i])))
     ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
     if not exclude_observed:
         observed = source.values[row]

@@ -36,10 +36,25 @@ def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(ndim), ndim - k))
 
 
+def _as_rows(indices, ndim: int) -> np.ndarray:
+    """An (M, ndim) index array as C-contiguous int64 rows.  An empty array
+    is zero rows; an array of any other width is refused, never reshaped
+    into other cells."""
+    rows = np.ascontiguousarray(indices, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != ndim:
+        if len(rows):
+            raise IndexOutOfBoundsError(
+                f"index array of shape {rows.shape} does not hold rows of {ndim} coordinates"
+            )
+        rows = rows.reshape(0, ndim)
+    return rows
+
+
 def index_rows(indices, shape) -> np.ndarray:
-    """An (M, D) index array as int64 rows, each coordinate checked to lie
-    in [0, size) of its dimension; the error names the first bad one."""
-    rows = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, len(shape))
+    """An (M, D) index array (see ``_as_rows``) as int64 rows, each
+    coordinate checked to lie in [0, size) of its dimension; the error
+    names the first bad one."""
+    rows = _as_rows(indices, len(shape))
     if len(rows):
         # column by column: a strided min/max over one column is
         # far cheaper than numpy's reduction along axis 0
@@ -81,7 +96,7 @@ class SparseTensor:
                 f"shape {shape} has {math.prod(shape)} cells, more than int64 keys can index"
             )
         given = (indices, values)
-        indices = np.ascontiguousarray(indices, dtype=np.int64).reshape(-1, len(shape))
+        indices = _as_rows(indices, len(shape))
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         if len(indices) != len(values):
             raise ValueError("indices and values length mismatch")
@@ -138,14 +153,6 @@ class SparseTensor:
     def density(self) -> float:
         return self.n_observed / self.n_cells
 
-    def _check_index(self, index) -> tuple[int, ...]:
-        index = tuple(int(i) for i in index)
-        if len(index) != self.ndim:
-            raise IndexOutOfBoundsError(f"index {index} has wrong length for shape {self.shape}")
-        if any(i < 0 or i >= s for i, s in zip(index, self.shape)):
-            raise IndexOutOfBoundsError(f"index {index} out of bounds for shape {self.shape}")
-        return index
-
     def _locate(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """For each row of an (M, D) index array, checked against the
         shape: its insertion position in the sorted keys, and whether the
@@ -158,11 +165,11 @@ class SparseTensor:
         return pos, stored.take(pos, mode="clip") == keys
 
     def is_observed(self, index) -> bool:
-        return bool(self._locate([self._check_index(index)])[1][0])
+        return bool(self._locate([index])[1][0])
 
     def value_at(self, index):
         """Stored value at ``index``, or None if the cell is unobserved."""
-        pos, hit = self._locate([self._check_index(index)])
+        pos, hit = self._locate([index])
         return float(self.values[pos[0]]) if hit[0] else None
 
     def observed_mask_for(self, indices: np.ndarray) -> np.ndarray:
@@ -210,9 +217,7 @@ def make_tensor(shape, entries) -> SparseTensor:
     if isinstance(entries, Mapping):
         entries = entries.items()
     entries = list(entries)
-    indices = np.array([tuple(ix) for ix, _ in entries], dtype=np.int64).reshape(
-        -1, len(tuple(shape))
-    )
+    indices = np.array([tuple(ix) for ix, _ in entries], dtype=np.int64)
     values = np.array([v for _, v in entries], dtype=np.float64)
     return SparseTensor(shape, indices, values)
 

@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from uctensor import SolverConfig, complete, load_tensor_text
+from uctensor import SolverConfig, complete, load_tensor_text, properties
 from uctensor.cli import build_parser, main
 
 from conftest import write_movielens_fixture
@@ -70,6 +71,14 @@ class TestComplete:
         assert main(["complete", "--input", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "10000000" in err and "int64" in err
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-9223372036854775809"])
+    def test_index_beyond_int64(self, tmp_path, capsys, index):
+        src = tmp_path / "t.txt"
+        src.write_text(f"shape 3,3\n{index},0,2.0\n")
+        assert main(["complete", "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:2: {index} does not fit in 64 bits")
 
 
 class TestRecommend:
@@ -174,9 +183,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_inject_fault_detected(self, capsys):
-        assert main(["check", "--inject-fault"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_a_completion_one_percent_off_fails_the_oracle(self, monkeypatch, capsys):
+        real = properties.complete_matrix
+
+        def one_percent_off(matrix, config=None):
+            completed = real(matrix, config)
+            return SimpleNamespace(value_at=lambda index: completed.value_at(index) * 1.01)
+
+        monkeypatch.setattr(properties, "complete_matrix", one_percent_off)
+        assert properties.oracle_2x2(0, n=20).passed is False
+        assert main(["check"]) == 1
+        assert "FAIL  closed-form 2x2 oracle" in capsys.readouterr().out
 
     def test_loose_epsilon_fails_constraints(self, capsys):
         assert main(["check", "--epsilon", "1e-2"]) == 1

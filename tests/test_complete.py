@@ -1,3 +1,5 @@
+import importlib
+import re
 import warnings
 
 import numpy as np
@@ -23,10 +25,12 @@ from uctensor import (
     complete,
     complete_matrix,
     make_tensor,
+    predict_rating,
     subtensor_families,
     top_n,
     unit_consistency_gap,
 )
+from uctensor.complete import DENSE_BLOCK
 from uctensor.properties import (
     hide_with_full_support,
     random_scale_set,
@@ -34,6 +38,9 @@ from uctensor.properties import (
 )
 
 from conftest import TIGHT, reversed_balance
+
+# the module, which the package's ``complete`` function shadows as an attribute
+complete_module = importlib.import_module("uctensor.complete")
 
 positive = st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -294,10 +301,10 @@ class TestFeatureLift:
 
 @st.composite
 def completions(draw):
-    """A completion of a 2-D or 3-D tensor on an arbitrary pattern, with
-    arbitrary scales (some keys empty): values_at must agree with
+    """A completion of a 2-D, 3-D or 4-D tensor on an arbitrary pattern,
+    with arbitrary scales (some keys empty): values_at must agree with
     value_at whether or not the scales solve anything."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
     n_cells = int(np.prod(shape))
     mask = np.array(draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells)))
     indices = np.argwhere(mask.reshape(shape))
@@ -329,6 +336,33 @@ class TestValuesAt:
         for q, v in zip(query.tolist(), batch.tolist()):
             stored = completed.source.value_at(q)
             assert v == (stored if stored is not None else completed.fill_at(q))
+
+    @given(completions())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_calls_are_one_row_calls(self, completed):
+        source, scales = completed.source, completed.scales
+        for q in np.argwhere(np.ones(completed.shape, dtype=bool)).tolist():
+            observed = bool(source.observed_mask_for([q])[0])
+            value = completed.values_at([q])[0]
+            assert source.is_observed(q) == observed
+            assert source.value_at(q) == (value if observed else None)
+            assert completed.value_at(q) == value
+            assert completed.fill_at(q) == np.exp(-scales.log_sum_at([q]))[0]
+            if len(q) == 2:
+                assert predict_rating(completed, *q) == (*q, value, "observed" if observed else "completed")
+
+
+def grid_path_dense(completed):
+    """``to_dense`` as it was first written: the dense grid of inverse
+    scale products with the observed cells written over it.  Returns the
+    grid and the first cell, in row-major order, whose value is 0 or not
+    finite (None when every value is a positive float)."""
+    grid = completed.scales.inverse().factor_grid()
+    grid.flat[completed.source._flat] = completed.source.values
+    ok = (np.isfinite(grid) & (grid > 0.0)).reshape(-1)
+    if ok.all():
+        return grid, None
+    return grid, tuple(int(c) for c in np.unravel_index(int(np.argmin(ok)), grid.shape))
 
 
 class TestCellLookup:
@@ -369,6 +403,59 @@ class TestCellLookup:
             empty |= ~scales.nonempty[fixed].reshape(
                 [shape[d] if d in fixed else 1 for d in range(len(shape))])
         assert scales.empty_key_mask(rows).tolist() == empty[cells].tolist()
+
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [
+            ((2, 3, 4), [[0, 0], [0, 1], [2, 0]]),  # six coordinates: two 3-D cells if reshaped
+            ((2, 3, 4), [[0, 0, 0, 0]]),
+            ((2, 3), [0, 1]),  # one cell, not given as a row
+            ((2, 3), [[[0, 1]]]),
+            ((2, 3), np.zeros((2, 0), dtype=np.int64)),
+        ],
+    )
+    def test_rows_of_the_wrong_width_are_refused(self, shape, rows):
+        completed = complete(make_tensor(shape, {c: 1.0 for c in np.ndindex(*shape)}), len(shape) - 1)
+        source, scales = completed.source, completed.scales
+        queries = (source.observed_mask_for, completed.values_at,
+                   scales.log_sum_at, scales.empty_key_mask,
+                   lambda r: SparseTensor(shape, r, np.ones(len(r))))
+        width = re.escape(f"index array of shape {np.shape(rows)} does not hold rows of {len(shape)} ")
+        for query in queries:
+            with pytest.raises(IndexOutOfBoundsError, match=width):
+                query(rows)
+        short = (0,) * (len(shape) - 1)
+        for scalar in (source.is_observed, source.value_at, completed.value_at, completed.fill_at):
+            with pytest.raises(IndexOutOfBoundsError, match=r"index array of shape \(1, "):
+                scalar(short)
+
+    @pytest.mark.parametrize("block", [DENSE_BLOCK, 7])
+    @given(completed=completions())
+    @settings(max_examples=150, deadline=None)
+    def test_to_dense_is_the_grid_path(self, block, completed):
+        grid, first_bad = grid_path_dense(completed)
+        assert first_bad is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complete_module, "DENSE_BLOCK", block)
+            dense = completed.to_dense()
+        assert dense.shape == grid.shape and dense.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("block", [DENSE_BLOCK, 1])
+    @pytest.mark.parametrize(
+        "corner, error",
+        [
+            (lambda: TestOverflowingFills.tiny_corner(), NonFiniteValueError),
+            (lambda: TestUnderflowingFills.huge_corner(), NonPositiveValueError),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_to_dense_names_the_grid_paths_first_bad_cell(self, corner, error, block, monkeypatch):
+        completed = corner()
+        _, first_bad = grid_path_dense(completed)
+        assert first_bad is not None
+        monkeypatch.setattr(complete_module, "DENSE_BLOCK", block)
+        with pytest.raises(error, match=re.escape(f"at index {first_bad} ")):
+            completed.to_dense()
 
 
 class TestOverflowingFills:
