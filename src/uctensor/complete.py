@@ -21,7 +21,7 @@ from .exceptions import (
 from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, index_rows, scale_apply
 
 
-# to_dense looks up this many cells at a time
+# to_dense fills about this many cells at a time
 DENSE_BLOCK = 1 << 18
 
 
@@ -89,20 +89,41 @@ class CompletedTensor:
         return out
 
     def to_dense(self) -> np.ndarray:
-        """Every cell, observed verbatim and the rest filled: ``values_at``
-        over all indices in row-major order, ``DENSE_BLOCK`` cells at a
-        time, reshaped to the grid, so an unrepresentable fill raises
-        naming the first such cell in that order.  Guarded to small
-        shapes."""
-        n = self.source.n_cells
+        """Every cell, observed verbatim and the rest filled: each slab of
+        log sums (``_log_sum_slabs``), the observed cells' zeroed, goes
+        through one ``inverse_scale_fills``, so an unrepresentable fill
+        raises naming the first such cell in row-major order.  Guarded to
+        small shapes."""
+        shape, n = self.shape, self.source.n_cells
         if n > MAX_DENSE_CELLS:
             raise ValueError(f"refusing to materialize {n} cells")
-        out = np.empty(n)
-        for start in range(0, n, DENSE_BLOCK):  # the blocks bound the memory of the index rows
-            flat = np.arange(start, min(start + DENSE_BLOCK, n))
-            cells = np.stack(np.unravel_index(flat, self.shape), axis=1)
-            out[start:start + len(flat)] = self.values_at(cells)
-        return out.reshape(self.shape)
+        logs = [self.scales.log[f].reshape([s if d in f else 1 for d, s in enumerate(shape)])
+                for f in self.scales.families]
+        observed, out = self.source._flat, np.empty(n)
+        for lo, sums in _log_sum_slabs(logs, shape, n, 0):
+            hi = lo + len(sums)
+            sums[observed[observed.searchsorted(lo):observed.searchsorted(hi)] - lo] = 0.0
+            out[lo:hi] = inverse_scale_fills(sums, lambda j: tuple(map(int, np.unravel_index(lo + j, shape))))
+        out[observed] = self.source.values
+        return out.reshape(shape)
+
+
+def _log_sum_slabs(logs, shape, n, start):
+    """``(first flat cell, flat log sums)`` of a grid of ``shape`` (``n``
+    cells, the first at ``start``) in row-major slabs of whole leading rows,
+    about ``DENSE_BLOCK`` cells each; a longer row is split the same way.
+    ``logs``, the family log arrays broadcastable to the grid, add in order."""
+    row = n // shape[0]
+    step = max(1, DENSE_BLOCK // row)
+    for i in range(0, shape[0], step):
+        part = [log[i:i + step] if len(log) > 1 else log for log in logs]  # size 1: broadcast
+        if row > DENSE_BLOCK:
+            yield from _log_sum_slabs([p[0] for p in part], shape[1:], row, start + i * row)
+        else:
+            sums = np.zeros((min(step, shape[0] - i), *shape[1:]))
+            for p in part:
+                sums += p
+            yield start + i * row, sums.reshape(-1)
 
 
 def complete(

@@ -1,12 +1,12 @@
 """Metrics, the cross-validated experiment runner, sanity baselines, and
 convergence diagnostics.
 
-The runner builds one users x products train tensor per fold, balances
-it at k=1, predicts the held-out pairs from inverse-scale products,
-unshifts, and reports RMSE/MAE per fold plus mean and standard
-deviation.  Clamped metrics (predictions clipped to the native rating
-range) ride along as a secondary column.  The 3-D user x feature x
-product mode runs the same folds (see ``run_experiment``).
+One function scores every fold of every predictor: the method, which
+balances one users x products train tensor per fold at k=1 and fills the
+held-out pairs from inverse-scale products, or a mean baseline.  Reports
+hold RMSE/MAE per fold against the stored ratings, clamped ones (clipped
+to the native rating range), their mean and standard deviation, and the
+time of each predictor call.  A 3-D run runs the 2-D folds.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class FoldResult:
     rmse_clamped: float
     mae_clamped: float
     sweeps: int
-    wall_time: float
+    wall_time: float  # the predictor call; for the method: tensor build, solve, fills
     cold_pairs: int
     converged: bool
     n_test: int
@@ -117,29 +118,17 @@ class EvalReport:
     @classmethod
     def from_folds(cls, dataset, mode, categories, folds, config_echo) -> "EvalReport":
         folds = sorted(folds, key=lambda f: f.fold)
-
-        def stats(attr):
-            vals = np.array([getattr(f, attr) for f in folds])
-            return float(vals.mean()), float(vals.std())
-
-        rm, rs = stats("rmse")
-        mm, ms = stats("mae")
-        rcm, rcs = stats("rmse_clamped")
-        mcm, mcs = stats("mae_clamped")
+        stats = {}
+        for name in ("rmse", "mae", "rmse_clamped", "mae_clamped"):
+            vals = np.array([getattr(f, name) for f in folds])
+            stats[f"{name}_mean"], stats[f"{name}_std"] = float(vals.mean()), float(vals.std())
         return cls(
             dataset=dataset,
             mode=mode,
             categories=list(categories) if categories is not None else None,
             per_fold=folds,
-            rmse_mean=rm,
-            rmse_std=rs,
-            mae_mean=mm,
-            mae_std=ms,
-            rmse_clamped_mean=rcm,
-            rmse_clamped_std=rcs,
-            mae_clamped_mean=mcm,
-            mae_clamped_std=mcs,
             config=config_echo,
+            **stats,
         )
 
     def to_dict(self, include_timing: bool = True) -> dict:
@@ -161,54 +150,76 @@ class EvalReport:
         )
 
 
-def _metrics(preds_native, truth_native, dataset):
-    lo, hi = dataset.native_range
-    clamped = np.clip(preds_native, lo, hi)
-    return (
-        rmse(preds_native, truth_native), mae(preds_native, truth_native),
-        rmse(clamped, truth_native), mae(clamped, truth_native),
-    )
-
-
 def _solve(tensor: SparseTensor, config: ExperimentConfig):
-    t0 = time.perf_counter()
     try:
-        model = balance(tensor, 1, config.solver())
-        converged = True
+        return balance(tensor, 1, config.solver()), True
     except DidNotConvergeError as exc:  # keep going with the partial model
-        model = exc.model
-        converged = False
-    return model, converged, time.perf_counter() - t0
+        return exc.model, False
 
 
-def _fold_2d(dataset, fold_plan, fold, config) -> FoldResult:
-    """One fold of either mode: solve the fold's users x products train
-    tensor at k=1 and score the held-out pairs.  A pair is cold when its
+def _uctensor(config, dataset, fold_plan, fold, test):
+    """The method, in either mode: solve the fold's users x products train
+    tensor at k=1 and fill the held-out pairs.  A pair is cold when its
     user or product has no training record.  The count is exact in 3-D
     too: a 3-D cell is also cold when its feature slice is empty, and a
     feature slice holds the rows of every user carrying that feature, so
     a user's own feature slices are empty only when the user's row is."""
-    tensor, pairs, truth_shifted = build_tensor_2d(dataset, fold_plan, fold)
-    model, converged, wall = _solve(tensor, config)
-
-    preds_shifted = inverse_scale_fills(
-        model.scales.log_sum_at(pairs), lambda i: tuple(pairs[i].tolist())
-    )
+    tensor, pairs, _ = build_tensor_2d(dataset, fold_plan, fold)
+    model, converged = _solve(tensor, config)
+    fills = inverse_scale_fills(model.scales.log_sum_at(pairs), lambda i: tuple(pairs[i].tolist()))
     cold = int(model.scales.empty_key_mask(pairs).sum())
+    return fills - dataset.shift, model.sweeps_run, converged, cold
 
-    preds_native = preds_shifted - dataset.shift
-    truth_native = truth_shifted - dataset.shift
-    r, m, rc, mc = _metrics(preds_native, truth_native, dataset)
-    return FoldResult(fold, r, m, rc, mc, model.sweeps_run, wall, cold, converged, len(pairs))
+
+def _mean(kind, dataset, fold_plan, fold, test):
+    # record positions in file order, so every sum below adds the same
+    # numbers in the same order as a boolean-mask gather would
+    train = np.flatnonzero(~fold_plan.test_mask(fold))
+    r_train = dataset.rating_values[train]
+    global_mean = float(r_train.mean())
+    if kind == "global_mean":
+        return np.full(len(test), global_mean), 0, True, 0
+    axis = dataset.product_index if kind == "item_mean" else dataset.user_index
+    size = dataset.n_products if kind == "item_mean" else dataset.n_users
+    axis_train, axis_test = axis[train], axis[test]
+    sums = np.bincount(axis_train, weights=r_train, minlength=size)
+    counts = np.bincount(axis_train, minlength=size)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
+    return means[axis_test], 0, True, int((counts[axis_test] == 0).sum())
+
+
+def _fold_2d(dataset, fold_plan, fold, predict) -> FoldResult:
+    """One fold of any predictor, scored against the stored ratings.
+    ``predict(dataset, fold_plan, fold, test)`` gets the held-out record
+    positions in file order and returns their native-scale predictions,
+    its sweeps, whether it converged and its cold pair count."""
+    test = np.flatnonzero(fold_plan.test_mask(fold))
+    t0 = time.perf_counter()
+    preds, sweeps, converged, cold = predict(dataset, fold_plan, fold, test)
+    wall = time.perf_counter() - t0
+    truth = dataset.rating_values[test]
+    clamped = np.clip(preds, *dataset.native_range)
+    return FoldResult(fold, rmse(preds, truth), mae(preds, truth), rmse(clamped, truth),
+                      mae(clamped, truth), sweeps, wall, cold, converged, len(test))
 
 
 _fold_3d = _fold_2d  # bench_spans.Tracer.install wraps both fold names here
 
 
+def _cross_validate(dataset, fold_plan, predict, threads=1) -> list:
+    """Every fold of ``fold_plan`` scored by ``_fold_2d``, in fold order."""
+    def one(fold):
+        return _fold_2d(dataset, fold_plan, fold, predict)  # looked up per call, for the tracer
+    if threads == 1:
+        return [one(f) for f in range(fold_plan.n_folds)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(fold_plan.n_folds)))
+
+
 def run_experiment(dataset: RatingsDataset, mode: str, config: ExperimentConfig) -> EvalReport:
     """Full cross-validated run; per-fold non-convergence is recorded, not
-    fatal.  Folds are independent and may run on a thread pool; results are
-    aggregated in fold order either way.
+    fatal.  Folds may run on a thread pool; results are aggregated in
+    fold order either way.
 
     A "3d" run first checks that every user carries the configured
     features, then runs the 2-D folds: each 3-D fill at (user, feature,
@@ -220,14 +231,7 @@ def run_experiment(dataset: RatingsDataset, mode: str, config: ExperimentConfig)
     if mode == "3d":
         user_feature_indices(dataset, config.categories)
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
-
-    folds = range(config.n_folds)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda f: _fold_2d(dataset, fold_plan, f, config), folds))
-    else:
-        results = [_fold_2d(dataset, fold_plan, f, config) for f in folds]
-
+    results = _cross_validate(dataset, fold_plan, partial(_uctensor, config), config.threads)
     categories = config.categories if mode == "3d" else None
     return EvalReport.from_folds(dataset.name, mode, categories, results, config.echo())
 
@@ -237,33 +241,7 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
     sanity anchor, not a contender."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    results = []
-    for fold in range(fold_plan.n_folds):
-        # record positions in file order, so every sum below adds the same
-        # numbers in the same order as a boolean-mask gather would
-        in_test = fold_plan.test_mask(fold)
-        test = np.flatnonzero(in_test)
-        train = np.flatnonzero(~in_test)
-        t0 = time.perf_counter()
-        r_train = dataset.rating_values[train]
-        global_mean = float(r_train.mean())
-        if kind == "global_mean":
-            preds = np.full(len(test), global_mean)
-            cold = 0
-        else:
-            axis = dataset.product_index if kind == "item_mean" else dataset.user_index
-            size = dataset.n_products if kind == "item_mean" else dataset.n_users
-            axis_train = axis[train]
-            axis_test = axis[test]
-            sums = np.bincount(axis_train, weights=r_train, minlength=size)
-            counts = np.bincount(axis_train, minlength=size)
-            means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-            preds = means[axis_test]
-            cold = int((counts[axis_test] == 0).sum())
-        wall = time.perf_counter() - t0
-        truth = dataset.rating_values[test]
-        r, m, rc, mc = _metrics(preds, truth, dataset)
-        results.append(FoldResult(fold, r, m, rc, mc, 0, wall, cold, True, len(test)))
+    results = _cross_validate(dataset, fold_plan, partial(_mean, kind))
     echo = {"kind": kind, "n_folds": fold_plan.n_folds, "seed": fold_plan.seed}
     return EvalReport.from_folds(dataset.name, f"baseline:{kind}", None, results, echo)
 
@@ -272,7 +250,7 @@ def convergence_trace(dataset: RatingsDataset, config: ExperimentConfig) -> list
     """Per-iteration residuals of the first fold's solve (for plotting);
     both modes solve the same tensor."""
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
-    model, _, _ = _solve(build_tensor_2d(dataset, fold_plan, 0)[0], config)
+    model, _ = _solve(build_tensor_2d(dataset, fold_plan, 0)[0], config)
     return list(model.residual_trace)
 
 

@@ -16,12 +16,14 @@ from uctensor import (
     build_tensor_2d,
     build_tensor_3d,
     convergence_trace,
+    load_jester,
     load_movielens,
     mae,
     rmse,
     run_experiment,
     split_kfold,
 )
+from uctensor import evaluate
 from uctensor.properties import synthetic_dataset
 
 from conftest import TIGHT, write_movielens_fixture
@@ -29,6 +31,20 @@ from conftest import TIGHT, write_movielens_fixture
 # rating-scale magnitudes, quantized so squared errors cannot underflow
 grid_floats = st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 6))
 pair_lists = st.lists(st.tuples(grid_floats, grid_floats), min_size=1, max_size=50)
+
+
+def write_jester_grid(path, n_users=40, n_jokes=12, seed=0):
+    """A miniature Jester grid (count column, ratings in [-10, 10] with two
+    decimals, 99 for unrated) with planted multiplicative structure: its
+    shift is not 0, so a shifted value minus the shift need not give back
+    the stored rating."""
+    rng = np.random.default_rng(seed)
+    u = np.exp(rng.uniform(0, np.log(20) / 2, n_users))
+    v = np.exp(rng.uniform(0, np.log(20) / 2, n_jokes))
+    grid = np.round(np.clip(np.outer(u, v) - 11 + rng.normal(0, 0.5, (n_users, n_jokes)), -10, 10), 2)
+    grid[rng.random(grid.shape) < 0.3] = 99
+    path.write_text("".join(f"{int((row != 99).sum())}," + ",".join(map(str, row)) + "\n" for row in grid))
+    return path
 
 
 def columns(pairs):
@@ -131,10 +147,42 @@ class TestRunExperiment:
         report = run_experiment(ds, "2d", ExperimentConfig(n_folds=5, seed=0))
         assert sum(f.cold_pairs for f in report.per_fold) >= 1
 
+    @pytest.mark.parametrize("shifted", [False, True], ids=["movielens", "jester"])
+    def test_folds_score_the_fills_against_the_stored_ratings(self, tmp_path, shifted):
+        if shifted:
+            ds = load_jester(write_jester_grid(tmp_path / "jester.csv"))
+            assert ds.shift != 0
+        else:
+            ds = load_movielens(*write_movielens_fixture(tmp_path))
+        config = ExperimentConfig()
+        report = run_experiment(ds, "2d", config)
+        plan = split_kfold(ds, config.n_folds, config.seed)
+        for fold, result in enumerate(report.per_fold):
+            tensor, pairs, _ = build_tensor_2d(ds, plan, fold)
+            fills = np.exp(-balance(tensor, 1, config.solver()).scales.log_sum_at(pairs))
+            truth = ds.rating_values[np.flatnonzero(plan.test_mask(fold))]
+            assert result.rmse == rmse(fills - ds.shift, truth)
+            assert result.mae == mae(fills - ds.shift, truth)
+
     def test_mode_validation(self):
         ds = synthetic_dataset(0)
         with pytest.raises(ValueError):
             run_experiment(ds, "4d", ExperimentConfig())
+
+
+class TestCrossValidate:
+    def test_an_oracle_predictor_scores_zero_on_every_fold_in_order(self):
+        ds = synthetic_dataset(4, noise=0.1)
+        plan = split_kfold(ds, 4, seed=2)
+
+        def oracle(dataset, fold_plan, fold, test):
+            return dataset.rating_values[test], 0, True, 0
+
+        for threads in (1, 3):
+            folds = evaluate._cross_validate(ds, plan, oracle, threads)
+            assert [f.fold for f in folds] == list(range(4))
+            assert all(f.rmse == f.mae == f.cold_pairs == 0 for f in folds)
+            assert sum(f.n_test for f in folds) == len(ds.rating_values)
 
 
 class TestThreeDimensionalMode:
