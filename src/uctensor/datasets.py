@@ -134,17 +134,21 @@ def _dense_vocab(raw_ids: np.ndarray) -> tuple[dict, np.ndarray]:
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of each key's first occurrence, in file order, and the
     key order of those kept records (their ranks among the kept, by
-    ascending key).  One stable sort gives both: the first record of each
-    run of equal keys is the first occurrence."""
+    ascending key).  One sort gives both: the least position in each run
+    of equal keys is the first occurrence."""
     # temporaries are dropped as soon as they are spent: this runs at the
     # peak of a load's memory
-    order = np.argsort(keys, kind="stable")
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys)
     sorted_keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
     del sorted_keys
-    kept = order[first]  # in key order
-    del order, first
+    starts = np.flatnonzero(starts)
+    # the sort need not be stable: the minimum finds each run's first record
+    kept = np.minimum.reduceat(order, starts)  # in key order
+    del order, starts
     is_kept = np.zeros(len(keys), dtype=bool)
     is_kept[kept] = True
     keep = np.flatnonzero(is_kept)
@@ -490,14 +494,11 @@ def records_tensor(dataset: RatingsDataset, positions: np.ndarray | None = None)
     if positions is None:
         positions = dataset.key_order
     n_products = dataset.n_products
-    u = dataset.user_index[positions]
-    p = dataset.product_index[positions]
-    return SparseTensor(
-        (dataset.n_users, n_products),
-        np.stack([u, p], axis=1),
-        dataset.shifted_values[positions],
-        _flat=u * n_products + p,
-    )
+    keys = dataset.user_index[positions]  # a gather: a new array, keyed in place
+    keys *= n_products
+    keys += dataset.product_index[positions]
+    values = dataset.rating_values[positions] + dataset.shift
+    return SparseTensor((dataset.n_users, n_products), None, values, _flat=keys)
 
 
 def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int):
@@ -520,7 +521,7 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     tensor = records_tensor(dataset, order[assignment[order] != test_fold])
     test = np.flatnonzero(assignment == test_fold)
     pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
-    return tensor, pairs, dataset.shifted_values[test]
+    return tensor, pairs, dataset.rating_values[test] + dataset.shift
 
 
 def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[FeatureEncoding, np.ndarray]:

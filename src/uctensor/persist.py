@@ -4,10 +4,12 @@ A model file holds only what cannot be derived from the rest: the
 observed entries (their row-major flat keys and their values), one
 array of log scales per family, the raw-id vocabularies, and a small
 JSON header (format, version, shape, k, shift, native range, the
-solve's diagnostics, the config echo).  Everything else is derived on
-load: the entries' (N, D) indices from the flat keys, the non-empty
-flags from the entries (a subtensor is non-empty iff an entry lies in
-it), and the balanced tensor from the entries and the scales.
+solve's diagnostics, the config echo).  The loaded tensor keeps the
+flat keys as read, once checked to be strictly increasing and in range;
+its (N, D) indices are not derived on load.  Everything else is derived
+on load: the non-empty flags from the keys (a subtensor is non-empty
+iff an entry lies in it), and the balanced tensor from the entries and
+the scales.
 
 ``save_model`` writes format version 3: an uncompressed numpy ``.npz``
 archive, under whatever file name the caller gives.  ``load_model``
@@ -15,7 +17,8 @@ tells the formats apart by their first bytes, not by the file name: a
 zip archive (``PK\\x03\\x04``) is read as version 3 with
 ``allow_pickle=False``, and anything else as a JSON document of version
 1 or 2, the formats written before.  Either way the model is rebuilt
-through the validating ``SparseTensor`` and ``ScaleSet`` constructors.
+through the ``SparseTensor`` and ``ScaleSet`` constructors, which check
+whatever the reader has not.
 """
 
 from __future__ import annotations
@@ -115,8 +118,7 @@ def _read_npz(fh):
             raise ParseError("flat keys are not strictly increasing")
         if len(keys) and (keys[0] < 0 or keys[-1] >= math.prod(shape)):
             raise ParseError(f"flat keys out of range for shape {shape}")
-        indices = np.stack(np.unravel_index(keys, shape), axis=1)
-        source = SparseTensor(shape, indices, _member(z, "values", "f"))
+        source = SparseTensor(shape, None, _member(z, "values", "f"), _flat=keys)
         families = subtensor_families(len(shape), doc["k"])
         logs = {f: _member(z, f"log_{i}", "f") for i, f in enumerate(families)}
         for name in VOCABULARIES:

@@ -89,7 +89,8 @@ def top_n(
     holds the n-th unrated product, and then on over every product whose
     b_p is within ``TIE_WINDOW`` of that product's.  The user's row is
     one slice of the source's entries, whose bounds the source keeps
-    after its first ``row_slice``.  Only the unrated products of the
+    after its first ``row_slice``; its rated products are its flat keys
+    less user * P.  Only the unrated products of the
     prefix are filled, from a_u + b_p, the sum ``log_sum_at`` forms.
     Unless they are excluded, the rated products join them with
     their observed values, less those below the least of the first n
@@ -124,7 +125,7 @@ def top_n(
     user = int(user)
     source = completed.source
     row = source.row_slice(user)  # checks the user's bounds
-    rated = source.indices[row, 1]
+    rated = source._flat[row] - user * source.shape[1]
     scales = completed.scales
     order, rank, tie_end = _product_order(completed)
     a, b = scales.log[(0,)][user], scales.log[(1,)]
@@ -146,4 +147,6 @@ def top_n(
             observed, rated = observed[keep], rated[keep]
         ranked += zip((-observed).tolist(), rated.tolist(), repeat("observed"))
     ranked.sort()
-    return [Prediction(user, p, -v, s) for v, p, s in ranked[:n]]
+    # ``tuple.__new__`` builds each answer without the Python frame of the
+    # generated ``Prediction.__new__``; the fields are in declaration order
+    return [tuple.__new__(Prediction, (user, p, -v, s)) for v, p, s in ranked[:n]]

@@ -80,14 +80,22 @@ def sub_ids(rows: np.ndarray, shape, fixed_dims: tuple[int, ...]) -> np.ndarray:
     return ids
 
 
-class SparseTensor:
-    """Immutable COO tensor; indices kept in lexicographic (row-major) order."""
+def _cell(key, shape) -> tuple:
+    """The coordinates of one flat key, as plain ints."""
+    return tuple(int(c) for c in np.unravel_index(int(key), shape))
 
-    __slots__ = ("shape", "indices", "values", "_flat", "_row_starts")
+
+class SparseTensor:
+    """Immutable COO tensor.  The pattern is stored once, as the cells'
+    row-major flat keys in ascending order (``_flat``, int64), beside one
+    value per key: 16 bytes an entry whatever the dimension.  ``indices``
+    derives the (N, D) coordinate rows from the keys on each access."""
+
+    __slots__ = ("shape", "values", "_flat", "_row_starts")
 
     def __init__(self, shape, indices, values, *, _flat=None):
-        # ``_flat`` is the flat-key array of an already validated pattern
-        # that ``indices`` belongs to: only the values are checked then
+        # ``_flat``, given with ``indices=None``, holds the ascending flat
+        # keys of an already validated pattern: only the values are checked
         shape = tuple(int(s) for s in shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"shape must be non-empty with all dims >= 1, got {shape}")
@@ -95,47 +103,62 @@ class SparseTensor:
             raise IndexOutOfBoundsError(
                 f"shape {shape} has {math.prod(shape)} cells, more than int64 keys can index"
             )
-        given = (indices, values)
-        indices = _as_rows(indices, len(shape))
+        given = values
+        if _flat is None:
+            rows = _as_rows(indices, len(shape))
+            n, cell = len(rows), lambda i: tuple(rows[i].tolist())
+        else:
+            _flat = np.ascontiguousarray(_flat, dtype=np.int64)
+            n, cell = len(_flat), lambda i: _cell(_flat[i], shape)
         values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        if len(indices) != len(values):
+        if n != len(values):
             raise ValueError("indices and values length mismatch")
 
         ok = np.isfinite(values) & (values > 0.0)
         if not ok.all():
             bad = int(np.argmin(ok))
-            at = f"value {values[bad]} at index {tuple(indices[bad].tolist())}"
+            at = f"value {values[bad]} at index {cell(bad)}"
             if not np.isfinite(values[bad]):
                 raise NonFiniteValueError(f"{at} is not finite")
             raise NonPositiveValueError(
                 f"{at} is not strictly positive (zero marks an unobserved cell)"
             )
         if _flat is None:
-            _flat = sub_ids(index_rows(indices, shape), shape, tuple(range(len(shape))))
+            _flat = sub_ids(index_rows(rows, shape), shape, tuple(range(len(shape))))
+            del rows
             # input in strictly increasing order is neither sorted nor
             # searched for duplicates again
             if len(_flat) > 1 and not (_flat[1:] > _flat[:-1]).all():
-                order = np.argsort(_flat, kind="stable")
+                # unique keys have one order, so the sort need not be
+                # stable; equal keys name the same cell, whichever is first
+                order = np.argsort(_flat)
                 _flat = _flat[order]
-                indices = indices[order]
                 values = values[order]
+                del order
                 dup = _flat[1:] == _flat[:-1]
                 if dup.any():
                     pos = int(np.argmax(dup))
-                    raise DuplicateIndexError(f"duplicate index {tuple(indices[pos].tolist())}")
-            else:  # no sort copied them: a caller's later writes must not reach the tensor
-                if isinstance(given[0], np.ndarray):
-                    indices = indices.copy()
-                if isinstance(given[1], np.ndarray):
-                    values = values.copy()
+                    raise DuplicateIndexError(f"duplicate index {_cell(_flat[pos], shape)}")
+            elif isinstance(given, np.ndarray):
+                # no sort copied them: a caller's later writes must not
+                # reach the tensor
+                values = values.copy()
 
         self.shape = shape
-        self.indices = indices
         self.values = values
         self._flat = _flat
         self._row_starts = None  # row_slice's boundaries, found on its first call
-        for a in (self.indices, self.values, self._flat):
+        for a in (self.values, self._flat):
             a.setflags(write=False)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The entries' (N, D) int64 coordinate rows, in key order, derived
+        from the flat keys on each access: O(N) time and a new (read-only)
+        array, so no hot path reads it."""
+        rows = np.stack(np.unravel_index(self._flat, self.shape), axis=1)
+        rows.setflags(write=False)
+        return rows
 
     @property
     def ndim(self) -> int:
@@ -177,8 +200,9 @@ class SparseTensor:
         return self._locate(indices)[1]
 
     def row_slice(self, i: int) -> slice:
-        """The entries whose first coordinate is ``i``, as a slice of
-        ``indices`` and ``values``: row-major order keeps them contiguous.
+        """The entries whose first coordinate is ``i``, as a slice of the
+        entry order (of ``values``, ``_flat`` and ``indices``): row-major
+        order keeps them contiguous.
         The first call finds where every row starts, with one search of
         the flat keys, and keeps that list (one int per row) on the
         tensor, which never changes."""
@@ -199,7 +223,7 @@ class SparseTensor:
         validated again; the values are copied, so a caller's later writes
         do not reach the tensor."""
         values = np.array(values, dtype=np.float64)
-        return SparseTensor(self.shape, self.indices, values, _flat=self._flat)
+        return SparseTensor(self.shape, None, values, _flat=self._flat)
 
     def to_dense(self, fill: float = 0.0) -> np.ndarray:
         if self.n_cells > MAX_DENSE_CELLS:
@@ -224,9 +248,26 @@ def make_tensor(shape, entries) -> SparseTensor:
 
 def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
     """Per-entry subtensor ids for one family (``sub_ids`` of the entries),
-    plus the dense id-space size."""
-    size = math.prod(tensor.shape[d] for d in fixed_dims)
-    return sub_ids(tensor.indices, tensor.shape, fixed_dims), size
+    plus the dense id-space size, derived from the flat keys.
+
+    Coordinate d of a key is key // stride(d) - (key // stride(d - 1)) *
+    shape[d], where stride(d) is the product of the dims after d: integer
+    floordiv by a scalar is several times faster than ``%`` in numpy."""
+    shape, keys = tensor.shape, tensor._flat
+    ids = None
+    for d in fixed_dims:
+        stride = math.prod(shape[d + 1 :])
+        coord = keys // stride if stride > 1 else keys.copy()
+        if d > 0:
+            high = keys // (stride * shape[d])
+            high *= shape[d]
+            coord -= high
+        if ids is None:
+            ids = coord
+        else:
+            ids *= shape[d]
+            ids += coord
+    return ids, math.prod(shape[d] for d in fixed_dims)
 
 
 class ScaleSet:
@@ -329,7 +370,11 @@ def scale_apply(tensor: SparseTensor, scales: ScaleSet) -> SparseTensor:
         )
     if tensor.n_observed == 0:
         return tensor
-    half = np.exp(scales.log_sum_at(tensor.indices) / 2)
+    # summed per family in family order from zeros, as ``log_sum_at`` sums
+    total = np.zeros(tensor.n_observed)
+    for fixed in scales.families:
+        total += scales.log[fixed][family_sub_ids(tensor, fixed)[0]]
+    half = np.exp(total / 2)
     return tensor.with_values(tensor.values * half * half)
 
 

@@ -314,6 +314,7 @@ V3_CORRUPTIONS = {
     "missing member": (lambda m: m.pop("values"), ParseError),
     "log array one short": (lambda m: m.__setitem__("log_0", m["log_0"][:-1]), ShapeMismatchError),
     "nan value": (lambda m: m["values"].__setitem__(0, np.nan), NonFiniteValueError),
+    "values one short of the keys": (lambda m: m.__setitem__("values", m["values"][:-1]), ParseError),
     "flat key out of range": (lambda m: m["keys"].__setitem__(-1, 12), ParseError),
     "duplicate flat keys": (lambda m: m["keys"].__setitem__(1, m["keys"][0]), ParseError),
     "unsorted flat keys": (swap_first_keys, ParseError),

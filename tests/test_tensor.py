@@ -22,6 +22,7 @@ from uctensor import (
     scale_apply,
     subtensor_families,
 )
+from uctensor.tensor import family_sub_ids, sub_ids
 
 from conftest import scale_set
 
@@ -57,7 +58,7 @@ class TestConstruction:
     def test_with_values_checks_only_the_values(self, three_entry_2x2):
         t = three_entry_2x2
         again = t.with_values([3.0, 5.0, 7.0])
-        assert np.shares_memory(again.indices, t.indices) and again._flat is t._flat
+        assert again._flat is t._flat and np.array_equal(again.indices, t.indices)
         assert again.value_at((1, 0)) == 7.0
         with pytest.raises(ValueError, match="length mismatch"):
             t.with_values([1.0, 2.0])
@@ -323,6 +324,46 @@ def drawn_logs(draw, shape):
         logs[fixed] = np.array(draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)))
         nonempty[fixed] = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     return k, logs, nonempty
+
+
+class TestKeyStorage:
+    """A tensor stores its pattern once, as ascending flat keys; the
+    coordinate rows and the per-family subtensor ids derive from them."""
+
+    @given(st.one_of(patterns(), patterns((1, 3, 1, 2))))
+    @settings(max_examples=100, deadline=None)
+    def test_family_ids_from_keys_match_the_ids_from_rows(self, t):
+        rows = t.indices
+        for r in range(1, t.ndim + 1):
+            for fixed in itertools.combinations(range(t.ndim), r):
+                ids, size = family_sub_ids(t, fixed)
+                want = sub_ids(rows, t.shape, fixed)
+                assert ids.dtype == want.dtype and np.array_equal(ids, want)
+                assert size == math.prod(t.shape[d] for d in fixed)
+
+    @given(patterns())
+    @settings(max_examples=30, deadline=None)
+    def test_an_entry_costs_16_bytes_and_no_slot_holds_rows(self, t):
+        held = [t, t.with_values(t.values * 2.0), scale_apply(t, scale_set(t.shape, 1, {}))]
+        for tensor in held:
+            tensor.row_slice(0)
+            arrays = [getattr(tensor, name) for name in SparseTensor.__slots__]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            assert all(a.ndim == 1 for a in arrays)
+            assert sum(a.nbytes for a in arrays) == 16 * tensor.n_observed
+            assert tensor.indices.shape == (tensor.n_observed, tensor.ndim)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_a_bad_value_names_the_same_cell_from_rows_or_keys(self, bad):
+        t = make_tensor((2, 3, 2), {(1, 2, 0): 1.0, (0, 1, 1): 2.0, (1, 0, 1): 3.0})
+        values = t.values.copy()
+        values[1] = bad
+        with pytest.raises((NonFiniteValueError, NonPositiveValueError)) as from_rows:
+            SparseTensor(t.shape, t.indices, values)
+        with pytest.raises(type(from_rows.value)) as from_keys:
+            t.with_values(values)
+        assert str(from_keys.value) == str(from_rows.value)
+        assert "at index (1, 0, 1)" in str(from_keys.value)
 
 
 class TestRowSlice:
