@@ -11,12 +11,24 @@ on load: the non-empty flags from the keys (a subtensor is non-empty
 iff an entry lies in it), and the balanced tensor from the entries and
 the scales.
 
-``save_model`` writes format version 3: an uncompressed numpy ``.npz``
-archive, under whatever file name the caller gives.  ``load_model``
-tells the formats apart by their first bytes, not by the file name: a
-zip archive (``PK\\x03\\x04``) is read as version 3 with
-``allow_pickle=False``, and anything else as a JSON document of version
-1 or 2, the formats written before.  Either way the model is rebuilt
+``save_model`` writes format version 4, under whatever file name the
+caller gives: the 8-byte ``MAGIC``, the header's length as a
+little-endian uint64, the JSON header padded with spaces to a multiple
+of 8 bytes, then each member's raw bytes at an 8-aligned offset.  The
+header's ``members`` table lists each member as ``[name, dtype.str,
+count, offset]``, the offset counted from the end of the header.  The
+file holds no timestamp: one model gives the same bytes.  ``load_model``
+reads a version-4 file with one ``read`` and views each member in place
+(``np.frombuffer``: no copy, read-only), after checking that its dtype
+is a number or a unicode string (so nothing is ever unpickled) and that
+it lies inside the file.
+
+``load_model`` tells the formats apart by their first bytes, not by the
+file name: ``MAGIC`` is version 4, a zip archive (``PK\\x03\\x04``) is
+version 3, an uncompressed numpy ``.npz`` read with
+``allow_pickle=False``, and anything else is a JSON document of version
+1 or 2; every format written before still loads.  Versions 3 and 4 hold
+the same members and pass the same checks, and every version is rebuilt
 through the ``SparseTensor`` and ``ScaleSet`` constructors, which check
 whatever the reader has not.
 """
@@ -35,9 +47,13 @@ from .exceptions import ParseError, UctensorError
 from .tensor import ScaleSet, SparseTensor, family_sub_ids, subtensor_families
 
 FORMAT = "uctensor-model"
-VERSION = 3
+VERSION = 4
+NPZ_VERSION = 3
 JSON_VERSIONS = (1, 2)
+# neither a zip archive nor JSON; the high byte and line ends catch text-mode copies
+MAGIC = b"\x89UCTM\r\n\x1a"
 ZIP_MAGIC = b"PK\x03\x04"
+PREAMBLE = len(MAGIC) + 8  # the magic, then the header's length
 VOCABULARIES = ("users", "products")
 
 
@@ -53,6 +69,10 @@ def _raw_ids(name: str, vocab: dict) -> np.ndarray:
     return raw
 
 
+def _padding(nbytes: int) -> int:
+    return -nbytes % 8
+
+
 def save_model(
     path,
     model: LatentModel,
@@ -63,7 +83,18 @@ def save_model(
     products: dict | None = None,
     config: dict | None = None,
 ) -> None:
-    header = {
+    members = {"keys": model.source._flat, "values": model.source.values}
+    for i, fixed in enumerate(model.scales.families):
+        members[f"log_{i}"] = model.scales.log[fixed]
+    for name, vocab in zip(VOCABULARIES, (users, products)):
+        if vocab is not None:
+            members[f"{name}_raw"] = _raw_ids(name, vocab)
+            members[f"{name}_index"] = np.asarray(list(vocab.values()), dtype=np.int64)
+    table, offset = [], 0
+    for name, a in members.items():
+        table.append([name, a.dtype.str, len(a), offset])
+        offset += a.nbytes + _padding(a.nbytes)
+    header = json.dumps({
         "format": FORMAT,
         "version": VERSION,
         "shape": list(model.shape),
@@ -73,21 +104,14 @@ def save_model(
         "sweeps_run": model.sweeps_run,
         "final_residual": model.final_residual,
         "config": config or {},
-    }
-    members = {
-        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        "keys": model.source._flat,
-        "values": model.source.values,
-    }
-    for i, fixed in enumerate(model.scales.families):
-        members[f"log_{i}"] = model.scales.log[fixed]
-    for name, vocab in zip(VOCABULARIES, (users, products)):
-        if vocab is not None:
-            members[f"{name}_raw"] = _raw_ids(name, vocab)
-            members[f"{name}_index"] = np.asarray(list(vocab.values()), dtype=np.int64)
-    # through a handle, so that numpy keeps the caller's file name
+        "members": table,
+    }).encode()
+    header += b" " * _padding(len(header))
     with open(path, "wb") as fh:
-        np.savez(fh, **members)
+        fh.write(MAGIC + len(header).to_bytes(8, "little") + header)
+        for a in members.values():
+            fh.write(a)
+            fh.write(bytes(_padding(a.nbytes)))
 
 
 def _check_header(doc, versions) -> None:
@@ -98,38 +122,72 @@ def _check_header(doc, versions) -> None:
 
 
 def _member(z, name: str, kinds: str) -> np.ndarray:
-    """A 1-D member of the archive whose dtype kind is one of ``kinds``."""
+    """A 1-D member whose dtype kind is one of ``kinds``."""
     a = z[name]
     if a.ndim != 1 or a.dtype.kind not in kinds:
         raise ParseError(f"member {name!r} is a {a.dtype} array of shape {a.shape}")
     return a
 
 
+def _from_members(doc, z, names):
+    """Versions 3 and 4: (metadata, source tensor, log arrays by family,
+    None) from a checked header and the members ``z[name]`` for each name
+    in ``names``."""
+    shape = tuple(doc["shape"])
+    keys = _member(z, "keys", "i")
+    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+        raise ParseError("flat keys are not strictly increasing")
+    if len(keys) and (keys[0] < 0 or keys[-1] >= math.prod(shape)):
+        raise ParseError(f"flat keys out of range for shape {shape}")
+    source = SparseTensor(shape, None, _member(z, "values", "f"), _flat=keys)
+    families = subtensor_families(len(shape), doc["k"])
+    logs = {f: _member(z, f"log_{i}", "f") for i, f in enumerate(families)}
+    for name in VOCABULARIES:
+        doc[name] = None
+        if f"{name}_raw" in names or f"{name}_index" in names:
+            raw = _member(z, f"{name}_raw", "iU")
+            index = _member(z, f"{name}_index", "i")
+            if len(raw) != len(index):
+                raise ParseError(f"{name} has {len(raw)} raw ids but {len(index)} indices")
+            doc[name] = dict(zip(raw.tolist(), index.tolist()))
+    return doc, source, logs, None
+
+
+def _read_raw(fh):
+    """Version 4: the whole file in one read, each member a view of it."""
+    data = fh.read()
+    size = int.from_bytes(data[len(MAGIC):PREAMBLE], "little")
+    start = PREAMBLE + size
+    if len(data) < start:
+        raise ParseError(f"truncated: the header needs {start} bytes, the file has {len(data)}")
+    try:
+        doc = json.loads(data[PREAMBLE:start])
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"header is not JSON: {exc}") from None
+    _check_header(doc, (VERSION,))
+    members = {}
+    for name, dtype, count, offset in doc.pop("members"):
+        dtype = np.dtype(dtype)
+        if dtype.kind not in "iufU":  # no object, void or bytes member is ever read
+            raise ParseError(f"member {name!r} has dtype {dtype}, not a number or a str")
+        if count < 0 or offset < 0 or start + offset + count * dtype.itemsize > len(data):
+            raise ParseError(
+                f"member {name!r}: {count} {dtype} values at offset {offset} "
+                f"do not lie within the {len(data) - start} bytes after the header"
+            )
+        members[name] = np.frombuffer(data, dtype, count, start + offset)
+    return _from_members(doc, members, members)
+
+
 def _read_npz(fh):
-    """Version 3: (metadata, source tensor, log arrays by family, None)."""
+    """Version 3: a ``header`` member holding the JSON header, beside the
+    members that version 4 also holds."""
     with np.load(fh, allow_pickle=False) as z:
         if "header" not in z.files:
             raise ParseError(f"not a {FORMAT} file: no header member")
         doc = json.loads(_member(z, "header", "u").tobytes())
-        _check_header(doc, (VERSION,))
-        shape = tuple(doc["shape"])
-        keys = _member(z, "keys", "i")
-        if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
-            raise ParseError("flat keys are not strictly increasing")
-        if len(keys) and (keys[0] < 0 or keys[-1] >= math.prod(shape)):
-            raise ParseError(f"flat keys out of range for shape {shape}")
-        source = SparseTensor(shape, None, _member(z, "values", "f"), _flat=keys)
-        families = subtensor_families(len(shape), doc["k"])
-        logs = {f: _member(z, f"log_{i}", "f") for i, f in enumerate(families)}
-        for name in VOCABULARIES:
-            doc[name] = None
-            if f"{name}_raw" in z.files or f"{name}_index" in z.files:
-                raw = _member(z, f"{name}_raw", "iU")
-                index = _member(z, f"{name}_index", "i")
-                if len(raw) != len(index):
-                    raise ParseError(f"{name} has {len(raw)} raw ids but {len(index)} indices")
-                doc[name] = dict(zip(raw.tolist(), index.tolist()))
-    return doc, source, logs, None
+        _check_header(doc, (NPZ_VERSION,))
+        return _from_members(doc, z, z.files)
 
 
 def _read_json(fh):
@@ -182,17 +240,23 @@ def load_model(path):
     final_residual, config) and ``users``/``products`` as raw id ->
     dense index dicts, or None.
 
+    The first bytes pick the reader: ``MAGIC`` a version-4 file, read
+    once and viewed in place; ``PK\\x03\\x04`` a version-3 ``.npz``
+    archive; anything else a version-1 or -2 JSON document.
+
     Errors name the path: ParseError for a file that is not a model of a
     known version or is malformed as a file (truncated, a member
-    missing or of the wrong type, non-empty flags that disagree with
-    the entries, ...), and the error of the part it breaks
+    missing, of the wrong type or past the end of the file, flat keys
+    out of range or not strictly increasing, non-empty flags that
+    disagree with the entries, ...), and the error of the part it breaks
     (ShapeMismatchError for a scale array of the wrong size,
     NonFiniteValueError for a nan value, ...) otherwise."""
     with open(path, "rb") as fh:
-        binary = fh.read(len(ZIP_MAGIC)) == ZIP_MAGIC
+        magic = fh.read(len(MAGIC))
         fh.seek(0)
+        reader = _read_raw if magic == MAGIC else _read_npz if magic.startswith(ZIP_MAGIC) else _read_json
         try:
-            doc, source, logs, flags = (_read_npz if binary else _read_json)(fh)
+            doc, source, logs, flags = reader(fh)
             scales = _scale_set(source, doc["k"], logs, flags)
             model = LatentModel(
                 source=source,
