@@ -167,9 +167,14 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
     For each unobserved index i we search offset vectors s (per-dimension
     signed, magnitude up to max_offset) such that every index i + delta,
     with delta_d in {0, s_d} and delta != 0, is observed.  The first such
-    s (nearest-first order) is recorded as the witness.  Exponential in D
-    and linear in the search volume: a verification tool, not a production
-    path.
+    s (nearest-first order) is recorded as the witness.  ``max_offset`` is
+    None (every offset), one bound for all dimensions, or one bound per
+    dimension; a sequence of another length raises ``ValueError``.
+
+    The tensor is asked once: one boolean observed grid (1 byte a cell,
+    guarded to ``MAX_DENSE_CELLS``), which every offset and corner then
+    indexes.  Exponential in D and linear in the search volume: a
+    verification tool, not a production path.
     """
     shape = tensor.shape
     ndim = tensor.ndim
@@ -177,16 +182,18 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
         max_offset = [s - 1 for s in shape]
     elif np.isscalar(max_offset):
         max_offset = [int(max_offset)] * ndim
+    elif len(max_offset) != ndim:
+        raise ValueError(f"max_offset needs {ndim} entries, one per dimension, got {len(max_offset)}")
     max_offset = [max(int(b), 0) for b in max_offset]
 
-    n_cells = tensor.n_cells
-    if n_cells > MAX_DENSE_CELLS:
+    if tensor.n_cells > MAX_DENSE_CELLS:
         raise ValueError("tensor too large for exhaustive support checking")
-    unobserved_flat = np.setdiff1d(np.arange(n_cells, dtype=np.int64), tensor._flat)
-    if len(unobserved_flat) == 0:
+    observed = np.zeros(shape, dtype=bool)
+    observed.flat[tensor._flat] = True
+    pending = np.argwhere(~observed)  # row-major
+    if len(pending) == 0:
         return SupportReport(fully_supported=True)
 
-    pending = np.stack(np.unravel_index(unobserved_flat, shape), axis=1)
     corners = [c for c in itertools.product((0, 1), repeat=ndim) if any(c)]
     witnesses = {}
 
@@ -195,28 +202,20 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
         for s in itertools.product(*per_dim):
             ok = np.ones(len(pending), dtype=bool)
             for mask in corners:
-                delta = np.array([sd if m else 0 for sd, m in zip(s, mask)], dtype=np.int64)
-                corner = pending + delta
-                valid = np.all((corner >= 0) & (corner < np.asarray(shape)), axis=1)
-                ok &= valid
+                corner = pending + np.array([sd if m else 0 for sd, m in zip(s, mask)])
+                ok &= np.all((corner >= 0) & (corner < np.asarray(shape)), axis=1)
                 if not ok.any():
                     break
-                observed = np.zeros(len(pending), dtype=bool)
-                observed[valid] = tensor.observed_mask_for(corner[valid])
-                ok &= observed
+                ok[ok] = observed[tuple(corner[ok].T)]
             if ok.any():
-                for idx in pending[ok]:
-                    witnesses[tuple(int(i) for i in idx)] = tuple(s)
+                for idx in pending[ok].tolist():
+                    witnesses[tuple(idx)] = tuple(s)
                 pending = pending[~ok]
                 if len(pending) == 0:
                     break
 
-    violations = [tuple(int(i) for i in idx) for idx in pending]
-    return SupportReport(
-        fully_supported=len(violations) == 0,
-        violations=violations,
-        witnesses=witnesses,
-    )
+    violations = [tuple(idx) for idx in pending.tolist()]
+    return SupportReport(not violations, violations, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +286,13 @@ def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> 
     unobserved form the unknown set (everything else is 'neither').  With
     a non-empty known set, each unknown prefix's completed values must
     strictly increase along gamma.  Ties count as violations.
+
+    The completion is asked twice: one ``observed_mask_for`` over the
+    whole (prefix x gamma) index grid, then one ``values_at`` over the
+    known and unknown prefixes alone (a mixed prefix is never filled, so
+    its fills cannot raise).  The grid and the two queries peak at about
+    40-60 bytes a checked cell for D = 2 and 3 (8*D of them the grid):
+    up to ~3 GB at the ``MAX_DENSE_CELLS`` guard.
     """
     shape = completed.shape
     ndim = len(shape)
@@ -305,38 +311,31 @@ def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> 
         )
 
     other_dims = [d for d in range(ndim) if d != dim]
-    n_prefixes = int(np.prod([shape[d] for d in other_dims], dtype=np.int64))
+    sizes = [shape[d] for d in other_dims]
+    n_prefixes = int(np.prod(sizes, dtype=np.int64))
     if n_prefixes * len(gamma) > MAX_DENSE_CELLS:
         raise ValueError("prefix space too large for exhaustive ordering check")
 
-    report = OrderingReport(verdict="precondition_unmet")
-    for prefix in itertools.product(*(range(shape[d]) for d in other_dims)):
-        idx = np.empty((len(gamma), ndim), dtype=np.int64)
-        for pos, d in enumerate(other_dims):
-            idx[:, d] = prefix[pos]
-        idx[:, dim] = gamma
-        observed = completed.source.observed_mask_for(idx)
-        if observed.all():
-            values = completed.values_at(idx)
-            if np.all(np.diff(values) > 0):
-                report.known_prefixes.append(prefix)
-            else:
-                report.n_neither += 1
-        elif not observed.any():
-            report.unknown_prefixes.append(prefix)
-            values = completed.values_at(idx)
-            bad = np.flatnonzero(~(np.diff(values) > 0))
-            for b in bad:
-                report.violations.append(
-                    (prefix, (gamma[b], gamma[b + 1]), (float(values[b]), float(values[b + 1])))
-                )
-        else:
-            report.n_neither += 1
-
-    if not report.known_prefixes:
-        report.verdict = "precondition_unmet"
-    elif report.violations:
-        report.verdict = "fail"
-    else:
-        report.verdict = "pass"
-    return report
+    prefixes = np.indices(sizes).reshape(len(sizes), n_prefixes).T  # row-major
+    grid = np.empty((n_prefixes, len(gamma), ndim), dtype=np.int64)
+    grid[:, :, other_dims] = prefixes[:, None, :]
+    grid[:, :, dim] = gamma
+    observed = completed.source.observed_mask_for(grid.reshape(-1, ndim)).reshape(grid.shape[:2])
+    known, unknown = observed.all(axis=1), ~observed.any(axis=1)
+    asked = np.flatnonzero(known | unknown)
+    grid = grid[asked].reshape(-1, ndim)  # the whole grid is freed before the fills
+    values = completed.values_at(grid).reshape(len(asked), len(gamma))
+    rising = np.diff(values, axis=1) > 0
+    known[asked] &= rising.all(axis=1)
+    violations = [
+        (tuple(prefixes[asked[r]].tolist()), (gamma[b], gamma[b + 1]),
+         (float(values[r, b]), float(values[r, b + 1])))
+        for r, b in zip(*np.nonzero(~rising & unknown[asked, None]))
+    ]
+    return OrderingReport(
+        ("fail" if violations else "pass") if known.any() else "precondition_unmet",
+        known_prefixes=[tuple(p) for p in prefixes[known].tolist()],
+        unknown_prefixes=[tuple(p) for p in prefixes[unknown].tolist()],
+        n_neither=n_prefixes - int(known.sum()) - int(unknown.sum()),
+        violations=violations,
+    )

@@ -188,7 +188,10 @@ class TestCheck:
 
         def one_percent_off(matrix, config=None):
             completed = real(matrix, config)
-            return SimpleNamespace(value_at=lambda index: completed.value_at(index) * 1.01)
+            return SimpleNamespace(
+                value_at=lambda index: completed.value_at(index) * 1.01,
+                values_at=lambda indices: completed.values_at(indices) * 1.01,
+            )
 
         monkeypatch.setattr(properties, "complete_matrix", one_percent_off)
         assert properties.oracle_2x2(0, n=20).passed is False

@@ -37,6 +37,7 @@ from uctensor.properties import (
     random_sparse_tensor,
 )
 
+import checker_oracle
 from conftest import TIGHT, reversed_balance
 
 # the module, which the package's ``complete`` function shadows as an attribute
@@ -156,6 +157,11 @@ class TestFullSupport:
         assert wide.witnesses.get((0, 0)) == (2, 2)
         assert (0, 0) in tight.violations
 
+    @pytest.mark.parametrize("max_offset", [[1], [1, 1, 1]])
+    def test_max_offset_of_the_wrong_length_refused(self, three_entry_2x2, max_offset):
+        with pytest.raises(ValueError, match=f"max_offset needs 2 entries, one per dimension, got {len(max_offset)}"):
+            check_full_support(three_entry_2x2, max_offset=max_offset)
+
 
 class TestUnitConsistency:
     def test_identity_scaling_gap_zero(self, three_entry_2x2):
@@ -246,6 +252,60 @@ class TestConsensusOrdering:
         assert report.verdict == "fail"
         assert report.known_prefixes == [(0,)]
         assert any(prefix == (2,) for prefix, _, _ in report.violations)
+
+    def test_mixed_prefix_is_never_filled(self):
+        # rows 0-1 observed, row 2 only at (2, 0), row 3 not at all; a row
+        # log of -800 makes that row's fills overflow to inf
+        source = make_tensor((4, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 5.0, (2, 0): 1.0})
+
+        def ordering(row_logs):
+            logs = {(0,): np.array(row_logs), (1,): np.zeros(2)}
+            scales = ScaleSet((4, 2), 1, logs, {f: np.ones(len(a), dtype=bool) for f, a in logs.items()})
+            completed = CompletedTensor(LatentModel(source, scales, 0, 0.0))
+            return check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(0, 1)))
+
+        report = ordering([0.0, 0.0, -800.0, 0.0])
+        assert report.known_prefixes == [(0,), (1,)]
+        assert report.unknown_prefixes == [(3,)]
+        assert report.n_neither == 1
+        with pytest.raises(NonFiniteValueError, match=re.escape("(3, 0)")):
+            ordering([0.0, 0.0, 0.0, -800.0])
+
+
+def _random_pattern(rng):
+    shape = tuple(rng.integers(1, 6, size=rng.integers(2, 4)).tolist())
+    return random_sparse_tensor(rng, shape, rng.uniform(0.2, 0.9))
+
+
+class TestCheckerOracle:
+    """The bulk checkers against the loop implementations they replaced
+    (``checker_oracle``): whole reports, the order of the witnesses, the
+    violations and the prefixes included."""
+
+    N_TENSORS = 300
+
+    def test_full_support_reports_match(self):
+        rng = np.random.default_rng(7)
+        for _ in range(self.N_TENSORS):
+            t = _random_pattern(rng)
+            for max_offset in (None, 1, 2):
+                got = check_full_support(t, max_offset=max_offset)
+                want = checker_oracle.check_full_support(t, max_offset=max_offset)
+                # dict equality ignores order, so the witnesses compare as item lists
+                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), max_offset)
+                assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+    def test_consensus_ordering_reports_match(self):
+        rng = np.random.default_rng(7)
+        for _ in range(self.N_TENSORS):
+            t = _random_pattern(rng)
+            completed = complete(t, t.ndim - 1)
+            for dim, size in enumerate(t.shape):
+                gamma = rng.permutation(size)[: rng.integers(1, size + 1)]
+                spec = OrderingSpec(dim=dim, gamma=gamma)
+                got = check_consensus_ordering(completed, spec)
+                want = checker_oracle.check_consensus_ordering(completed, spec)
+                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), spec)
 
 
 class TestUniqueness:
