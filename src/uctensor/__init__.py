@@ -39,7 +39,6 @@ from .evaluate import (
     ExperimentConfig,
     FoldResult,
     baseline_predict,
-    convergence_trace,
     mae,
     rmse,
     run_experiment,

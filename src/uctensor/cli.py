@@ -29,10 +29,8 @@ from .evaluate import (
     BASELINE_KINDS,
     ExperimentConfig,
     baseline_predict,
-    convergence_trace,
     run_experiment,
     split_kfold,
-    write_trace_csv,
 )
 from .exceptions import UctensorError, UnknownUserError
 from .complete import CompletedTensor
@@ -167,8 +165,9 @@ def cmd_evaluate(args) -> int:
             fh.write(report.to_json(include_timing=not args.omit_timings))
         print(f"report written to {args.out}")
     if args.trace_out:
-        trace = convergence_trace(dataset, config)
-        write_trace_csv(args.trace_out, trace)
+        with open(args.trace_out, "w", encoding="utf-8") as fh:
+            fh.write("sweep,residual\n")
+            fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(report.per_fold[0].residual_trace, start=1))
         print(f"convergence trace written to {args.trace_out}")
     return 0
 
@@ -247,12 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("2d", "3d"), default="2d")
     p.add_argument("--features", default=None, help="comma list of age,gender,occup (3d mode)")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--baseline", choices=BASELINE_KINDS, default=None,
-                   help="run a mean baseline instead of the solver")
+    solved = p.add_mutually_exclusive_group()  # a baseline solves nothing to trace
+    solved.add_argument("--baseline", choices=BASELINE_KINDS, default=None,
+                        help="run a mean baseline instead of the solver")
+    solved.add_argument("--trace-out", default=None, help="write fold 0's sweep,residual CSV here")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.add_argument("--omit-timings", action="store_true",
                    help="zero wall times in the report for byte-stable output")
-    p.add_argument("--trace-out", default=None, help="write fold-0 sweep,residual CSV here")
     _add_common(p, "--epsilon", "--max-sweeps", "--seed", "--threads", "--data-root")
     p.set_defaults(fn=cmd_evaluate)
 

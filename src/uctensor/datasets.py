@@ -331,10 +331,11 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
 # ---------------------------------------------------------------------------
 
 
-def load_jester(path, delimiter: str = ",") -> RatingsDataset:
-    """Parse a Jester-style grid: one row per user, first column a rated-joke
-    count (ignored), remaining columns ratings in [-10, 10] or 99 for
-    unrated.  Users are row numbers, products are joke column numbers.
+def load_jester(path) -> RatingsDataset:
+    """Parse a comma-separated Jester-style grid: one row per user, first
+    column a rated-joke count (ignored), remaining columns ratings in
+    [-10, 10] or 99 for unrated.  Users are row numbers, products are
+    joke column numbers.
 
     All observed values get shifted by ``-min + 1`` so the smallest stored
     value is exactly 1."""
@@ -346,7 +347,7 @@ def load_jester(path, delimiter: str = ",") -> RatingsDataset:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(delimiter)
+            parts = line.split(",")
             if len(parts) < 2:
                 raise ParseError(f"{path}:{lineno}: expected a count column plus ratings")
             if n_cols is None:
@@ -481,9 +482,14 @@ def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int64)
     assignment[rng.permutation(n)] = np.arange(n) % n_folds
-    a = assignment.copy()
-    a.setflags(write=False)
-    return FoldPlan(n_folds=n_folds, seed=seed, assignment=a)
+    assignment.setflags(write=False)
+    return FoldPlan(n_folds=n_folds, seed=seed, assignment=assignment)
+
+
+def _check_plan_length(fold_plan: FoldPlan, dataset: RatingsDataset) -> None:
+    n_assigned, n_records = len(fold_plan.assignment), len(dataset.rating_values)
+    if n_assigned != n_records:
+        raise ValueError(f"fold plan assigns {n_assigned} records, the dataset has {n_records}")
 
 
 def records_tensor(dataset: RatingsDataset, positions: np.ndarray | None = None) -> SparseTensor:
@@ -511,12 +517,8 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     validated key order (``records_tensor``).
 
     Returns ``(tensor, pairs, truth)``."""
+    _check_plan_length(fold_plan, dataset)
     assignment = fold_plan.assignment
-    if len(assignment) != len(dataset.rating_values):
-        raise ValueError(
-            f"fold plan assigns {len(assignment)} records, the dataset has "
-            f"{len(dataset.rating_values)}"
-        )
     order = dataset.key_order
     tensor = records_tensor(dataset, order[assignment[order] != test_fold])
     test = np.flatnonzero(assignment == test_fold)
@@ -554,6 +556,7 @@ def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, te
     It is the direct 3-D solve that lift is tested against.
 
     Returns ``(tensor, pairs, truth, features)``."""
+    _check_plan_length(fold_plan, dataset)
     enc, feats_per_user = user_feature_indices(dataset, categories)
     test = fold_plan.test_mask(test_fold)
     train = ~test

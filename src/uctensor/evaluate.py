@@ -1,12 +1,13 @@
-"""Metrics, the cross-validated experiment runner, sanity baselines, and
-convergence diagnostics.
+"""Metrics, the cross-validated experiment runner and sanity baselines.
 
 One function scores every fold of every predictor: the method, which
 balances one users x products train tensor per fold at k=1 and fills the
 held-out pairs from inverse-scale products, or a mean baseline.  Reports
 hold RMSE/MAE per fold against the stored ratings, clamped ones (clipped
 to the native rating range), their mean and standard deviation, and the
-time of each predictor call.  A 3-D run runs the 2-D folds.
+time of each predictor call.  Each fold also keeps the residual trace of
+its own solve (empty for a baseline), which the JSON report leaves out.
+A 3-D run runs the 2-D folds.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from .balance import SolverConfig, balance
 from .complete import inverse_scale_fills
 from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, split_kfold, user_feature_indices
+from .datasets import _check_plan_length
 from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
 from .exceptions import DidNotConvergeError, EmptyInputError
-from .tensor import SparseTensor
 
 BASELINE_KINDS = ("global_mean", "item_mean", "user_mean")
 
@@ -70,6 +71,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        self.solver()  # SolverConfig checks epsilon and max_sweeps
 
     def solver(self) -> SolverConfig:
         return SolverConfig(epsilon=self.epsilon, max_sweeps=self.max_sweeps)
@@ -97,6 +99,7 @@ class FoldResult:
     cold_pairs: int
     converged: bool
     n_test: int
+    residual_trace: tuple = ()  # the solve's residual per sweep; not in the JSON report
 
 
 @dataclass
@@ -133,13 +136,14 @@ class EvalReport:
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = asdict(self)
-        if not include_timing:
-            for fold in out["per_fold"]:
+        for fold in out["per_fold"]:
+            del fold["residual_trace"]
+            if not include_timing:
                 fold["wall_time"] = 0.0
         return out
 
-    def to_json(self, include_timing: bool = True, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=indent)
+    def to_json(self, include_timing: bool = True) -> str:
+        return json.dumps(self.to_dict(include_timing=include_timing), indent=2)
 
     def summary(self) -> str:
         return (
@@ -150,13 +154,6 @@ class EvalReport:
         )
 
 
-def _solve(tensor: SparseTensor, config: ExperimentConfig):
-    try:
-        return balance(tensor, 1, config.solver()), True
-    except DidNotConvergeError as exc:  # keep going with the partial model
-        return exc.model, False
-
-
 def _uctensor(config, dataset, fold_plan, fold, test):
     """The method, in either mode: solve the fold's users x products train
     tensor at k=1 and fill the held-out pairs.  A pair is cold when its
@@ -165,10 +162,13 @@ def _uctensor(config, dataset, fold_plan, fold, test):
     feature slice holds the rows of every user carrying that feature, so
     a user's own feature slices are empty only when the user's row is."""
     tensor, pairs, _ = build_tensor_2d(dataset, fold_plan, fold)
-    model, converged = _solve(tensor, config)
+    try:
+        model, converged = balance(tensor, 1, config.solver()), True
+    except DidNotConvergeError as exc:  # keep going with the partial model
+        model, converged = exc.model, False
     fills = inverse_scale_fills(model.scales.log_sum_at(pairs), lambda i: tuple(pairs[i].tolist()))
     cold = int(model.scales.empty_key_mask(pairs).sum())
-    return fills - dataset.shift, model.sweeps_run, converged, cold
+    return fills - dataset.shift, model.residual_trace, converged, cold
 
 
 def _mean(kind, dataset, fold_plan, fold, test):
@@ -178,36 +178,47 @@ def _mean(kind, dataset, fold_plan, fold, test):
     r_train = dataset.rating_values[train]
     global_mean = float(r_train.mean())
     if kind == "global_mean":
-        return np.full(len(test), global_mean), 0, True, 0
+        return np.full(len(test), global_mean), (), True, 0
     axis = dataset.product_index if kind == "item_mean" else dataset.user_index
     size = dataset.n_products if kind == "item_mean" else dataset.n_users
     axis_train, axis_test = axis[train], axis[test]
     sums = np.bincount(axis_train, weights=r_train, minlength=size)
     counts = np.bincount(axis_train, minlength=size)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-    return means[axis_test], 0, True, int((counts[axis_test] == 0).sum())
+    return means[axis_test], (), True, int((counts[axis_test] == 0).sum())
 
 
 def _fold_2d(dataset, fold_plan, fold, predict) -> FoldResult:
     """One fold of any predictor, scored against the stored ratings.
     ``predict(dataset, fold_plan, fold, test)`` gets the held-out record
     positions in file order and returns their native-scale predictions,
-    its sweeps, whether it converged and its cold pair count."""
+    the residual trace of its solve (``()`` when it solves nothing),
+    whether it converged and its cold pair count."""
     test = np.flatnonzero(fold_plan.test_mask(fold))
     t0 = time.perf_counter()
-    preds, sweeps, converged, cold = predict(dataset, fold_plan, fold, test)
+    preds, trace, converged, cold = predict(dataset, fold_plan, fold, test)
     wall = time.perf_counter() - t0
     truth = dataset.rating_values[test]
     clamped = np.clip(preds, *dataset.native_range)
     return FoldResult(fold, rmse(preds, truth), mae(preds, truth), rmse(clamped, truth),
-                      mae(clamped, truth), sweeps, wall, cold, converged, len(test))
+                      mae(clamped, truth), len(trace), wall, cold, converged, len(test), trace)
 
 
 _fold_3d = _fold_2d  # bench_spans.Tracer.install wraps both fold names here
 
 
 def _cross_validate(dataset, fold_plan, predict, threads=1) -> list:
-    """Every fold of ``fold_plan`` scored by ``_fold_2d``, in fold order."""
+    """Every fold of ``fold_plan`` scored by ``_fold_2d``, in fold order.
+    The plan must assign every record a fold id in [0, n_folds), and
+    leave no fold empty, so every fold also has records to train on."""
+    _check_plan_length(fold_plan, dataset)
+    ids = fold_plan.assignment
+    if not 0 <= ids.min() <= ids.max() < fold_plan.n_folds:
+        raise ValueError(f"fold plan assigns fold ids {ids.min()}..{ids.max()}, outside [0, {fold_plan.n_folds})")
+    sizes = np.bincount(ids, minlength=fold_plan.n_folds)
+    if len(sizes) < 2 or not sizes.all():
+        raise ValueError(f"fold plan needs >= 2 folds, none empty, got fold sizes {sizes.tolist()}")
+
     def one(fold):
         return _fold_2d(dataset, fold_plan, fold, predict)  # looked up per call, for the tracer
     if threads == 1:
@@ -244,18 +255,3 @@ def baseline_predict(dataset: RatingsDataset, fold_plan: FoldPlan, kind: str) ->
     results = _cross_validate(dataset, fold_plan, partial(_mean, kind))
     echo = {"kind": kind, "n_folds": fold_plan.n_folds, "seed": fold_plan.seed}
     return EvalReport.from_folds(dataset.name, f"baseline:{kind}", None, results, echo)
-
-
-def convergence_trace(dataset: RatingsDataset, config: ExperimentConfig) -> list:
-    """Per-iteration residuals of the first fold's solve (for plotting);
-    both modes solve the same tensor."""
-    fold_plan = split_kfold(dataset, config.n_folds, config.seed)
-    model, _ = _solve(build_tensor_2d(dataset, fold_plan, 0)[0], config)
-    return list(model.residual_trace)
-
-
-def write_trace_csv(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sweep,residual\n")
-        for i, v in enumerate(trace, start=1):
-            fh.write(f"{i},{v!r}\n")

@@ -225,10 +225,11 @@ class SparseTensor:
         values = np.array(values, dtype=np.float64)
         return SparseTensor(self.shape, None, values, _flat=self._flat)
 
-    def to_dense(self, fill: float = 0.0) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
+        """The observed values on a dense grid, 0.0 at unobserved cells."""
         if self.n_cells > MAX_DENSE_CELLS:
             raise ValueError(f"refusing to materialize {self.n_cells} cells densely")
-        out = np.full(self.shape, fill, dtype=np.float64)
+        out = np.zeros(self.shape, dtype=np.float64)
         out.flat[self._flat] = self.values
         return out
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from uctensor import (
+    DidNotConvergeError,
     LatentModel,
     ScaleSet,
     SolverConfig,
     SparseTensor,
     balance,
+    build_tensor_2d,
     make_tensor,
+    split_kfold,
     subtensor_families,
 )
 
@@ -33,6 +36,17 @@ def reversed_balance(tensor, k, config):
         nonempty[own] = flipped.scales.nonempty[f].reshape(dims).T.ravel()
     scales = ScaleSet(tensor.shape, k, logs, nonempty)
     return LatentModel(tensor, scales, flipped.sweeps_run, flipped.final_residual, flipped.residual_trace)
+
+
+def trace_oracle(dataset, config, fold):
+    """The residual trace of one fold's solve, from a split and a solve of
+    its own: the former ``evaluate.convergence_trace``, for any fold."""
+    fold_plan = split_kfold(dataset, config.n_folds, config.seed)
+    try:
+        model = balance(build_tensor_2d(dataset, fold_plan, fold)[0], 1, config.solver())
+    except DidNotConvergeError as exc:
+        model = exc.model
+    return list(model.residual_trace)
 
 
 def scale_set(shape, k, scales):

@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uctensor import SolverConfig, complete, load_tensor_text, properties
+from uctensor import ExperimentConfig, SolverConfig, complete, load_movielens, load_tensor_text, properties
 from uctensor.cli import build_parser, main
 
-from conftest import write_movielens_fixture
+from conftest import trace_oracle, write_movielens_fixture
 
 TOY = "shape 2,2\n0,0,2.0\n0,1,8.0\n1,0,4.0\n"
 
@@ -175,6 +175,28 @@ class TestEvaluate:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "sweep,residual"
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_trace_out_is_fold_0s_trace(self, tmp_path, mode, threads):
+        ratings, users = write_movielens_fixture(tmp_path, seed=4)
+        trace = tmp_path / "trace.csv"
+        assert main(["evaluate", "--dataset", "movielens1m", "--ratings", str(ratings),
+                     "--users", str(users), "--mode", mode, "--folds", "3", "--seed", "2",
+                     "--threads", str(threads), "--trace-out", str(trace)]) == 0
+        residuals = trace_oracle(load_movielens(ratings, users), ExperimentConfig(n_folds=3, seed=2), 0)
+        expected = "sweep,residual\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(residuals, start=1))
+        assert trace.read_bytes() == expected.encode()
+
+    def test_a_baseline_has_no_trace_to_write(self, tmp_path, capsys):
+        ratings, _ = write_movielens_fixture(tmp_path, seed=4)
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--dataset", "movielens1m", "--ratings", str(ratings),
+                  "--baseline", "item_mean", "--trace-out", str(trace)])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestCheck:

@@ -431,6 +431,11 @@ class TestSplitting:
         sizes = np.bincount(plan.assignment, minlength=4)
         assert sizes.max() - sizes.min() <= 1
 
+    def test_the_assignment_cannot_change(self, ml_files):
+        plan = split_kfold(load_movielens(ml_files[0]), 5, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.assignment[0] = plan.assignment[1]
+
     def test_too_few(self, ml_files):
         ds = load_movielens(ml_files[0])
         with pytest.raises(TooFewRecordsError):
@@ -600,6 +605,8 @@ class TestKeyOrder:
         plan = split_kfold(synthetic_dataset(1, n_users=7), 3, 0)
         with pytest.raises(ValueError, match="fold plan assigns"):
             build_tensor_2d(ds, plan, 0)
+        with pytest.raises(ValueError, match="fold plan assigns"):
+            build_tensor_3d(ds, ("age",), plan, 0)
 
 
 def first_encounter_vocab(raw_ids):

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from uctensor import (
     EmptyInputError,
     ExperimentConfig,
+    FoldPlan,
     MissingFeatureFileError,
     UnknownCategoryError,
     balance,
     baseline_predict,
     build_tensor_2d,
     build_tensor_3d,
-    convergence_trace,
     load_jester,
     load_movielens,
     mae,
@@ -26,7 +27,7 @@ from uctensor import (
 from uctensor import evaluate
 from uctensor.properties import synthetic_dataset
 
-from conftest import TIGHT, write_movielens_fixture
+from conftest import TIGHT, trace_oracle, write_movielens_fixture
 
 # rating-scale magnitudes, quantized so squared errors cannot underflow
 grid_floats = st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 6))
@@ -176,13 +177,53 @@ class TestCrossValidate:
         plan = split_kfold(ds, 4, seed=2)
 
         def oracle(dataset, fold_plan, fold, test):
-            return dataset.rating_values[test], 0, True, 0
+            return dataset.rating_values[test], (), True, 0
 
         for threads in (1, 3):
             folds = evaluate._cross_validate(ds, plan, oracle, threads)
             assert [f.fold for f in folds] == list(range(4))
             assert all(f.rmse == f.mae == f.cold_pairs == 0 for f in folds)
             assert sum(f.n_test for f in folds) == len(ds.rating_values)
+
+    @staticmethod
+    def predictors():
+        return {"method": partial(evaluate._uctensor, ExperimentConfig()),
+                "baseline": partial(evaluate._mean, "item_mean")}
+
+    @pytest.mark.parametrize("predictor", ["method", "baseline"])
+    @pytest.mark.parametrize("extra", [-15, 4], ids=["short", "long"])
+    def test_a_plan_of_another_length_is_refused_before_any_fold(self, predictor, extra):
+        ds = synthetic_dataset(0, n_users=7, n_products=5)
+        n = len(ds.rating_values)
+        plan = FoldPlan(2, 0, np.arange(n + extra) % 2)
+        predict = self.predictors()[predictor]
+        with pytest.raises(ValueError, match=f"fold plan assigns {n + extra} records, the dataset has {n}"):
+            evaluate._cross_validate(ds, plan, predict)
+        if predictor == "baseline":
+            with pytest.raises(ValueError, match="fold plan assigns"):
+                baseline_predict(ds, plan, "item_mean")
+
+    @pytest.mark.parametrize("predictor", ["method", "baseline"])
+    @pytest.mark.parametrize("bad", [7, 2, -1])
+    def test_a_fold_id_outside_the_folds_is_refused(self, predictor, bad):
+        ds = synthetic_dataset(0, n_users=7, n_products=5)
+        ids = np.arange(len(ds.rating_values)) % 2
+        ids[5] = bad
+        plan = FoldPlan(2, 0, ids)
+        with pytest.raises(ValueError, match=r"fold ids .* outside \[0, 2\)"):
+            evaluate._cross_validate(ds, plan, self.predictors()[predictor])
+        if predictor == "baseline":
+            with pytest.raises(ValueError, match="outside"):
+                baseline_predict(ds, plan, "global_mean")
+
+    @pytest.mark.parametrize("predictor", ["method", "baseline"])
+    @pytest.mark.parametrize("n_folds, fold", [(2, 0), (2, 1), (1, 0)],
+                             ids=["fold-1-empty", "fold-0-empty", "one-fold"])
+    def test_a_plan_with_no_record_to_hold_out_or_train_on_is_refused(self, predictor, n_folds, fold):
+        ds = synthetic_dataset(0, n_users=7, n_products=5)
+        plan = FoldPlan(n_folds, 0, np.full(len(ds.rating_values), fold))
+        with pytest.raises(ValueError, match="fold plan needs >= 2 folds, none empty"):
+            evaluate._cross_validate(ds, plan, self.predictors()[predictor])
 
 
 class TestThreeDimensionalMode:
@@ -318,16 +359,57 @@ class TestBaselines:
 
 
 class TestConvergenceTrace:
+    """Each report fold keeps the residual trace of its own solve."""
+
     def test_already_balanced_dataset_one_sweep(self, tmp_path):
         lines = [f"{u}::{p}::1::1" for u in range(1, 4) for p in range(10, 14)]
         ratings = tmp_path / "r.dat"
         ratings.write_text("\n".join(lines) + "\n")
         ds = load_movielens(ratings)
-        trace = convergence_trace(ds, ExperimentConfig(n_folds=3, seed=0))
-        assert trace == [0.0]
+        trace = run_experiment(ds, "2d", ExperimentConfig(n_folds=3, seed=0)).per_fold[0].residual_trace
+        assert list(trace) == [0.0]
 
     def test_trace_non_negative(self):
         ds = synthetic_dataset(2, noise=0.2)
-        trace = convergence_trace(ds, ExperimentConfig(n_folds=3, seed=0))
+        trace = run_experiment(ds, "2d", ExperimentConfig(n_folds=3, seed=0)).per_fold[0].residual_trace
         assert all(v >= 0.0 for v in trace)
         assert trace[-1] < 1e-10
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("max_sweeps", [1000, 3], ids=["converged", "capped"])
+    def test_every_fold_keeps_its_own_solves_trace(self, tmp_path, mode, threads, max_sweeps):
+        ds = load_movielens(*write_movielens_fixture(tmp_path, seed=2))
+        config = ExperimentConfig(max_sweeps=max_sweeps, seed=4, threads=threads)
+        report = run_experiment(ds, mode, config)
+        for fold, result in enumerate(report.per_fold):
+            assert list(result.residual_trace) == trace_oracle(ds, config, fold)
+            assert result.sweeps == len(result.residual_trace) > 0
+            assert result.converged == (max_sweeps == 1000)
+
+    def test_the_json_report_leaves_the_traces_out(self):
+        ds = synthetic_dataset(2, noise=0.2)
+        report = run_experiment(ds, "2d", ExperimentConfig(n_folds=3, seed=0))
+        assert all(len(f.residual_trace) > 1 for f in report.per_fold)
+        for include_timing in (True, False):
+            folds = report.to_dict(include_timing=include_timing)["per_fold"]
+            assert all("residual_trace" not in f for f in folds)
+
+    @pytest.mark.parametrize("kind", evaluate.BASELINE_KINDS)
+    def test_a_baseline_solves_nothing(self, kind):
+        ds = synthetic_dataset(2, noise=0.2)
+        report = baseline_predict(ds, split_kfold(ds, 3, 0), kind)
+        assert all(f.residual_trace == () and f.sweeps == 0 for f in report.per_fold)
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("options, message", [
+        ({"epsilon": -1.0}, "epsilon must be finite and >= 0"),
+        ({"epsilon": float("nan")}, "epsilon must be finite and >= 0"),
+        ({"epsilon": float("inf")}, "epsilon must be finite and >= 0"),
+        ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
+        ({"threads": 0}, "threads must be >= 1"),
+    ])
+    def test_bad_settings_are_refused_at_construction(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**options)
