@@ -1,9 +1,11 @@
-"""Command-line front end: complete toy tensors, run dataset evaluations,
-serve top-n recommendations, and run the property-check suites.
+"""Command-line front end: complete toy tensors, fit a ratings dataset's
+model, run dataset evaluations, serve top-n recommendations from a model
+file, and run the property-check suites.
 
 Exit codes: 0 success, 1 operational error (bad data, failed checks),
-2 usage error.  Dataset paths resolve against --ratings/--users first,
-then against the UCTENSOR_DATA environment variable (or --data-root).
+2 usage error, which includes a flag the selected run would not read.
+Dataset paths resolve against --ratings/--users first, then against the
+UCTENSOR_DATA environment variable (or --data-root).
 """
 
 from __future__ import annotations
@@ -38,65 +40,46 @@ from .persist import load_model, save_model
 from .recommend import top_n
 from .tensor import MAX_DENSE_CELLS
 
-DATASET_KINDS = ("movielens1m", "movielens10m", "jester2", "tensor")
-
-# conventional file names under the data root
+# conventional (ratings, users) file names under the data root, by dataset kind
 DEFAULT_PATHS = {
     "movielens1m": ("ml-1m/ratings.dat", "ml-1m/users.dat"),
     "movielens10m": ("ml-10m/ratings.dat", None),
     "jester2": ("jester2/jester_ratings.csv", None),
 }
-
-
-def _data_root(args) -> Path:
-    return Path(args.data_root or os.environ.get("UCTENSOR_DATA", "data"))
-
-
-def _resolve_paths(args):
-    ratings, users = args.ratings, getattr(args, "users", None)
-    if ratings is None:
-        default = DEFAULT_PATHS.get(args.dataset)
-        if default is None:
-            raise UctensorError(f"--ratings is required for dataset kind {args.dataset!r}")
-        root = _data_root(args)
-        ratings = root / default[0]
-        if users is None and default[1] is not None:
-            candidate = root / default[1]
-            users = candidate if candidate.exists() else None
-    return ratings, users
+DATASET_KINDS = tuple(DEFAULT_PATHS)
 
 
 def _load_dataset(args):
-    ratings, users = _resolve_paths(args)
+    """The ratings dataset of ``--dataset``.  Only a 3-D run reads user
+    features, so only it looks for the conventional users file."""
+    ratings, users = args.ratings, getattr(args, "users", None)
+    if ratings is None:
+        root = Path(args.data_root or os.environ.get("UCTENSOR_DATA", "data"))
+        ratings_name, users_name = DEFAULT_PATHS[args.dataset]
+        ratings = root / ratings_name
+        if getattr(args, "mode", None) == "3d" and users is None and users_name is not None:
+            candidate = root / users_name
+            users = candidate if candidate.exists() else None
     if not Path(ratings).exists():
         raise UctensorError(f"ratings file not found: {ratings}")
-    if args.dataset == "movielens1m":
-        return load_movielens(ratings, users_path=users, fmt="1m")
-    if args.dataset == "movielens10m":
-        return load_movielens(ratings, users_path=users, fmt="10m")
     if args.dataset == "jester2":
         return load_jester(ratings)
-    raise UctensorError(f"dataset kind {args.dataset!r} is not a ratings dataset")
+    return load_movielens(ratings, users_path=users, fmt="1m" if args.dataset == "movielens1m" else "10m")
 
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(epsilon=args.epsilon, max_sweeps=args.max_sweeps)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an int >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _finite_nonnegative_float(text: str) -> float:
@@ -111,9 +94,9 @@ def _finite_nonnegative_float(text: str) -> float:
 COMMON_OPTIONS = {
     "--epsilon": dict(type=_finite_nonnegative_float, default=1e-10,
                       help="stop once every squared subtensor log-product is below this (default 1e-10)"),
-    "--max-sweeps": dict(type=_positive_int, default=1000, help="solver iteration cap"),
-    "--seed": dict(type=_nonnegative_int, default=0),
-    "--threads": dict(type=_positive_int, default=1),
+    "--max-sweeps": dict(type=_int_at_least(1), default=1000, help="solver iteration cap"),
+    "--seed": dict(type=_int_at_least(0), default=0),
+    "--threads": dict(type=_int_at_least(1), default=1),
     "--data-root": dict(default=None, help="overrides $UCTENSOR_DATA (default ./data)"),
 }
 
@@ -143,22 +126,33 @@ def cmd_complete(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
-    categories = tuple(args.features.split(",")) if args.features else ("age", "gender", "occupation")
-    config = ExperimentConfig(
-        epsilon=args.epsilon,
-        max_sweeps=args.max_sweeps,
-        n_folds=args.folds,
-        seed=args.seed,
-        categories=categories,
-        threads=args.threads,
-    )
+    model = balance(records_tensor(dataset), 1, _solver_config(args))
+    print(f"sweeps={model.sweeps_run} final_residual={model.final_residual:.3e}")
+    save_model(args.model_out, model, shift=dataset.shift, native_range=dataset.native_range,
+               users=dataset.users, products=dataset.products, config={"epsilon": args.epsilon, "k": 1})
+    print(f"model written to {args.model_out}")
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    # a baseline solves nothing, and only a 3-D run reads user features
+    unread = ("users", "features") if args.baseline or args.mode != "3d" else ()
     if args.baseline:
-        plan = split_kfold(dataset, args.folds, args.seed)
-        report = baseline_predict(dataset, plan, args.baseline)
+        unread = ("mode", *unread, "threads", "epsilon", "max_sweeps")
+    given = ["--" + name.replace("_", "-") for name in unread if getattr(args, name) is not None]
+    if given:
+        args.error(f"{', '.join(given)} not read by {'a baseline' if args.baseline else 'a 2-D'} run")
+    dataset = _load_dataset(args)
+    if args.baseline:
+        report = baseline_predict(dataset, split_kfold(dataset, args.folds, args.seed), args.baseline)
     else:
-        report = run_experiment(dataset, args.mode, config)
+        solver = {name: getattr(args, name) for name in ("epsilon", "max_sweeps", "threads")
+                  if getattr(args, name) is not None}
+        categories = tuple(args.features.split(",")) if args.features else ("age", "gender", "occupation")
+        config = ExperimentConfig(n_folds=args.folds, seed=args.seed, categories=categories, **solver)
+        report = run_experiment(dataset, args.mode or "2d", config)
     print(report.summary())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -173,28 +167,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    shift = 0.0
-    users = products = None
-    if args.model:
-        completed, doc = load_model(args.model)
-        shift = doc.get("shift", 0.0)
-        users = doc.get("users")  # raw id -> dense index
-        products = (
-            {dense: raw for raw, dense in doc["products"].items()}
-            if doc.get("products")
-            else None
-        )
-    elif args.dataset == "tensor":
-        if not args.input:
-            raise UctensorError("--input is required for --dataset tensor")
-        tensor = load_tensor_text(args.input)
-        completed = CompletedTensor(balance(tensor, 1, _solver_config(args)))
-    else:
-        dataset = _load_dataset(args)
-        completed = CompletedTensor(balance(records_tensor(dataset), 1, _solver_config(args)))
-        shift = dataset.shift
-        users = dataset.users
-        products = {v: k for k, v in dataset.products.items()}
+    completed, doc = load_model(args.model)
+    users = doc.get("users")  # raw id -> dense index
+    products = {dense: raw for raw, dense in doc["products"].items()} if doc.get("products") else None
 
     raw_user = args.user
     try:
@@ -208,6 +183,7 @@ def cmd_recommend(args) -> int:
     if dense_user is None:
         raise UnknownUserError(f"unknown user id {raw_user!r}")
 
+    shift = doc.get("shift", 0.0)
     picks = top_n(completed, dense_user, args.top, exclude_observed=args.exclude_observed)
     for rank, pred in enumerate(picks, start=1):
         raw_product = products[pred.product] if products else pred.product
@@ -224,10 +200,15 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _add_dataset(p):
+    p.add_argument("--dataset", required=True, choices=DATASET_KINDS)
+    p.add_argument("--ratings", default=None, help="ratings file (default: the conventional one under the data root)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uctensor",
-        description="Unit-consistent tensor completion: balance, complete, evaluate, recommend.",
+        description="Unit-consistent tensor completion: balance, complete, fit, evaluate, recommend.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -239,13 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--epsilon", "--max-sweeps")
     p.set_defaults(fn=cmd_complete)
 
+    p = sub.add_parser("fit", help="train a ratings dataset's users x products model and write it")
+    _add_dataset(p)
+    p.add_argument("--model-out", required=True, help="write the trained model file, raw ids included")
+    _add_common(p, "--epsilon", "--max-sweeps", "--data-root")
+    p.set_defaults(fn=cmd_fit)
+
     p = sub.add_parser("evaluate", help="cross-validated RMSE/MAE on a ratings dataset")
-    p.add_argument("--dataset", required=True, choices=DATASET_KINDS[:-1])
-    p.add_argument("--ratings", default=None)
-    p.add_argument("--users", default=None)
-    p.add_argument("--mode", choices=("2d", "3d"), default="2d")
+    _add_dataset(p)
+    p.add_argument("--users", default=None, help="MovieLens users file (3d mode)")
+    p.add_argument("--mode", choices=("2d", "3d"), help="default 2d")
     p.add_argument("--features", default=None, help="comma list of age,gender,occup (3d mode)")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
     solved = p.add_mutually_exclusive_group()  # a baseline solves nothing to trace
     solved.add_argument("--baseline", choices=BASELINE_KINDS, default=None,
                         help="run a mean baseline instead of the solver")
@@ -254,18 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omit-timings", action="store_true",
                    help="zero wall times in the report for byte-stable output")
     _add_common(p, "--epsilon", "--max-sweeps", "--seed", "--threads", "--data-root")
-    p.set_defaults(fn=cmd_evaluate)
+    # None marks a solver flag as not given, so a run that would not read it can refuse it
+    p.set_defaults(fn=cmd_evaluate, error=p.error, epsilon=None, max_sweeps=None, threads=None)
 
-    p = sub.add_parser("recommend", help="top-n products for a user")
-    p.add_argument("--model", default=None, help="model file from 'complete --model-out'")
-    p.add_argument("--dataset", choices=DATASET_KINDS, default="tensor")
-    p.add_argument("--ratings", default=None)
-    p.add_argument("--users", default=None)
-    p.add_argument("--input", default=None, help="generic tensor file when --dataset tensor")
-    p.add_argument("--user", required=True, help="raw user id")
-    p.add_argument("--top", type=_positive_int, default=10, help="products to list (>= 1)")
+    p = sub.add_parser("recommend", help="top-n products for a user, served from a model file")
+    p.add_argument("--model", required=True, help="model file from 'fit' or 'complete --model-out'")
+    p.add_argument("--user", required=True, help="raw user id (a dense index for a 'complete' model)")
+    p.add_argument("--top", type=_int_at_least(1), default=10, help="products to list (>= 1)")
     p.add_argument("--exclude-observed", action="store_true")
-    _add_common(p, "--epsilon", "--max-sweeps", "--data-root")
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("check", help="run the seeded property-check suites")

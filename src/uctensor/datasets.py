@@ -507,23 +507,14 @@ def records_tensor(dataset: RatingsDataset, positions: np.ndarray | None = None)
     return SparseTensor((dataset.n_users, n_products), None, values, _flat=keys)
 
 
-def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int):
+def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int) -> SparseTensor:
     """Train tensor (users x products, shifted values) from all records
-    outside ``test_fold``, plus the held-out records as arrays: an (M, 2)
-    array of (user, product) indices and their M shifted truths, in file
-    order.
-
-    The training records are taken as a subsequence of the dataset's
-    validated key order (``records_tensor``).
-
-    Returns ``(tensor, pairs, truth)``."""
+    outside ``test_fold``, taken as a subsequence of the dataset's
+    validated key order (``records_tensor``).  The held-out records are
+    the caller's: ``fold_plan.test_mask(test_fold)``."""
     _check_plan_length(fold_plan, dataset)
-    assignment = fold_plan.assignment
     order = dataset.key_order
-    tensor = records_tensor(dataset, order[assignment[order] != test_fold])
-    test = np.flatnonzero(assignment == test_fold)
-    pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
-    return tensor, pairs, dataset.rating_values[test] + dataset.shift
+    return records_tensor(dataset, order[fold_plan.assignment[order] != test_fold])
 
 
 def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[FeatureEncoding, np.ndarray]:

@@ -161,7 +161,8 @@ def _uctensor(config, dataset, fold_plan, fold, test):
     too: a 3-D cell is also cold when its feature slice is empty, and a
     feature slice holds the rows of every user carrying that feature, so
     a user's own feature slices are empty only when the user's row is."""
-    tensor, pairs, _ = build_tensor_2d(dataset, fold_plan, fold)
+    tensor = build_tensor_2d(dataset, fold_plan, fold)
+    pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
     try:
         model, converged = balance(tensor, 1, config.solver()), True
     except DidNotConvergeError as exc:  # keep going with the partial model

@@ -43,7 +43,7 @@ def trace_oracle(dataset, config, fold):
     its own: the former ``evaluate.convergence_trace``, for any fold."""
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
     try:
-        model = balance(build_tensor_2d(dataset, fold_plan, fold)[0], 1, config.solver())
+        model = balance(build_tensor_2d(dataset, fold_plan, fold), 1, config.solver())
     except DidNotConvergeError as exc:
         model = exc.model
     return list(model.residual_trace)
@@ -99,3 +99,17 @@ def write_movielens_fixture(tmp_path, n_users=30, n_products=20, density=0.5, se
         + "\n"
     )
     return ratings, users
+
+
+def write_jester_grid(path, n_users=40, n_jokes=12, seed=0):
+    """A miniature Jester grid (count column, ratings in [-10, 10] with two
+    decimals, 99 for unrated) with planted multiplicative structure: its
+    shift is not 0, so a shifted value minus the shift need not give back
+    the stored rating."""
+    rng = np.random.default_rng(seed)
+    u = np.exp(rng.uniform(0, np.log(20) / 2, n_users))
+    v = np.exp(rng.uniform(0, np.log(20) / 2, n_jokes))
+    grid = np.round(np.clip(np.outer(u, v) - 11 + rng.normal(0, 0.5, (n_users, n_jokes)), -10, 10), 2)
+    grid[rng.random(grid.shape) < 0.3] = 99
+    path.write_text("".join(f"{int((row != 99).sum())}," + ",".join(map(str, row)) + "\n" for row in grid))
+    return path

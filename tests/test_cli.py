@@ -4,10 +4,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uctensor import ExperimentConfig, SolverConfig, complete, load_movielens, load_tensor_text, properties
+from uctensor import (
+    CompletedTensor,
+    ExperimentConfig,
+    SolverConfig,
+    balance,
+    complete,
+    load_jester,
+    load_model,
+    load_movielens,
+    load_tensor_text,
+    properties,
+    top_n,
+)
 from uctensor.cli import build_parser, main
+from uctensor.datasets import records_tensor
 
-from conftest import trace_oracle, write_movielens_fixture
+from conftest import trace_oracle, write_jester_grid, write_movielens_fixture
 
 TOY = "shape 2,2\n0,0,2.0\n0,1,8.0\n1,0,4.0\n"
 
@@ -81,6 +94,81 @@ class TestComplete:
         assert err.startswith(f"error: {src}:2: {index} does not fit in 64 bits")
 
 
+def model_of(tensor_file, tmp_path):
+    """The model file ``complete --model-out`` writes for a tensor file."""
+    model = tmp_path / "model.bin"
+    assert main(["complete", "--input", str(tensor_file), "--model-out", str(model)]) == 0
+    return model
+
+
+def fitted(dataset, ratings, tmp_path):
+    """The model file ``fit`` writes for a ratings file."""
+    model = tmp_path / f"{dataset}.bin"
+    assert main(["fit", "--dataset", dataset, "--ratings", str(ratings), "--model-out", str(model)]) == 0
+    return model
+
+
+def oracle_lines(ds, user, top, exclude_observed):
+    """What ``recommend`` prints for raw user ``user`` of dataset ``ds``,
+    from the library alone: top_n on the completion of all its records."""
+    completed = CompletedTensor(balance(records_tensor(ds), 1))
+    raw_products = {dense: raw for raw, dense in ds.products.items()}
+    picks = top_n(completed, ds.users[user], top, exclude_observed=exclude_observed)
+    return "".join(f"{rank}\t{raw_products[pred.product]}\t{pred.rating - ds.shift:.4f}\t{pred.source}\n"
+                   for rank, pred in enumerate(picks, start=1))
+
+
+class TestFit:
+    def test_prints_the_solve_and_writes_the_vocabularies(self, tmp_path, capsys):
+        ratings, _ = write_movielens_fixture(tmp_path, seed=4)
+        model = fitted("movielens1m", ratings, tmp_path)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("sweeps=") and "final_residual=" in printed[0]
+        assert printed[1] == f"model written to {model}"
+        ds = load_movielens(ratings)
+        _, doc = load_model(model)
+        assert doc["users"] == ds.users and doc["products"] == ds.products
+        assert (doc["shift"], tuple(doc["native_range"])) == (ds.shift, ds.native_range)
+        assert doc["config"] == {"epsilon": 1e-10, "k": 1}
+
+    @pytest.mark.parametrize("exclude", [False, True], ids=["all", "exclude-observed"])
+    @pytest.mark.parametrize("dataset, users", [("movielens1m", [1, 7, 30]), ("jester2", [0, 5, 39])])
+    def test_recommend_serves_the_library_top_n(self, tmp_path, capsys, dataset, users, exclude):
+        if dataset == "jester2":
+            ratings = write_jester_grid(tmp_path / "jester.csv")
+            ds = load_jester(ratings)
+            assert ds.shift != 0
+        else:
+            ratings, _ = write_movielens_fixture(tmp_path, seed=4)
+            ds = load_movielens(ratings)
+        model = fitted(dataset, ratings, tmp_path)
+        for user in users:
+            capsys.readouterr()
+            assert main(["recommend", "--model", str(model), "--user", str(user), "--top", "5"]
+                        + ["--exclude-observed"] * exclude) == 0
+            assert capsys.readouterr().out == oracle_lines(ds, user, 5, exclude)
+
+    def test_a_malformed_users_file_stops_no_run_that_ignores_features(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        (root / "ml-1m").mkdir(parents=True)
+        write_movielens_fixture(root / "ml-1m", seed=4)
+        (root / "ml-1m" / "users.dat").write_text("1::X::25::3::00000\n")
+        base = ["--dataset", "movielens1m", "--data-root", str(root)]
+        assert main(["fit", *base, "--model-out", str(tmp_path / "m.bin")]) == 0
+        assert main(["evaluate", *base, "--folds", "3"]) == 0
+        capsys.readouterr()
+        # a 3-D run reads the file, and refuses it
+        assert main(["evaluate", *base, "--folds", "3", "--mode", "3d"]) == 1
+        assert "gender must be M or F" in capsys.readouterr().err
+
+    def test_missing_ratings_file(self, tmp_path, capsys):
+        code = main(["fit", "--dataset", "jester2", "--ratings", str(tmp_path / "nope.csv"),
+                     "--model-out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ratings file not found")
+        assert not (tmp_path / "m.bin").exists()
+
+
 class TestRecommend:
     def test_from_model_file(self, toy_tensor, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -96,43 +184,42 @@ class TestRecommend:
     def test_exclude_observed_with_everything_rated(self, tmp_path, capsys):
         src = tmp_path / "full.txt"
         src.write_text("shape 1,2\n0,0,2.0\n0,1,8.0\n")
-        code = main(["recommend", "--dataset", "tensor", "--input", str(src),
-                     "--user", "0", "--top", "5", "--exclude-observed"])
+        model = model_of(src, tmp_path)
+        capsys.readouterr()
+        code = main(["recommend", "--model", str(model), "--user", "0", "--top", "5", "--exclude-observed"])
         assert code == 0
         assert capsys.readouterr().out.strip() == ""
 
-    def test_unknown_user(self, toy_tensor, capsys):
-        code = main(["recommend", "--dataset", "tensor", "--input", str(toy_tensor),
-                     "--user", "99", "--top", "2"])
+    def test_unknown_user(self, toy_tensor, tmp_path, capsys):
+        code = main(["recommend", "--model", str(model_of(toy_tensor, tmp_path)), "--user", "99", "--top", "2"])
         assert code == 1
         assert "unknown user" in capsys.readouterr().err.lower()
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "-1"])
-    def test_unknown_user_id_of_a_tensor(self, toy_tensor, capsys, raw):
-        code = main(["recommend", "--dataset", "tensor", "--input", str(toy_tensor),
-                     "--user", raw, "--top", "2"])
+    def test_unknown_user_id_of_a_tensor(self, toy_tensor, tmp_path, capsys, raw):
+        code = main(["recommend", "--model", str(model_of(toy_tensor, tmp_path)), "--user", raw, "--top", "2"])
         assert code == 1
         assert capsys.readouterr().err == f"error: unknown user id {raw!r}\n"
 
     def test_user_id_not_in_the_vocabulary(self, tmp_path, capsys):
         ratings, _ = write_movielens_fixture(tmp_path, seed=4)
-        code = main(["recommend", "--dataset", "movielens1m", "--ratings", str(ratings),
-                     "--user", "abc", "--top", "3"])
+        model = fitted("movielens1m", ratings, tmp_path)
+        code = main(["recommend", "--model", str(model), "--user", "abc", "--top", "3"])
         assert code == 1
         assert capsys.readouterr().err == "error: unknown user id 'abc'\n"
 
     @pytest.mark.parametrize("top", ["0", "-2", "x"])
-    def test_top_below_one_is_a_usage_error(self, toy_tensor, capsys, top):
+    def test_top_below_one_is_a_usage_error(self, capsys, top):
         with pytest.raises(SystemExit) as err:
-            main(["recommend", "--dataset", "tensor", "--input", str(toy_tensor),
-                  "--user", "1", "--top", top])
+            main(["recommend", "--model", "m", "--user", "1", "--top", top])
         assert err.value.code == 2
         assert "--top" in capsys.readouterr().err
 
     def test_trained_from_dataset_prints_raw_ids(self, tmp_path, capsys):
         ratings, _ = write_movielens_fixture(tmp_path, seed=4)
-        code = main(["recommend", "--dataset", "movielens1m", "--ratings", str(ratings),
-                     "--user", "1", "--top", "3", "--exclude-observed"])
+        model = fitted("movielens1m", ratings, tmp_path)
+        capsys.readouterr()
+        code = main(["recommend", "--model", str(model), "--user", "1", "--top", "3", "--exclude-observed"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) <= 3
@@ -181,8 +268,9 @@ class TestEvaluate:
     def test_trace_out_is_fold_0s_trace(self, tmp_path, mode, threads):
         ratings, users = write_movielens_fixture(tmp_path, seed=4)
         trace = tmp_path / "trace.csv"
-        assert main(["evaluate", "--dataset", "movielens1m", "--ratings", str(ratings),
-                     "--users", str(users), "--mode", mode, "--folds", "3", "--seed", "2",
+        features = ["--users", str(users)] if mode == "3d" else []  # a 2-D run reads none
+        assert main(["evaluate", "--dataset", "movielens1m", "--ratings", str(ratings), *features,
+                     "--mode", mode, "--folds", "3", "--seed", "2",
                      "--threads", str(threads), "--trace-out", str(trace)]) == 0
         residuals = trace_oracle(load_movielens(ratings, users), ExperimentConfig(n_folds=3, seed=2), 0)
         expected = "sweep,residual\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(residuals, start=1))
@@ -197,6 +285,29 @@ class TestEvaluate:
         assert err.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("run, named", [
+        (["--baseline", "item_mean", "--mode", "3d"], "--mode"),
+        (["--baseline", "item_mean", "--mode", "2d"], "--mode"),
+        (["--baseline", "item_mean", "--users", "users.dat"], "--users"),
+        (["--baseline", "item_mean", "--features", "age"], "--features"),
+        (["--baseline", "item_mean", "--threads", "2"], "--threads"),
+        (["--baseline", "item_mean", "--epsilon", "0.5"], "--epsilon"),
+        (["--baseline", "item_mean", "--max-sweeps", "3"], "--max-sweeps"),
+        (["--baseline", "item_mean", "--mode", "3d", "--features", "age", "--threads", "2",
+          "--epsilon", "0.5", "--max-sweeps", "3"],
+         "--mode, --features, --threads, --epsilon, --max-sweeps not read by a baseline run"),
+        (["--users", "users.dat"], "--users not read by a 2-D run"),
+        (["--features", "zodiac"], "--features"),
+        (["--mode", "2d", "--users", "users.dat", "--features", "age"], "--users, --features"),
+    ])
+    def test_a_flag_the_run_does_not_read_is_a_usage_error(self, tmp_path, capsys, run, named):
+        # the ratings file does not exist: the refusal comes before any read
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--dataset", "movielens1m", "--ratings", str(tmp_path / "nope.dat"), *run])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert named in message and "not read by" in message
 
 
 class TestCheck:
@@ -243,12 +354,16 @@ class TestUsage:
         (["complete", "--input", "t.txt", "--epsilon", "-1"], "--epsilon"),
         (["complete", "--input", "t.txt", "--epsilon", "nan"], "--epsilon"),
         (["complete", "--input", "t.txt", "--epsilon", "inf"], "--epsilon"),
-        (["recommend", "--user", "1", "--max-sweeps", "-3"], "--max-sweeps"),
+        (["fit", "--dataset", "jester2", "--model-out", "m", "--max-sweeps", "-3"], "--max-sweeps"),
+        (["fit", "--dataset", "jester2", "--model-out", "m", "--epsilon", "-1"], "--epsilon"),
         (["check", "--epsilon", "-inf"], "--epsilon"),
         (["evaluate", "--dataset", "movielens1m", "--threads", "0"], "--threads"),
         (["evaluate", "--dataset", "movielens1m", "--max-sweeps", "x"], "--max-sweeps"),
         (["evaluate", "--dataset", "movielens1m", "--seed", "-1"], "--seed"),
         (["check", "--seed", "-1"], "--seed"),
+        (["evaluate", "--dataset", "movielens1m", "--folds", "1"], "--folds"),
+        (["evaluate", "--dataset", "movielens1m", "--folds", "0"], "--folds"),
+        (["evaluate", "--dataset", "movielens1m", "--folds", "-2"], "--folds"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as err:
@@ -260,8 +375,13 @@ class TestUsage:
         ["complete", "--input", "t.txt", "--seed", "1"],
         ["complete", "--input", "t.txt", "--threads", "2"],
         ["complete", "--input", "t.txt", "--data-root", "d"],
-        ["recommend", "--user", "1", "--seed", "1"],
-        ["recommend", "--user", "1", "--threads", "2"],
+        ["recommend", "--model", "m", "--user", "1", "--seed", "1"],
+        ["recommend", "--model", "m", "--user", "1", "--threads", "2"],
+        ["recommend", "--model", "m", "--user", "1", "--dataset", "movielens1m"],
+        ["recommend", "--model", "m", "--user", "1", "--epsilon", "1e-6"],
+        ["recommend", "--model", "m", "--user", "1", "--data-root", "d"],
+        ["fit", "--dataset", "movielens1m", "--model-out", "m", "--users", "users.dat"],
+        ["fit", "--dataset", "movielens1m", "--model-out", "m", "--seed", "1"],
         ["check", "--max-sweeps", "10"],
         ["check", "--threads", "2"],
         ["check", "--data-root", "d"],
@@ -279,7 +399,8 @@ class TestUsage:
         args = parser.parse_args(["evaluate", "--dataset", "jester2", "--seed", "3", "--threads", "2",
                                   "--data-root", "d", "--epsilon", "1e-8", "--max-sweeps", "7"])
         assert (args.seed, args.threads, args.data_root, args.epsilon, args.max_sweeps) == (3, 2, "d", 1e-8, 7)
-        args = parser.parse_args(["recommend", "--user", "1", "--data-root", "d", "--epsilon", "1e-6"])
+        args = parser.parse_args(["fit", "--dataset", "jester2", "--model-out", "m", "--data-root", "d",
+                                  "--epsilon", "1e-6"])
         assert (args.data_root, args.epsilon, args.max_sweeps) == ("d", 1e-6, 1000)
         args = parser.parse_args(["check", "--seed", "2", "--epsilon", "1e-3"])
         assert (args.seed, args.epsilon) == (2, 1e-3)

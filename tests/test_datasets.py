@@ -449,12 +449,10 @@ class TestTensorConstruction:
         ds = load_movielens(ml_files[0])
         plan = split_kfold(ds, 5, seed=0)
         for fold in range(5):
-            train, test, _ = build_tensor_2d(ds, plan, fold)
-            assert train.n_observed == 4
-            assert len(test) == 1
+            assert build_tensor_2d(ds, plan, fold).n_observed == 4
+            assert plan.test_mask(fold).sum() == 1
         # shifted truth unshifts to a native rating
-        _, test, truths = build_tensor_2d(ds, plan, 0)
-        (u, p), truth = test[0], truths[0]
+        (truth,) = ds.shifted_values[plan.test_mask(0)]
         assert truth - ds.shift in {1.0, 3.0, 4.0, 5.0}
 
     def test_cold_user_possible(self, ml_files):
@@ -463,14 +461,14 @@ class TestTensorConstruction:
         # user 3 has a single record: whichever fold holds it leaves the
         # user's row empty in training
         fold = int(plan.assignment[ds.user_index.tolist().index(ds.users[3])])
-        train = build_tensor_2d(ds, plan, fold)[0]
+        train = build_tensor_2d(ds, plan, fold)
         row = ds.users[3]
         assert not (train.indices[:, 0] == row).any()
 
     def test_3d_writes_one_entry_per_category(self, ml_files):
         ds = load_movielens(*ml_files)
         plan = split_kfold(ds, 5, seed=0)
-        train2 = build_tensor_2d(ds, plan, 0)[0]
+        train2 = build_tensor_2d(ds, plan, 0)
         train3, _, _, feats_per_test = build_tensor_3d(ds, ("age", "gender"), plan, 0)
         assert train3.n_observed == 2 * train2.n_observed
         assert train3.shape == (3, 8, 2)
@@ -549,7 +547,10 @@ class TestKeyOrder:
         plan = split_kfold(ds, n_folds, seed)
         for fold in range(n_folds):
             train = plan.assignment != fold
-            tensor, pairs, truth = build_tensor_2d(ds, plan, fold)
+            tensor = build_tensor_2d(ds, plan, fold)
+            held_out = np.flatnonzero(plan.test_mask(fold))
+            pairs = np.stack([ds.user_index[held_out], ds.product_index[held_out]], axis=1)
+            truth = ds.shifted_values[held_out]
             checked = SparseTensor(
                 shape,
                 np.stack([ds.user_index[train], ds.product_index[train]], axis=1),

@@ -27,25 +27,11 @@ from uctensor import (
 from uctensor import evaluate
 from uctensor.properties import synthetic_dataset
 
-from conftest import TIGHT, trace_oracle, write_movielens_fixture
+from conftest import TIGHT, trace_oracle, write_jester_grid, write_movielens_fixture
 
 # rating-scale magnitudes, quantized so squared errors cannot underflow
 grid_floats = st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 6))
 pair_lists = st.lists(st.tuples(grid_floats, grid_floats), min_size=1, max_size=50)
-
-
-def write_jester_grid(path, n_users=40, n_jokes=12, seed=0):
-    """A miniature Jester grid (count column, ratings in [-10, 10] with two
-    decimals, 99 for unrated) with planted multiplicative structure: its
-    shift is not 0, so a shifted value minus the shift need not give back
-    the stored rating."""
-    rng = np.random.default_rng(seed)
-    u = np.exp(rng.uniform(0, np.log(20) / 2, n_users))
-    v = np.exp(rng.uniform(0, np.log(20) / 2, n_jokes))
-    grid = np.round(np.clip(np.outer(u, v) - 11 + rng.normal(0, 0.5, (n_users, n_jokes)), -10, 10), 2)
-    grid[rng.random(grid.shape) < 0.3] = 99
-    path.write_text("".join(f"{int((row != 99).sum())}," + ",".join(map(str, row)) + "\n" for row in grid))
-    return path
 
 
 def columns(pairs):
@@ -159,9 +145,10 @@ class TestRunExperiment:
         report = run_experiment(ds, "2d", config)
         plan = split_kfold(ds, config.n_folds, config.seed)
         for fold, result in enumerate(report.per_fold):
-            tensor, pairs, _ = build_tensor_2d(ds, plan, fold)
-            fills = np.exp(-balance(tensor, 1, config.solver()).scales.log_sum_at(pairs))
-            truth = ds.rating_values[np.flatnonzero(plan.test_mask(fold))]
+            test = np.flatnonzero(plan.test_mask(fold))
+            pairs = np.stack([ds.user_index[test], ds.product_index[test]], axis=1)
+            fills = np.exp(-balance(build_tensor_2d(ds, plan, fold), 1, config.solver()).scales.log_sum_at(pairs))
+            truth = ds.rating_values[test]
             assert result.rmse == rmse(fills - ds.shift, truth)
             assert result.mae == mae(fills - ds.shift, truth)
 
@@ -259,7 +246,7 @@ class TestThreeDimensionalMode:
         plan = split_kfold(ds, config.n_folds, config.seed)
         for fold, result in enumerate(report.per_fold):
             pairs, truth, direct, cold = self.direct_3d_fold(ds, categories, plan, fold)
-            lifted = np.exp(-balance(build_tensor_2d(ds, plan, fold)[0], 1, TIGHT)
+            lifted = np.exp(-balance(build_tensor_2d(ds, plan, fold), 1, TIGHT)
                             .scales.log_sum_at(pairs))
             np.testing.assert_allclose(lifted, direct, rtol=1e-9, atol=0)
             scored = (direct - ds.shift, truth - ds.shift)
