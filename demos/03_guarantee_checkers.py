@@ -7,7 +7,6 @@ Run:  python demos/03_guarantee_checkers.py
 import numpy as np
 
 from uctensor import (
-    OrderingSpec,
     SolverConfig,
     check_consensus_ordering,
     check_full_support,
@@ -43,7 +42,7 @@ dense = np.exp(rng.normal(0, 1, (8, 6)))
 tensor, _, support = hide_with_full_support(rng, dense, 0.3)
 assert support.fully_supported
 scales = random_scale_set(rng, tensor.shape, 1)  # arbitrary positive units
-gap = unit_consistency_gap(tensor, scales, 1, cfg)
+gap = unit_consistency_gap(tensor, scales, cfg)
 print(f"\nscale-then-complete vs complete-then-scale gap: {gap:.2e}")
 
 # ---------------------------------------------------------------------------
@@ -56,7 +55,7 @@ for row in range(4):  # four observed rows, all preferring col2 > col0 > col1
     entries.update({(row, 1): base, (row, 0): 2.1 * base, (row, 2): 4.2 * base})
 tensor = make_tensor((6, 3), entries)  # rows 4 and 5 are fully unobserved
 completed = complete_matrix(tensor, cfg)
-report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(1, 0, 2)))
+report = check_consensus_ordering(completed, 1, (1, 0, 2))
 print("\nconsensus ordering verdict:", report.verdict)
 print("known prefixes:", report.known_prefixes,
       " unknown prefixes:", report.unknown_prefixes)

@@ -10,8 +10,6 @@ Data: set UCTENSOR_DATA to a directory holding ml-1m/ratings.dat (and
 import os
 from pathlib import Path
 
-import numpy as np
-
 from uctensor import (
     CompletedTensor,
     ExperimentConfig,
@@ -23,8 +21,8 @@ from uctensor import (
     split_kfold,
     top_n,
 )
+from uctensor.datasets import records_tensor
 from uctensor.properties import synthetic_dataset
-from uctensor.tensor import SparseTensor
 
 # ---------------------------------------------------------------------------
 # A planted multiplicative dataset: rating(u, p) = quality_u * appeal_p.
@@ -47,9 +45,7 @@ for kind in ("global_mean", "user_mean", "item_mean"):
 # Serving: train once on everything, then each query is a couple of array
 # lookups (product of two inverse scales).
 # ---------------------------------------------------------------------------
-indices = np.stack([ds.user_index, ds.product_index], axis=1)
-full = SparseTensor((ds.n_users, ds.n_products), indices, ds.shifted_values)
-completed = CompletedTensor(balance(full, 1, SolverConfig(epsilon=1e-10)))
+completed = CompletedTensor(balance(records_tensor(ds), 1, SolverConfig(epsilon=1e-10)))
 
 user = 11
 picks = top_n(completed, user, 5, exclude_observed=True)

@@ -13,7 +13,6 @@ from .balance import BalanceState, LatentModel, SolverConfig, balance
 from .complete import (
     CompletedTensor,
     OrderingReport,
-    OrderingSpec,
     SupportReport,
     check_consensus_ordering,
     check_full_support,

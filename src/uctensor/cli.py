@@ -92,9 +92,11 @@ def _finite_nonnegative_float(text: str) -> float:
 
 # the options several subcommands share; each subcommand adds those it reads
 COMMON_OPTIONS = {
-    "--epsilon": dict(type=_finite_nonnegative_float, default=1e-10,
-                      help="stop once every squared subtensor log-product is below this (default 1e-10)"),
-    "--max-sweeps": dict(type=_int_at_least(1), default=1000, help="solver iteration cap"),
+    "--epsilon": dict(type=_finite_nonnegative_float, default=SolverConfig.epsilon,
+                      help="stop once every squared subtensor log-product is below this "
+                           f"(default {SolverConfig.epsilon})"),
+    "--max-sweeps": dict(type=_int_at_least(1), default=SolverConfig.max_sweeps,
+                         help=f"solver iteration cap (default {SolverConfig.max_sweeps})"),
     "--seed": dict(type=_int_at_least(0), default=0),
     "--threads": dict(type=_int_at_least(1), default=1),
     "--data-root": dict(default=None, help="overrides $UCTENSOR_DATA (default ./data)"),
@@ -184,15 +186,16 @@ def cmd_recommend(args) -> int:
         raise UnknownUserError(f"unknown user id {raw_user!r}")
 
     shift = doc.get("shift", 0.0)
+    low, high = doc.get("native_range") or (-math.inf, math.inf)  # a 'complete' model has none
     picks = top_n(completed, dense_user, args.top, exclude_observed=args.exclude_observed)
     for rank, pred in enumerate(picks, start=1):
         raw_product = products[pred.product] if products else pred.product
-        print(f"{rank}\t{raw_product}\t{pred.rating - shift:.4f}\t{pred.source}")
+        print(f"{rank}\t{raw_product}\t{min(max(pred.rating - shift, low), high):.4f}\t{pred.source}")
     return 0
 
 
 def cmd_check(args) -> int:
-    results = properties.run_all(seed=args.seed, epsilon=args.epsilon)
+    results = properties.run_all(seed=args.seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="complete a tensor from the generic text format")
     p.add_argument("--input", required=True, help="tensor file: 'shape d1,d2,...' header then i1,...,value lines")
-    p.add_argument("--k", type=int, default=None, help="subtensor dimensionality (default D-1)")
+    p.add_argument("--k", type=_int_at_least(1), default=None, help="subtensor dimensionality (default D-1)")
     p.add_argument("--out", default=None, help="write all completed cells in the same format")
     p.add_argument("--model-out", default=None, help="write the trained model file")
     _add_common(p, "--epsilon", "--max-sweeps")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("check", help="run the seeded property-check suites")
-    _add_common(p, "--epsilon", "--seed")
+    _add_common(p, "--seed")
     p.set_defaults(fn=cmd_check)
 
     return parser

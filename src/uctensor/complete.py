@@ -223,11 +223,9 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
 # ---------------------------------------------------------------------------
 
 
-def unit_consistency_gap(
-    tensor: SparseTensor, scales: ScaleSet, k: int, config: SolverConfig | None = None
-) -> float:
+def unit_consistency_gap(tensor: SparseTensor, scales: ScaleSet, config: SolverConfig | None = None) -> float:
     """Max relative difference, over all cells, between scaling the
-    completion and completing the scaled tensor.
+    completion and completing the scaled tensor, both at ``scales.k``.
 
     Zero (up to solver accuracy) wherever the fill is uniquely pinned by
     the observed pattern: on fully supported tensors this holds at every
@@ -236,8 +234,8 @@ def unit_consistency_gap(
     freedom, empty subtensors) can honestly differ, since scales attached
     to them are invisible in the scaled data.
     """
-    completed = complete(tensor, k, config)
-    scaled_then_completed = complete(scale_apply(tensor, scales), k, config)
+    completed = complete(tensor, scales.k, config)
+    scaled_then_completed = complete(scale_apply(tensor, scales), scales.k, config)
     lhs = completed.to_dense() * scales.factor_grid()
     rhs = scaled_then_completed.to_dense()
     return float(np.max(np.abs(lhs - rhs) / np.maximum(lhs, rhs)))
@@ -248,21 +246,9 @@ def unit_consistency_gap(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
-    """A ranking to test: ``gamma`` lists indices of dimension ``dim`` in
-    claimed ascending-value order (possibly a subset of the dimension)."""
-
-    dim: int
-    gamma: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
-
-
 @dataclass
 class OrderingReport:
-    """Partition of prefix vectors (all dims except spec.dim) and the
+    """Partition of prefix vectors (all dims except the ordered one) and the
     verdict on whether completed values of fully-unobserved prefixes
     follow gamma; 'precondition_unmet' when no fully-observed prefix
     exhibits the ordering."""
@@ -278,8 +264,10 @@ class OrderingReport:
         return self.verdict == "pass"
 
 
-def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> OrderingReport:
-    """Check that completion preserves a ranking exhibited by the data.
+def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> OrderingReport:
+    """Check that completion preserves a ranking exhibited by the data:
+    ``gamma`` lists indices of dimension ``dim`` in claimed ascending-value
+    order (possibly a subset of the dimension).
 
     Prefixes with every gamma position observed and strictly increasing
     per gamma form the known set; prefixes with every gamma position
@@ -291,15 +279,15 @@ def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> 
     whole (prefix x gamma) index grid, then one ``values_at`` over the
     known and unknown prefixes alone (a mixed prefix is never filled, so
     its fills cannot raise).  The grid and the two queries peak at about
-    40-60 bytes a checked cell for D = 2 and 3 (8*D of them the grid):
-    up to ~3 GB at the ``MAX_DENSE_CELLS`` guard.
+    40-60 bytes a checked cell for D = 2 and 3 (8*D of them the grid), so
+    the check is refused beyond ``MAX_DENSE_CELLS // 8`` checked cells:
+    at most ~400 MB.
     """
     shape = completed.shape
     ndim = len(shape)
-    dim = spec.dim
     if not 0 <= dim < ndim:
         raise InvalidGammaError(f"dim {dim} out of range for shape {shape}")
-    gamma = spec.gamma
+    gamma = tuple(int(g) for g in gamma)
     if len(gamma) == 0 or len(set(gamma)) != len(gamma):
         raise InvalidGammaError("gamma must be non-empty with distinct entries")
     if any(g < 0 or g >= shape[dim] for g in gamma):
@@ -313,8 +301,9 @@ def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> 
     other_dims = [d for d in range(ndim) if d != dim]
     sizes = [shape[d] for d in other_dims]
     n_prefixes = int(np.prod(sizes, dtype=np.int64))
-    if n_prefixes * len(gamma) > MAX_DENSE_CELLS:
-        raise ValueError("prefix space too large for exhaustive ordering check")
+    if n_prefixes * len(gamma) > MAX_DENSE_CELLS // 8:
+        raise ValueError(f"ordering check of {n_prefixes * len(gamma)} cells (prefixes x gamma) "
+                         f"exceeds its bound of {MAX_DENSE_CELLS // 8}")
 
     prefixes = np.indices(sizes).reshape(len(sizes), n_prefixes).T  # row-major
     grid = np.empty((n_prefixes, len(gamma), ndim), dtype=np.int64)

@@ -61,8 +61,8 @@ class ExperimentConfig:
     """Everything a run needs beyond the dataset itself.  ``categories``
     names the user features a 3-D run requires."""
 
-    epsilon: float = 1e-10
-    max_sweeps: int = 1000
+    epsilon: float = SolverConfig.epsilon
+    max_sweeps: int = SolverConfig.max_sweeps
     n_folds: int = 5
     seed: int = 0
     categories: tuple = ("age", "gender", "occupation")

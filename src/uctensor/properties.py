@@ -9,6 +9,7 @@ tests both run these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 
 from .balance import SolverConfig, balance
 from .complete import (
-    OrderingSpec,
     check_consensus_ordering,
     check_full_support,
     complete,
@@ -156,10 +156,23 @@ def synthetic_dataset(
 # ---------------------------------------------------------------------------
 
 
-def oracle_2x2(seed: int = 0, n: int = 1000) -> CheckResult:
+def _suite(name):
+    """A suite returning ``(passed, detail)`` becomes one returning the
+    timed ``CheckResult`` named ``name``."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            passed, detail = fn(*args, **kwargs)
+            return CheckResult(name, bool(passed), detail, time.perf_counter() - t0)
+        return run
+    return wrap
+
+
+@_suite("closed-form 2x2 oracle")
+def oracle_2x2(seed: int = 0, n: int = 1000):
     """Completing [[a, b], [c, .]] must return b*c/a (closed form from the
     balance constraints) within 1e-8 relative."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     triples = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(n, 3)))
     cfg = _cfg(1e-18)
@@ -168,18 +181,13 @@ def oracle_2x2(seed: int = 0, n: int = 1000) -> CheckResult:
         completed = complete_matrix(make_tensor((2, 2), {(0, 0): a, (0, 1): b, (1, 0): c}), cfg)
         expected = b * c / a
         worst = max(worst, abs(completed.value_at((1, 1)) - expected) / expected)
-    return CheckResult(
-        "closed-form 2x2 oracle",
-        bool(worst < 1e-8),
-        f"max relative error {worst:.2e} over {n} random triples (tolerance 1e-8)",
-        time.perf_counter() - t0,
-    )
+    return worst < 1e-8, f"max relative error {worst:.2e} over {n} random triples (tolerance 1e-8)"
 
 
-def rank1_recovery(seed: int = 0, shape=(50, 40), hide_fraction: float = 0.2) -> CheckResult:
+@_suite("rank-1 exact recovery")
+def rank1_recovery(seed: int = 0, shape=(50, 40), hide_fraction: float = 0.2):
     """Hidden entries of a positive rank-1 matrix (full support preserved,
     no empty row/column) must be recovered within 1e-6 relative."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     u = np.exp(rng.uniform(-1.0, 1.0, size=shape[0]))
     v = np.exp(rng.uniform(-1.0, 1.0, size=shape[1]))
@@ -190,42 +198,34 @@ def rank1_recovery(seed: int = 0, shape=(50, 40), hide_fraction: float = 0.2) ->
     completed = complete_matrix(tensor, _cfg())
     errs = np.abs(completed.values_at(np.argwhere(hidden)) - dense[hidden]) / dense[hidden]
     worst = float(errs.max()) if len(errs) else 0.0
-    return CheckResult(
-        "rank-1 exact recovery",
-        bool(row_ok and col_ok and worst <= 1e-6),
-        f"max relative error {worst:.2e} over {int(hidden.sum())} hidden cells (tolerance 1e-6)",
-        time.perf_counter() - t0,
-    )
+    return (row_ok and col_ok and worst <= 1e-6,
+            f"max relative error {worst:.2e} over {int(hidden.sum())} hidden cells (tolerance 1e-6)")
 
 
-def constraint_satisfaction(seed: int = 0, epsilon: float = 1e-10) -> CheckResult:
-    """After balancing at the given epsilon, every non-empty subtensor's
-    product of observed entries must be within 1e-4 of 1."""
-    t0 = time.perf_counter()
+@_suite("balance constraint satisfaction")
+def constraint_satisfaction(seed: int = 0):
+    """After balancing at the solver's default epsilon, every non-empty
+    subtensor's product of observed entries must be within 1e-4 of 1."""
     rng = np.random.default_rng(seed)
     cases = [((100, 80), 0.10, (1,)), ((20, 15, 10), 0.30, (1, 2))]
     worst = 0.0
-    cfg = SolverConfig(epsilon=epsilon, max_sweeps=PROPERTY_SWEEPS)
+    cfg = SolverConfig(max_sweeps=PROPERTY_SWEEPS)
     for shape, density, ks in cases:
         tensor = random_sparse_tensor(rng, shape, density)
         for k in ks:
             model = balance(tensor, k, cfg)
             worst = max(worst, max_balance_violation(model.balanced, k))
-    return CheckResult(
-        "balance constraint satisfaction",
-        worst <= 1e-4,
-        f"max |subtensor product - 1| = {worst:.2e} at epsilon {epsilon:.0e} (tolerance 1e-4)",
-        time.perf_counter() - t0,
-    )
+    return (worst <= 1e-4,
+            f"max |subtensor product - 1| = {worst:.2e} at epsilon {cfg.epsilon:.0e} (tolerance 1e-4)")
 
 
-def uniqueness(seed: int = 0, n_per_case: int = 5) -> CheckResult:
+@_suite("uniqueness under elimination order")
+def uniqueness(seed: int = 0, n_per_case: int = 5):
     """Eliminating another family exactly must land on the same balanced
     tensor, and on certified fully-supported inputs also the same
     completion (1e-8).  The solve eliminates the first family in
     canonical order, so solving the axis-reversed tensor eliminates the
     last; ``.T`` maps its dense results back."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_bal = 0.0
     worst_fill = 0.0
@@ -243,16 +243,12 @@ def uniqueness(seed: int = 0, n_per_case: int = 5) -> CheckResult:
             worst_fill = max(
                 worst_fill, float(np.abs(c_lex.to_dense() - c_rev.to_dense().T).max())
             )
-    return CheckResult(
-        "uniqueness under elimination order",
-        worst_bal < 1e-8 and worst_fill < 1e-8,
-        f"max balanced diff {worst_bal:.2e}, max completion diff {worst_fill:.2e} "
-        "(tolerance 1e-8)",
-        time.perf_counter() - t0,
-    )
+    return (worst_bal < 1e-8 and worst_fill < 1e-8,
+            f"max balanced diff {worst_bal:.2e}, max completion diff {worst_fill:.2e} (tolerance 1e-8)")
 
 
-def unit_consistency(seed: int = 0, n_pairs: int = 100) -> CheckResult:
+@_suite("unit consistency")
+def unit_consistency(seed: int = 0, n_pairs: int = 100):
     """Scaling then completing must equal completing then scaling:
     gap < 1e-8 over random (tensor, scale set) pairs for D in {2, 3} and
     every valid k.
@@ -262,7 +258,6 @@ def unit_consistency(seed: int = 0, n_pairs: int = 100) -> CheckResult:
     leftover gauge freedom the two sides can differ honestly).  One
     denser k = D-1 case without the certification rides along: there the
     per-axis slice scales cancel at every cell."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     supported_cases = [((8, 6), 0.30, 1), ((6, 5, 4), 0.30, 1), ((6, 5, 4), 0.30, 2)]
     worst = 0.0
@@ -271,88 +266,58 @@ def unit_consistency(seed: int = 0, n_pairs: int = 100) -> CheckResult:
         dense = np.exp(rng.normal(0, 1, size=shape))
         tensor, _, _ = hide_with_full_support(rng, dense, hide_fraction)
         z = random_scale_set(rng, shape, k)
-        worst = max(worst, unit_consistency_gap(tensor, z, k, _cfg()))
+        worst = max(worst, unit_consistency_gap(tensor, z, _cfg()))
     dense_case = random_sparse_tensor(rng, (20, 15, 10), 0.30, no_empty_subtensors_for=(2,))
     z = random_scale_set(rng, (20, 15, 10), 2)
-    worst = max(worst, unit_consistency_gap(dense_case, z, 2, _cfg()))
-    return CheckResult(
-        "unit consistency",
-        worst < 1e-8,
-        f"max scale-commutation gap {worst:.2e} over {n_pairs} pairs (tolerance 1e-8)",
-        time.perf_counter() - t0,
-    )
+    worst = max(worst, unit_consistency_gap(dense_case, z, _cfg()))
+    return worst < 1e-8, f"max scale-commutation gap {worst:.2e} over {n_pairs} pairs (tolerance 1e-8)"
 
 
-def _ordered_2d(rng, n_rows=10, n_cols=6):
-    gamma = rng.permutation(n_cols)
-    n_obs = int(rng.integers(2, n_rows - 1))
-    obs_rows = rng.choice(n_rows, size=n_obs, replace=False)
-    step = np.cumprod(rng.uniform(1.3, 2.0, size=n_cols))
-    entries = {}
-    for i in obs_rows:
-        base = np.exp(rng.normal(0, 0.5))
-        noise = np.exp(rng.uniform(-0.1, 0.1, size=n_cols))
-        for pos, col in enumerate(gamma):
-            entries[(int(i), int(col))] = base * step[pos] * noise[pos]
-    return make_tensor((n_rows, n_cols), entries), tuple(int(g) for g in gamma), n_rows - n_obs
-
-
-def _ordered_3d(rng, shape=(5, 4, 6), dim=2):
+def _ordered(rng, shape, dim):
+    """A tensor whose observed prefixes (the indices of every dimension
+    but ``dim``) each rise, up to 10% noise, along one random order gamma
+    of dimension ``dim``; every other prefix is wholly unobserved.
+    Returns the tensor, gamma and the count of unobserved prefixes."""
     gamma = rng.permutation(shape[dim])
-    other = [d for d in range(3) if d != dim]
-    prefixes = list(itertools.product(range(shape[other[0]]), range(shape[other[1]])))
+    prefixes = list(itertools.product(*(range(s) for d, s in enumerate(shape) if d != dim)))
     n_obs = int(rng.integers(2, len(prefixes)))
     chosen = rng.choice(len(prefixes), size=n_obs, replace=False)
     step = np.cumprod(rng.uniform(1.3, 2.0, size=shape[dim]))
     entries = {}
     for ci in chosen:
-        prefix = prefixes[ci]
         base = np.exp(rng.normal(0, 0.5))
         noise = np.exp(rng.uniform(-0.1, 0.1, size=shape[dim]))
         for pos, g in enumerate(gamma):
-            idx = [0, 0, 0]
-            idx[other[0]], idx[other[1]] = prefix
-            idx[dim] = int(g)
+            idx = list(prefixes[ci])
+            idx.insert(dim, int(g))
             entries[tuple(idx)] = base * step[pos] * noise[pos]
     return make_tensor(shape, entries), tuple(int(g) for g in gamma), len(prefixes) - n_obs
 
 
-def consensus_ordering(seed: int = 0, n_per_case: int = 100) -> CheckResult:
+@_suite("consensus ordering")
+def consensus_ordering(seed: int = 0, n_per_case: int = 100):
     """On constructions where every fully-observed prefix follows gamma,
     every fully-unobserved prefix must follow gamma after completion with
     k = D-1 (orderings over columns in 2-D and over each dimension in 3-D)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cfg = _cfg(1e-14)
+    cases = (((10, 6), 1), ((5, 4, 6), 0), ((5, 4, 6), 1), ((5, 4, 6), 2))
     checked = 0
     failures = 0
-    for case in ("2d", "3d-dim0", "3d-dim1", "3d-dim2"):
+    for shape, dim in cases:
         for _ in range(n_per_case):
-            if case == "2d":
-                tensor, gamma, n_unknown = _ordered_2d(rng)
-                completed = complete(tensor, 1, cfg)
-                spec = OrderingSpec(dim=1, gamma=gamma)
-            else:
-                dim = int(case[-1])
-                tensor, gamma, n_unknown = _ordered_3d(rng, dim=dim)
-                completed = complete(tensor, 2, cfg)
-                spec = OrderingSpec(dim=dim, gamma=gamma)
-            report = check_consensus_ordering(completed, spec)
+            tensor, gamma, n_unknown = _ordered(rng, shape, dim)
+            report = check_consensus_ordering(complete(tensor, len(shape) - 1, cfg), dim, gamma)
             checked += len(report.unknown_prefixes)
             if not (report.passed and len(report.unknown_prefixes) == n_unknown):
                 failures += 1
-    return CheckResult(
-        "consensus ordering",
-        failures == 0,
-        f"{failures} failing constructions; {checked} fully-unobserved prefixes checked "
-        f"across {4 * n_per_case} constructions",
-        time.perf_counter() - t0,
-    )
+    return (failures == 0, f"{failures} failing constructions; {checked} fully-unobserved prefixes "
+            f"checked across {len(cases) * n_per_case} constructions")
 
 
-def support_detection(seed: int = 0) -> CheckResult:
+@_suite("full-support detection")
+def support_detection(seed: int = 0):
     """Exhaustive corner-box search on hand-sized cases."""
-    t0 = time.perf_counter()
     ok = True
     details = []
 
@@ -371,15 +336,13 @@ def support_detection(seed: int = 0) -> CheckResult:
     ok &= rep.fully_supported
     details.append(f"fully-observed supported={rep.fully_supported}")
 
-    return CheckResult(
-        "full-support detection", bool(ok), "; ".join(details), time.perf_counter() - t0
-    )
+    return ok, "; ".join(details)
 
 
-def determinism(seed: int = 0) -> CheckResult:
+@_suite("determinism")
+def determinism(seed: int = 0):
     """Same seed, same inputs: bit-identical balanced values and
     byte-identical canonical evaluation reports."""
-    t0 = time.perf_counter()
     rng1 = np.random.default_rng(seed)
     rng2 = np.random.default_rng(seed)
     t1 = random_sparse_tensor(rng1, (15, 12), 0.3)
@@ -393,20 +356,16 @@ def determinism(seed: int = 0) -> CheckResult:
     r1 = run_experiment(ds, "2d", cfg).to_json(include_timing=False)
     r2 = run_experiment(ds, "2d", cfg).to_json(include_timing=False)
     reports_equal = r1 == r2
-    return CheckResult(
-        "determinism",
-        bool(bits_equal and reports_equal),
-        f"balanced values bit-identical={bits_equal}, canonical reports identical={reports_equal}",
-        time.perf_counter() - t0,
-    )
+    return (bits_equal and reports_equal,
+            f"balanced values bit-identical={bits_equal}, canonical reports identical={reports_equal}")
 
 
-def run_all(seed: int = 0, epsilon: float = 1e-10) -> list:
+def run_all(seed: int = 0) -> list:
     """Every suite, in a stable order."""
     return [
         oracle_2x2(seed),
         rank1_recovery(seed),
-        constraint_satisfaction(seed, epsilon=epsilon),
+        constraint_satisfaction(seed),
         uniqueness(seed),
         unit_consistency(seed),
         consensus_ordering(seed),

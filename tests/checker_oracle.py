@@ -85,7 +85,7 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
     )
 
 
-def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> OrderingReport:
+def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> OrderingReport:
     """Check that completion preserves a ranking exhibited by the data.
 
     Prefixes with every gamma position observed and strictly increasing
@@ -96,10 +96,9 @@ def check_consensus_ordering(completed: CompletedTensor, spec: OrderingSpec) -> 
     """
     shape = completed.shape
     ndim = len(shape)
-    dim = spec.dim
     if not 0 <= dim < ndim:
         raise InvalidGammaError(f"dim {dim} out of range for shape {shape}")
-    gamma = spec.gamma
+    gamma = tuple(int(g) for g in gamma)
     if len(gamma) == 0 or len(set(gamma)) != len(gamma):
         raise InvalidGammaError("gamma must be non-empty with distinct entries")
     if any(g < 0 or g >= shape[dim] for g in gamma):

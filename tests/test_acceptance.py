@@ -78,7 +78,7 @@ def test_criterion_02_rank1_recovery():
 
 
 def test_criterion_03_constraint_satisfaction():
-    result = properties.constraint_satisfaction(SEED, epsilon=1e-10)
+    result = properties.constraint_satisfaction(SEED)
     report_line(3, result)
     assert result.elapsed < 5.0
 

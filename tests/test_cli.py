@@ -73,6 +73,11 @@ class TestComplete:
         assert main(["complete", "--input", str(src), "--out", str(out)]) == 0
         assert read_cells(out) == read_cells(src)
 
+    def test_k_of_at_least_d_reads_the_file_then_fails(self, toy_tensor, capsys):
+        # argparse refuses k < 1; the upper limit D - 1 depends on the file
+        assert main(["complete", "--input", str(toy_tensor), "--k", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["complete", "--input", str(tmp_path / "nope.txt")])
         assert code == 1
@@ -110,12 +115,13 @@ def fitted(dataset, ratings, tmp_path):
 
 def oracle_lines(ds, user, top, exclude_observed):
     """What ``recommend`` prints for raw user ``user`` of dataset ``ds``,
-    from the library alone: top_n on the completion of all its records."""
+    from the library alone: top_n on the completion of all its records,
+    each unshifted rating clipped to the native range."""
     completed = CompletedTensor(balance(records_tensor(ds), 1))
     raw_products = {dense: raw for raw, dense in ds.products.items()}
     picks = top_n(completed, ds.users[user], top, exclude_observed=exclude_observed)
-    return "".join(f"{rank}\t{raw_products[pred.product]}\t{pred.rating - ds.shift:.4f}\t{pred.source}\n"
-                   for rank, pred in enumerate(picks, start=1))
+    return "".join(f"{rank}\t{raw_products[pred.product]}\t{np.clip(pred.rating - ds.shift, *ds.native_range):.4f}"
+                   f"\t{pred.source}\n" for rank, pred in enumerate(picks, start=1))
 
 
 class TestFit:
@@ -160,6 +166,21 @@ class TestFit:
         # a 3-D run reads the file, and refuses it
         assert main(["evaluate", *base, "--folds", "3", "--mode", "3d"]) == 1
         assert "gender must be M or F" in capsys.readouterr().err
+
+    def test_served_ratings_stay_within_the_native_range(self, tmp_path, capsys):
+        # [[1, 5, .], [5, ., .], [., 1, 5]]: the fills run from 0.2 to 125 stars
+        ratings = tmp_path / "ratings.dat"
+        ratings.write_text("1::101::1::0\n1::102::5::0\n2::101::5::0\n3::102::1::0\n3::103::5::0\n")
+        ds = load_movielens(ratings)
+        fills = CompletedTensor(balance(records_tensor(ds), 1)).to_dense() - ds.shift
+        assert fills.min() < 1 and fills.max() > 5
+        model = fitted("movielens1m", ratings, tmp_path)
+        for user in ds.users:
+            capsys.readouterr()
+            assert main(["recommend", "--model", str(model), "--user", str(user), "--top", "3"]) == 0
+            printed = capsys.readouterr().out
+            assert printed == oracle_lines(ds, user, 3, False)
+            assert all(1.0 <= float(line.split("\t")[2]) <= 5.0 for line in printed.splitlines())
 
     def test_missing_ratings_file(self, tmp_path, capsys):
         code = main(["fit", "--dataset", "jester2", "--ratings", str(tmp_path / "nope.csv"),
@@ -331,8 +352,11 @@ class TestCheck:
         assert main(["check"]) == 1
         assert "FAIL  closed-form 2x2 oracle" in capsys.readouterr().out
 
-    def test_loose_epsilon_fails_constraints(self, capsys):
-        assert main(["check", "--epsilon", "1e-2"]) == 1
+    def test_loose_epsilon_fails_constraints(self, monkeypatch, capsys):
+        real = properties.balance
+        monkeypatch.setattr(properties, "balance",
+                            lambda tensor, k, config=None: real(tensor, k, SolverConfig(epsilon=1e-2)))
+        assert main(["check"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  balance constraint satisfaction" in out
         assert "max |subtensor product - 1|" in out
@@ -356,7 +380,6 @@ class TestUsage:
         (["complete", "--input", "t.txt", "--epsilon", "inf"], "--epsilon"),
         (["fit", "--dataset", "jester2", "--model-out", "m", "--max-sweeps", "-3"], "--max-sweeps"),
         (["fit", "--dataset", "jester2", "--model-out", "m", "--epsilon", "-1"], "--epsilon"),
-        (["check", "--epsilon", "-inf"], "--epsilon"),
         (["evaluate", "--dataset", "movielens1m", "--threads", "0"], "--threads"),
         (["evaluate", "--dataset", "movielens1m", "--max-sweeps", "x"], "--max-sweeps"),
         (["evaluate", "--dataset", "movielens1m", "--seed", "-1"], "--seed"),
@@ -364,6 +387,8 @@ class TestUsage:
         (["evaluate", "--dataset", "movielens1m", "--folds", "1"], "--folds"),
         (["evaluate", "--dataset", "movielens1m", "--folds", "0"], "--folds"),
         (["evaluate", "--dataset", "movielens1m", "--folds", "-2"], "--folds"),
+        (["complete", "--input", "t.txt", "--k", "0"], "--k"),
+        (["complete", "--input", "t.txt", "--k", "-1"], "--k"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as err:
@@ -382,6 +407,7 @@ class TestUsage:
         ["recommend", "--model", "m", "--user", "1", "--data-root", "d"],
         ["fit", "--dataset", "movielens1m", "--model-out", "m", "--users", "users.dat"],
         ["fit", "--dataset", "movielens1m", "--model-out", "m", "--seed", "1"],
+        ["check", "--epsilon", "1e-3"],
         ["check", "--max-sweeps", "10"],
         ["check", "--threads", "2"],
         ["check", "--data-root", "d"],
@@ -402,5 +428,13 @@ class TestUsage:
         args = parser.parse_args(["fit", "--dataset", "jester2", "--model-out", "m", "--data-root", "d",
                                   "--epsilon", "1e-6"])
         assert (args.data_root, args.epsilon, args.max_sweeps) == ("d", 1e-6, 1000)
-        args = parser.parse_args(["check", "--seed", "2", "--epsilon", "1e-3"])
-        assert (args.seed, args.epsilon) == (2, 1e-3)
+        args = parser.parse_args(["check", "--seed", "2"])
+        assert (args.seed, hasattr(args, "epsilon")) == (2, False)
+
+    def test_solver_defaults_agree(self):
+        parser = build_parser()
+        solver = SolverConfig()
+        assert (ExperimentConfig().epsilon, ExperimentConfig().max_sweeps) == (solver.epsilon, solver.max_sweeps)
+        for argv in (["complete", "--input", "t.txt"], ["fit", "--dataset", "jester2", "--model-out", "m"]):
+            args = parser.parse_args(argv)
+            assert (args.epsilon, args.max_sweeps) == (solver.epsilon, solver.max_sweeps)

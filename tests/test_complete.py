@@ -1,6 +1,8 @@
 import importlib
 import re
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from uctensor import (
     NonFiniteValueError,
     NonPositiveValueError,
     NotAMatrixError,
-    OrderingSpec,
     ScaleSet,
     SolverConfig,
     SparseTensor,
@@ -31,6 +32,7 @@ from uctensor import (
     unit_consistency_gap,
 )
 from uctensor.complete import DENSE_BLOCK
+from uctensor.tensor import MAX_DENSE_CELLS
 from uctensor.properties import (
     hide_with_full_support,
     random_scale_set,
@@ -166,22 +168,22 @@ class TestFullSupport:
 class TestUnitConsistency:
     def test_identity_scaling_gap_zero(self, three_entry_2x2):
         ones = random_scale_set(np.random.default_rng(0), (2, 2), 1, low=1.0, high=1.0)
-        assert unit_consistency_gap(three_entry_2x2, ones, 1, TIGHT) == 0.0
+        assert unit_consistency_gap(three_entry_2x2, ones, TIGHT) == 0.0
 
     def test_three_entry_random_scaling(self, three_entry_2x2, rng):
         z = random_scale_set(rng, (2, 2), 1)
-        assert unit_consistency_gap(three_entry_2x2, z, 1, TIGHT) < 1e-8
+        assert unit_consistency_gap(three_entry_2x2, z, TIGHT) < 1e-8
 
     def test_random_3d_slices(self, rng):
         t = random_sparse_tensor(rng, (20, 15, 10), 0.3, no_empty_subtensors_for=(2,))
         z = random_scale_set(rng, (20, 15, 10), 2)
-        assert unit_consistency_gap(t, z, 2, TIGHT) < 1e-8
+        assert unit_consistency_gap(t, z, TIGHT) < 1e-8
 
     def test_fully_supported_fibers(self, rng):
         dense = np.exp(rng.normal(0, 1, (6, 5, 4)))
         t, _, _ = hide_with_full_support(rng, dense, 0.3)
         z = random_scale_set(rng, (6, 5, 4), 1)
-        assert unit_consistency_gap(t, z, 1, TIGHT) < 1e-8
+        assert unit_consistency_gap(t, z, TIGHT) < 1e-8
 
 
 class TestConsensusOrdering:
@@ -193,7 +195,7 @@ class TestConsensusOrdering:
 
     def test_unobserved_row_follows_gamma(self):
         completed = complete_matrix(self.make_instance(), TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(0, 1)))
+        report = check_consensus_ordering(completed, 1, (0, 1))
         assert report.passed
         assert report.known_prefixes == [(0,), (1,)]
         assert report.unknown_prefixes == [(2,)]
@@ -201,7 +203,7 @@ class TestConsensusOrdering:
 
     def test_reversed_gamma_fails(self):
         completed = complete_matrix(self.make_instance(), TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(1, 0)))
+        report = check_consensus_ordering(completed, 1, (1, 0))
         # no known prefix exhibits the reversed ordering
         assert report.verdict == "precondition_unmet"
 
@@ -209,13 +211,13 @@ class TestConsensusOrdering:
         # only partially observed rows: the known set is empty
         t = make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 2.0})
         completed = complete_matrix(t, TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(0, 1)))
+        report = check_consensus_ordering(completed, 1, (0, 1))
         assert report.verdict == "precondition_unmet"
         assert not report.passed
 
     def test_singleton_gamma_vacuous_pass(self):
         completed = complete_matrix(self.make_instance(), TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(1,)))
+        report = check_consensus_ordering(completed, 1, (1,))
         assert report.passed
         assert report.violations == []
 
@@ -223,7 +225,7 @@ class TestConsensusOrdering:
         # ordering across rows for a fully unobserved column
         t = make_tensor((2, 3), {(0, 0): 1.0, (1, 0): 4.0, (0, 1): 2.0, (1, 1): 3.0})
         completed = complete_matrix(t, TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=0, gamma=(0, 1)))
+        report = check_consensus_ordering(completed, 0, (0, 1))
         assert report.unknown_prefixes == [(2,)]
         assert report.passed
 
@@ -231,15 +233,15 @@ class TestConsensusOrdering:
         completed = complete_matrix(self.make_instance(), TIGHT)
         for gamma in [(), (0, 0), (0, 9)]:
             with pytest.raises(InvalidGammaError):
-                check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=gamma))
+                check_consensus_ordering(completed, 1, gamma)
         with pytest.raises(InvalidGammaError):
-            check_consensus_ordering(completed, OrderingSpec(dim=7, gamma=(0,)))
+            check_consensus_ordering(completed, 7, (0,))
 
     def test_requires_k_equal_d_minus_1(self, rng):
         t = random_sparse_tensor(rng, (4, 4, 4), 0.5)
         completed = complete(t, 1, TIGHT)  # k=1 != D-1
         with pytest.raises(InvalidKError):
-            check_consensus_ordering(completed, OrderingSpec(dim=2, gamma=(0, 1)))
+            check_consensus_ordering(completed, 2, (0, 1))
 
     def test_tie_counts_as_violation(self):
         # columns 0 and 1 hold the same multiset of values, so their scales
@@ -248,7 +250,7 @@ class TestConsensusOrdering:
             (3, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 2.0, (1, 1): 1.0}
         )
         completed = complete_matrix(t, TIGHT)
-        report = check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(0, 1)))
+        report = check_consensus_ordering(completed, 1, (0, 1))
         assert report.verdict == "fail"
         assert report.known_prefixes == [(0,)]
         assert any(prefix == (2,) for prefix, _, _ in report.violations)
@@ -262,7 +264,7 @@ class TestConsensusOrdering:
             logs = {(0,): np.array(row_logs), (1,): np.zeros(2)}
             scales = ScaleSet((4, 2), 1, logs, {f: np.ones(len(a), dtype=bool) for f, a in logs.items()})
             completed = CompletedTensor(LatentModel(source, scales, 0, 0.0))
-            return check_consensus_ordering(completed, OrderingSpec(dim=1, gamma=(0, 1)))
+            return check_consensus_ordering(completed, 1, (0, 1))
 
         report = ordering([0.0, 0.0, -800.0, 0.0])
         assert report.known_prefixes == [(0,), (1,)]
@@ -270,6 +272,41 @@ class TestConsensusOrdering:
         assert report.n_neither == 1
         with pytest.raises(NonFiniteValueError, match=re.escape("(3, 0)")):
             ordering([0.0, 0.0, 0.0, -800.0])
+
+
+    def test_a_grid_just_over_the_guard_is_refused_before_any_allocation(self):
+        # a bare shape and k: the refusal comes before the completion is asked anything
+        bound = MAX_DENSE_CELLS // 8
+        completed = SimpleNamespace(shape=(bound + 1, 1), k=1)
+        tracemalloc.start()
+        try:
+            message = f"ordering check of {bound + 1} cells (prefixes x gamma) exceeds its bound of {bound}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_consensus_ordering(completed, 1, (0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("shape, dim", [((2000, 50), 1), ((50, 40, 50), 2)], ids=["2d", "3d"])
+    def test_at_most_64_bytes_a_checked_cell(self, shape, dim):
+        # two prefixes observed, rising along gamma, every other prefix
+        # unobserved: every cell of the 10^5-cell grid is looked up and filled
+        entries = {}
+        for p, base in ((0, 1.0), (1, 1.5)):
+            prefix = [int(c) for c in np.unravel_index(p, [s for d, s in enumerate(shape) if d != dim])]
+            for g in range(shape[dim]):
+                entries[tuple(prefix[:dim] + [g] + prefix[dim:])] = base * 1.5 ** g
+        completed = complete(make_tensor(shape, entries), len(shape) - 1)
+        tracemalloc.start()
+        try:
+            report = check_consensus_ordering(completed, dim, range(shape[dim]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_cells = int(np.prod(shape))
+        assert report.passed and len(report.unknown_prefixes) == n_cells // shape[dim] - 2
+        assert peak / n_cells <= 64, peak / n_cells
 
 
 def _random_pattern(rng):
@@ -302,10 +339,9 @@ class TestCheckerOracle:
             completed = complete(t, t.ndim - 1)
             for dim, size in enumerate(t.shape):
                 gamma = rng.permutation(size)[: rng.integers(1, size + 1)]
-                spec = OrderingSpec(dim=dim, gamma=gamma)
-                got = check_consensus_ordering(completed, spec)
-                want = checker_oracle.check_consensus_ordering(completed, spec)
-                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), spec)
+                got = check_consensus_ordering(completed, dim, gamma)
+                want = checker_oracle.check_consensus_ordering(completed, dim, gamma)
+                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), dim, gamma)
 
 
 class TestUniqueness:
