@@ -10,6 +10,12 @@ Ratings are stored on their native scale together with a translational
 ``shift`` chosen so that shifted values are strictly positive (tensors
 cannot hold zeros or negatives); MovieLens needs no shift, Jester gets
 ``-min + 1``.  The shift cancels inside RMSE/MAE differences.
+
+The text loaders share one line rule: each line is stripped, blank lines
+are skipped (and, in the tensor format only, lines starting with ``#``),
+and a malformed line raises ParseError naming ``path:line``.  Ids,
+timestamps and indices beyond int64 are refused in the rating and tensor
+formats.
 """
 
 from __future__ import annotations
@@ -179,38 +185,51 @@ def _finalize(name, raw_u, raw_p, ratings, shift, native_range, features):
     )
 
 
+def _parse_lines(path, lines, parse_line, comments: bool = False):
+    """Yield ``parse_line`` of each line of ``lines``, stripped, in order.
+    Blank lines are skipped, and with ``comments`` so are lines starting
+    with ``#``.  A ValueError or OverflowError from ``parse_line`` becomes
+    a ParseError naming ``path`` and the line's number, counted from 1."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or (comments and line.startswith("#")):
+            continue
+        try:
+            parsed = parse_line(line)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        yield parsed
+
+
+def _check_int64(*values) -> None:
+    """Raise OverflowError for the first value, None aside, outside int64."""
+    for value in values:
+        if value is not None and not _INT64.min <= value <= _INT64.max:
+            raise OverflowError(f"{value} does not fit in 64 bits")
+
+
 # ---------------------------------------------------------------------------
 # MovieLens
 # ---------------------------------------------------------------------------
 
 
+def _user_line(line: str) -> UserFeatures:
+    parts = line.split("::")
+    if len(parts) < 4:
+        raise ValueError("expected UserID::Gender::Age::Occupation[::Zip]")
+    uid, gender, age, occupation = int(parts[0]), parts[1], int(parts[2]), int(parts[3])
+    if gender not in GENDER_INDEX:
+        raise ValueError(f"gender must be M or F, got {gender!r}")
+    if age < 0:
+        raise ValueError(f"negative age {age}")
+    if not 0 <= occupation < OCCUPATIONS:
+        raise ValueError(f"occupation must be in [0, {OCCUPATIONS - 1}], got {occupation}")
+    return UserFeatures(uid, gender, age, occupation)
+
+
 def _load_movielens_users(path) -> dict:
-    features = {}
     with open(path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) < 4:
-                raise ParseError(f"{path}:{lineno}: expected UserID::Gender::Age::Occupation[::Zip]")
-            try:
-                uid = int(parts[0])
-                gender = parts[1]
-                age = int(parts[2])
-                occupation = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if gender not in GENDER_INDEX:
-                raise ParseError(f"{path}:{lineno}: gender must be M or F, got {gender!r}")
-            if age < 0:
-                raise ParseError(f"{path}:{lineno}: negative age {age}")
-            if not 0 <= occupation < OCCUPATIONS:
-                raise ParseError(
-                    f"{path}:{lineno}: occupation must be in [0, {OCCUPATIONS - 1}], got {occupation}"
-                )
-            features[uid] = UserFeatures(uid, gender, age, occupation)
-    return features
+        return {f.user_id: f for f in _parse_lines(path, fh, _user_line)}
 
 
 _FIRST_LINE = re.compile(r"[^\n]+")
@@ -255,39 +274,24 @@ def _parse_movielens_bulk(text: str):
 def _parse_movielens_lines(text: str, path, lo: float):
     """Line-by-line parse; raises ParseError naming the first bad line.  A
     timestamp field must be an int64; it is checked, not kept."""
-    native_range = (lo, 5.0)
-    raw_u, raw_p, ratings = [], [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+
+    def rating_line(line):
         parts = line.split("::")
         if len(parts) not in (3, 4):
-            raise ParseError(f"{path}:{lineno}: expected UserID::MovieID::Rating[::Timestamp]")
-        try:
-            uid = int(parts[0])
-            pid = int(parts[1])
-            rating = float(parts[2])
-            ts = int(parts[3]) if len(parts) == 4 else None
-            for value in (uid, pid, ts):
-                if value is not None and not _INT64.min <= value <= _INT64.max:
-                    raise OverflowError(f"{value} does not fit in 64 bits")
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError("expected UserID::MovieID::Rating[::Timestamp]")
+        uid, pid, rating = int(parts[0]), int(parts[1]), float(parts[2])
+        _check_int64(uid, pid, int(parts[3]) if len(parts) == 4 else None)
         if not lo <= rating <= 5.0:
-            raise ParseError(
-                f"{path}:{lineno}: rating {rating} outside native range {native_range}"
-            )
-        raw_u.append(uid)
-        raw_p.append(pid)
-        ratings.append(rating)
-    if not raw_u:
-        raise ParseError(f"{path}: no rating lines found")
-    return (
-        np.asarray(raw_u, dtype=np.int64),
-        np.asarray(raw_p, dtype=np.int64),
-        np.asarray(ratings),
+            raise ValueError(f"rating {rating} outside native range {(lo, 5.0)}")
+        return uid, pid, rating
+
+    cols = np.fromiter(
+        _parse_lines(path, text.split("\n"), rating_line),
+        dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64)],
     )
+    if not len(cols):
+        raise ParseError(f"{path}: no rating lines found")
+    return cols["u"], cols["p"], cols["r"]
 
 
 def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDataset:
@@ -339,63 +343,49 @@ def load_jester(path) -> RatingsDataset:
 
     All observed values get shifted by ``-min + 1`` so the smallest stored
     value is exactly 1."""
-    raw_u, raw_p, ratings = [], [], []
-    n_rows = 0
     n_cols = None
+
+    def row(line):
+        """The row's ratings, checked in column order; 99 stays in place."""
+        nonlocal n_cols
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise ValueError("expected a count column plus ratings")
+        if n_cols is None:
+            n_cols = len(parts)
+        elif len(parts) != n_cols:
+            raise ValueError(f"ragged row ({len(parts)} columns, expected {n_cols})")
+        values = []
+        for token in parts[1:]:
+            value = float(token)
+            if value != JESTER_SENTINEL and not -10.0 <= value <= 10.0:
+                raise ValueError(f"rating {value} outside native range (-10, 10)")
+            values.append(value)
+        return values
+
     with open(path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{lineno}: expected a count column plus ratings")
-            if n_cols is None:
-                n_cols = len(parts)
-            elif len(parts) != n_cols:
-                raise ParseError(
-                    f"{path}:{lineno}: ragged row ({len(parts)} columns, expected {n_cols})"
-                )
-            user = n_rows
-            n_rows += 1
-            for col, token in enumerate(parts[1:]):
-                try:
-                    value = float(token)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-                if value == JESTER_SENTINEL:
-                    continue
-                if not -10.0 <= value <= 10.0:
-                    raise ParseError(
-                        f"{path}:{lineno}: rating {value} outside native range (-10, 10)"
-                    )
-                raw_u.append(user)
-                raw_p.append(col)
-                ratings.append(value)
-    if n_cols is None:
+        grid = list(_parse_lines(path, fh, row))
+    if not grid:
         raise ParseError(f"{path}: empty file")
-    if not ratings:
+    grid = np.array(grid, dtype=np.float64)
+    observed = grid != JESTER_SENTINEL
+    if not observed.any():
         raise ParseError(f"{path}: no observed ratings")
-
-    ratings = np.asarray(ratings)
-    shift = -float(ratings.min()) + 1.0
-
-    # every row and every joke column belongs to the vocabulary, even if
-    # it carries no observed ratings
-    users = {u: u for u in range(n_rows)}
-    products = {p: p for p in range(n_cols - 1)}
-    raw_u = np.asarray(raw_u, dtype=np.int64)
-    raw_p = np.asarray(raw_p, dtype=np.int64)
+    raw_u, raw_p = np.nonzero(observed)  # rows, then columns: row-major
+    ratings = grid[observed]
+    n_rows, n_jokes = grid.shape
     return RatingsDataset(
         name="jester2",
-        users=users,
-        products=products,
+        # every row and every joke column belongs to the vocabulary, even
+        # if it carries no observed ratings
+        users={u: u for u in range(n_rows)},
+        products={p: p for p in range(n_jokes)},
         user_index=raw_u,
         product_index=raw_p,
-        rating_values=ratings.astype(np.float64),
-        shift=shift,
+        rating_values=ratings,
+        shift=-float(ratings.min()) + 1.0,
         native_range=(-10.0, 10.0),
-        key_order=np.arange(len(raw_u)),  # rows, then columns: already row-major
+        key_order=np.arange(len(raw_u)),
     )
 
 
@@ -579,39 +569,30 @@ def load_tensor_text(path) -> SparseTensor:
     """Read the generic format: header ``shape d1,d2,...`` then one
     ``i1,i2,...,value`` line per observed cell."""
     shape = None
-    indices, values = [], []
+
+    def cell(line):
+        """The header line sets the shape; every later line is one cell."""
+        nonlocal shape
+        if shape is None:
+            if not line.startswith("shape"):
+                raise ValueError("expected header 'shape d1,d2,...'")
+            shape = tuple(int(t) for t in line[len("shape"):].strip().split(","))
+            if min(shape) < 1:
+                raise ValueError(f"dimensions must be >= 1, got {shape}")
+            return None
+        parts = line.split(",")
+        if len(parts) != len(shape) + 1:
+            raise ValueError(f"expected {len(shape)} indices and a value")
+        index = [int(t) for t in parts[:-1]]
+        _check_int64(*index)
+        return index, float(parts[-1])
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if shape is None:
-                if not line.startswith("shape"):
-                    raise ParseError(f"{path}:{lineno}: expected header 'shape d1,d2,...'")
-                try:
-                    shape = tuple(int(t) for t in line[len("shape"):].strip().split(","))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-                if min(shape) < 1:
-                    raise ParseError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(shape) + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(shape)} indices and a value"
-                )
-            try:
-                row = [int(t) for t in parts[:-1]]
-                for value in row:
-                    if not _INT64.min <= value <= _INT64.max:
-                        raise OverflowError(f"{value} does not fit in 64 bits")
-                indices.append(row)
-                values.append(float(parts[-1]))
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+        cells = list(_parse_lines(path, fh, cell, comments=True))[1:]  # [0]: the header's None
     if shape is None:
         raise ParseError(f"{path}: missing 'shape' header")
-    return SparseTensor(shape, np.asarray(indices, dtype=np.int64), np.asarray(values))
+    indices = np.asarray([index for index, _ in cells], dtype=np.int64)
+    return SparseTensor(shape, indices, np.asarray([value for _, value in cells]))
 
 
 def save_tensor_text(path, shape, indices, values) -> None:

@@ -57,24 +57,19 @@ def mae(pred, truth) -> float:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(SolverConfig):
     """Everything a run needs beyond the dataset itself.  ``categories``
     names the user features a 3-D run requires."""
 
-    epsilon: float = SolverConfig.epsilon
-    max_sweeps: int = SolverConfig.max_sweeps
     n_folds: int = 5
     seed: int = 0
     categories: tuple = ("age", "gender", "occupation")
     threads: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        self.solver()  # SolverConfig checks epsilon and max_sweeps
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(epsilon=self.epsilon, max_sweeps=self.max_sweeps)
 
     def echo(self) -> dict:
         return {
@@ -164,7 +159,7 @@ def _uctensor(config, dataset, fold_plan, fold, test):
     tensor = build_tensor_2d(dataset, fold_plan, fold)
     pairs = np.stack([dataset.user_index[test], dataset.product_index[test]], axis=1)
     try:
-        model, converged = balance(tensor, 1, config.solver()), True
+        model, converged = balance(tensor, 1, config), True
     except DidNotConvergeError as exc:  # keep going with the partial model
         model, converged = exc.model, False
     fills = inverse_scale_fills(model.scales.log_sum_at(pairs), lambda i: tuple(pairs[i].tolist()))

@@ -90,10 +90,10 @@ def random_sparse_tensor(
     return SparseTensor(shape, indices, values)
 
 
-def hide_with_full_support(rng, dense, hide_fraction, max_offset=2):
+def hide_with_full_support(rng, dense, hide_fraction):
     """Hide a random fraction of a dense positive array's cells, then
-    re-observe whatever breaks full support until check_full_support
-    certifies the pattern."""
+    re-observe whatever breaks full support until check_full_support,
+    searching offsets up to 2, certifies the pattern."""
     dense = np.asarray(dense, dtype=np.float64)
     shape = dense.shape
     n = dense.size
@@ -103,7 +103,7 @@ def hide_with_full_support(rng, dense, hide_fraction, max_offset=2):
         observed = ~hidden.reshape(shape)
         indices = np.argwhere(observed)
         tensor = SparseTensor(shape, indices, dense[observed])
-        report = check_full_support(tensor, max_offset=max_offset)
+        report = check_full_support(tensor, max_offset=2)
         if report.fully_supported:
             return tensor, hidden.reshape(shape), report
         for idx in report.violations:
@@ -185,10 +185,11 @@ def oracle_2x2(seed: int = 0, n: int = 1000):
 
 
 @_suite("rank-1 exact recovery")
-def rank1_recovery(seed: int = 0, shape=(50, 40), hide_fraction: float = 0.2):
+def rank1_recovery(seed: int = 0):
     """Hidden entries of a positive rank-1 matrix (full support preserved,
     no empty row/column) must be recovered within 1e-6 relative."""
     rng = np.random.default_rng(seed)
+    shape, hide_fraction = (50, 40), 0.2
     u = np.exp(rng.uniform(-1.0, 1.0, size=shape[0]))
     v = np.exp(rng.uniform(-1.0, 1.0, size=shape[1]))
     dense = np.outer(u, v)
@@ -220,7 +221,7 @@ def constraint_satisfaction(seed: int = 0):
 
 
 @_suite("uniqueness under elimination order")
-def uniqueness(seed: int = 0, n_per_case: int = 5):
+def uniqueness(seed: int = 0):
     """Eliminating another family exactly must land on the same balanced
     tensor, and on certified fully-supported inputs also the same
     completion (1e-8).  The solve eliminates the first family in
@@ -231,7 +232,7 @@ def uniqueness(seed: int = 0, n_per_case: int = 5):
     worst_fill = 0.0
     cases = [((12, 9), 0.30, 1), ((6, 5, 4), 0.25, 1), ((6, 5, 4), 0.25, 2)]
     for shape, hide_fraction, k in cases:
-        for _ in range(n_per_case):
+        for _ in range(5):
             dense = np.exp(rng.normal(0, 1, size=shape))
             tensor, _, report = hide_with_full_support(rng, dense, hide_fraction)
             assert report.fully_supported
@@ -248,7 +249,7 @@ def uniqueness(seed: int = 0, n_per_case: int = 5):
 
 
 @_suite("unit consistency")
-def unit_consistency(seed: int = 0, n_pairs: int = 100):
+def unit_consistency(seed: int = 0):
     """Scaling then completing must equal completing then scaling:
     gap < 1e-8 over random (tensor, scale set) pairs for D in {2, 3} and
     every valid k.
@@ -261,6 +262,7 @@ def unit_consistency(seed: int = 0, n_pairs: int = 100):
     rng = np.random.default_rng(seed)
     supported_cases = [((8, 6), 0.30, 1), ((6, 5, 4), 0.30, 1), ((6, 5, 4), 0.30, 2)]
     worst = 0.0
+    n_pairs = 100
     for i in range(n_pairs - 1):
         shape, hide_fraction, k = supported_cases[i % len(supported_cases)]
         dense = np.exp(rng.normal(0, 1, size=shape))
@@ -295,13 +297,14 @@ def _ordered(rng, shape, dim):
 
 
 @_suite("consensus ordering")
-def consensus_ordering(seed: int = 0, n_per_case: int = 100):
+def consensus_ordering(seed: int = 0):
     """On constructions where every fully-observed prefix follows gamma,
     every fully-unobserved prefix must follow gamma after completion with
     k = D-1 (orderings over columns in 2-D and over each dimension in 3-D)."""
     rng = np.random.default_rng(seed)
     cfg = _cfg(1e-14)
     cases = (((10, 6), 1), ((5, 4, 6), 0), ((5, 4, 6), 1), ((5, 4, 6), 2))
+    n_per_case = 100
     checked = 0
     failures = 0
     for shape, dim in cases:

@@ -43,7 +43,7 @@ def trace_oracle(dataset, config, fold):
     its own: the former ``evaluate.convergence_trace``, for any fold."""
     fold_plan = split_kfold(dataset, config.n_folds, config.seed)
     try:
-        model = balance(build_tensor_2d(dataset, fold_plan, fold), 1, config.solver())
+        model = balance(build_tensor_2d(dataset, fold_plan, fold), 1, config)
     except DidNotConvergeError as exc:
         model = exc.model
     return list(model.residual_trace)

@@ -72,7 +72,7 @@ def test_criterion_01_closed_form_oracle():
 
 
 def test_criterion_02_rank1_recovery():
-    result = properties.rank1_recovery(SEED, shape=(50, 40), hide_fraction=0.2)
+    result = properties.rank1_recovery(SEED)
     report_line(2, result)
     assert result.elapsed < 1.0
 
@@ -90,13 +90,13 @@ def test_criterion_04_uniqueness():
 
 
 def test_criterion_05_unit_consistency():
-    result = properties.unit_consistency(SEED, n_pairs=100)
+    result = properties.unit_consistency(SEED)
     report_line(5, result)
     assert result.elapsed < 10.0
 
 
 def test_criterion_06_consensus_ordering():
-    result = properties.consensus_ordering(SEED, n_per_case=100)
+    result = properties.consensus_ordering(SEED)
     report_line(6, result)
     assert result.elapsed < 10.0
 

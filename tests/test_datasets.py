@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tempfile
 from pathlib import Path
 
@@ -657,3 +658,49 @@ class TestTensorText:
         f.write_text(f"# a comment\nshape {dims}\n")
         with pytest.raises(ParseError, match=r"t\.txt:2: dimensions must be >= 1"):
             load_tensor_text(f)
+
+
+# (loader, file name, text, the exact message after the file's path)
+REFUSALS = [
+    ("users", "users.dat", "1::F::1::10\n2::M::56\n", ":2: expected UserID::Gender::Age::Occupation[::Zip]"),
+    ("users", "users.dat", "1::F::1::10\n2::M::x::16\n", ":2: invalid literal for int() with base 10: 'x'"),
+    ("users", "users.dat", "1::F::1::10\n2::X::56::16\n", ":2: gender must be M or F, got 'X'"),
+    ("users", "users.dat", "1::F::1::10\n2::M::-1::16\n", ":2: negative age -1"),
+    ("users", "users.dat", "1::F::1::10\n2::M::56::21\n", ":2: occupation must be in [0, 20], got 21"),
+    ("jester", "j.csv", "1,5.0\n\n7\n", ":3: expected a count column plus ratings"),
+    ("jester", "j.csv", "1,5.0,3.0\n1,5.0\n", ":2: ragged row (2 columns, expected 3)"),
+    ("jester", "j.csv", "1,5.0,x\n", ":1: could not convert string to float: 'x'"),
+    ("jester", "j.csv", "1,5.0,3.0\n1,99,10.5\n", ":2: rating 10.5 outside native range (-10, 10)"),
+    ("jester", "j.csv", "\n  \n", ": empty file"),
+    ("jester", "j.csv", "0,99,99\n0,99,99\n", ": no observed ratings"),
+    # a row reads its ratings in column order: the range error comes first
+    ("jester", "j.csv", "2,11,x\n", ":1: rating 11.0 outside native range (-10, 10)"),
+    ("tensor", "t.txt", "# c\n0,0,2.0\n", ":2: expected header 'shape d1,d2,...'"),
+    ("tensor", "t.txt", "shape 2,x\n", ":1: invalid literal for int() with base 10: 'x'"),
+    ("tensor", "t.txt", "shape 2,0\n", ":1: dimensions must be >= 1, got (2, 0)"),
+    ("tensor", "t.txt", "shape 2,2\n0,0,1.0\n\n1,1\n", ":4: expected 2 indices and a value"),
+    ("tensor", "t.txt", "shape 2,2\n0,9223372036854775808,1.0\n",
+     ":2: 9223372036854775808 does not fit in 64 bits"),
+    ("tensor", "t.txt", "shape 2,2\n0,0,one\n", ":2: could not convert string to float: 'one'"),
+    ("tensor", "t.txt", "\n# only a comment\n", ": missing 'shape' header"),
+    # a line parses every token before its ids are checked: the parse error wins
+    ("ratings", "r.dat", "1::5::5::1\n99999999999999999999::5::x::1\n",
+     ":2: could not convert string to float: 'x'"),
+]
+
+
+@pytest.mark.parametrize("loader,name,text,message", REFUSALS)
+def test_each_refusal_names_its_line(tmp_path, loader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    ratings = tmp_path / "good.dat"  # the users file's companion
+    ratings.write_text("1::5::5::1\n")
+    load = {
+        "users": functools.partial(load_movielens, ratings),  # the users file comes second
+        "jester": load_jester,
+        "tensor": load_tensor_text,
+        "ratings": load_movielens,
+    }[loader]
+    with pytest.raises(ParseError) as got:
+        load(path)
+    assert str(got.value) == f"{path}{message}"

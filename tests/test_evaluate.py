@@ -147,7 +147,7 @@ class TestRunExperiment:
         for fold, result in enumerate(report.per_fold):
             test = np.flatnonzero(plan.test_mask(fold))
             pairs = np.stack([ds.user_index[test], ds.product_index[test]], axis=1)
-            fills = np.exp(-balance(build_tensor_2d(ds, plan, fold), 1, config.solver()).scales.log_sum_at(pairs))
+            fills = np.exp(-balance(build_tensor_2d(ds, plan, fold), 1, config).scales.log_sum_at(pairs))
             truth = ds.rating_values[test]
             assert result.rmse == rmse(fills - ds.shift, truth)
             assert result.mae == mae(fills - ds.shift, truth)
