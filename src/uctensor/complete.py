@@ -55,7 +55,7 @@ class CompletedTensor:
         self.model = model
         self.source = model.source
         self.scales = model.scales
-        self._product_order = None  # top_n's cached product order
+        self._product_order = None  # top_n's query plan; older pickles name it so
 
     @property
     def shape(self) -> tuple:
@@ -320,7 +320,7 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
         (tuple(prefixes[asked[r]].tolist()), (gamma[b], gamma[b + 1]),
          (float(values[r, b]), float(values[r, b + 1])))
         for r, b in zip(*np.nonzero(~rising & unknown[asked, None]))
-    ]
+    ] if known.any() else []  # with no known order there is nothing to violate
     return OrderingReport(
         ("fail" if violations else "pass") if known.any() else "precondition_unmet",
         known_prefixes=[tuple(p) for p in prefixes[known].tolist()],

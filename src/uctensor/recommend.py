@@ -39,26 +39,34 @@ def predict_rating(completed: CompletedTensor, user: int, product: int) -> Predi
 TIE_WINDOW = 1e-9
 
 
-def _product_order(completed: CompletedTensor):
-    """The products by ascending log scale (a stable argsort of
-    ``scales.log[(1,)]``), its inverse permutation, and for each order
-    position the end of the run of products whose log scales are within
-    ``TIE_WINDOW`` of its own.  Computed on a completion's first query and
-    kept on it, keyed on the log array itself, so a replaced ``scales``
-    gets a fresh order."""
-    logs = completed.scales.log[(1,)]
-    cached = completed._product_order
-    if cached is None or cached[0] is not logs:
+def _query_plan(completed: CompletedTensor):
+    """What every top-n query of a completion shares: ``(scales, order,
+    rank, tie_end, ramp, all_true, user logs, -product logs, least,
+    greatest)``.  ``order`` is the products by ascending log scale (stable),
+    ``rank`` its inverse, and ``tie_end[i]`` the end of the run of order
+    positions within ``TIE_WINDOW`` of position i's log scale; a query
+    slices the index ramp and copies the all-true mask.  The least and
+    greatest product log scales are Python floats.  Built on the first
+    query and kept on the completion, keyed on its ``scales`` object; O(P)
+    for P products and read-only, so concurrent queries share it."""
+    scales = completed.scales
+    plan = completed._product_order
+    if plan is None or plan[0] is not scales:
+        logs = scales.log[(1,)]
         order = np.argsort(logs, kind="stable")
+        ramp = np.arange(len(order))
         rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        rank[order] = ramp
         ascending = logs[order]
         tie_end = np.searchsorted(ascending, ascending + TIE_WINDOW, side="right")
-        cached = completed._product_order = (logs, order, rank, tie_end)
-    return cached[1:]
+        arrays = (order, rank, tie_end, ramp, np.ones(len(order), dtype=bool), scales.log[(0,)], -logs)
+        for a in arrays:
+            a.setflags(write=False)
+        plan = completed._product_order = (scales, *arrays, float(ascending[0]), float(ascending[-1]))
+    return plan
 
 
-def _walk(order, rank, tie_end, rated, n) -> np.ndarray:
+def _walk(order, rank, tie_end, ramp, all_true, rated, n) -> np.ndarray:
     """The unrated products, in walk order, of the shortest prefix of
     ``order`` holding n unrated products, extended over every product
     whose log scale is within ``TIE_WINDOW`` of the n-th one's."""
@@ -66,9 +74,9 @@ def _walk(order, rank, tie_end, rated, n) -> np.ndarray:
     taken.sort()
     # taken[j] - j unrated products come before the j-th rated one, so the
     # n-th unrated product sits at order position n - 1 + (rated before it)
-    nth = n - 1 + int((taken - np.arange(len(taken))).searchsorted(n - 1, side="right"))
+    nth = n - 1 + int((taken - ramp[: len(taken)]).searchsorted(n - 1, side="right"))
     end = int(tie_end[nth]) if nth < len(order) else len(order)
-    keep = np.ones(end, dtype=bool)
+    keep = all_true[:end].copy()
     keep[taken[: taken.searchsorted(end)]] = False
     return order[:end][keep]
 
@@ -85,13 +93,13 @@ def top_n(
 
     A 2-D fill is exp(-(a_u + b_p)), so every user ranks the products it
     has not rated by one global order: ascending product log scale b_p.
-    A query walks that order, cached on the completion, only until it
-    holds the n-th unrated product, and then on over every product whose
-    b_p is within ``TIE_WINDOW`` of that product's.  The user's row is
-    one slice of the source's entries, whose bounds the source keeps
-    after its first ``row_slice``; its rated products are its flat keys
-    less user * P.  Only the unrated products of the
-    prefix are filled, from a_u + b_p, the sum ``log_sum_at`` forms.
+    A query walks that order, kept in the completion's ``_query_plan``,
+    only until it holds the n-th unrated product, and then on over every
+    product whose b_p is within ``TIE_WINDOW`` of that product's.  The
+    user's row is one slice of the source's entries, whose bounds the
+    source keeps after its first ``row_slice``; its rated products are its
+    flat keys less user * P.  Only the unrated products of the prefix are
+    filled, from a_u + b_p, the sum ``log_sum_at`` forms.
     Unless they are excluded, the rated products join them with
     their observed values, less those below the least of the first n
     fills, which n fills beat.  One ``sort`` over (-value, product,
@@ -112,9 +120,11 @@ def top_n(
     names the first such cell, rated products excepted) and ranked by
     the same sort, in O(P log P) for P products.
 
-    A query costs O(r log r + prefix) for a row of r rated products,
-    independent of the number of products and of stored entries.  The
-    completion pays one O(P log P) sort of its P products; its source
+    A query costs O(r log r + prefix) for a row of r rated products: the
+    row slice, the sort of its rated products' order positions, the walk,
+    the prefix's fills and the final sort, none of it growing with the
+    number of products or of stored entries.  The completion pays, on its
+    first query, the plan's O(P log P) sort of its P products; its source
     pays, on its first ``row_slice``, one O(U log nnz) search for where
     each of its U rows starts among its nnz entries, and keeps that
     list of U + 1 ints."""
@@ -126,17 +136,16 @@ def top_n(
     source = completed.source
     row = source.row_slice(user)  # checks the user's bounds
     rated = source._flat[row] - user * source.shape[1]
-    scales = completed.scales
-    order, rank, tie_end = _product_order(completed)
-    a, b = scales.log[(0,)][user], scales.log[(1,)]
-    if -700.0 < a + b[order[0]] and a + b[order[-1]] < 700.0:
-        products = _walk(order, rank, tie_end, rated, n)
-        values = np.exp(-(a + b[products]))  # every sum of the row is in (-700, 700)
+    _, order, rank, tie_end, ramp, all_true, user_logs, neg_b, least, greatest = _query_plan(completed)
+    a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
+    if -700.0 < a + least and a + greatest < 700.0:
+        products = _walk(order, rank, tie_end, ramp, all_true, rated, n)
+        values = np.exp(neg_b[products] - a)  # every sum of the row is in (-700, 700)
     else:
-        unrated = np.ones(len(b), dtype=bool)
+        unrated = all_true.copy()
         unrated[rated] = False
         products = np.flatnonzero(unrated)
-        values = inverse_scale_fills(a + b[products], lambda i: (user, int(products[i])))
+        values = inverse_scale_fills(a - neg_b[products], lambda i: (user, int(products[i])))
     ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
     if not exclude_observed:
         observed = source.values[row]

@@ -139,7 +139,7 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
             report.n_neither += 1
 
     if not report.known_prefixes:
-        report.verdict = "precondition_unmet"
+        report.verdict, report.violations = "precondition_unmet", []
     elif report.violations:
         report.verdict = "fail"
     else:

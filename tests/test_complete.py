@@ -288,15 +288,21 @@ class TestConsensusOrdering:
             tracemalloc.stop()
         assert peak < 1 << 16
 
-    @pytest.mark.parametrize("shape, dim", [((2000, 50), 1), ((50, 40, 50), 2)], ids=["2d", "3d"])
-    def test_at_most_64_bytes_a_checked_cell(self, shape, dim):
-        # two prefixes observed, rising along gamma, every other prefix
-        # unobserved: every cell of the 10^5-cell grid is looked up and filled
+    @pytest.mark.parametrize(
+        "shape, dim, observed, step",
+        [((2000, 50), 1, 2, 1.5), ((50, 40, 50), 2, 2, 1.5), ((2000, 50), 1, 1, 1 / 1.5)],
+        ids=["2d", "3d", "2d-precondition-unmet"],
+    )
+    def test_at_most_64_bytes_a_checked_cell(self, shape, dim, observed, step):
+        # ``observed`` prefixes observed, rising along gamma when step > 1,
+        # every other prefix unobserved: every cell of the 10^5-cell grid is
+        # looked up and filled.  A falling row leaves the known set empty,
+        # and then every unknown prefix's fills fall too.
         entries = {}
-        for p, base in ((0, 1.0), (1, 1.5)):
+        for p, base in enumerate((1.0, 1.5)[:observed]):
             prefix = [int(c) for c in np.unravel_index(p, [s for d, s in enumerate(shape) if d != dim])]
             for g in range(shape[dim]):
-                entries[tuple(prefix[:dim] + [g] + prefix[dim:])] = base * 1.5 ** g
+                entries[tuple(prefix[:dim] + [g] + prefix[dim:])] = base * step ** g
         completed = complete(make_tensor(shape, entries), len(shape) - 1)
         tracemalloc.start()
         try:
@@ -305,7 +311,9 @@ class TestConsensusOrdering:
         finally:
             tracemalloc.stop()
         n_cells = int(np.prod(shape))
-        assert report.passed and len(report.unknown_prefixes) == n_cells // shape[dim] - 2
+        assert report.verdict == ("pass" if step > 1 else "precondition_unmet")
+        assert report.violations == []
+        assert len(report.unknown_prefixes) == n_cells // shape[dim] - observed
         assert peak / n_cells <= 64, peak / n_cells
 
 

@@ -26,6 +26,7 @@ from uctensor import (
     top_n,
 )
 from uctensor.properties import random_sparse_tensor
+from uctensor.recommend import _query_plan
 
 from conftest import TIGHT, scale_set
 
@@ -453,3 +454,43 @@ class TestProductOrderCache:
             top_n(completed, user, 3)
         save_model(tmp_path / "after.npz", completed.model)
         assert (tmp_path / "before.npz").read_bytes() == (tmp_path / "after.npz").read_bytes()
+
+
+class TestQueryPlan:
+    """The query plan is keyed on the completion's ``scales`` object: new
+    user log scales beside the same product log array, or a slot written
+    by an older version, must never serve a stale plan."""
+
+    @staticmethod
+    def completion(rng):
+        return complete_matrix(random_sparse_tensor(rng, (8, 12), 0.4), TIGHT)
+
+    def test_new_user_logs_beside_the_same_product_logs(self, rng):
+        completed = self.completion(rng)
+        top_n(completed, 0, 3)
+        old = completed.scales
+        new = ScaleSet(old.shape, 1, {(0,): old.log[(0,)] + rng.normal(size=8), (1,): old.log[(1,)]}, old.nonempty)
+        new.log[(1,)] = old.log[(1,)]  # the very array the plan was built from
+        completed.scales = new
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+
+    def test_plan_arrays_are_read_only(self, rng):
+        completed = self.completion(rng)
+        top_n(completed, 0, 3)
+        arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_slot_of_an_older_version_is_rebuilt(self, rng):
+        # older versions kept (product logs, order, rank, tie_end) there
+        completed = self.completion(rng)
+        logs = completed.scales.log[(1,)]
+        order = np.argsort(logs, kind="stable")
+        tie_end = np.searchsorted(logs[order], logs[order] + 1e-9, side="right")
+        completed._product_order = (logs, order, np.argsort(order), tie_end)
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+        assert completed._product_order[0] is completed.scales
