@@ -233,17 +233,14 @@ def _load_movielens_users(path) -> dict:
 
 
 _FIRST_LINE = re.compile(r"[^\n]+")
-_WHITESPACE_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
 def _parse_movielens_bulk(text: str):
     """The user id, product id and rating columns of a well-formed rating
-    file in one ``np.loadtxt`` call, or None when the text needs the
-    line-by-line parser: a blank line holding whitespace (``load_movielens``
-    blanks those and asks again), mixed 3- and 4-field lines, a lone ``:``,
-    a token numpy reads differently from ``int``/``float``, or any
-    malformed line.  Every input accepted here parses to the same values
-    line by line.
+    file in one ``np.loadtxt`` call, or None when the text needs the line-by-line parser: a blank line holding
+    whitespace, mixed 3- and 4-field lines, a lone ``:``, a token numpy
+    reads differently from ``int``/``float``, or any malformed line.  Every
+    input accepted here parses to the same values line by line.
 
     ``loadtxt`` splits on single colons and reads every other column, so
     no line may hold a lone colon, and every parsed line must hold exactly
@@ -314,12 +311,6 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     with open(ratings_path, encoding="latin-1") as fh:
         text = fh.read()
     cols = _parse_movielens_bulk(text)
-    if cols is None:
-        # the line parser skips whitespace-only lines: emptied, they keep
-        # their line numbers and no longer refuse the bulk parse
-        text, blanked = _WHITESPACE_LINE.subn("", text)
-        if blanked:
-            cols = _parse_movielens_bulk(text)
     # out-of-range ratings (nan included) go to the line parser for the
     # error message with its line number
     if cols is None or not np.all((cols[2] >= lo) & (cols[2] <= 5.0)):

@@ -40,29 +40,30 @@ TIE_WINDOW = 1e-9
 
 
 def _query_plan(completed: CompletedTensor):
-    """What every top-n query of a completion shares: ``(scales, order,
-    rank, tie_end, ramp, all_true, user logs, -product logs, least,
-    greatest)``.  ``order`` is the products by ascending log scale (stable),
-    ``rank`` its inverse, and ``tie_end[i]`` the end of the run of order
-    positions within ``TIE_WINDOW`` of position i's log scale; a query
-    slices the index ramp and copies the all-true mask.  The least and
-    greatest product log scales are Python floats.  Built on the first
-    query and kept on the completion, keyed on its ``scales`` object; O(P)
-    for P products and read-only, so concurrent queries share it."""
-    scales = completed.scales
+    """What every top-n query of a completion shares: ``(user logs,
+    product logs, order, rank, tie_end, ramp, all_true, -product logs,
+    least, greatest)``.  ``order`` is the products by ascending log scale
+    (stable), ``rank`` its inverse, and ``tie_end[i]`` the end of the run of
+    order positions within ``TIE_WINDOW`` of position i's log scale; a
+    query slices the index ramp and copies the all-true mask rather than
+    build them.  The least and greatest product log scales are Python
+    floats.  Built on the first query and kept on the completion, keyed on
+    the identity of both log arrays of its ``scales``, so replacing
+    ``scales`` or either array rebuilds it; O(P) for P products and
+    read-only, so concurrent queries share it."""
+    user_logs, logs = completed.scales.log[(0,)], completed.scales.log[(1,)]
     plan = completed._product_order
-    if plan is None or plan[0] is not scales:
-        logs = scales.log[(1,)]
+    if plan is None or plan[0] is not user_logs or plan[1] is not logs:
         order = np.argsort(logs, kind="stable")
         ramp = np.arange(len(order))
         rank = np.empty_like(order)
         rank[order] = ramp
         ascending = logs[order]
         tie_end = np.searchsorted(ascending, ascending + TIE_WINDOW, side="right")
-        arrays = (order, rank, tie_end, ramp, np.ones(len(order), dtype=bool), scales.log[(0,)], -logs)
+        arrays = (order, rank, tie_end, ramp, np.ones(len(order), dtype=bool), -logs)
         for a in arrays:
             a.setflags(write=False)
-        plan = completed._product_order = (scales, *arrays, float(ascending[0]), float(ascending[-1]))
+        plan = completed._product_order = (user_logs, logs, *arrays, float(ascending[0]), float(ascending[-1]))
     return plan
 
 
@@ -136,7 +137,7 @@ def top_n(
     source = completed.source
     row = source.row_slice(user)  # checks the user's bounds
     rated = source._flat[row] - user * source.shape[1]
-    _, order, rank, tie_end, ramp, all_true, user_logs, neg_b, least, greatest = _query_plan(completed)
+    user_logs, _, order, rank, tie_end, ramp, all_true, neg_b, least, greatest = _query_plan(completed)
     a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
     if -700.0 < a + least and a + greatest < 700.0:
         products = _walk(order, rank, tie_end, ramp, all_true, rated, n)

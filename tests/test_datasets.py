@@ -24,7 +24,6 @@ from uctensor import (
     save_tensor_text,
     split_kfold,
 )
-from uctensor import datasets
 from uctensor.datasets import (
     UserFeatures,
     _dense_vocab,
@@ -285,25 +284,6 @@ class TestMovieLensParser:
     )
     def test_bulk_parser_takes_only_well_formed_text(self, text, bulk):
         assert (_parse_movielens_bulk(text) is not None) == bulk
-
-    @pytest.mark.parametrize(
-        "text",
-        [ML_RATINGS + " \n", ML_RATINGS.replace("\n", "\n\t\n", 2)],
-        ids=["trailing-space-line", "tab-line-between-records"],
-    )
-    def test_whitespace_only_lines_stay_on_the_bulk_path(self, tmp_path, monkeypatch, text):
-        (tmp_path / "clean.dat").write_text(ML_RATINGS)
-        (tmp_path / "r.dat").write_text(text, encoding="latin-1", newline="")
-        clean = load_movielens(tmp_path / "clean.dat")
-
-        def refuse(*args):
-            raise AssertionError("the line parser ran")
-
-        monkeypatch.setattr(datasets, "_parse_movielens_lines", refuse)
-        ds = load_movielens(tmp_path / "r.dat")
-        for field in dataclasses.fields(ds):
-            got, want = getattr(ds, field.name), getattr(clean, field.name)
-            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
 
     def test_no_rating_lines(self, tmp_path):
         path = tmp_path / "empty.dat"

@@ -457,9 +457,10 @@ class TestProductOrderCache:
 
 
 class TestQueryPlan:
-    """The query plan is keyed on the completion's ``scales`` object: new
-    user log scales beside the same product log array, or a slot written
-    by an older version, must never serve a stale plan."""
+    """The query plan is keyed on the identity of the completion's two log
+    arrays: new user log scales beside the same product log array, a log
+    array replaced in the same ``scales``, or a slot written by an older
+    version, must never serve a stale plan."""
 
     @staticmethod
     def completion(rng):
@@ -476,11 +477,20 @@ class TestQueryPlan:
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
+    @pytest.mark.parametrize("family", [(0,), (1,)])
+    def test_a_log_array_replaced_in_the_same_scales(self, rng, family):
+        completed = self.completion(rng)
+        top_n(completed, 0, 3)
+        completed.scales.log[family] = completed.scales.log[family] + rng.normal(size=completed.shape[family[0]])
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+
     def test_plan_arrays_are_read_only(self, rng):
         completed = self.completion(rng)
         top_n(completed, 0, 3)
         arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
-        assert len(arrays) == 7
+        assert len(arrays) == 8
         assert not any(a.flags.writeable for a in arrays)
 
     def test_slot_of_an_older_version_is_rebuilt(self, rng):
@@ -493,4 +503,4 @@ class TestQueryPlan:
         for user in range(8):
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
-        assert completed._product_order[0] is completed.scales
+        assert completed._product_order[0] is completed.scales.log[(0,)]
