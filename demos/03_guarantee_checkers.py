@@ -26,13 +26,14 @@ rng = np.random.default_rng(1)
 # ---------------------------------------------------------------------------
 three = make_tensor((2, 2), {(0, 0): 2.0, (0, 1): 8.0, (1, 0): 4.0})
 report = check_full_support(three)
+(cell, offset), = report.witnesses.tolist()  # one (cell, offset) row per witnessed cell
 print("3-of-4 matrix fully supported:", report.fully_supported,
-      "witness for (1,1):", report.witnesses[(1, 1)])
+      f"witness for {cell}: offset {offset}")
 
 diagonal = make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 1.0})
 report = check_full_support(diagonal)
 print("diagonal-only matrix fully supported:", report.fully_supported,
-      "violations:", report.violations)
+      "violations:", report.violations.tolist())
 
 # ---------------------------------------------------------------------------
 # Unit consistency: rescaling the data rescales the completion identically.
@@ -57,8 +58,9 @@ tensor = make_tensor((6, 3), entries)  # rows 4 and 5 are fully unobserved
 completed = complete_matrix(tensor, cfg)
 report = check_consensus_ordering(completed, 1, (1, 0, 2))
 print("\nconsensus ordering verdict:", report.verdict)
-print("known prefixes:", report.known_prefixes,
-      " unknown prefixes:", report.unknown_prefixes)
+print("known prefixes:", report.known_prefixes.tolist(),
+      " unknown prefixes:", report.unknown_prefixes.tolist(),
+      " violations:", len(report.violations))
 for row in (4, 5):
     fills = [completed.value_at((row, c)) for c in range(3)]
     print(f"  completed row {row}:", np.round(fills, 4), "- ranks cols as 1 < 0 < 2")

@@ -38,7 +38,6 @@ from .exceptions import UctensorError, UnknownUserError
 from .complete import CompletedTensor
 from .persist import load_model, save_model
 from .recommend import top_n
-from .tensor import MAX_DENSE_CELLS
 
 # conventional (ratings, users) file names under the data root, by dataset kind
 DEFAULT_PATHS = {
@@ -115,7 +114,7 @@ def cmd_complete(args) -> int:
     print(f"sweeps={model.sweeps_run} final_residual={model.final_residual:.3e}")
     completed = CompletedTensor(model)
     if args.out:
-        if tensor.n_cells > min(MAX_DENSE_CELLS, 10_000_000):
+        if tensor.n_cells > 10_000_000:
             raise UctensorError(
                 f"{tensor.n_cells} cells is too large for a dense listing; use --model-out"
             )
@@ -150,10 +149,11 @@ def cmd_evaluate(args) -> int:
     if args.baseline:
         report = baseline_predict(dataset, split_kfold(dataset, args.folds, args.seed), args.baseline)
     else:
-        solver = {name: getattr(args, name) for name in ("epsilon", "max_sweeps", "threads")
-                  if getattr(args, name) is not None}
-        categories = tuple(args.features.split(",")) if args.features else ("age", "gender", "occupation")
-        config = ExperimentConfig(n_folds=args.folds, seed=args.seed, categories=categories, **solver)
+        options = {name: getattr(args, name) for name in ("epsilon", "max_sweeps", "threads")
+                   if getattr(args, name) is not None}
+        if args.features:
+            options["categories"] = tuple(args.features.split(","))
+        config = ExperimentConfig(n_folds=args.folds, seed=args.seed, **options)
         report = run_experiment(dataset, args.mode or "2d", config)
     print(report.summary())
     if args.out:
@@ -188,6 +188,9 @@ def cmd_recommend(args) -> int:
     shift = doc.get("shift", 0.0)
     low, high = doc.get("native_range") or (-math.inf, math.inf)  # a 'complete' model has none
     picks = top_n(completed, dense_user, args.top, exclude_observed=args.exclude_observed)
+    missing = [pred.product for pred in picks if products and pred.product not in products]
+    if missing:  # a vocabulary may leave products out
+        raise UctensorError(f"the products vocabulary has no raw id for dense product {missing[0]}")
     for rank, pred in enumerate(picks, start=1):
         raw_product = products[pred.product] if products else pred.product
         print(f"{rank}\t{raw_product}\t{min(max(pred.rating - shift, low), high):.4f}\t{pred.source}")

@@ -10,7 +10,8 @@ Observed cells are copied from the source verbatim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import MAX_DENSE_CELLS, ScaleSet, SparseTensor, index_rows, scale_apply
+from .tensor import ScaleSet, SparseTensor, check_dense_size, index_rows, scale_apply
 
 
 # to_dense fills about this many cells at a time
@@ -92,11 +93,10 @@ class CompletedTensor:
         """Every cell, observed verbatim and the rest filled: each slab of
         log sums (``_log_sum_slabs``), the observed cells' zeroed, goes
         through one ``inverse_scale_fills``, so an unrepresentable fill
-        raises naming the first such cell in row-major order.  Guarded to
-        small shapes."""
+        raises naming the first such cell in row-major order.  8 bytes a
+        cell beside one slab, guarded by ``check_dense_size``."""
         shape, n = self.shape, self.source.n_cells
-        if n > MAX_DENSE_CELLS:
-            raise ValueError(f"refusing to materialize {n} cells")
+        check_dense_size(n, 8, "dense completion")
         logs = [self.scales.log[f].reshape([s if d in f else 1 for d, s in enumerate(shape)])
                 for f in self.scales.families]
         observed, out = self.source._flat, np.empty(n)
@@ -145,77 +145,86 @@ def complete_matrix(matrix: SparseTensor, config: SolverConfig | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+# the most bytes a checked cell each checker peaks at, D = 2 and 3 (see ``check_dense_size``)
+SUPPORT_BYTES_PER_CELL = 80
+ORDERING_BYTES_PER_CELL = 64
+
+
 @dataclass
 class SupportReport:
+    """``violations``: the (V, D) unwitnessed cells, row-major.
+    ``witnesses``: (W, 2, D), each cell (``[:, 0]``) beside its offset
+    (``[:, 1]``), in the order found: nearest offset first, then row-major."""
+
     fully_supported: bool
-    violations: list = field(default_factory=list)
-    witnesses: dict = field(default_factory=dict)
+    violations: np.ndarray
+    witnesses: np.ndarray
 
 
-def _offset_sequence(extent: int, bound: int) -> list[int]:
-    """Signed offsets 1, -1, 2, -2, ... out to min(bound, extent-1)."""
-    out = []
-    for a in range(1, min(bound, extent - 1) + 1):
-        out.extend((a, -a))
-    return out
+def _unravel(keys: np.ndarray, shape, out: np.ndarray) -> None:
+    """Write the row-major coordinates of flat ``keys`` into (len(keys), D) ``out``."""
+    rest = keys.copy()
+    for d in range(len(shape) - 1, 0, -1):
+        np.divmod(rest, shape[d], out=(rest, out[:, d]))
+    out[:, 0] = rest
 
 
-def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
+def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> SupportReport:
     """Certify that every unobserved cell sits at the corner of a box whose
     other 2^D - 1 corners are all observed.
 
     For each unobserved index i we search offset vectors s (per-dimension
-    signed, magnitude up to max_offset) such that every index i + delta,
-    with delta_d in {0, s_d} and delta != 0, is observed.  The first such
-    s (nearest-first order) is recorded as the witness.  ``max_offset`` is
-    None (every offset), one bound for all dimensions, or one bound per
-    dimension; a sequence of another length raises ``ValueError``.
+    signed, magnitude up to max_offset: None for every offset, else one
+    int for all dimensions) such that every index i + delta, with delta_d
+    in {0, s_d} and delta != 0, is observed.  The first such s
+    (nearest-first order) is recorded as the witness.
 
-    The tensor is asked once: one boolean observed grid (1 byte a cell,
-    guarded to ``MAX_DENSE_CELLS``), which every offset and corner then
-    indexes.  Exponential in D and linear in the search volume: a
+    The unobserved cells' flat keys are one array, the witnessed ones in
+    front in the order found (``found`` notes each one's offset by its
+    place in the search) and the pending ones behind, row-major.  Peaks at
+    ``SUPPORT_BYTES_PER_CELL`` bytes a cell for D = 2 and 3, the report
+    most of it.  Exponential in D and linear in the search volume: a
     verification tool, not a production path.
     """
-    shape = tensor.shape
-    ndim = tensor.ndim
+    shape, ndim, n = tensor.shape, tensor.ndim, tensor.n_cells
     if max_offset is None:
-        max_offset = [s - 1 for s in shape]
-    elif np.isscalar(max_offset):
-        max_offset = [int(max_offset)] * ndim
-    elif len(max_offset) != ndim:
-        raise ValueError(f"max_offset needs {ndim} entries, one per dimension, got {len(max_offset)}")
-    max_offset = [max(int(b), 0) for b in max_offset]
-
-    if tensor.n_cells > MAX_DENSE_CELLS:
-        raise ValueError("tensor too large for exhaustive support checking")
-    observed = np.zeros(shape, dtype=bool)
-    observed.flat[tensor._flat] = True
-    pending = np.argwhere(~observed)  # row-major
-    if len(pending) == 0:
-        return SupportReport(fully_supported=True)
-
+        max_offset = max(shape)
+    elif not isinstance(max_offset, (int, np.integer)):
+        raise ValueError(f"max_offset must be None or one int, got {max_offset!r}")
+    check_dense_size(n, SUPPORT_BYTES_PER_CELL, "support check")
+    observed = np.zeros(n, dtype=bool)
+    observed[tensor._flat] = True
+    keys = np.flatnonzero(~observed)
+    found, w = np.empty_like(keys), 0  # keys[:w] are witnessed
+    strides = [math.prod(shape[d + 1:]) for d in range(ndim)]
     corners = [c for c in itertools.product((0, 1), repeat=ndim) if any(c)]
-    witnesses = {}
-
-    per_dim = [_offset_sequence(shape[d], max_offset[d]) for d in range(ndim)]
-    if all(per_dim):
-        for s in itertools.product(*per_dim):
-            ok = np.ones(len(pending), dtype=bool)
-            for mask in corners:
-                corner = pending + np.array([sd if m else 0 for sd, m in zip(s, mask)])
-                ok &= np.all((corner >= 0) & (corner < np.asarray(shape)), axis=1)
-                if not ok.any():
-                    break
-                ok[ok] = observed[tuple(corner[ok].T)]
-            if ok.any():
-                for idx in pending[ok].tolist():
-                    witnesses[tuple(idx)] = tuple(s)
-                pending = pending[~ok]
-                if len(pending) == 0:
-                    break
-
-    violations = [tuple(idx) for idx in pending.tolist()]
-    return SupportReport(not violations, violations, witnesses)
+    # per dimension, the signed offsets 1, -1, 2, -2, ... out to min(max_offset, size - 1)
+    searched = [[a * sign for a in range(1, min(max_offset, size - 1) + 1) for sign in (1, -1)] for size in shape]
+    for place, s in enumerate(itertools.product(*searched)):
+        if w == len(keys):
+            break
+        pending = keys[w:]
+        ok = np.ones(len(pending), dtype=bool)
+        for sd, size, stride in zip(s, shape, strides):
+            coord = pending // stride
+            coord %= size
+            ok &= coord < size - sd if sd > 0 else coord >= -sd
+        for corner in corners:
+            ok[ok] = observed[pending[ok] + sum(sd * stride for sd, stride, c in zip(s, strides, corner) if c)]
+        hits = int(np.count_nonzero(ok))
+        if hits:
+            keys[w:] = np.concatenate((pending[ok], pending[~ok]))
+            found[w:w + hits] = place
+            w += hits
+    del observed
+    witnesses = np.empty((w, 2, ndim), dtype=np.int64)
+    _unravel(keys[:w], shape, witnesses[:, 0])
+    _unravel(found[:w], [len(offsets) for offsets in searched], witnesses[:, 1])
+    for d, offsets in enumerate(searched):
+        witnesses[:, 1, d] = np.take(offsets, witnesses[:, 1, d])
+    violations = np.empty((len(keys) - w, ndim), dtype=np.int64)
+    _unravel(keys[w:], shape, violations)
+    return SupportReport(len(violations) == 0, violations, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +260,16 @@ class OrderingReport:
     """Partition of prefix vectors (all dims except the ordered one) and the
     verdict on whether completed values of fully-unobserved prefixes
     follow gamma; 'precondition_unmet' when no fully-observed prefix
-    exhibits the ordering."""
+    exhibits the ordering.  The prefixes are (n, D-1) arrays, row-major;
+    ``violations`` has a row (``prefix``, gamma ``pair``, their ``values``)
+    per adjacent pair an unknown prefix does not rise along, and none
+    unless the verdict is 'fail'."""
 
     verdict: str  # "pass" | "fail" | "precondition_unmet"
-    known_prefixes: list = field(default_factory=list)
-    unknown_prefixes: list = field(default_factory=list)
-    n_neither: int = 0
-    violations: list = field(default_factory=list)
+    known_prefixes: np.ndarray
+    unknown_prefixes: np.ndarray
+    n_neither: int
+    violations: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -278,10 +290,8 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
     The completion is asked twice: one ``observed_mask_for`` over the
     whole (prefix x gamma) index grid, then one ``values_at`` over the
     known and unknown prefixes alone (a mixed prefix is never filled, so
-    its fills cannot raise).  The grid and the two queries peak at about
-    40-60 bytes a checked cell for D = 2 and 3 (8*D of them the grid), so
-    the check is refused beyond ``MAX_DENSE_CELLS // 8`` checked cells:
-    at most ~400 MB.
+    its fills cannot raise).  Peaks at ``ORDERING_BYTES_PER_CELL`` bytes a
+    checked cell for D = 2 and 3, 8*D of them the grid.
     """
     shape = completed.shape
     ndim = len(shape)
@@ -301,9 +311,8 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
     other_dims = [d for d in range(ndim) if d != dim]
     sizes = [shape[d] for d in other_dims]
     n_prefixes = int(np.prod(sizes, dtype=np.int64))
-    if n_prefixes * len(gamma) > MAX_DENSE_CELLS // 8:
-        raise ValueError(f"ordering check of {n_prefixes * len(gamma)} cells (prefixes x gamma) "
-                         f"exceeds its bound of {MAX_DENSE_CELLS // 8}")
+    check_dense_size(n_prefixes * len(gamma), ORDERING_BYTES_PER_CELL, "ordering check",
+                     "cells (prefixes x gamma)")
 
     prefixes = np.indices(sizes).reshape(len(sizes), n_prefixes).T  # row-major
     grid = np.empty((n_prefixes, len(gamma), ndim), dtype=np.int64)
@@ -314,17 +323,21 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
     asked = np.flatnonzero(known | unknown)
     grid = grid[asked].reshape(-1, ndim)  # the whole grid is freed before the fills
     values = completed.values_at(grid).reshape(len(asked), len(gamma))
+    del grid  # before the report's arrays, or a failing check passes 64 B a cell
     rising = np.diff(values, axis=1) > 0
     known[asked] &= rising.all(axis=1)
-    violations = [
-        (tuple(prefixes[asked[r]].tolist()), (gamma[b], gamma[b + 1]),
-         (float(values[r, b]), float(values[r, b + 1])))
-        for r, b in zip(*np.nonzero(~rising & unknown[asked, None]))
-    ] if known.any() else []  # with no known order there is nothing to violate
+    # with no known order there is nothing to violate
+    r, b = np.nonzero(~rising & unknown[asked, None] & known.any())
+    violations = np.empty(len(r), dtype=[("prefix", np.int64, (ndim - 1,)), ("pair", np.int64, (2,)),
+                                         ("values", np.float64, (2,))])
+    violations["prefix"] = prefixes[asked[r]]
+    for i in (0, 1):
+        violations["pair"][:, i] = np.take(gamma, b + i)
+        violations["values"][:, i] = values[r, b + i]
     return OrderingReport(
-        ("fail" if violations else "pass") if known.any() else "precondition_unmet",
-        known_prefixes=[tuple(p) for p in prefixes[known].tolist()],
-        unknown_prefixes=[tuple(p) for p in prefixes[unknown].tolist()],
+        "fail" if len(violations) else "pass" if known.any() else "precondition_unmet",
+        known_prefixes=prefixes[known],
+        unknown_prefixes=prefixes[unknown],
         n_neither=n_prefixes - int(known.sum()) - int(unknown.sum()),
         violations=violations,
     )

@@ -70,16 +70,11 @@ class ExperimentConfig(SolverConfig):
         super().__post_init__()
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if isinstance(self.categories, str):
+            raise ValueError(f"categories must be a sequence of feature names, not the str {self.categories!r}")
 
     def echo(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "max_sweeps": self.max_sweeps,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-            "categories": list(self.categories),
-            "threads": self.threads,
-        }
+        return {**asdict(self), "categories": list(self.categories)}
 
 
 @dataclass

@@ -54,7 +54,7 @@ JSON_VERSIONS = (1, 2)
 MAGIC = b"\x89UCTM\r\n\x1a"
 ZIP_MAGIC = b"PK\x03\x04"
 PREAMBLE = len(MAGIC) + 8  # the magic, then the header's length
-VOCABULARIES = ("users", "products")
+VOCABULARIES = ("users", "products")  # raw id -> dense index of the first dimension, of the last
 
 
 def _raw_ids(name: str, vocab: dict) -> np.ndarray:
@@ -67,6 +67,18 @@ def _raw_ids(name: str, vocab: dict) -> np.ndarray:
             f"{name} raw ids must be all int (within int64) or all str, got {raw.dtype} values"
         )
     return raw
+
+
+def _check_vocabulary(name: str, index, size: int, error) -> None:
+    """Raise ``error`` unless a vocabulary's dense indices are distinct and
+    in [0, size); a vocabulary may leave indices out."""
+    index = np.sort(np.asarray(index, dtype=np.int64))
+    outside = index[(index < 0) | (index >= size)]
+    if len(outside):
+        raise error(f"{name} vocabulary holds dense index {outside[0]}, outside [0, {size})")
+    repeated = index[1:][index[1:] == index[:-1]]
+    if len(repeated):
+        raise error(f"{name} vocabulary maps more than one raw id to dense index {repeated[0]}")
 
 
 def _padding(nbytes: int) -> int:
@@ -86,10 +98,11 @@ def save_model(
     members = {"keys": model.source._flat, "values": model.source.values}
     for i, fixed in enumerate(model.scales.families):
         members[f"log_{i}"] = model.scales.log[fixed]
-    for name, vocab in zip(VOCABULARIES, (users, products)):
+    for name, vocab, size in zip(VOCABULARIES, (users, products), (model.shape[0], model.shape[-1])):
         if vocab is not None:
             members[f"{name}_raw"] = _raw_ids(name, vocab)
             members[f"{name}_index"] = np.asarray(list(vocab.values()), dtype=np.int64)
+            _check_vocabulary(name, members[f"{name}_index"], size, UctensorError)
     table, offset = [], 0
     for name, a in members.items():
         table.append([name, a.dtype.str, len(a), offset])
@@ -247,8 +260,9 @@ def load_model(path):
     Errors name the path: ParseError for a file that is not a model of a
     known version or is malformed as a file (truncated, a member
     missing, of the wrong type or past the end of the file, flat keys
-    out of range or not strictly increasing, non-empty flags that
-    disagree with the entries, ...), and the error of the part it breaks
+    out of range or not strictly increasing, non-empty flags that disagree
+    with the entries, dense indices of a vocabulary that repeat or fall
+    outside their dimension, ...), and the error of the part it breaks
     (ShapeMismatchError for a scale array of the wrong size,
     NonFiniteValueError for a nan value, ...) otherwise."""
     with open(path, "rb") as fh:
@@ -258,6 +272,9 @@ def load_model(path):
         try:
             doc, source, logs, flags = reader(fh)
             scales = _scale_set(source, doc["k"], logs, flags)
+            for name, size in zip(VOCABULARIES, (source.shape[0], source.shape[-1])):
+                if doc[name]:
+                    _check_vocabulary(name, list(doc[name].values()), size, ParseError)
             model = LatentModel(
                 source=source,
                 scales=scales,

@@ -10,7 +10,6 @@ tests both run these.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -63,28 +62,12 @@ def _cfg(epsilon: float = PROPERTY_EPSILON) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def random_sparse_tensor(
-    rng, shape, density, *, no_empty_subtensors_for=None
-) -> SparseTensor:
-    """Random log-normal-valued tensor on a Bernoulli(density) pattern.
-    With ``no_empty_subtensors_for``, one entry is seeded into every empty
-    family-k subtensor for the listed k (adding entries can only help the
-    other families, so one pass per family suffices)."""
+def random_sparse_tensor(rng, shape, density) -> SparseTensor:
+    """Random log-normal-valued tensor on a Bernoulli(density) pattern."""
     shape = tuple(shape)
     mask = rng.random(shape) < density
     if not mask.any():
         mask[tuple(rng.integers(0, s) for s in shape)] = True
-    for k in no_empty_subtensors_for or ():
-        for fixed in subtensor_families(len(shape), k):
-            free = tuple(d for d in range(len(shape)) if d not in fixed)
-            counts = mask.sum(axis=free) if free else mask
-            for assign in np.argwhere(counts == 0):
-                cell = [0] * len(shape)
-                for d, c in zip(fixed, assign):
-                    cell[d] = int(c)
-                for d in free:
-                    cell[d] = int(rng.integers(0, shape[d]))
-                mask[tuple(cell)] = True
     indices = np.argwhere(mask)
     values = np.exp(rng.normal(0.0, 1.0, size=len(indices)))
     return SparseTensor(shape, indices, values)
@@ -106,8 +89,7 @@ def hide_with_full_support(rng, dense, hide_fraction):
         report = check_full_support(tensor, max_offset=2)
         if report.fully_supported:
             return tensor, hidden.reshape(shape), report
-        for idx in report.violations:
-            hidden[np.ravel_multi_index(idx, shape)] = False
+        hidden[np.ravel_multi_index(report.violations.T, shape)] = False
 
 
 def random_scale_set(rng, shape, k, low=0.1, high=10.0) -> ScaleSet:
@@ -234,8 +216,7 @@ def uniqueness(seed: int = 0):
     for shape, hide_fraction, k in cases:
         for _ in range(5):
             dense = np.exp(rng.normal(0, 1, size=shape))
-            tensor, _, report = hide_with_full_support(rng, dense, hide_fraction)
-            assert report.fully_supported
+            tensor, _, _ = hide_with_full_support(rng, dense, hide_fraction)
             flipped = SparseTensor(shape[::-1], tensor.indices[:, ::-1], tensor.values)
             c_lex = complete(tensor, k, _cfg())
             c_rev = complete(flipped, k, _cfg())
@@ -269,7 +250,7 @@ def unit_consistency(seed: int = 0):
         tensor, _, _ = hide_with_full_support(rng, dense, hide_fraction)
         z = random_scale_set(rng, shape, k)
         worst = max(worst, unit_consistency_gap(tensor, z, _cfg()))
-    dense_case = random_sparse_tensor(rng, (20, 15, 10), 0.30, no_empty_subtensors_for=(2,))
+    dense_case = random_sparse_tensor(rng, (20, 15, 10), 0.30)
     z = random_scale_set(rng, (20, 15, 10), 2)
     worst = max(worst, unit_consistency_gap(dense_case, z, _cfg()))
     return worst < 1e-8, f"max scale-commutation gap {worst:.2e} over {n_pairs} pairs (tolerance 1e-8)"
@@ -281,19 +262,16 @@ def _ordered(rng, shape, dim):
     of dimension ``dim``; every other prefix is wholly unobserved.
     Returns the tensor, gamma and the count of unobserved prefixes."""
     gamma = rng.permutation(shape[dim])
-    prefixes = list(itertools.product(*(range(s) for d, s in enumerate(shape) if d != dim)))
-    n_obs = int(rng.integers(2, len(prefixes)))
-    chosen = rng.choice(len(prefixes), size=n_obs, replace=False)
+    sizes = [s for d, s in enumerate(shape) if d != dim]
+    n_prefixes = int(np.prod(sizes))
+    n_obs = int(rng.integers(2, n_prefixes))
+    chosen = rng.choice(n_prefixes, size=n_obs, replace=False)
     step = np.cumprod(rng.uniform(1.3, 2.0, size=shape[dim]))
-    entries = {}
-    for ci in chosen:
-        base = np.exp(rng.normal(0, 0.5))
-        noise = np.exp(rng.uniform(-0.1, 0.1, size=shape[dim]))
-        for pos, g in enumerate(gamma):
-            idx = list(prefixes[ci])
-            idx.insert(dim, int(g))
-            entries[tuple(idx)] = base * step[pos] * noise[pos]
-    return make_tensor(shape, entries), tuple(int(g) for g in gamma), len(prefixes) - n_obs
+    # per chosen prefix, in gamma order: base * step * noise
+    values = [np.exp(rng.normal(0, 0.5)) * step * np.exp(rng.uniform(-0.1, 0.1, size=shape[dim])) for _ in chosen]
+    prefixes = np.repeat(np.stack(np.unravel_index(chosen, sizes), axis=1), shape[dim], axis=0)
+    cells = np.insert(prefixes, dim, np.tile(gamma, n_obs), axis=1)
+    return SparseTensor(shape, cells, np.concatenate(values)), tuple(gamma.tolist()), n_prefixes - n_obs
 
 
 @_suite("consensus ordering")
@@ -321,25 +299,14 @@ def consensus_ordering(seed: int = 0):
 @_suite("full-support detection")
 def support_detection(seed: int = 0):
     """Exhaustive corner-box search on hand-sized cases."""
-    ok = True
-    details = []
-
-    three = make_tensor((2, 2), {(0, 0): 2.0, (0, 1): 8.0, (1, 0): 4.0})
-    rep = check_full_support(three)
-    ok &= rep.fully_supported and rep.witnesses.get((1, 1)) == (-1, -1)
-    details.append(f"3-of-4 supported={rep.fully_supported}")
-
-    diag = make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 1.0})
-    rep = check_full_support(diag)
-    ok &= not rep.fully_supported and len(rep.violations) == 2
-    details.append(f"diagonal supported={rep.fully_supported}")
-
-    full = make_tensor((2, 2), {(i, j): 1.0 for i in range(2) for j in range(2)})
-    rep = check_full_support(full)
-    ok &= rep.fully_supported
-    details.append(f"fully-observed supported={rep.fully_supported}")
-
-    return ok, "; ".join(details)
+    three = check_full_support(make_tensor((2, 2), {(0, 0): 2.0, (0, 1): 8.0, (1, 0): 4.0}))
+    diag = check_full_support(make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 1.0}))
+    full = check_full_support(make_tensor((2, 2), {(i, j): 1.0 for i in range(2) for j in range(2)}))
+    ok = (three.fully_supported and three.witnesses.tolist() == [[[1, 1], [-1, -1]]]
+          and not diag.fully_supported and diag.violations.tolist() == [[0, 1], [1, 0]]
+          and full.fully_supported)
+    return ok, (f"3-of-4 supported={three.fully_supported}; diagonal supported={diag.fully_supported}; "
+                f"fully-observed supported={full.fully_supported}")
 
 
 @_suite("determinism")

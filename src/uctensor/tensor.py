@@ -24,8 +24,16 @@ from .exceptions import (
     ShapeMismatchError,
 )
 
-# Dense materialization guard: refuse to allocate grids larger than this.
+# Dense materialization guard: this many float64 cells, 400 MB
 MAX_DENSE_CELLS = 50_000_000
+
+
+def check_dense_size(n_cells: int, bytes_per_cell: int, what: str, cells: str = "cells") -> None:
+    """Refuse dense work of ``n_cells`` cells at ``bytes_per_cell`` bytes a
+    cell beyond ``8 * MAX_DENSE_CELLS`` bytes, before anything is allocated."""
+    bound = 8 * MAX_DENSE_CELLS // bytes_per_cell
+    if n_cells > bound:
+        raise ValueError(f"{what} of {n_cells} {cells} exceeds its bound of {bound}")
 
 
 def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
@@ -227,8 +235,7 @@ class SparseTensor:
 
     def to_dense(self) -> np.ndarray:
         """The observed values on a dense grid, 0.0 at unobserved cells."""
-        if self.n_cells > MAX_DENSE_CELLS:
-            raise ValueError(f"refusing to materialize {self.n_cells} cells densely")
+        check_dense_size(self.n_cells, 8, "dense tensor")
         out = np.zeros(self.shape, dtype=np.float64)
         out.flat[self._flat] = self.values
         return out
@@ -341,16 +348,13 @@ class ScaleSet:
     def factor_grid(self) -> np.ndarray:
         """Dense per-cell product of scales over all containing keys (empty
         keys contribute 1), summed in log space; a product beyond the float
-        range is inf or 0, with no warning.  Small shapes only."""
-        if math.prod(self.shape) > MAX_DENSE_CELLS:
-            raise ValueError("shape too large for a dense factor grid")
+        range is inf or 0, with no warning.  In place: 8 bytes a cell."""
+        check_dense_size(math.prod(self.shape), 8, "dense factor grid")
         grid = np.zeros(self.shape)
         for fixed in self.families:
-            dims = [self.shape[d] for d in fixed]
-            bshape = [self.shape[d] if d in fixed else 1 for d in range(len(self.shape))]
-            grid = grid + self.log[fixed].reshape(dims).reshape(bshape)
+            grid += self.log[fixed].reshape([s if d in fixed else 1 for d, s in enumerate(self.shape)])
         with np.errstate(over="ignore"):
-            return np.exp(grid)
+            return np.exp(grid, out=grid)
 
     def inverse(self) -> "ScaleSet":
         return ScaleSet(self.shape, self.k, {f: -a for f, a in self.log.items()}, self.nonempty)

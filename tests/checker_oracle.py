@@ -4,17 +4,19 @@ bulk checkers in ``uctensor.complete`` are checked against.
 ``check_full_support`` asks the tensor once per offset and corner through
 ``observed_mask_for``; ``check_consensus_ordering`` walks the prefixes
 with ``itertools.product`` and asks ``observed_mask_for`` and
-``values_at`` once per prefix.  Both return the package's report types,
-so whole reports compare with ``vars(a) == vars(b)``.
+``values_at`` once per prefix.  Both build their reports from plain lists,
+tuples and dicts, under the field names of the package's report types,
+whose arrays compare with them through ``tolist()``.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from uctensor import InvalidGammaError, InvalidKError, OrderingReport, SupportReport
+from uctensor import InvalidGammaError, InvalidKError
 from uctensor.tensor import MAX_DENSE_CELLS
 
 
@@ -26,7 +28,7 @@ def _offset_sequence(extent: int, bound: int) -> list[int]:
     return out
 
 
-def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
+def check_full_support(tensor: SparseTensor, max_offset=None):
     """Certify that every unobserved cell sits at the corner of a box whose
     other 2^D - 1 corners are all observed.
 
@@ -50,7 +52,7 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
         raise ValueError("tensor too large for exhaustive support checking")
     unobserved_flat = np.setdiff1d(np.arange(n_cells, dtype=np.int64), tensor._flat)
     if len(unobserved_flat) == 0:
-        return SupportReport(fully_supported=True)
+        return SimpleNamespace(fully_supported=True, violations=[], witnesses={})
 
     pending = np.stack(np.unravel_index(unobserved_flat, shape), axis=1)
     corners = [c for c in itertools.product((0, 1), repeat=ndim) if any(c)]
@@ -78,14 +80,14 @@ def check_full_support(tensor: SparseTensor, max_offset=None) -> SupportReport:
                     break
 
     violations = [tuple(int(i) for i in idx) for idx in pending]
-    return SupportReport(
+    return SimpleNamespace(
         fully_supported=len(violations) == 0,
         violations=violations,
         witnesses=witnesses,
     )
 
 
-def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> OrderingReport:
+def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma):
     """Check that completion preserves a ranking exhibited by the data.
 
     Prefixes with every gamma position observed and strictly increasing
@@ -114,7 +116,8 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
     if n_prefixes * len(gamma) > MAX_DENSE_CELLS:
         raise ValueError("prefix space too large for exhaustive ordering check")
 
-    report = OrderingReport(verdict="precondition_unmet")
+    report = SimpleNamespace(verdict="precondition_unmet", known_prefixes=[], unknown_prefixes=[],
+                             n_neither=0, violations=[])
     for prefix in itertools.product(*(range(shape[d]) for d in other_dims)):
         idx = np.empty((len(gamma), ndim), dtype=np.int64)
         for pos, d in enumerate(other_dims):

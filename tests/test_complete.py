@@ -1,7 +1,9 @@
 import importlib
+import itertools
 import re
 import tracemalloc
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,9 +33,10 @@ from uctensor import (
     top_n,
     unit_consistency_gap,
 )
-from uctensor.complete import DENSE_BLOCK
+from uctensor.complete import DENSE_BLOCK, ORDERING_BYTES_PER_CELL, SUPPORT_BYTES_PER_CELL
 from uctensor.tensor import MAX_DENSE_CELLS
 from uctensor.properties import (
+    _ordered,
     hide_with_full_support,
     random_scale_set,
     random_sparse_tensor,
@@ -126,13 +129,14 @@ class TestFullSupport:
     def test_single_missing_corner(self, three_entry_2x2):
         report = check_full_support(three_entry_2x2)
         assert report.fully_supported
-        assert report.witnesses[(1, 1)] == (-1, -1)
+        assert report.witnesses.tolist() == [[[1, 1], [-1, -1]]]
 
     def test_diagonal_not_supported(self):
         t = make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 2.0})
         report = check_full_support(t)
         assert not report.fully_supported
-        assert sorted(report.violations) == [(0, 1), (1, 0)]
+        assert report.violations.tolist() == [[0, 1], [1, 0]]
+        assert report.witnesses.shape == (0, 2, 2)
 
     def test_fully_observed_vacuous(self, rng):
         t = random_sparse_tensor(rng, (3, 3), 1.0)
@@ -148,7 +152,8 @@ class TestFullSupport:
         }
         report = check_full_support(make_tensor((2, 2, 2), entries))
         assert report.fully_supported
-        assert report.witnesses[(0, 0, 0)] == (1, 1, 1)
+        assert report.witnesses.tolist() == [[[0, 0, 0], [1, 1, 1]]]
+        assert report.violations.shape == (0, 3)
 
     def test_max_offset_bound_respected(self):
         # (0, 0)'s only complete corner box sits at offset (2, 2)
@@ -156,13 +161,28 @@ class TestFullSupport:
         t = make_tensor((3, 3), entries)
         wide = check_full_support(t)
         tight = check_full_support(t, max_offset=1)
-        assert wide.witnesses.get((0, 0)) == (2, 2)
-        assert (0, 0) in tight.violations
+        assert [offset for cell, offset in wide.witnesses.tolist() if cell == [0, 0]] == [[2, 2]]
+        assert [0, 0] in tight.violations.tolist()
 
-    @pytest.mark.parametrize("max_offset", [[1], [1, 1, 1]])
-    def test_max_offset_of_the_wrong_length_refused(self, three_entry_2x2, max_offset):
-        with pytest.raises(ValueError, match=f"max_offset needs 2 entries, one per dimension, got {len(max_offset)}"):
+    @pytest.mark.parametrize("max_offset", [[1], [1, 1, 1], [1, 1], (1, 1), 1.0, "1"])
+    def test_max_offset_is_none_or_one_int(self, three_entry_2x2, max_offset):
+        with pytest.raises(ValueError, match=re.escape(f"max_offset must be None or one int, got {max_offset!r}")):
             check_full_support(three_entry_2x2, max_offset=max_offset)
+
+    @pytest.mark.parametrize("shape", [(500, 500), (80, 60, 50)], ids=["2d", "3d"])
+    def test_at_most_its_guards_bytes_a_cell(self, shape):
+        # at 1% density nearly every cell is unobserved, pending through
+        # every offset and then a violation
+        t = random_sparse_tensor(np.random.default_rng(0), shape, 0.01)
+        tracemalloc.start()
+        try:
+            report = check_full_support(t, max_offset=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_unobserved = t.n_cells - t.n_observed
+        assert len(report.violations) + len(report.witnesses) == n_unobserved
+        assert peak / t.n_cells <= SUPPORT_BYTES_PER_CELL, peak / t.n_cells
 
 
 class TestUnitConsistency:
@@ -175,7 +195,7 @@ class TestUnitConsistency:
         assert unit_consistency_gap(three_entry_2x2, z, TIGHT) < 1e-8
 
     def test_random_3d_slices(self, rng):
-        t = random_sparse_tensor(rng, (20, 15, 10), 0.3, no_empty_subtensors_for=(2,))
+        t = random_sparse_tensor(rng, (20, 15, 10), 0.3)
         z = random_scale_set(rng, (20, 15, 10), 2)
         assert unit_consistency_gap(t, z, TIGHT) < 1e-8
 
@@ -197,8 +217,8 @@ class TestConsensusOrdering:
         completed = complete_matrix(self.make_instance(), TIGHT)
         report = check_consensus_ordering(completed, 1, (0, 1))
         assert report.passed
-        assert report.known_prefixes == [(0,), (1,)]
-        assert report.unknown_prefixes == [(2,)]
+        assert report.known_prefixes.tolist() == [[0], [1]]
+        assert report.unknown_prefixes.tolist() == [[2]]
         assert completed.value_at((2, 0)) < completed.value_at((2, 1))
 
     def test_reversed_gamma_fails(self):
@@ -219,14 +239,14 @@ class TestConsensusOrdering:
         completed = complete_matrix(self.make_instance(), TIGHT)
         report = check_consensus_ordering(completed, 1, (1,))
         assert report.passed
-        assert report.violations == []
+        assert report.violations.tolist() == []
 
     def test_row_ordering_dimension(self):
         # ordering across rows for a fully unobserved column
         t = make_tensor((2, 3), {(0, 0): 1.0, (1, 0): 4.0, (0, 1): 2.0, (1, 1): 3.0})
         completed = complete_matrix(t, TIGHT)
         report = check_consensus_ordering(completed, 0, (0, 1))
-        assert report.unknown_prefixes == [(2,)]
+        assert report.unknown_prefixes.tolist() == [[2]]
         assert report.passed
 
     def test_invalid_gamma(self):
@@ -252,8 +272,8 @@ class TestConsensusOrdering:
         completed = complete_matrix(t, TIGHT)
         report = check_consensus_ordering(completed, 1, (0, 1))
         assert report.verdict == "fail"
-        assert report.known_prefixes == [(0,)]
-        assert any(prefix == (2,) for prefix, _, _ in report.violations)
+        assert report.known_prefixes.tolist() == [[0]]
+        assert [2] in report.violations["prefix"].tolist()
 
     def test_mixed_prefix_is_never_filled(self):
         # rows 0-1 observed, row 2 only at (2, 0), row 3 not at all; a row
@@ -267,12 +287,36 @@ class TestConsensusOrdering:
             return check_consensus_ordering(completed, 1, (0, 1))
 
         report = ordering([0.0, 0.0, -800.0, 0.0])
-        assert report.known_prefixes == [(0,), (1,)]
-        assert report.unknown_prefixes == [(3,)]
+        assert report.known_prefixes.tolist() == [[0], [1]]
+        assert report.unknown_prefixes.tolist() == [[3]]
         assert report.n_neither == 1
         with pytest.raises(NonFiniteValueError, match=re.escape("(3, 0)")):
             ordering([0.0, 0.0, 0.0, -800.0])
 
+
+    @pytest.mark.parametrize("shape, dim", [((10, 6), 1), ((5, 4, 6), 0), ((5, 4, 6), 1), ((5, 4, 6), 2)])
+    def test_ordered_constructions_match_the_loop_that_built_them_cell_by_cell(self, shape, dim):
+        def ordered_by_loop(rng):
+            gamma = rng.permutation(shape[dim])
+            prefixes = list(itertools.product(*(range(s) for d, s in enumerate(shape) if d != dim)))
+            n_obs = int(rng.integers(2, len(prefixes)))
+            chosen = rng.choice(len(prefixes), size=n_obs, replace=False)
+            step = np.cumprod(rng.uniform(1.3, 2.0, size=shape[dim]))
+            entries = {}
+            for ci in chosen:
+                base = np.exp(rng.normal(0, 0.5))
+                noise = np.exp(rng.uniform(-0.1, 0.1, size=shape[dim]))
+                for pos, g in enumerate(gamma):
+                    idx = list(prefixes[ci])
+                    idx.insert(dim, int(g))
+                    entries[tuple(idx)] = base * step[pos] * noise[pos]
+            return make_tensor(shape, entries), tuple(int(g) for g in gamma), len(prefixes) - n_obs
+
+        for seed in range(20):
+            got, want = _ordered(np.random.default_rng(seed), shape, dim), ordered_by_loop(np.random.default_rng(seed))
+            assert got[1:] == want[1:]
+            assert got[0]._flat.tolist() == want[0]._flat.tolist()
+            assert got[0].values.tolist() == want[0].values.tolist()
 
     def test_a_grid_just_over_the_guard_is_refused_before_any_allocation(self):
         # a bare shape and k: the refusal comes before the completion is asked anything
@@ -289,20 +333,25 @@ class TestConsensusOrdering:
         assert peak < 1 << 16
 
     @pytest.mark.parametrize(
-        "shape, dim, observed, step",
-        [((2000, 50), 1, 2, 1.5), ((50, 40, 50), 2, 2, 1.5), ((2000, 50), 1, 1, 1 / 1.5)],
-        ids=["2d", "3d", "2d-precondition-unmet"],
+        "shape, dim, steps, verdict",
+        [((2000, 50), 1, (1.5, 1.5), "pass"), ((50, 40, 50), 2, (1.5, 1.5), "pass"),
+         ((2000, 50), 1, (1 / 1.5,), "precondition_unmet"),
+         ((50000, 2), 1, (1.5, 1.5), "pass"), ((50000, 2), 1, (1.5, 1 / 3), "fail")],
+        ids=["2d", "3d", "2d-precondition-unmet", "2d-gamma2-pass", "2d-gamma2-fail"],
     )
-    def test_at_most_64_bytes_a_checked_cell(self, shape, dim, observed, step):
-        # ``observed`` prefixes observed, rising along gamma when step > 1,
-        # every other prefix unobserved: every cell of the 10^5-cell grid is
-        # looked up and filled.  A falling row leaves the known set empty,
-        # and then every unknown prefix's fills fall too.
+    def test_at_most_64_bytes_a_checked_cell(self, shape, dim, steps, verdict):
+        # the first len(steps) prefixes observed, the p-th rising along
+        # gamma by a factor steps[p] from 1.0 * 1.5^p, every other prefix
+        # unobserved: every cell of the 10^5-cell grid is looked up and
+        # filled.  A falling row leaves the known set empty, and then every
+        # unknown prefix's fills fall too.  Rows (1, 1.5) and (1.5, 0.5)
+        # make the second column's fills the smaller: every unknown prefix
+        # fails, one violation each.
         entries = {}
-        for p, base in enumerate((1.0, 1.5)[:observed]):
+        for p, step in enumerate(steps):
             prefix = [int(c) for c in np.unravel_index(p, [s for d, s in enumerate(shape) if d != dim])]
             for g in range(shape[dim]):
-                entries[tuple(prefix[:dim] + [g] + prefix[dim:])] = base * step ** g
+                entries[tuple(prefix[:dim] + [g] + prefix[dim:])] = 1.5 ** p * step ** g
         completed = complete(make_tensor(shape, entries), len(shape) - 1)
         tracemalloc.start()
         try:
@@ -311,10 +360,56 @@ class TestConsensusOrdering:
         finally:
             tracemalloc.stop()
         n_cells = int(np.prod(shape))
-        assert report.verdict == ("pass" if step > 1 else "precondition_unmet")
-        assert report.violations == []
-        assert len(report.unknown_prefixes) == n_cells // shape[dim] - observed
-        assert peak / n_cells <= 64, peak / n_cells
+        assert report.verdict == verdict
+        assert len(report.unknown_prefixes) == n_cells // shape[dim] - len(steps)
+        if verdict == "fail":
+            assert report.violations["prefix"].tolist() == report.unknown_prefixes.tolist()
+            assert (report.violations["pair"] == [0, 1]).all()
+        else:
+            assert report.violations.tolist() == []
+        assert peak / n_cells <= ORDERING_BYTES_PER_CELL, peak / n_cells
+
+
+# 2217 * 22553 = MAX_DENSE_CELLS + 1 cells, whose scales are small arrays
+JUST_OVER = (2217, 22553)
+
+
+def _over_the_bound(site):
+    """(the call, the cells it asks for, its bound, the name its refusal
+    gives) of a dense site asked for just more cells than its bound."""
+    ones = {(0,): np.ones(JUST_OVER[0], dtype=bool), (1,): np.ones(JUST_OVER[1], dtype=bool)}
+    scales = ScaleSet(JUST_OVER, 1, {f: np.zeros(len(a)) for f, a in ones.items()}, ones)
+    support_bound = 8 * MAX_DENSE_CELLS // SUPPORT_BYTES_PER_CELL
+    empty = SparseTensor((MAX_DENSE_CELLS + 1, 1), np.empty((0, 2)), [])
+    return {
+        "SparseTensor.to_dense": (empty.to_dense, MAX_DENSE_CELLS, "dense tensor"),
+        "ScaleSet.factor_grid": (scales.factor_grid, MAX_DENSE_CELLS, "dense factor grid"),
+        "CompletedTensor.to_dense": (
+            CompletedTensor(LatentModel(SparseTensor(JUST_OVER, [[0, 0]], [1.0]), scales, 0, 0.0)).to_dense,
+            MAX_DENSE_CELLS, "dense completion"),
+        "check_full_support": (
+            partial(check_full_support, SparseTensor((support_bound + 1, 1), np.empty((0, 2)), [])),
+            support_bound, "support check"),
+    }[site]
+
+
+class TestDenseBound:
+    """Every dense site refuses, through ``check_dense_size``, work of
+    more cells than 400 MB holds at its bytes a cell, before it allocates
+    anything; the ordering check's own test is in TestConsensusOrdering."""
+
+    @pytest.mark.parametrize("site", ["SparseTensor.to_dense", "ScaleSet.factor_grid",
+                                      "CompletedTensor.to_dense", "check_full_support"])
+    def test_just_over_the_bound_is_refused_before_any_allocation(self, site):
+        call, bound, what = _over_the_bound(site)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"{what} of {bound + 1} cells exceeds its bound of {bound}")):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 def _random_pattern(rng):
@@ -336,9 +431,13 @@ class TestCheckerOracle:
             for max_offset in (None, 1, 2):
                 got = check_full_support(t, max_offset=max_offset)
                 want = checker_oracle.check_full_support(t, max_offset=max_offset)
-                # dict equality ignores order, so the witnesses compare as item lists
-                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), max_offset)
-                assert list(got.witnesses.items()) == list(want.witnesses.items())
+                at = (t.shape, t.indices.tolist(), max_offset)
+                assert got.fully_supported == want.fully_supported, at
+                assert got.violations.tolist() == [list(cell) for cell in want.violations], at
+                # the dict's insertion order is the order the witnesses were found
+                assert got.witnesses.tolist() == [
+                    [list(cell), list(offset)] for cell, offset in want.witnesses.items()
+                ], at
 
     def test_consensus_ordering_reports_match(self):
         rng = np.random.default_rng(7)
@@ -349,7 +448,19 @@ class TestCheckerOracle:
                 gamma = rng.permutation(size)[: rng.integers(1, size + 1)]
                 got = check_consensus_ordering(completed, dim, gamma)
                 want = checker_oracle.check_consensus_ordering(completed, dim, gamma)
-                assert vars(got) == vars(want), (t.shape, t.indices.tolist(), dim, gamma)
+                at = (t.shape, t.indices.tolist(), dim, gamma)
+                assert (got.verdict, got.n_neither) == (want.verdict, want.n_neither), at
+                assert got.known_prefixes.tolist() == [list(p) for p in want.known_prefixes], at
+                assert got.unknown_prefixes.tolist() == [list(p) for p in want.unknown_prefixes], at
+                assert violation_rows(got.violations) == [
+                    (list(prefix), list(pair), list(values)) for prefix, pair, values in want.violations
+                ], at
+
+
+def violation_rows(violations):
+    """An ordering report's violations as (prefix, pair, values) tuples of
+    lists, in order."""
+    return list(zip(*(violations[name].tolist() for name in ("prefix", "pair", "values"))))
 
 
 class TestUniqueness:

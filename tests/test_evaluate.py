@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from functools import partial
 from pathlib import Path
@@ -396,7 +397,14 @@ class TestExperimentConfig:
         ({"epsilon": float("inf")}, "epsilon must be finite and >= 0"),
         ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
         ({"threads": 0}, "threads must be >= 1"),
+        ({"categories": "age"}, "categories must be a sequence of feature names, not the str 'age'"),
     ])
     def test_bad_settings_are_refused_at_construction(self, options, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**options)
+
+    def test_echo_lists_every_field_in_declaration_order(self):
+        config = ExperimentConfig(categories=("age", "gender"), threads=2)
+        assert config.echo() == {"epsilon": 1e-10, "max_sweeps": 1000, "n_folds": 5, "seed": 0,
+                                 "categories": ["age", "gender"], "threads": 2}
+        assert list(config.echo()) == [f.name for f in dataclasses.fields(ExperimentConfig)]

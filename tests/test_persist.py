@@ -212,6 +212,58 @@ def test_raw_ids_of_one_python_type_only(tmp_path, rng, users):
     assert not path.exists()
 
 
+# vocabularies of a 6 x 5 model that cannot serve, and what the error names
+BAD_VOCABULARIES = {
+    "repeated user index": ({"users": {10: 0, 11: 0}}, "users vocabulary maps more than one raw id to dense index 0"),
+    "repeated product index": ({"products": {10: 0, 11: 0, 12: 1}},
+                               "products vocabulary maps more than one raw id to dense index 0"),
+    "negative user index": ({"users": {10: -1}}, re.escape("users vocabulary holds dense index -1, outside [0, 6)")),
+    "user index past the shape": ({"users": {10: 6}}, re.escape("users vocabulary holds dense index 6, outside [0, 6)")),
+    "product index past the shape": ({"products": {"a": 0, "b": 5}},
+                                     re.escape("products vocabulary holds dense index 5, outside [0, 5)")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VOCABULARIES)
+def test_a_vocabulary_that_cannot_serve_is_not_saved(tmp_path, rng, case):
+    vocabularies, why = BAD_VOCABULARIES[case]
+    path = tmp_path / "model.bin"
+    with pytest.raises(UctensorError, match=why):
+        save_model(path, balance(random_sparse_tensor(rng, (6, 5), 0.5), 1, TIGHT), **vocabularies)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("case", BAD_VOCABULARIES)
+def test_a_vocabulary_that_cannot_serve_is_not_loaded(tmp_path, rng, case, version):
+    vocabularies, why = BAD_VOCABULARIES[case]
+    model = balance(random_sparse_tensor(rng, (6, 5), 0.5), 1, TIGHT)
+    path = tmp_path / "model.bin"
+    if version == 2:
+        path.write_text(json.dumps(v2_document(model, **vocabularies)))
+    elif version == 3:
+        path.write_bytes(npz_bytes(v3_members(model, **vocabularies)))
+    else:
+        save_model(path, model)
+        header, members = v4_members(path.read_bytes())
+        for name, vocab in vocabularies.items():
+            members[f"{name}_raw"] = np.asarray(list(vocab))
+            members[f"{name}_index"] = np.asarray(list(vocab.values()), dtype=np.int64)
+        path.write_bytes(v4_bytes(header, members))
+    with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + why):
+        load_model(path)
+
+
+def test_recommend_refuses_a_pick_the_vocabulary_leaves_out(tmp_path, capsys):
+    model = balance(make_tensor((2, 3), {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0, (1, 2): 4.0}), 1, TIGHT)
+    path = tmp_path / "model.bin"
+    save_model(path, model, users={"a": 0, "b": 1}, products={10: 0})  # a partial vocabulary saves
+    assert load_model(path)[1]["products"] == {10: 0}
+    assert main(["recommend", "--model", str(path), "--user", "a", "--top", "3"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the products vocabulary has no raw id for dense product [12]\n", err), err
+
+
 @pytest.mark.parametrize("name", GOLDEN_V2)
 def test_test_side_v2_writer_reproduces_the_golden_files(name):
     text = (GOLDEN / name).read_text()
