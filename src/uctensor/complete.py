@@ -19,26 +19,26 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import ScaleSet, SparseTensor, check_dense_size, index_rows, scale_apply
-
-
-# to_dense fills about this many cells at a time
-DENSE_BLOCK = 1 << 18
+from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, index_rows, scale_apply
 
 
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
     """The fills exp(-log_sums), each finite and non-zero: the package's
     one conversion of log sums to fills (``top_n`` alone skips it, for
-    rows whose every log sum it has bounded).  A log sum in (-700, 700)
+    rows whose every log sum it has bounded).  The fills are written over
+    ``log_sums``, which is returned: every caller (``values_at``,
+    ``fill_at``, ``to_dense``, ``evaluate._uctensor`` and ``top_n``'s
+    whole-row branch) passes a temporary.  A log sum in (-700, 700)
     gives a normal float.  One below about -709 overflows to inf (a tiny
     observed value can do that), and one above about 745 underflows to 0,
     the unobserved marker: either raises, naming the first such cell,
     ``cell_at(i)`` giving the cell of position i.  Callers zero the log
     sums of the cells they answer from the source."""
-    if len(log_sums) and -700.0 < log_sums.min() and log_sums.max() < 700.0:
-        return np.exp(-log_sums)
+    values = np.negative(log_sums, out=log_sums)
+    if len(values) and -700.0 < values.min() and values.max() < 700.0:
+        return np.exp(values, out=values)
     with np.errstate(over="ignore"):
-        values = np.exp(-log_sums)
+        np.exp(values, out=values)
     ok = np.isfinite(values) & (values > 0.0)
     if not ok.all():
         bad = int(np.argmin(ok))
@@ -90,40 +90,17 @@ class CompletedTensor:
         return out
 
     def to_dense(self) -> np.ndarray:
-        """Every cell, observed verbatim and the rest filled: each slab of
-        log sums (``_log_sum_slabs``), the observed cells' zeroed, goes
-        through one ``inverse_scale_fills``, so an unrepresentable fill
-        raises naming the first such cell in row-major order.  8 bytes a
-        cell beside one slab, guarded by ``check_dense_size``."""
-        shape, n = self.shape, self.source.n_cells
-        check_dense_size(n, 8, "dense completion")
-        logs = [self.scales.log[f].reshape([s if d in f else 1 for d, s in enumerate(shape)])
-                for f in self.scales.families]
-        observed, out = self.source._flat, np.empty(n)
-        for lo, sums in _log_sum_slabs(logs, shape, n, 0):
-            hi = lo + len(sums)
-            sums[observed[observed.searchsorted(lo):observed.searchsorted(hi)] - lo] = 0.0
-            out[lo:hi] = inverse_scale_fills(sums, lambda j: tuple(map(int, np.unravel_index(lo + j, shape))))
+        """Every cell, observed verbatim and the rest filled: the flat
+        ``_log_sum_grid``, the observed cells' zeroed, goes through one
+        ``inverse_scale_fills`` in place, so an unrepresentable fill raises
+        naming the first such cell in row-major order.  8 bytes a cell,
+        guarded by ``check_dense_size``."""
+        shape, observed = self.shape, self.source._flat
+        out = self.scales._log_sum_grid("dense completion").reshape(-1)
+        out[observed] = 0.0
+        inverse_scale_fills(out, lambda i: _cell(i, shape))
         out[observed] = self.source.values
         return out.reshape(shape)
-
-
-def _log_sum_slabs(logs, shape, n, start):
-    """``(first flat cell, flat log sums)`` of a grid of ``shape`` (``n``
-    cells, the first at ``start``) in row-major slabs of whole leading rows,
-    about ``DENSE_BLOCK`` cells each; a longer row is split the same way.
-    ``logs``, the family log arrays broadcastable to the grid, add in order."""
-    row = n // shape[0]
-    step = max(1, DENSE_BLOCK // row)
-    for i in range(0, shape[0], step):
-        part = [log[i:i + step] if len(log) > 1 else log for log in logs]  # size 1: broadcast
-        if row > DENSE_BLOCK:
-            yield from _log_sum_slabs([p[0] for p in part], shape[1:], row, start + i * row)
-        else:
-            sums = np.zeros((min(step, shape[0] - i), *shape[1:]))
-            for p in part:
-                sums += p
-            yield start + i * row, sums.reshape(-1)
 
 
 def complete(
@@ -148,6 +125,7 @@ def complete_matrix(matrix: SparseTensor, config: SolverConfig | None = None) ->
 # the most bytes a checked cell each checker peaks at, D = 2 and 3 (see ``check_dense_size``)
 SUPPORT_BYTES_PER_CELL = 80
 ORDERING_BYTES_PER_CELL = 64
+UNIT_GAP_BYTES_PER_CELL = 32
 
 
 @dataclass
@@ -242,12 +220,20 @@ def unit_consistency_gap(tensor: SparseTensor, scales: ScaleSet, config: SolverC
     cancel cell-wise.  Cells the pattern cannot pin (leftover gauge
     freedom, empty subtensors) can honestly differ, since scales attached
     to them are invisible in the scaled data.
+
+    Refused before either solve beyond ``UNIT_GAP_BYTES_PER_CELL`` bytes
+    a cell: the two dense completions and one more grid, in place.
     """
+    check_dense_size(tensor.n_cells, UNIT_GAP_BYTES_PER_CELL, "unit consistency gap")
     completed = complete(tensor, scales.k, config)
     scaled_then_completed = complete(scale_apply(tensor, scales), scales.k, config)
-    lhs = completed.to_dense() * scales.factor_grid()
+    lhs = completed.to_dense()
+    lhs *= scales.factor_grid()
     rhs = scaled_then_completed.to_dense()
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(lhs, rhs)))
+    gap = np.subtract(lhs, rhs)
+    np.abs(gap, out=gap)
+    gap /= np.maximum(lhs, rhs, out=lhs)
+    return float(np.max(gap))
 
 
 # ---------------------------------------------------------------------------

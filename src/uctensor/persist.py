@@ -44,7 +44,7 @@ import numpy as np
 from .balance import LatentModel
 from .complete import CompletedTensor
 from .exceptions import ParseError, UctensorError
-from .tensor import ScaleSet, SparseTensor, family_sub_ids, subtensor_families
+from .tensor import ScaleSet, SparseTensor, _cell, family_sub_ids, subtensor_families
 
 FORMAT = "uctensor-model"
 VERSION = 4
@@ -237,7 +237,7 @@ def _scale_set(source: SparseTensor, k, logs: dict, flags: dict | None) -> Scale
         wrong = scales.nonempty[fixed] != derived[fixed]
         if wrong.any():
             sub = int(np.argmax(wrong))
-            at = tuple(int(c) for c in np.unravel_index(sub, [source.shape[d] for d in fixed]))
+            at = _cell(sub, [source.shape[d] for d in fixed])
             held = "holds entries" if derived[fixed][sub] else "holds none"
             raise ParseError(
                 f"non-empty flag of family {fixed} subtensor {at} disagrees with the entries: "

@@ -318,7 +318,7 @@ class ScaleSet:
             finite = np.isfinite(log)
             if not finite.all():
                 sub = int(np.argmin(finite))
-                at = f"family {f} subtensor {tuple(int(c) for c in np.unravel_index(sub, dims))}"
+                at = f"family {f} subtensor {_cell(sub, dims)}"
                 if log[sub] == -np.inf:
                     raise NonPositiveValueError(f"scale of {at} is 0 (log -inf)")
                 raise NonFiniteValueError(f"log scale of {at} is not finite, got {log[sub]}")
@@ -345,14 +345,23 @@ class ScaleSet:
             mask |= ~self.nonempty[fixed][sub_ids(rows, self.shape, fixed)]
         return mask
 
-    def factor_grid(self) -> np.ndarray:
-        """Dense per-cell product of scales over all containing keys (empty
-        keys contribute 1), summed in log space; a product beyond the float
-        range is inf or 0, with no warning.  In place: 8 bytes a cell."""
-        check_dense_size(math.prod(self.shape), 8, "dense factor grid")
+    def _log_sum_grid(self, what: str) -> np.ndarray:
+        """Dense per-cell sum of log scales over all containing keys (empty
+        keys contribute 0), added family by family in family order from
+        zeros, as ``log_sum_at`` adds them: 8 bytes a cell, refused as
+        ``what`` by ``check_dense_size`` before it is allocated."""
+        check_dense_size(math.prod(self.shape), 8, what)
         grid = np.zeros(self.shape)
         for fixed in self.families:
             grid += self.log[fixed].reshape([s if d in fixed else 1 for d, s in enumerate(self.shape)])
+        return grid
+
+    def factor_grid(self) -> np.ndarray:
+        """Dense per-cell product of scales over all containing keys (empty
+        keys contribute 1): ``_log_sum_grid`` exponentiated in place, so 8
+        bytes a cell; a product beyond the float range is inf or 0, with
+        no warning."""
+        grid = self._log_sum_grid("dense factor grid")
         with np.errstate(over="ignore"):
             return np.exp(grid, out=grid)
 

@@ -33,7 +33,7 @@ from uctensor import (
     top_n,
     unit_consistency_gap,
 )
-from uctensor.complete import DENSE_BLOCK, ORDERING_BYTES_PER_CELL, SUPPORT_BYTES_PER_CELL
+from uctensor.complete import ORDERING_BYTES_PER_CELL, SUPPORT_BYTES_PER_CELL, UNIT_GAP_BYTES_PER_CELL
 from uctensor.tensor import MAX_DENSE_CELLS
 from uctensor.properties import (
     _ordered,
@@ -205,6 +205,19 @@ class TestUnitConsistency:
         z = random_scale_set(rng, (6, 5, 4), 1)
         assert unit_consistency_gap(t, z, TIGHT) < 1e-8
 
+    def test_at_most_its_guards_bytes_a_cell(self):
+        rng = np.random.default_rng(0)
+        t = random_sparse_tensor(rng, (600, 500), 0.05)
+        z = random_scale_set(rng, t.shape, 1)
+        tracemalloc.start()
+        try:
+            gap = unit_consistency_gap(t, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap < 1e-5
+        assert peak / t.n_cells <= UNIT_GAP_BYTES_PER_CELL, peak / t.n_cells
+
 
 class TestConsensusOrdering:
     def make_instance(self):
@@ -372,6 +385,8 @@ class TestConsensusOrdering:
 
 # 2217 * 22553 = MAX_DENSE_CELLS + 1 cells, whose scales are small arrays
 JUST_OVER = (2217, 22553)
+# 81 * 154321 = 8 * MAX_DENSE_CELLS // UNIT_GAP_BYTES_PER_CELL + 1 cells
+GAP_JUST_OVER = (81, 154321)
 
 
 def _over_the_bound(site):
@@ -380,6 +395,7 @@ def _over_the_bound(site):
     ones = {(0,): np.ones(JUST_OVER[0], dtype=bool), (1,): np.ones(JUST_OVER[1], dtype=bool)}
     scales = ScaleSet(JUST_OVER, 1, {f: np.zeros(len(a)) for f, a in ones.items()}, ones)
     support_bound = 8 * MAX_DENSE_CELLS // SUPPORT_BYTES_PER_CELL
+    gap_bound = 8 * MAX_DENSE_CELLS // UNIT_GAP_BYTES_PER_CELL
     empty = SparseTensor((MAX_DENSE_CELLS + 1, 1), np.empty((0, 2)), [])
     return {
         "SparseTensor.to_dense": (empty.to_dense, MAX_DENSE_CELLS, "dense tensor"),
@@ -390,18 +406,29 @@ def _over_the_bound(site):
         "check_full_support": (
             partial(check_full_support, SparseTensor((support_bound + 1, 1), np.empty((0, 2)), [])),
             support_bound, "support check"),
+        "unit_consistency_gap": (
+            partial(unit_consistency_gap, SparseTensor(GAP_JUST_OVER, [[0, 0]], [1.0]),
+                    random_scale_set(np.random.default_rng(0), GAP_JUST_OVER, 1)),
+            gap_bound, "unit consistency gap"),
     }[site]
 
 
 class TestDenseBound:
     """Every dense site refuses, through ``check_dense_size``, work of
     more cells than 400 MB holds at its bytes a cell, before it allocates
-    anything; the ordering check's own test is in TestConsensusOrdering."""
+    anything, and before any solve; the ordering check's own test is in
+    TestConsensusOrdering."""
 
     @pytest.mark.parametrize("site", ["SparseTensor.to_dense", "ScaleSet.factor_grid",
-                                      "CompletedTensor.to_dense", "check_full_support"])
-    def test_just_over_the_bound_is_refused_before_any_allocation(self, site):
+                                      "CompletedTensor.to_dense", "check_full_support",
+                                      "unit_consistency_gap"])
+    def test_just_over_the_bound_is_refused_before_any_allocation(self, site, monkeypatch):
         call, bound, what = _over_the_bound(site)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError(f"{site} solved before its size check")
+
+        monkeypatch.setattr(complete_module, "balance", no_solve)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(f"{what} of {bound + 1} cells exceeds its bound of {bound}")):
@@ -644,18 +671,28 @@ class TestCellLookup:
             with pytest.raises(IndexOutOfBoundsError, match=r"index array of shape \(1, "):
                 scalar(short)
 
-    @pytest.mark.parametrize("block", [DENSE_BLOCK, 7])
     @given(completed=completions())
     @settings(max_examples=150, deadline=None)
-    def test_to_dense_is_the_grid_path(self, block, completed):
+    def test_to_dense_is_the_grid_path(self, completed):
         grid, first_bad = grid_path_dense(completed)
         assert first_bad is None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(complete_module, "DENSE_BLOCK", block)
-            dense = completed.to_dense()
+        dense = completed.to_dense()
         assert dense.shape == grid.shape and dense.tobytes() == grid.tobytes()
 
-    @pytest.mark.parametrize("block", [DENSE_BLOCK, 1])
+    def test_to_dense_takes_one_grid(self):
+        # the log-sum grid becomes the fills in place, so the one 8-byte
+        # grid is all that grows with the cell count
+        rng = np.random.default_rng(0)
+        t = random_sparse_tensor(rng, (2000, 1500), 0.05)
+        completed = CompletedTensor(LatentModel(t, random_scale_set(rng, t.shape, 1), 0, 0.0))
+        tracemalloc.start()
+        try:
+            completed.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / t.n_cells <= 8.5, peak / t.n_cells
+
     @pytest.mark.parametrize(
         "corner, error",
         [
@@ -664,11 +701,10 @@ class TestCellLookup:
         ],
         ids=["overflow", "underflow"],
     )
-    def test_to_dense_names_the_grid_paths_first_bad_cell(self, corner, error, block, monkeypatch):
+    def test_to_dense_names_the_grid_paths_first_bad_cell(self, corner, error):
         completed = corner()
         _, first_bad = grid_path_dense(completed)
         assert first_bad is not None
-        monkeypatch.setattr(complete_module, "DENSE_BLOCK", block)
         with pytest.raises(error, match=re.escape(f"at index {first_bad} ")):
             completed.to_dense()
 
