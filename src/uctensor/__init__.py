@@ -23,7 +23,6 @@ from .complete import (
 from .datasets import (
     FoldPlan,
     RatingsDataset,
-    UserFeatures,
     build_tensor_2d,
     build_tensor_3d,
     encode_features,

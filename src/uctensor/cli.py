@@ -151,7 +151,7 @@ def cmd_evaluate(args) -> int:
     else:
         options = {name: getattr(args, name) for name in ("epsilon", "max_sweeps", "threads")
                    if getattr(args, name) is not None}
-        if args.features:
+        if args.features is not None:
             options["categories"] = tuple(args.features.split(","))
         config = ExperimentConfig(n_folds=args.folds, seed=args.seed, **options)
         report = run_experiment(dataset, args.mode or "2d", config)

@@ -30,6 +30,7 @@ from .exceptions import (
     KeyOrderError,
     MissingFeatureFileError,
     ParseError,
+    ShapeMismatchError,
     TooFewRecordsError,
     UnknownCategoryError,
 )
@@ -38,20 +39,13 @@ from .tensor import SparseTensor
 JESTER_SENTINEL = 99.0
 _INT64 = np.iinfo(np.int64)
 
-# feature blocks, in the fixed concatenation order
+# feature blocks, in the fixed concatenation order: the columns of a
+# dataset's features table
 AGE_GROUPS = 6
 GENDER_INDEX = {"F": 0, "M": 1}
 OCCUPATIONS = 21
 FEATURE_BLOCKS = (("age", AGE_GROUPS), ("gender", 2), ("occupation", OCCUPATIONS))
 CATEGORY_ALIASES = {"age": "age", "gender": "gender", "occupation": "occupation", "occup": "occupation"}
-
-
-@dataclass(frozen=True)
-class UserFeatures:
-    user_id: int
-    gender: str  # "M" | "F"
-    age: int
-    occupation: int
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,11 @@ class RatingsDataset:
     Records stay in file order.  ``key_order`` lists the record positions
     by strictly increasing (user, product) key, the row-major order of a
     users x products tensor; it is checked once, here, and every fold's
-    training tensor is a subsequence of it.  The key order and the two
-    dense index columns are read-only."""
+    training tensor is a subsequence of it.  ``features``, when given, is
+    the (n_users, 3) table of each dense user's age group, gender and
+    occupation codes, in ``FEATURE_BLOCKS`` order; a user the users file
+    lacks has -1 in every column.  The key order, the two dense index
+    columns and the features table are read-only."""
 
     name: str
     users: dict  # raw user id -> dense index
@@ -74,10 +71,18 @@ class RatingsDataset:
     shift: float
     native_range: tuple
     key_order: np.ndarray  # record positions by ascending (user, product) key
-    features: dict | None = None  # raw user id -> UserFeatures
+    features: np.ndarray | None = None  # (n_users, 3) feature codes per dense user
     duplicates_dropped: int = 0
 
     def __post_init__(self):
+        if self.features is not None:
+            table = np.asarray(self.features)
+            expected = (self.n_users, len(FEATURE_BLOCKS))
+            if table.shape != expected:
+                raise ShapeMismatchError(f"features has shape {table.shape}, expected {expected}")
+            table = table.astype(np.int64)
+            table.setflags(write=False)
+            object.__setattr__(self, "features", table)
         n = len(self.rating_values)
         for name in ("key_order", "user_index", "product_index"):
             column = np.asarray(getattr(self, name), dtype=np.int64)
@@ -122,9 +127,6 @@ class RatingsDataset:
     def shifted_values(self) -> np.ndarray:
         return self.rating_values + self.shift
 
-    def unshift(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values) - self.shift
-
 
 def _dense_vocab(raw_ids: np.ndarray) -> tuple[dict, np.ndarray]:
     """First-encounter-order vocabulary and the per-record dense indices."""
@@ -164,12 +166,18 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finalize(name, raw_u, raw_p, ratings, shift, native_range, features):
+    """The dataset of the parsed columns.  ``features`` maps raw user ids
+    to their feature codes, or is None for no users file."""
     users, u_dense = _dense_vocab(raw_u)
     products, p_dense = _dense_vocab(raw_p)
     # dense keys stay below n_users * n_products whatever the raw ids are,
     # and a user's (or product's) first record is always kept, so dropping
     # duplicates leaves both vocabularies unchanged
     keep, key_order = _first_occurrences(u_dense * len(products) + p_dense)
+    if features is not None:
+        # the vocabulary lists its raw ids in dense-index order
+        lacking = (-1,) * len(FEATURE_BLOCKS)
+        features = np.array([features.get(raw, lacking) for raw in users], dtype=np.int64)
     return RatingsDataset(
         name=name,
         users=users,
@@ -213,7 +221,8 @@ def _check_int64(*values) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _user_line(line: str) -> UserFeatures:
+def _user_line(line: str) -> tuple:
+    """``(user id, (age group, gender, occupation codes))`` of one line."""
     parts = line.split("::")
     if len(parts) < 4:
         raise ValueError("expected UserID::Gender::Age::Occupation[::Zip]")
@@ -224,12 +233,13 @@ def _user_line(line: str) -> UserFeatures:
         raise ValueError(f"negative age {age}")
     if not 0 <= occupation < OCCUPATIONS:
         raise ValueError(f"occupation must be in [0, {OCCUPATIONS - 1}], got {occupation}")
-    return UserFeatures(uid, gender, age, occupation)
+    return uid, (age_group(age), GENDER_INDEX[gender], occupation)
 
 
 def _load_movielens_users(path) -> dict:
+    """{raw user id: feature codes}; a repeated id keeps its last line."""
     with open(path, encoding="latin-1") as fh:
-        return {f.user_id: f for f in _parse_lines(path, fh, _user_line)}
+        return dict(_parse_lines(path, fh, _user_line))
 
 
 _FIRST_LINE = re.compile(r"[^\n]+")
@@ -399,51 +409,22 @@ def age_group(age: int) -> int:
     return min(int(age) // 10, AGE_GROUPS - 1)
 
 
-class FeatureEncoding:
-    """Concatenated feature blocks (age: 6, gender: 2, occupation: 21, in
-    that fixed order for whichever categories are included); each user maps
-    to exactly one index per included block."""
-
-    def __init__(self, categories):
-        resolved = []
-        for cat in categories:
-            canon = CATEGORY_ALIASES.get(str(cat).lower())
-            if canon is None:
-                raise UnknownCategoryError(
-                    f"unknown feature category {cat!r}; expected age, gender or occupation"
-                )
-            if canon not in resolved:
-                resolved.append(canon)
-        if not resolved:
-            raise UnknownCategoryError("at least one feature category is required")
-        # fixed block order regardless of the order given
-        self.categories = tuple(name for name, _ in FEATURE_BLOCKS if name in resolved)
-        self.offsets = {}
-        dim = 0
-        for name, width in FEATURE_BLOCKS:
-            if name in self.categories:
-                self.offsets[name] = dim
-                dim += width
-        self.dim = dim
-
-    def indices_for(self, feats: UserFeatures) -> tuple:
-        out = []
-        for name in self.categories:
-            base = self.offsets[name]
-            if name == "age":
-                out.append(base + age_group(feats.age))
-            elif name == "gender":
-                out.append(base + GENDER_INDEX[feats.gender])
-            else:
-                out.append(base + feats.occupation)
-        return tuple(out)
-
-
-def encode_features(features: dict, categories) -> tuple[FeatureEncoding, dict]:
-    """Resolve categories into a FeatureEncoding and map every user in the
-    features table to its feature indices: {raw user id: (idx, ...)}."""
-    enc = FeatureEncoding(categories)
-    return enc, {uid: enc.indices_for(f) for uid, f in features.items()}
+def encode_features(categories) -> tuple:
+    """The ``FEATURE_BLOCKS`` positions of ``categories``, ascending: the
+    blocks concatenate in that fixed order whatever the order given, and
+    an alias or a repeat names its block once."""
+    names = [name for name, _ in FEATURE_BLOCKS]
+    blocks = set()
+    for cat in categories:
+        canon = CATEGORY_ALIASES.get(str(cat).lower())
+        if canon is None:
+            raise UnknownCategoryError(
+                f"unknown feature category {cat!r}; expected age, gender or occupation"
+            )
+        blocks.add(names.index(canon))
+    if not blocks:
+        raise UnknownCategoryError("at least one feature category is required")
+    return tuple(sorted(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +444,15 @@ class FoldPlan:
 
 def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     """Uniform random fold assignment of records; deterministic for a given
-    (dataset order, seed); fold sizes within +-1 of each other."""
+    (dataset order, seed); fold sizes within +-1 of each other.  The seed
+    must be an int >= 0."""
     n = len(dataset.rating_values)
     if n_folds < 2:
         raise TooFewRecordsError(f"need at least 2 folds, got {n_folds}")
     if n < n_folds:
         raise TooFewRecordsError(f"{n} records cannot fill {n_folds} folds")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int64)
     assignment[rng.permutation(n)] = np.arange(n) % n_folds
@@ -507,22 +491,26 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     return records_tensor(dataset, order[fold_plan.assignment[order] != test_fold])
 
 
-def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[FeatureEncoding, np.ndarray]:
-    """The feature encoding of ``categories`` and the (n_users, n_cat)
-    array of each dense user's feature indices.  Raises
-    MissingFeatureFileError when the dataset has no features table or a
-    user is missing from it, and UnknownCategoryError for a bad category."""
+def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[int, np.ndarray]:
+    """The width of the concatenated blocks of ``categories`` and the
+    (n_users, n_cat) array of each dense user's feature indices, one column
+    per included block, offset by the widths of the blocks before it.
+    Raises MissingFeatureFileError when the dataset has no features table
+    or a user is missing from it, and UnknownCategoryError for a bad
+    category."""
     if dataset.features is None:
         raise MissingFeatureFileError(
             f"dataset {dataset.name!r} has no user features; 3-D mode needs a users file"
         )
-    enc, by_raw_user = encode_features(dataset.features, categories)
-    feats_per_user = np.full((dataset.n_users, len(enc.categories)), -1, dtype=np.int64)
-    for raw, dense in dataset.users.items():
-        if raw not in by_raw_user:
-            raise MissingFeatureFileError(f"user {raw} missing from the features table")
-        feats_per_user[dense] = by_raw_user[raw]
-    return enc, feats_per_user
+    blocks = list(encode_features(categories))
+    codes = dataset.features[:, blocks]
+    missing = (codes < 0).any(axis=1)
+    if missing.any():
+        raw = next(raw for raw, dense in dataset.users.items() if missing[dense])
+        raise MissingFeatureFileError(f"user {raw} missing from the features table")
+    widths = [FEATURE_BLOCKS[b][1] for b in blocks]
+    codes += np.cumsum([0, *widths[:-1]])
+    return sum(widths), codes
 
 
 def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):
@@ -538,7 +526,7 @@ def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, te
 
     Returns ``(tensor, pairs, truth, features)``."""
     _check_plan_length(fold_plan, dataset)
-    enc, feats_per_user = user_feature_indices(dataset, categories)
+    dim, feats_per_user = user_feature_indices(dataset, categories)
     test = fold_plan.test_mask(test_fold)
     train = ~test
     u = dataset.user_index[train]
@@ -552,7 +540,7 @@ def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, te
     indices[:, 1] = feats_per_user[u].reshape(-1)
     indices[:, 2] = np.repeat(p, n_cat)
     values = np.repeat(r, n_cat)
-    shape = (dataset.n_users, enc.dim, dataset.n_products)
+    shape = (dataset.n_users, dim, dataset.n_products)
     tensor = SparseTensor(shape, indices, values)
 
     test_users = dataset.user_index[test]

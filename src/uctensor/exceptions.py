@@ -27,7 +27,8 @@ class InvalidKError(UctensorError, ValueError):
 
 
 class ShapeMismatchError(UctensorError, ValueError):
-    """Tensor and scale set disagree on shape."""
+    """Tensor and scale set, or a features table and its users, disagree
+    on shape."""
 
 
 class EmptyTensorError(UctensorError, ValueError):

@@ -273,6 +273,15 @@ class TestEvaluate:
         assert code == 1
         assert "feature" in capsys.readouterr().err.lower()
 
+    def test_an_empty_features_list_fails(self, tmp_path, capsys):
+        ratings, users = write_movielens_fixture(tmp_path, seed=4)
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--dataset", "movielens1m", "--ratings", str(ratings), "--users", str(users),
+                     "--mode", "3d", "--features", "", "--folds", "3", "--out", str(out)])
+        assert code == 1
+        assert "unknown feature category ''" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baseline_and_trace(self, tmp_path, capsys):
         ratings, _ = write_movielens_fixture(tmp_path, seed=4)
         trace = tmp_path / "trace.csv"

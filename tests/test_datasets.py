@@ -12,6 +12,7 @@ from uctensor import (
     KeyOrderError,
     MissingFeatureFileError,
     ParseError,
+    ShapeMismatchError,
     SparseTensor,
     TooFewRecordsError,
     UnknownCategoryError,
@@ -25,11 +26,11 @@ from uctensor import (
     split_kfold,
 )
 from uctensor.datasets import (
-    UserFeatures,
     _dense_vocab,
     _parse_movielens_bulk,
     age_group,
     records_tensor,
+    user_feature_indices,
 )
 from uctensor.properties import synthetic_dataset
 
@@ -71,8 +72,38 @@ class TestMovieLens:
     def test_parse_users(self, ml_files):
         ratings, users = ml_files
         ds = load_movielens(ratings, users_path=users)
-        assert ds.features[1] == UserFeatures(1, "F", 1, 10)
-        assert ds.features[2] == UserFeatures(2, "M", 56, 16)
+        # (age group, gender, occupation) codes, one row per dense user
+        assert ds.features[ds.users[1]].tolist() == [0, 0, 10]
+        assert ds.features[ds.users[2]].tolist() == [5, 1, 16]
+        assert ds.features.shape == (3, 3) and ds.features.dtype == np.int64
+
+    def test_a_user_the_users_file_lacks_gets_minus_one_codes(self, ml_files):
+        ratings, users = ml_files
+        users.write_text(ML_USERS.replace("2::M::56::16::70072\n", ""))
+        ds = load_movielens(ratings, users_path=users)
+        assert ds.features[ds.users[2]].tolist() == [-1, -1, -1]
+        assert ds.features[ds.users[3]].tolist() == [2, 1, 15]
+        # the dataset loads; a 3-D build names the user
+        with pytest.raises(MissingFeatureFileError, match="^user 2 missing from the features table$"):
+            user_feature_indices(ds, ("gender",))
+
+    def test_the_features_table_cannot_change(self, ml_files):
+        ds = load_movielens(*ml_files)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((2, 3), dtype=np.int64),  # one user short
+            np.zeros((3, 2), dtype=np.int64),  # one category short
+            {1: (0, 0, 10), 2: (5, 1, 16), 3: (2, 1, 15)},  # the old {raw id: features} dict
+        ],
+    )
+    def test_a_features_table_of_another_shape_is_refused(self, ml_files, table):
+        ds = load_movielens(*ml_files)
+        with pytest.raises(ShapeMismatchError, match=r"features has shape .*, expected \(3, 3\)"):
+            dataclasses.replace(ds, features=table)
 
     def test_rating_outside_native_range(self, tmp_path):
         bad = tmp_path / "bad.dat"
@@ -354,15 +385,6 @@ class TestJester:
         assert ds.n_users == 3
         assert int((ds.user_index == 1).sum()) == 0
 
-    def test_unshift_round_trip(self, tmp_path):
-        f = tmp_path / "jester.csv"
-        f.write_text("3,-10.0,3.5,-0.25\n")
-        ds = load_jester(f)
-        np.testing.assert_allclose(
-            ds.unshift(ds.shifted_values), ds.rating_values, atol=1e-12
-        )
-        assert ds.shifted_values.min() == 1.0
-
     def test_out_of_range_value(self, tmp_path):
         f = tmp_path / "jester.csv"
         f.write_text("1,-10.5,99\n")
@@ -377,38 +399,41 @@ class TestJester:
 
 
 class TestFeatureEncoding:
-    table = {
-        1: UserFeatures(1, "F", 1, 10),
-        2: UserFeatures(2, "M", 56, 16),
-        3: UserFeatures(3, "M", 25, 15),
-    }
+    @staticmethod
+    def indices(ml_files, categories):
+        """The blocks' width and {raw user id: feature indices}."""
+        ds = load_movielens(*ml_files)
+        dim, index = user_feature_indices(ds, categories)
+        return dim, {raw: tuple(index[dense].tolist()) for raw, dense in ds.users.items()}
 
     def test_age_group_cap(self):
         assert age_group(56) == 5
         assert age_group(1) == 0
         assert age_group(25) == 2
 
-    def test_age_gender_blocks(self):
-        enc, index = encode_features(self.table, ("age", "gender"))
-        assert enc.dim == 8
+    def test_age_gender_blocks(self, ml_files):
+        dim, index = self.indices(ml_files, ("age", "gender"))
+        assert dim == 8
         assert index[3] == (2, 6 + 1)  # age 25 -> group 2; male -> 6 + 1
         assert index[1] == (0, 6 + 0)  # age 1 -> group 0; female -> 6 + 0
 
-    def test_occupation_block(self):
-        enc, index = encode_features(self.table, ("occupation",))
-        assert enc.dim == 21
+    def test_occupation_block(self, ml_files):
+        dim, index = self.indices(ml_files, ("occupation",))
+        assert dim == 21
         assert index[1] == (10,)
 
-    def test_alias_and_order_independence(self):
-        a, _ = encode_features(self.table, ("occup", "age"))
-        assert a.categories == ("age", "occupation")
-        assert a.dim == 27
+    def test_alias_and_order_independence(self, ml_files):
+        assert encode_features(("occup", "age")) == (0, 2)
+        assert encode_features(("Gender", "age", "gender")) == (0, 1)
+        dim, index = self.indices(ml_files, ("occup", "age"))
+        assert dim == 27
+        assert index[2] == (5, 6 + 16)  # age 56 -> group 5; occupation 16 after the age block
 
     def test_unknown_category(self):
-        with pytest.raises(UnknownCategoryError):
-            encode_features(self.table, ("zodiac",))
-        with pytest.raises(UnknownCategoryError):
-            encode_features(self.table, ())
+        with pytest.raises(UnknownCategoryError, match="unknown feature category 'zodiac'"):
+            encode_features(("zodiac",))
+        with pytest.raises(UnknownCategoryError, match="at least one feature category"):
+            encode_features(())
 
 
 class TestSplitting:
@@ -444,6 +469,13 @@ class TestSplitting:
             split_kfold(ds, 1, seed=0)
         with pytest.raises(TooFewRecordsError):
             split_kfold(ds, 99, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "0"])
+    def test_a_seed_that_is_not_an_int_at_least_0_is_named(self, ml_files, seed):
+        ds = load_movielens(ml_files[0])
+        with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got "):
+            split_kfold(ds, 5, seed)
+        assert split_kfold(ds, 5, np.int64(3)).seed == 3
 
 
 class TestTensorConstruction:

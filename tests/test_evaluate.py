@@ -158,6 +158,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(ds, "4d", ExperimentConfig())
 
+    def test_a_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got -1$"):
+            run_experiment(synthetic_dataset(0), "2d", ExperimentConfig(seed=-1))
+
 
 class TestCrossValidate:
     def test_an_oracle_predictor_scores_zero_on_every_fold_in_order(self):
