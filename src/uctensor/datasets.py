@@ -80,6 +80,16 @@ class RatingsDataset:
             expected = (self.n_users, len(FEATURE_BLOCKS))
             if table.shape != expected:
                 raise ShapeMismatchError(f"features has shape {table.shape}, expected {expected}")
+            if table.dtype.kind not in "iu":
+                raise ShapeMismatchError(f"features has dtype {table.dtype}, expected integer codes")
+            # each code lies in its block, or the whole row is -1
+            widths = [width for _, width in FEATURE_BLOCKS]
+            bad = ~(((table >= 0) & (table < widths)).all(axis=1) | (table == -1).all(axis=1))
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ShapeMismatchError(
+                    f"features row {row} is {table[row].tolist()}, expected codes below {widths} or -1 throughout"
+                )
             table = table.astype(np.int64)
             table.setflags(write=False)
             object.__setattr__(self, "features", table)

@@ -27,8 +27,8 @@ class InvalidKError(UctensorError, ValueError):
 
 
 class ShapeMismatchError(UctensorError, ValueError):
-    """Tensor and scale set, or a features table and its users, disagree
-    on shape."""
+    """Tensor and scale set disagree on shape, or a features table does
+    not fit its users and feature blocks."""
 
 
 class EmptyTensorError(UctensorError, ValueError):

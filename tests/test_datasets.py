@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -35,6 +36,8 @@ from uctensor.datasets import (
 from uctensor.properties import synthetic_dataset
 
 from conftest import write_movielens_fixture
+
+REPO = Path(__file__).resolve().parents[1]
 
 ML_RATINGS = """1::1193::5::978300760
 1::661::3::978302109
@@ -104,6 +107,46 @@ class TestMovieLens:
         ds = load_movielens(*ml_files)
         with pytest.raises(ShapeMismatchError, match=r"features has shape .*, expected \(3, 3\)"):
             dataclasses.replace(ds, features=table)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ([6, 0, 0], r"row 1 is \[6, 0, 0\], expected codes below \[6, 2, 21\] or -1 throughout"),
+            ([7, 7, 7], r"row 1 is \[7, 7, 7\]"),  # age 7 would index the gender block
+            ([0, 2, 0], r"row 1 is \[0, 2, 0\]"),
+            ([0, 0, 21], r"row 1 is \[0, 0, 21\]"),
+            ([0, -1, 0], r"row 1 is \[0, -1, 0\]"),  # -1 in some columns only
+            ([-2, -2, -2], r"row 1 is \[-2, -2, -2\]"),
+        ],
+    )
+    def test_a_code_outside_its_block_is_refused(self, ml_files, row, match):
+        ds = load_movielens(*ml_files)
+        table = np.array([[0, 0, 10], row, [-1, -1, -1]])
+        with pytest.raises(ShapeMismatchError, match=match):
+            dataclasses.replace(ds, features=table)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_a_features_table_of_other_than_integer_codes_is_refused(self, ml_files, dtype):
+        ds = load_movielens(*ml_files)
+        with pytest.raises(ShapeMismatchError, match="features has dtype .*, expected integer codes"):
+            dataclasses.replace(ds, features=np.zeros((3, 3), dtype=dtype))
+
+    def test_an_unsigned_table_is_checked_before_it_is_cast(self, ml_files):
+        ds = load_movielens(*ml_files)
+        table = np.zeros((3, 3), dtype=np.uint64)
+        assert dataclasses.replace(ds, features=table).features.dtype == np.int64
+        table[2] = np.iinfo(np.uint64).max  # would cast to -1 in every column
+        with pytest.raises(ShapeMismatchError, match="row 2"):
+            dataclasses.replace(ds, features=table)
+
+    def test_the_benchmark_users_file_has_a_line_for_every_user(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("bench_gen", REPO / "perfbench" / "bench_gen.py")
+        bench_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_gen)
+        bench_gen.write_ratings(tmp_path, 7, n_users=120, n_items=80, n_pairs=2500)
+        ds = load_movielens(tmp_path / "ratings.dat", tmp_path / "users.dat")
+        assert ds.features.shape == (120, 3)
+        assert (ds.features >= 0).all()  # no user has the missing-user code
 
     def test_rating_outside_native_range(self, tmp_path):
         bad = tmp_path / "bad.dat"
