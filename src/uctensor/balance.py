@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DidNotConvergeError, EmptyTensorError
-from .tensor import ScaleSet, SparseTensor, family_sub_ids, scale_apply, subtensor_families
+from .tensor import ScaleSet, SparseTensor, check_int, family_sub_ids, scale_apply, subtensor_families
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        check_int("max_sweeps", self.max_sweeps, 1)
 
 
 def _max_square(r: np.ndarray) -> float:

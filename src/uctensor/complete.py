@@ -19,7 +19,7 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, index_rows, scale_apply
+from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, check_int, index_rows, scale_apply
 
 
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
@@ -153,13 +153,17 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
 
     For each unobserved index i we search offset vectors s (per-dimension
     signed, magnitude up to max_offset: None for every offset, else one
-    int for all dimensions) such that every index i + delta, with delta_d
-    in {0, s_d} and delta != 0, is observed.  The first such s
-    (nearest-first order) is recorded as the witness.
+    int >= 1 for all dimensions) such that every index i + delta, with
+    delta_d in {0, s_d} and delta != 0, is observed.  The first such s
+    (nearest-first order) is recorded as the witness.  A cell whose line
+    along some dimension holds no observed cell has no witness (the
+    corner i + s_d along that dimension is never observed): it is a
+    violation up front, left out of the search.
 
-    The unobserved cells' flat keys are one array, the witnessed ones in
+    The unobserved cells' flat keys are one array: the witnessed ones in
     front in the order found (``found`` notes each one's offset by its
-    place in the search) and the pending ones behind, row-major.  Peaks at
+    place in the search), the pending ones behind, row-major, and the
+    up-front violations last, row-major.  Peaks at
     ``SUPPORT_BYTES_PER_CELL`` bytes a cell for D = 2 and 3, the report
     most of it.  Exponential in D and linear in the search volume: a
     verification tool, not a production path.
@@ -167,21 +171,27 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
     shape, ndim, n = tensor.shape, tensor.ndim, tensor.n_cells
     if max_offset is None:
         max_offset = max(shape)
-    elif not isinstance(max_offset, (int, np.integer)):
-        raise ValueError(f"max_offset must be None or one int, got {max_offset!r}")
+    else:
+        check_int("max_offset", max_offset, 1)
     check_dense_size(n, SUPPORT_BYTES_PER_CELL, "support check")
     observed = np.zeros(n, dtype=bool)
     observed[tensor._flat] = True
-    keys = np.flatnonzero(~observed)
-    found, w = np.empty_like(keys), 0  # keys[:w] are witnessed
+    lonely = np.zeros(shape, dtype=bool)  # on a line holding no observed cell
+    for d in range(ndim):
+        lonely |= ~observed.reshape(shape).any(axis=d, keepdims=True)
+    lonely = lonely.reshape(-1)
+    keys = np.concatenate((np.flatnonzero(~(observed | lonely)), np.flatnonzero(lonely)))
+    m = len(keys) - int(np.count_nonzero(lonely))  # keys[:m] are searched
+    del lonely
+    found, w = np.empty(m, dtype=np.int64), 0  # keys[:w] are witnessed
     strides = [math.prod(shape[d + 1:]) for d in range(ndim)]
     corners = [c for c in itertools.product((0, 1), repeat=ndim) if any(c)]
     # per dimension, the signed offsets 1, -1, 2, -2, ... out to min(max_offset, size - 1)
     searched = [[a * sign for a in range(1, min(max_offset, size - 1) + 1) for sign in (1, -1)] for size in shape]
     for place, s in enumerate(itertools.product(*searched)):
-        if w == len(keys):
+        if w == m:
             break
-        pending = keys[w:]
+        pending = keys[w:m]
         ok = np.ones(len(pending), dtype=bool)
         for sd, size, stride in zip(s, shape, strides):
             coord = pending // stride
@@ -191,7 +201,7 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
             ok[ok] = observed[pending[ok] + sum(sd * stride for sd, stride, c in zip(s, strides, corner) if c)]
         hits = int(np.count_nonzero(ok))
         if hits:
-            keys[w:] = np.concatenate((pending[ok], pending[~ok]))
+            keys[w:m] = np.concatenate((pending[ok], pending[~ok]))
             found[w:w + hits] = place
             w += hits
     del observed
@@ -200,6 +210,8 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
     _unravel(found[:w], [len(offsets) for offsets in searched], witnesses[:, 1])
     for d, offsets in enumerate(searched):
         witnesses[:, 1, d] = np.take(offsets, witnesses[:, 1, d])
+    del found
+    keys[w:].sort()  # the pending and the up-front violations, merged row-major
     violations = np.empty((len(keys) - w, ndim), dtype=np.int64)
     _unravel(keys[w:], shape, violations)
     return SupportReport(len(violations) == 0, violations, witnesses)

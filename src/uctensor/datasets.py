@@ -34,7 +34,7 @@ from .exceptions import (
     TooFewRecordsError,
     UnknownCategoryError,
 )
-from .tensor import SparseTensor
+from .tensor import SparseTensor, check_int
 
 JESTER_SENTINEL = 99.0
 _INT64 = np.iinfo(np.int64)
@@ -454,15 +454,15 @@ class FoldPlan:
 
 def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     """Uniform random fold assignment of records; deterministic for a given
-    (dataset order, seed); fold sizes within +-1 of each other.  The seed
-    must be an int >= 0."""
+    (dataset order, seed); fold sizes within +-1 of each other.  n_folds
+    must be an int >= 2, the seed an int >= 0."""
     n = len(dataset.rating_values)
     if n_folds < 2:
         raise TooFewRecordsError(f"need at least 2 folds, got {n_folds}")
+    check_int("n_folds", n_folds, 2)
     if n < n_folds:
         raise TooFewRecordsError(f"{n} records cannot fill {n_folds} folds")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int64)
     assignment[rng.permutation(n)] = np.arange(n) % n_folds

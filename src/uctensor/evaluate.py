@@ -26,6 +26,7 @@ from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, split_kfold, us
 from .datasets import _check_plan_length
 from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
 from .exceptions import DidNotConvergeError, EmptyInputError
+from .tensor import check_int
 
 BASELINE_KINDS = ("global_mean", "item_mean", "user_mean")
 
@@ -68,8 +69,7 @@ class ExperimentConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        check_int("threads", self.threads, 1)
         if isinstance(self.categories, str):
             raise ValueError(f"categories must be a sequence of feature names, not the str {self.categories!r}")
 

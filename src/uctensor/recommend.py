@@ -3,13 +3,15 @@ tensors."""
 
 from __future__ import annotations
 
+import operator
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .complete import CompletedTensor, inverse_scale_fills
-from .exceptions import NotAMatrixError
+from .exceptions import IndexOutOfBoundsError, NotAMatrixError
+from .tensor import check_int
 
 
 class Prediction(NamedTuple):
@@ -24,10 +26,11 @@ class Prediction(NamedTuple):
 
 def predict_rating(completed: CompletedTensor, user: int, product: int) -> Prediction:
     """2-D query: the training value if (user, product) was observed, else
-    the inverse-scale fill.  The source's lookup checks the cell's bounds."""
+    the inverse-scale fill.  The ids must be integers (``operator.index``);
+    the source's lookup checks the cell's bounds."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("predict_rating expects a 2-D completion")
-    user, product = int(user), int(product)
+    user, product = operator.index(user), operator.index(product)
     observed = completed.source.value_at((user, product))
     if observed is not None:
         return Prediction(user, product, observed, "observed")
@@ -41,19 +44,24 @@ TIE_WINDOW = 1e-9
 
 def _query_plan(completed: CompletedTensor):
     """What every top-n query of a completion shares: ``(user logs,
-    product logs, order, rank, tie_end, ramp, all_true, -product logs,
-    least, greatest)``.  ``order`` is the products by ascending log scale
-    (stable), ``rank`` its inverse, and ``tie_end[i]`` the end of the run of
-    order positions within ``TIE_WINDOW`` of position i's log scale; a
-    query slices the index ramp and copies the all-true mask rather than
-    build them.  The least and greatest product log scales are Python
-    floats.  Built on the first query and kept on the completion, keyed on
-    the identity of both log arrays of its ``scales``, so replacing
-    ``scales`` or either array rebuilds it; O(P) for P products and
-    read-only, so concurrent queries share it."""
+    product logs, source, starts, order, rank, tie_end, ramp, all_true,
+    -product logs, least, greatest)``.  ``starts[u]`` is where the
+    source's row u starts among its entries, a Python list of U + 1.
+    ``order`` is the products by ascending log scale (stable), ``rank``
+    its inverse, and ``tie_end[i]`` the end of the run of order positions
+    within ``TIE_WINDOW`` of position i's log scale; a query slices the
+    index ramp and copies the all-true mask rather than build them.  The
+    least and greatest product log scales are Python floats.  Built on the
+    first query and kept on the completion, keyed on the identity of its
+    ``source`` and both log arrays of its ``scales``, so replacing any of
+    them rebuilds it; O(U + P) and read-only, so concurrent queries share it."""
     user_logs, logs = completed.scales.log[(0,)], completed.scales.log[(1,)]
+    source = completed.source
     plan = completed._product_order
-    if plan is None or plan[0] is not user_logs or plan[1] is not logs:
+    if plan is None or plan[0] is not user_logs or plan[1] is not logs or plan[2] is not source:
+        flat = source._flat
+        starts = flat.searchsorted(np.arange(source.shape[0]) * source.shape[1]).tolist()
+        starts.append(len(flat))
         order = np.argsort(logs, kind="stable")
         ramp = np.arange(len(order))
         rank = np.empty_like(order)
@@ -63,7 +71,8 @@ def _query_plan(completed: CompletedTensor):
         arrays = (order, rank, tie_end, ramp, np.ones(len(order), dtype=bool), -logs)
         for a in arrays:
             a.setflags(write=False)
-        plan = completed._product_order = (user_logs, logs, *arrays, float(ascending[0]), float(ascending[-1]))
+        least, greatest = float(ascending[0]), float(ascending[-1])
+        plan = completed._product_order = (user_logs, logs, source, starts, *arrays, least, greatest)
     return plan
 
 
@@ -90,23 +99,22 @@ def top_n(
 ) -> list[Prediction]:
     """Products ranked by predicted rating (descending), ties broken by
     ascending product index.  Optionally drops products the user already
-    rated.
+    rated.  ``user`` must be an integer (``operator.index``) in range,
+    ``n`` an int >= 1.
 
     A 2-D fill is exp(-(a_u + b_p)), so every user ranks the products it
     has not rated by one global order: ascending product log scale b_p.
     A query walks that order, kept in the completion's ``_query_plan``,
     only until it holds the n-th unrated product, and then on over every
     product whose b_p is within ``TIE_WINDOW`` of that product's.  The
-    user's row is one slice of the source's entries, whose bounds the
-    source keeps after its first ``row_slice``; its rated products are its
-    flat keys less user * P.  Only the unrated products of the prefix are
-    filled, from a_u + b_p, the sum ``log_sum_at`` forms.
-    Unless they are excluded, the rated products join them with
-    their observed values, less those below the least of the first n
-    fills, which n fills beat.  One ``sort`` over (-value, product,
-    source) triples ranks them all, ties to the smaller product index.
-    The fills come in walk order, nearly sorted, so sorting them takes
-    linear time even over a run of tied fills.
+    user's row is one slice of the source's entries, between the row
+    starts the plan keeps; its rated products are its flat keys less
+    user * P.  Only the unrated products of the prefix are filled, from
+    a_u + b_p, the sum ``log_sum_at`` forms.  Unless they are excluded,
+    every rated product joins them with its observed value.  One ``sort``
+    over (-value, product, source) triples ranks them all, ties to the
+    smaller product index.  The fills come in walk order, nearly sorted,
+    so sorting them takes linear time even over a run of tied fills.
 
     The answer is exact, ties included.  When a_u + min(b) and a_u +
     max(b) lie in (-700, 700), every sum of the row does, each rounded
@@ -122,22 +130,21 @@ def top_n(
     the same sort, in O(P log P) for P products.
 
     A query costs O(r log r + prefix) for a row of r rated products: the
-    row slice, the sort of its rated products' order positions, the walk,
-    the prefix's fills and the final sort, none of it growing with the
-    number of products or of stored entries.  The completion pays, on its
-    first query, the plan's O(P log P) sort of its P products; its source
-    pays, on its first ``row_slice``, one O(U log nnz) search for where
-    each of its U rows starts among its nnz entries, and keeps that
-    list of U + 1 ints."""
+    sort of its rated products' order positions, the walk, the prefix's
+    fills and the final sort, none of it growing with the number of
+    products or of stored entries.  The completion pays, on its first
+    query, for the plan: the O(P log P) sort of its P products and one
+    O(U log nnz) search for where each of its U rows starts among its
+    nnz entries."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("top_n expects a 2-D completion")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    user = int(user)
-    source = completed.source
-    row = source.row_slice(user)  # checks the user's bounds
-    rated = source._flat[row] - user * source.shape[1]
-    user_logs, _, order, rank, tie_end, ramp, all_true, neg_b, least, greatest = _query_plan(completed)
+    check_int("n", n, 1)
+    user = operator.index(user)
+    user_logs, _, source, starts, order, rank, tie_end, ramp, all_true, neg_b, least, greatest = _query_plan(completed)
+    if not 0 <= user < source.shape[0]:
+        raise IndexOutOfBoundsError(f"row {user} out of range [0, {source.shape[0]})")
+    lo, hi = starts[user], starts[user + 1]
+    rated = source._flat[lo:hi] - user * source.shape[1]
     a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
     if -700.0 < a + least and a + greatest < 700.0:
         products = _walk(order, rank, tie_end, ramp, all_true, rated, n)
@@ -149,13 +156,7 @@ def top_n(
         values = inverse_scale_fills(a - neg_b[products], lambda i: (user, int(products[i])))
     ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
     if not exclude_observed:
-        observed = source.values[row]
-        if len(values) >= n:
-            # n fills are at least the least of values[:n]: a rating below
-            # it cannot rank
-            keep = observed >= values[:n].min()
-            observed, rated = observed[keep], rated[keep]
-        ranked += zip((-observed).tolist(), rated.tolist(), repeat("observed"))
+        ranked += zip((-source.values[lo:hi]).tolist(), rated.tolist(), repeat("observed"))
     ranked.sort()
     # ``tuple.__new__`` builds each answer without the Python frame of the
     # generated ``Prediction.__new__``; the fields are in declaration order

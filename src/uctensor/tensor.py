@@ -44,11 +44,21 @@ def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(ndim), ndim - k))
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Refuse ``value`` with a ``ValueError`` naming ``name`` unless it is
+    an int or a numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _as_rows(indices, ndim: int) -> np.ndarray:
     """An (M, ndim) index array as C-contiguous int64 rows.  An empty array
-    is zero rows; an array of any other width is refused, never reshaped
-    into other cells."""
-    rows = np.ascontiguousarray(indices, dtype=np.int64)
+    is zero rows; an array of any other width, or of any but an integer
+    dtype, is refused, never cast or reshaped into other cells."""
+    rows = np.asarray(indices)
+    if rows.dtype.kind not in "iu" and rows.size:
+        raise IndexOutOfBoundsError(f"index array of dtype {rows.dtype} does not hold integer coordinates")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != ndim:
         if len(rows):
             raise IndexOutOfBoundsError(
@@ -94,12 +104,13 @@ def _cell(key, shape) -> tuple:
 
 
 class SparseTensor:
-    """Immutable COO tensor.  The pattern is stored once, as the cells'
-    row-major flat keys in ascending order (``_flat``, int64), beside one
-    value per key: 16 bytes an entry whatever the dimension.  ``indices``
+    """Immutable COO tensor, a plain value: the shape, and the pattern
+    stored once, as the cells' row-major flat keys in ascending order
+    (``_flat``, int64), beside one value per key.  16 bytes an entry
+    whatever the dimension, and nothing filled in later.  ``indices``
     derives the (N, D) coordinate rows from the keys on each access."""
 
-    __slots__ = ("shape", "values", "_flat", "_row_starts")
+    __slots__ = ("shape", "values", "_flat")
 
     def __init__(self, shape, indices, values, *, _flat=None):
         # ``_flat``, given with ``indices=None``, holds the ascending flat
@@ -111,7 +122,6 @@ class SparseTensor:
             raise IndexOutOfBoundsError(
                 f"shape {shape} has {math.prod(shape)} cells, more than int64 keys can index"
             )
-        given = values
         if _flat is None:
             rows = _as_rows(indices, len(shape))
             n, cell = len(rows), lambda i: tuple(rows[i].tolist())
@@ -134,28 +144,22 @@ class SparseTensor:
         if _flat is None:
             _flat = sub_ids(index_rows(rows, shape), shape, tuple(range(len(shape))))
             del rows
-            # input in strictly increasing order is neither sorted nor
-            # searched for duplicates again
-            if len(_flat) > 1 and not (_flat[1:] > _flat[:-1]).all():
-                # unique keys have one order, so the sort need not be
-                # stable; equal keys name the same cell, whichever is first
-                order = np.argsort(_flat)
-                _flat = _flat[order]
-                values = values[order]
-                del order
-                dup = _flat[1:] == _flat[:-1]
-                if dup.any():
-                    pos = int(np.argmax(dup))
-                    raise DuplicateIndexError(f"duplicate index {_cell(_flat[pos], shape)}")
-            elif isinstance(given, np.ndarray):
-                # no sort copied them: a caller's later writes must not
-                # reach the tensor
-                values = values.copy()
+            # unique keys have one order, so the sort need not be stable;
+            # equal keys name the same cell, whichever is first.  The
+            # gather copies the values: a caller's later writes to them
+            # never reach the tensor
+            order = np.argsort(_flat)
+            _flat = _flat[order]
+            values = values[order]
+            del order
+            dup = _flat[1:] == _flat[:-1]
+            if dup.any():
+                pos = int(np.argmax(dup))
+                raise DuplicateIndexError(f"duplicate index {_cell(_flat[pos], shape)}")
 
         self.shape = shape
         self.values = values
         self._flat = _flat
-        self._row_starts = None  # row_slice's boundaries, found on its first call
         for a in (self.values, self._flat):
             a.setflags(write=False)
 
@@ -207,24 +211,6 @@ class SparseTensor:
         """Boolean mask telling which rows of an (M, D) index array are observed."""
         return self._locate(indices)[1]
 
-    def row_slice(self, i: int) -> slice:
-        """The entries whose first coordinate is ``i``, as a slice of the
-        entry order (of ``values``, ``_flat`` and ``indices``): row-major
-        order keeps them contiguous.
-        The first call finds where every row starts, with one search of
-        the flat keys, and keeps that list (one int per row) on the
-        tensor, which never changes."""
-        if not 0 <= i < self.shape[0]:
-            raise IndexOutOfBoundsError(f"row {i} out of range [0, {self.shape[0]})")
-        starts = self._row_starts
-        if starts is None:
-            stride = math.prod(self.shape[1:])
-            flat = self._flat
-            starts = flat.searchsorted(np.arange(self.shape[0]) * stride).tolist()
-            starts.append(len(flat))
-            self._row_starts = starts
-        return slice(starts[i], starts[i + 1])
-
     def with_values(self, values: np.ndarray) -> "SparseTensor":
         """Same observed pattern, new values (one per entry, in entry
         order; finite and strictly positive).  The pattern is shared, not
@@ -249,7 +235,7 @@ def make_tensor(shape, entries) -> SparseTensor:
     if isinstance(entries, Mapping):
         entries = entries.items()
     entries = list(entries)
-    indices = np.array([tuple(ix) for ix, _ in entries], dtype=np.int64)
+    indices = np.array([tuple(ix) for ix, _ in entries])
     values = np.array([v for _, v in entries], dtype=np.float64)
     return SparseTensor(shape, indices, values)
 

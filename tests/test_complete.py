@@ -166,7 +166,7 @@ class TestFullSupport:
 
     @pytest.mark.parametrize("max_offset", [[1], [1, 1, 1], [1, 1], (1, 1), 1.0, "1"])
     def test_max_offset_is_none_or_one_int(self, three_entry_2x2, max_offset):
-        with pytest.raises(ValueError, match=re.escape(f"max_offset must be None or one int, got {max_offset!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"max_offset must be an int >= 1, got {max_offset!r}")):
             check_full_support(three_entry_2x2, max_offset=max_offset)
 
     @pytest.mark.parametrize("shape", [(500, 500), (80, 60, 50)], ids=["2d", "3d"])
@@ -466,6 +466,28 @@ class TestCheckerOracle:
                     [list(cell), list(offset)] for cell, offset in want.witnesses.items()
                 ], at
 
+    @pytest.mark.parametrize("shape, empty", [
+        ((9, 11), (3, slice(None))),  # a row
+        ((9, 11), (slice(None), 4)),  # a column
+        ((6, 5, 4), (2, slice(None), 1)),  # a fibre along dimension 1
+    ], ids=["row", "column", "fibre"])
+    def test_cells_on_an_empty_line_are_violations(self, shape, empty):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            mask = rng.random(shape) < 0.7
+            mask[empty] = False
+            t = make_tensor(shape, {tuple(ix): 1.0 for ix in np.argwhere(mask).tolist()})
+            for max_offset in (None, 1, 2):
+                got = check_full_support(t, max_offset=max_offset)
+                want = checker_oracle.check_full_support(t, max_offset=max_offset)
+                assert got.violations.tolist() == [list(cell) for cell in want.violations]
+                assert got.witnesses.tolist() == [
+                    [list(cell), list(offset)] for cell, offset in want.witnesses.items()
+                ]
+            line = np.zeros(shape, dtype=bool)
+            line[empty] = True
+            assert {tuple(c) for c in np.argwhere(line).tolist()} <= {tuple(c) for c in got.violations.tolist()}
+
     def test_consensus_ordering_reports_match(self):
         rng = np.random.default_rng(7)
         for _ in range(self.N_TENSORS):
@@ -670,6 +692,26 @@ class TestCellLookup:
         for scalar in (source.is_observed, source.value_at, completed.value_at, completed.fill_at):
             with pytest.raises(IndexOutOfBoundsError, match=r"index array of shape \(1, "):
                 scalar(short)
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1.2]], [[0.0, 1.0]], [[False, True]]])
+    def test_rows_of_a_non_integer_dtype_are_refused(self, rows):
+        # cast to int64, [[0.5, 1.2]] would answer for the cell (0, 1)
+        completed = complete(make_tensor((3, 3), {(0, 1): 2.0, (1, 0): 3.0, (2, 2): 5.0}), 1)
+        source, scales = completed.source, completed.scales
+        queries = (source.observed_mask_for, completed.values_at,
+                   scales.log_sum_at, scales.empty_key_mask,
+                   lambda r: SparseTensor((3, 3), r, np.ones(len(r))),
+                   lambda r: make_tensor((3, 3), [(r[0], 1.0)]))
+        dtype = np.asarray(rows).dtype
+        for query in queries:
+            with pytest.raises(IndexOutOfBoundsError, match=f"index array of dtype {dtype} does not hold integer"):
+                query(rows)
+        for scalar in (source.is_observed, source.value_at, completed.value_at, completed.fill_at):
+            with pytest.raises(IndexOutOfBoundsError, match=f"dtype {dtype}"):
+                scalar(rows[0])
+        # numpy makes an empty list float64: it is still zero rows
+        assert completed.values_at([]).shape == (0,)
+        assert source.observed_mask_for(np.empty((0, 2))).shape == (0,)
 
     @given(completed=completions())
     @settings(max_examples=150, deadline=None)

@@ -13,17 +13,22 @@ from uctensor import (
     ExperimentConfig,
     FoldPlan,
     MissingFeatureFileError,
+    SolverConfig,
     UnknownCategoryError,
     balance,
     baseline_predict,
     build_tensor_2d,
     build_tensor_3d,
+    check_full_support,
+    complete_matrix,
     load_jester,
     load_movielens,
     mae,
+    make_tensor,
     rmse,
     run_experiment,
     split_kfold,
+    top_n,
 )
 from uctensor import evaluate
 from uctensor.properties import synthetic_dataset
@@ -399,8 +404,8 @@ class TestExperimentConfig:
         ({"epsilon": -1.0}, "epsilon must be finite and >= 0"),
         ({"epsilon": float("nan")}, "epsilon must be finite and >= 0"),
         ({"epsilon": float("inf")}, "epsilon must be finite and >= 0"),
-        ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
-        ({"threads": 0}, "threads must be >= 1"),
+        ({"max_sweeps": 0}, "max_sweeps must be an int >= 1, got 0"),
+        ({"threads": 0}, "threads must be an int >= 1, got 0"),
         ({"categories": "age"}, "categories must be a sequence of feature names, not the str 'age'"),
     ])
     def test_bad_settings_are_refused_at_construction(self, options, message):
@@ -412,3 +417,24 @@ class TestExperimentConfig:
         assert config.echo() == {"epsilon": 1e-10, "max_sweeps": 1000, "n_folds": 5, "seed": 0,
                                  "categories": ["age", "gender"], "threads": 2}
         assert list(config.echo()) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("field, least, value, call", [
+    ("max_sweeps", 1, 2.5, lambda v: SolverConfig(max_sweeps=v)),
+    ("max_sweeps", 1, True, lambda v: ExperimentConfig(max_sweeps=v)),
+    ("threads", 1, 1.5, lambda v: ExperimentConfig(threads=v)),
+    ("threads", 1, True, lambda v: ExperimentConfig(threads=v)),
+    ("n_folds", 2, 2.5, lambda v: run_experiment(synthetic_dataset(0), "2d", ExperimentConfig(n_folds=v))),
+    ("n_folds", 2, 3.0, lambda v: split_kfold(synthetic_dataset(0), v, 0)),
+    ("seed", 0, True, lambda v: split_kfold(synthetic_dataset(0), 3, v)),
+    ("seed", 0, 1.0, lambda v: split_kfold(synthetic_dataset(0), 3, v)),
+    ("max_offset", 1, 0, lambda v: check_full_support(make_tensor((2, 2), {(0, 0): 1.0}), max_offset=v)),
+    ("max_offset", 1, -1, lambda v: check_full_support(make_tensor((2, 2), {(0, 0): 1.0}), max_offset=v)),
+    ("max_offset", 1, True, lambda v: check_full_support(make_tensor((2, 2), {(0, 0): 1.0}), max_offset=v)),
+    ("n", 1, 2.5, lambda v: top_n(complete_matrix(make_tensor((2, 2), {(0, 0): 1.0})), 0, v)),
+    ("n", 1, True, lambda v: top_n(complete_matrix(make_tensor((2, 2), {(0, 0): 1.0})), 0, v)),
+])
+def test_integer_settings_refuse_floats_and_bools(field, least, value, call):
+    # each was taken before: rounded, truncated, read as 1, or failing inside numpy
+    with pytest.raises(ValueError, match=f"^{field} must be an int >= {least}, got {value!r}$"):
+        call(value)

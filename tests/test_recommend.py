@@ -147,8 +147,23 @@ class TestTopN:
         completed = self.column_ordered_model()
         with pytest.raises(ValueError):
             top_n(completed, 0, 0)
-        with pytest.raises(IndexOutOfBoundsError):
-            top_n(completed, 99, 3)
+        n_users = completed.shape[0]
+        # the plan's row starts would serve -2 as the last row
+        for user in (-1, -2, n_users, 99):
+            with pytest.raises(IndexOutOfBoundsError, match=rf"^row {user} out of range \[0, {n_users}\)$"):
+                top_n(completed, user, 3)
+
+    def test_ids_must_be_integers(self):
+        # int() would answer a float id for another user
+        completed = self.column_ordered_model()
+        with pytest.raises(TypeError):
+            top_n(completed, 1.7, 2)
+        with pytest.raises(TypeError):
+            predict_rating(completed, 1.9, 0)
+        with pytest.raises(TypeError):
+            predict_rating(completed, 0, 1.0)
+        assert top_n(completed, np.int64(1), 2) == top_n(completed, 1, 2)
+        assert predict_rating(completed, np.int32(1), np.int64(0)) == predict_rating(completed, 1, 0)
 
 
 def reference_top_n(completed, user, n, exclude_observed=False):
@@ -457,10 +472,11 @@ class TestProductOrderCache:
 
 
 class TestQueryPlan:
-    """The query plan is keyed on the identity of the completion's two log
-    arrays: new user log scales beside the same product log array, a log
-    array replaced in the same ``scales``, or a slot written by an older
-    version, must never serve a stale plan."""
+    """The query plan is keyed on the identity of the completion's source
+    and of its two log arrays: a replaced source, new user log scales
+    beside the same product log array, a log array replaced in the same
+    ``scales``, or a slot written by an older version, must never serve a
+    stale plan."""
 
     @staticmethod
     def completion(rng):
@@ -476,6 +492,16 @@ class TestQueryPlan:
         for user in range(8):
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+
+    def test_a_replaced_source_gives_answers_from_its_rows(self, rng):
+        completed = self.completion(rng)
+        for user in range(8):
+            top_n(completed, user, 3, True)
+        completed.source = random_sparse_tensor(rng, completed.shape, 0.6)
+        assert completed.source._flat.tolist() != completed.model.source._flat.tolist()
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(completed, user, 12, exclude) == reference_top_n(completed, user, 12, exclude)
 
     @pytest.mark.parametrize("family", [(0,), (1,)])
     def test_a_log_array_replaced_in_the_same_scales(self, rng, family):

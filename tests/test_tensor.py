@@ -1,6 +1,5 @@
 import itertools
 import math
-import pickle
 import warnings
 
 import numpy as np
@@ -110,14 +109,19 @@ class TestConstruction:
         t = make_tensor((3, 3), [((2, 0), 1.0), ((0, 1), 2.0), ((1, 2), 3.0)])
         assert [tuple(ix) for ix in t.indices] == [(0, 1), (1, 2), (2, 0)]
 
-    def test_input_already_in_order_is_copied(self):
-        # no sort is needed, but writes to the caller's arrays must not reach the tensor
-        indices = np.array([[0, 0], [0, 1], [1, 0]])
-        values = np.array([2.0, 8.0, 4.0])
-        t = SparseTensor((2, 2), indices, values)
-        indices[0, 1] = 1
-        values[0] = 5.0
-        assert t.value_at((0, 0)) == 2.0 and not t.is_observed((1, 1))
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_rows_in_any_order_give_one_tensor_and_are_copied(self, order):
+        cells = [[0, 0], [0, 3], [1, 1], [2, 0], [2, 2], [2, 3]]
+        at = {"sorted": np.arange(6), "reversed": np.arange(6)[::-1], "shuffled": np.array([3, 0, 5, 1, 4, 2])}[order]
+        indices = np.array(cells)[at]
+        values = np.arange(1.0, 7.0)[at]
+        t = SparseTensor((3, 4), indices, values)
+        assert t._flat.tolist() == [0, 3, 5, 8, 10, 11]
+        assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        # writes to the caller's arrays must not reach the tensor
+        indices[:] = [1, 2]
+        values[:] = 9.0
+        assert t.indices.tolist() == cells and t.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_with_values_copies_the_values(self, three_entry_2x2):
         values = np.array([3.0, 5.0, 7.0])
@@ -345,8 +349,8 @@ class TestKeyStorage:
     @settings(max_examples=30, deadline=None)
     def test_an_entry_costs_16_bytes_and_no_slot_holds_rows(self, t):
         held = [t, t.with_values(t.values * 2.0), scale_apply(t, scale_set(t.shape, 1, {}))]
+        assert SparseTensor.__slots__ == ("shape", "values", "_flat")
         for tensor in held:
-            tensor.row_slice(0)
             arrays = [getattr(tensor, name) for name in SparseTensor.__slots__]
             arrays = [a for a in arrays if isinstance(a, np.ndarray)]
             assert all(a.ndim == 1 for a in arrays)
@@ -364,35 +368,6 @@ class TestKeyStorage:
             t.with_values(values)
         assert str(from_keys.value) == str(from_rows.value)
         assert "at index (1, 0, 1)" in str(from_keys.value)
-
-
-class TestRowSlice:
-    @given(patterns())
-    @settings(max_examples=100, deadline=None)
-    def test_slice_holds_exactly_the_row(self, t):
-        for i in range(t.shape[0]):
-            rows = t.row_slice(i)
-            np.testing.assert_array_equal(t.indices[rows], t.indices[t.indices[:, 0] == i])
-            np.testing.assert_array_equal(t.values[rows], t.values[t.indices[:, 0] == i])
-
-    @given(patterns())
-    @settings(max_examples=30, deadline=None)
-    def test_rows_outside_the_shape_raise(self, t):
-        # the stored boundaries would serve -2 as the last row's slice
-        for i in (-1, -2, t.shape[0], t.shape[0] + 1):
-            with pytest.raises(IndexOutOfBoundsError):
-                t.row_slice(i)
-
-    def test_pickle_round_trip_before_and_after_the_first_call(self):
-        t = make_tensor((4, 3), {(0, 1): 1.0, (2, 0): 2.0, (2, 2): 3.0, (3, 1): 4.0})
-        expected = [slice(0, 1), slice(1, 1), slice(1, 3), slice(3, 4)]
-        fresh = pickle.loads(pickle.dumps(t))
-        assert [fresh.row_slice(i) for i in range(4)] == expected
-        assert [t.row_slice(i) for i in range(4)] == expected
-        queried = pickle.loads(pickle.dumps(t))
-        assert [queried.row_slice(i) for i in range(4)] == expected
-        np.testing.assert_array_equal(queried.indices, t.indices)
-        np.testing.assert_array_equal(queried.values, t.values)
 
 
 class TestLogSums:
