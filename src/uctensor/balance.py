@@ -11,22 +11,28 @@ subtensor removes that subtensor's mean log entry, so the rest scales
 solve the Schur complement B_RᵀP B_R x_R = −B_RᵀP y, where P removes
 first-family means.  It is a graph-Laplacian-type system, and it is
 solved by conjugate gradients preconditioned with the inverse subtensor
-counts (Jacobi).  One operator application gathers the rest scales onto
-the entries, removes each first-family mean and sums onto the rest
-subtensors: the work of one Gauss–Seidel sweep.  For two families this
-is conjugate-gradient acceleration of alternating row/column sweeps.
+counts (Jacobi).  For two families this is conjugate-gradient
+acceleration of alternating row/column sweeps.
 
-The residual of the Schur system is the rest families' log-products;
-the first family's are 0 by construction, up to rounding.  The solve stops once the
-largest squared log-product is below epsilon.  When the recurrence says
-so, the residual is recomputed from the scales (one more pass, which
-also recovers the first family's scales), and the solve restarts from
-it if the recomputed value is not below epsilon.  So the reported
-residual is the true constraint violation at the returned scales.
+One projection, B_Rᵀ P (y + B_R x), is a whole pass over the entries,
+the work of one Gauss–Seidel sweep: gather the rest scales x onto the
+entries, add y, remove each first-family mean, sum onto the rest
+subtensors.  With y = 0 it is the CG operator; with the log entries as
+y it is the Schur residual, the rest families' log-products (the first
+family's are 0 up to rounding), and its means are minus the first
+family's log scales.  The first family fixes the leading dims, so its
+subtensors are runs of the sorted keys, found by one search.
+
+The solve stops once the largest squared log-product is below epsilon.
+When the recurrence says so, the residual is recomputed from the scales
+(one more projection), and the solve restarts from it if the recomputed
+value is not below epsilon.  So the reported residual is the true
+constraint violation at the returned scales.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,72 +74,61 @@ class BalanceState:
         if tensor.n_observed == 0:
             raise EmptyTensorError("cannot balance a tensor with no observed entries")
         self.tensor = tensor
-        self.k = int(k)
         self.families = subtensor_families(tensor.ndim, k)
+        self.k = int(k)
         first, *rest = self.families
-        self.counts = {}
-        self.log_scales = {}
-        rest_ids = []
-        for fixed in self.families:
-            ids, size = family_sub_ids(tensor, fixed)
-            self.counts[fixed] = np.bincount(ids, minlength=size)
-            self.log_scales[fixed] = np.zeros(size)
-            if fixed != first:
-                rest_ids.append(ids)
-
-        # Lexicographic entry order is first-family order: each first-family
-        # subtensor is a run of consecutive entries, so its sums and
-        # broadcasts are reduceat/repeat, several times faster than
-        # bincount/gather.
+        # each first-family subtensor is a run of the sorted keys, so its
+        # sums and broadcasts are reduceat/repeat, several times faster
+        # than bincount/gather
+        lead = len(first)
+        stride = math.prod(tensor.shape[lead:])
+        edges = tensor._flat.searchsorted(np.arange(math.prod(tensor.shape[:lead]) + 1) * stride)
+        self.counts = {first: np.diff(edges)}
+        self.log_scales = {first: np.zeros(len(edges) - 1)}
         self._first_nonempty = np.flatnonzero(self.counts[first])
         self._runs = self.counts[first][self._first_nonempty]
-        self._starts = np.cumsum(self._runs) - self._runs
+        self._starts = edges[self._first_nonempty]
         self._inv_runs = 1.0 / self._runs
         self._y = np.log(tensor.values)
         # the rest families' scales form one vector x; their entry ids are
         # offset into it
+        rest_ids = []
+        for fixed in rest:
+            ids, size = family_sub_ids(tensor, fixed)
+            self.counts[fixed] = np.bincount(ids, minlength=size)
+            self.log_scales[fixed] = np.zeros(size)
+            rest_ids.append(ids)
         self._bounds = np.cumsum([0] + [len(self.counts[f]) for f in rest])
         self._rest_ids = [ids + lo if lo else ids for ids, lo in zip(rest_ids, self._bounds)]
         rest_counts = np.concatenate([self.counts[f] for f in rest])
         self._inv = np.where(rest_counts > 0, 1.0 / np.maximum(rest_counts, 1), 0.0)
 
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """Per entry, the sum of x over the entry's rest-family subtensors."""
-        g = x[self._rest_ids[0]]
+    def _project(self, x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """B_Rᵀ P (y + B_R x): gather the rest scales x onto the entries,
+        add y, remove each non-empty first-family subtensor's mean, and sum
+        onto the rest subtensors.  Returns those sums and the means."""
+        w = x[self._rest_ids[0]]
         for ids in self._rest_ids[1:]:
-            g += x[ids]
-        return g
-
-    def _scatter(self, w: np.ndarray) -> np.ndarray:
-        """Per rest-family subtensor, the sum of w over its entries."""
-        m = len(self._inv)
-        out = np.bincount(self._rest_ids[0], weights=w, minlength=m)
+            w += x[ids]
+        if y is not None:
+            w += y
+        means = np.add.reduceat(w, self._starts)
+        means *= self._inv_runs
+        w -= means.repeat(self._runs)
+        out = np.bincount(self._rest_ids[0], weights=w, minlength=len(self._inv))
         for ids in self._rest_ids[1:]:
-            out += np.bincount(ids, weights=w, minlength=m)
-        return out
-
-    def _remove_first_means(self, w: np.ndarray) -> np.ndarray:
-        """Subtract from w, in place, the mean of each non-empty
-        first-family subtensor; return those means."""
-        means = np.add.reduceat(w, self._starts) * self._inv_runs
-        w -= np.repeat(means, self._runs)
-        return means
-
-    def _apply(self, p: np.ndarray) -> np.ndarray:
-        """The Schur complement operator: B_Rᵀ P B_R p."""
-        g = self._gather(p)
-        self._remove_first_means(g)
-        return self._scatter(g)
+            out += np.bincount(ids, weights=w, minlength=len(self._inv))
+        return out, means
 
     def _settle(self, x: np.ndarray) -> np.ndarray:
         """Set the log scales to x on the rest families and to the exact
         mean removal on the first; return the rest families' log-products
         at those scales."""
-        w = self._y + self._gather(x)
-        self.log_scales[self.families[0]][self._first_nonempty] = -self._remove_first_means(w)
+        sums, means = self._project(x, self._y)
+        self.log_scales[self.families[0]][self._first_nonempty] = -means
         for f, lo, hi in zip(self.families[1:], self._bounds, self._bounds[1:]):
             self.log_scales[f] = x[lo:hi].copy()
-        return self._scatter(w)
+        return sums
 
     def solve(self, epsilon: float, max_iterations: int) -> list:
         """Preconditioned conjugate gradients on the Schur system.
@@ -150,7 +145,7 @@ class BalanceState:
             if settled:  # (re)start from the true residual
                 p = self._inv * r
                 rs = float(r @ p)
-            q = self._apply(p)
+            q = self._project(p)[0]
             pq = float(p @ q)
             if not pq > 0.0:  # no direction left to descend along
                 break

@@ -19,7 +19,7 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, check_int, index_rows, scale_apply
+from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, check_int, index_rows, is_int, scale_apply
 
 
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
@@ -293,8 +293,14 @@ def check_consensus_ordering(completed: CompletedTensor, dim: int, gamma) -> Ord
     """
     shape = completed.shape
     ndim = len(shape)
+    if not is_int(dim):
+        raise InvalidGammaError(f"dim must be an int, got {dim!r}")
     if not 0 <= dim < ndim:
         raise InvalidGammaError(f"dim {dim} out of range for shape {shape}")
+    gamma = tuple(gamma)
+    for g in gamma:
+        if not is_int(g):
+            raise InvalidGammaError(f"gamma entries must be ints, got {g!r} in {gamma}")
     gamma = tuple(int(g) for g in gamma)
     if len(gamma) == 0 or len(set(gamma)) != len(gamma):
         raise InvalidGammaError("gamma must be non-empty with distinct entries")

@@ -59,9 +59,7 @@ def _query_plan(completed: CompletedTensor):
     source = completed.source
     plan = completed._product_order
     if plan is None or plan[0] is not user_logs or plan[1] is not logs or plan[2] is not source:
-        flat = source._flat
-        starts = flat.searchsorted(np.arange(source.shape[0]) * source.shape[1]).tolist()
-        starts.append(len(flat))
+        starts = source._flat.searchsorted(np.arange(source.shape[0] + 1) * source.shape[1]).tolist()
         order = np.argsort(logs, kind="stable")
         ramp = np.arange(len(order))
         rank = np.empty_like(order)

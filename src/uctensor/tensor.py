@@ -36,18 +36,26 @@ def check_dense_size(n_cells: int, bytes_per_cell: int, what: str, cells: str = 
         raise ValueError(f"{what} of {n_cells} {cells} exceeds its bound of {bound}")
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, not a bool: an
+    integer argument that ``int()`` would not truncate or reinterpret."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def subtensor_families(ndim: int, k: int) -> list[tuple[int, ...]]:
     """All fixed-dimension subsets defining family-k subtensors, in canonical
     (lexicographic) order.  Each subset has D-k dimensions."""
+    if not is_int(k):
+        raise InvalidKError(f"k must be an int, got {k!r}")
     if not 1 <= k <= ndim - 1:
         raise InvalidKError(f"k must be in [1, {ndim - 1}] for a {ndim}-D tensor, got {k}")
     return list(itertools.combinations(range(ndim), ndim - k))
 
 
 def check_int(name: str, value, least: int) -> None:
-    """Refuse ``value`` with a ``ValueError`` naming ``name`` unless it is
-    an int or a numpy integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """Refuse ``value`` with a ``ValueError`` naming ``name`` unless it
+    ``is_int`` and is at least ``least``."""
+    if not is_int(value) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
@@ -115,6 +123,10 @@ class SparseTensor:
     def __init__(self, shape, indices, values, *, _flat=None):
         # ``_flat``, given with ``indices=None``, holds the ascending flat
         # keys of an already validated pattern: only the values are checked
+        shape = tuple(shape)
+        for s in shape:
+            if not is_int(s):
+                raise ValueError(f"shape dimensions must be ints, got {s!r} in {shape}")
         shape = tuple(int(s) for s in shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"shape must be non-empty with all dims >= 1, got {shape}")
@@ -281,8 +293,8 @@ class ScaleSet:
 
     def __init__(self, shape, k, log_arrays, nonempty):
         self.shape = tuple(shape)
+        self.families = tuple(subtensor_families(len(self.shape), k))
         self.k = int(k)
-        self.families = tuple(subtensor_families(len(self.shape), self.k))
         foreign = {*log_arrays, *nonempty} - set(self.families)
         if foreign:
             raise InvalidKError(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
+    BalanceState,
     CompletedTensor,
     DidNotConvergeError,
     EmptyTensorError,
@@ -111,6 +112,37 @@ class TestSolves:
         assert model.sweeps_run == 1
         assert len(model.residual_trace) == 1
         assert model.final_residual >= 1e-10
+
+
+class TestFirstFamilyRuns:
+    """The first family fixes the leading dims, so its subtensors are runs
+    of the sorted keys, found by one search; its counts and runs must be
+    those a bincount of its per-entry ids gives, whichever of its
+    subtensors are empty."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ndim", [2, 3, 4])
+    def test_runs_match_a_bincount_of_the_ids(self, ndim, seed):
+        rng = np.random.default_rng(seed)
+        dense = random_sparse_tensor(rng, tuple(int(s) for s in rng.integers(4, 7, size=ndim)), 0.7)
+        for k in range(1, ndim):
+            first = subtensor_families(ndim, k)[0]
+            ids, size = family_sub_ids(dense, first)
+            holes = [0, size // 2, size - 1]  # at the front, in the middle, at the end
+            keep = ~np.isin(ids, holes)
+            t = SparseTensor(dense.shape, dense.indices[keep], dense.values[keep])
+            state = BalanceState(t, k)
+            for fixed in state.families:
+                ids, size = family_sub_ids(t, fixed)
+                assert np.array_equal(state.counts[fixed], np.bincount(ids, minlength=size))
+            ids, size = family_sub_ids(t, first)
+            counts = state.counts[first]
+            assert counts.dtype == np.bincount(ids).dtype and not counts[holes].any()
+            assert np.array_equal(state._first_nonempty, np.flatnonzero(counts))
+            assert np.array_equal(state._runs, counts[state._first_nonempty])
+            assert np.array_equal(state._starts, np.cumsum(state._runs) - state._runs)
+            # each run holds exactly its subtensor's entries
+            assert np.array_equal(np.repeat(state._first_nonempty, state._runs), ids)
 
 
 class TestSweep:

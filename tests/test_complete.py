@@ -270,6 +270,25 @@ class TestConsensusOrdering:
         with pytest.raises(InvalidGammaError):
             check_consensus_ordering(completed, 7, (0,))
 
+    @pytest.mark.parametrize(
+        "dim, gamma, message",
+        [
+            (1, (0.9, 1.5), "gamma entries must be ints, got 0.9 in (0.9, 1.5)"),
+            (1, (0, True), "gamma entries must be ints, got True in (0, True)"),
+            (1, np.array([0.0, 1.0]), "gamma entries must be ints, got np.float64(0.0)"),
+            (0.5, (0, 1), "dim must be an int, got 0.5"),
+            (True, (0, 1), "dim must be an int, got True"),
+        ],
+    )
+    def test_integer_arguments_refuse_floats_and_bools(self, dim, gamma, message):
+        # int() would check columns (0, 1) for gamma (0.9, 1.5), and numpy
+        # would read dim True as a boolean mask
+        completed = complete_matrix(self.make_instance(), TIGHT)
+        with pytest.raises(InvalidGammaError, match=re.escape(message)):
+            check_consensus_ordering(completed, dim, gamma)
+        numpy_ints = check_consensus_ordering(completed, np.int64(1), np.array([0, 1]))
+        assert numpy_ints.verdict == check_consensus_ordering(completed, 1, (0, 1)).verdict == "pass"
+
     def test_requires_k_equal_d_minus_1(self, rng):
         t = random_sparse_tensor(rng, (4, 4, 4), 0.5)
         completed = complete(t, 1, TIGHT)  # k=1 != D-1

@@ -493,6 +493,19 @@ class TestQueryPlan:
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
+    def test_row_starts_with_empty_first_middle_and_last_rows(self, rng):
+        dense = random_sparse_tensor(rng, (7, 5), 0.7)
+        keep = ~np.isin(dense.indices[:, 0], [0, 3, 6])
+        t = SparseTensor(dense.shape, dense.indices[keep], dense.values[keep])
+        completed = complete_matrix(t, TIGHT)
+        starts = _query_plan(completed)[3]
+        assert type(starts) is list
+        assert starts == [0, *np.cumsum(np.bincount(t.indices[:, 0], minlength=7)).tolist()]
+        assert starts[:2] == [0, 0] and starts[-2:] == [t.n_observed, t.n_observed]
+        for user in range(7):
+            for exclude in (False, True):
+                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+
     def test_a_replaced_source_gives_answers_from_its_rows(self, rng):
         completed = self.completion(rng)
         for user in range(8):

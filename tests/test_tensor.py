@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from uctensor import (
     ScaleSet,
     ShapeMismatchError,
     SparseTensor,
+    balance,
     make_tensor,
     scale_apply,
     subtensor_families,
@@ -53,6 +55,17 @@ class TestConstruction:
             make_tensor((2, 2), {(1, 0): -1.0})
         with pytest.raises(DuplicateIndexError, match=r"duplicate index \(0, 1\)$"):
             make_tensor((2, 2), [((0, 1), 1.0), ((0, 1), 2.0)])
+
+    @pytest.mark.parametrize(
+        "shape, bad",
+        [((2.7, 3), "2.7"), ((True, 3), "True"), ((3, np.float64(2.0)), "np.float64(2.0)"), ((3, np.True_), "np.True_")],
+    )
+    def test_shape_dimensions_must_be_ints(self, shape, bad):
+        # int() would truncate 2.7 to 2 and read True as 1
+        with pytest.raises(ValueError, match=re.escape(f"shape dimensions must be ints, got {bad} in ")):
+            SparseTensor(shape, [[1, 2]], [1.0])
+        t = SparseTensor((np.int64(2), np.uint8(3)), [[1, 2]], [1.0])
+        assert t.shape == (2, 3) and all(type(s) is int for s in t.shape)
 
     def test_with_values_checks_only_the_values(self, three_entry_2x2):
         t = three_entry_2x2
@@ -170,6 +183,15 @@ class TestEnumeration:
     def test_invalid_k(self, k):
         with pytest.raises(InvalidKError):
             subtensor_families(2, k)
+
+    @pytest.mark.parametrize("k", [True, 1.0, np.float64(1.0), np.True_, "1"])
+    def test_k_must_be_an_int(self, k):
+        t = make_tensor((2, 2), {(0, 0): 1.0, (1, 1): 2.0})
+        message = re.escape(f"k must be an int, got {k!r}")
+        for call in (lambda: subtensor_families(2, k), lambda: balance(t, k), lambda: ScaleSet((2, 2), k, {}, {})):
+            with pytest.raises(InvalidKError, match=message):
+                call()
+        assert balance(t, np.int64(1)).k == 1 and type(balance(t, np.int64(1)).k) is int
 
     def test_key_count_formula(self):
         # a scale set holds one log per coordinate vector with exactly k
