@@ -32,13 +32,14 @@ constraint violation at the returned scales.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DidNotConvergeError, EmptyTensorError
-from .tensor import ScaleSet, SparseTensor, check_int, family_sub_ids, scale_apply, subtensor_families
+from .tensor import (
+    ScaleSet, SparseTensor, check_int, family_sub_ids, leading_run_starts, scale_apply, subtensor_families
+)
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,7 @@ class BalanceState:
         # each first-family subtensor is a run of the sorted keys, so its
         # sums and broadcasts are reduceat/repeat, several times faster
         # than bincount/gather
-        lead = len(first)
-        stride = math.prod(tensor.shape[lead:])
-        edges = tensor._flat.searchsorted(np.arange(math.prod(tensor.shape[:lead]) + 1) * stride)
+        edges = leading_run_starts(tensor, len(first))
         self.counts = {first: np.diff(edges)}
         self.log_scales = {first: np.zeros(len(edges) - 1)}
         self._first_nonempty = np.flatnonzero(self.counts[first])

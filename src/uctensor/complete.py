@@ -58,6 +58,15 @@ class CompletedTensor:
         self.scales = model.scales
         self._product_order = None  # top_n's query plan; older pickles name it so
 
+    def __getstate__(self):
+        """The query plan is left out: the first query after a load
+        rebuilds it, so a pickle is the same before and after queries."""
+        return {**self.__dict__, "_product_order": None}
+
+    def __setstate__(self, state):
+        # a plan in an older pickle may have another layout; drop it
+        self.__dict__.update(state, _product_order=None)
+
     @property
     def shape(self) -> tuple:
         return self.source.shape

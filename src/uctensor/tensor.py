@@ -276,6 +276,15 @@ def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
     return ids, math.prod(shape[d] for d in fixed_dims)
 
 
+def leading_run_starts(tensor: SparseTensor, lead: int) -> np.ndarray:
+    """Where each subtensor of the family fixing the first ``lead`` dims
+    starts among the sorted keys, in row-major order, and the entry count
+    last: each such subtensor is one run of the keys, so one
+    ``searchsorted`` finds them all without forming per-entry ids."""
+    stride = math.prod(tensor.shape[lead:])
+    return tensor._flat.searchsorted(np.arange(math.prod(tensor.shape[:lead]) + 1) * stride)
+
+
 class ScaleSet:
     """Strictly positive per-subtensor scales for one family dimensionality k,
     stored as their logs.

@@ -1,0 +1,77 @@
+"""The pairs runner's summary, on canned results: no benchmark process
+is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    {"name": "mb_per_s", "unit": "MB/s", "better": "higher", "bound": 0.25},
+]
+
+
+def result(job, rss, rate=None, failed=0):
+    metrics = {"job_s": {"value": job, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    if rate is not None:
+        metrics["mb_per_s"] = {"value": rate, "unit": "MB/s"}
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+def pairs(parent, change):
+    return [{"seed": i, "parent": p, "change": c} for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_medians_quartiles_and_pairs_won():
+    runs = pairs(
+        [result(j, 50.0) for j in (1.0, 2.0, 3.0, 4.0, 5.0)],
+        [result(j, 52.0) for j in (0.5, 1.5, 3.5, 3.0, 4.0)],
+    )
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    job = summary["metrics"]["job_s"]
+    assert job["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert job["change"] == {"q1": 1.5, "median": 3.0, "q3": 3.5}
+    assert job["change_won"] == 4 and job["pairs"] == 5
+    assert job["relative_change"] == 0.0
+    assert job["unresolved"]  # a parent spread of 2/3 against a bound of 0.25
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["change_won"] == 0
+    assert rss["relative_change"] == pytest.approx(0.04)
+    assert not rss["unresolved"]
+    assert "mb_per_s" not in summary["metrics"]  # no run reported it
+    assert summary["failures"] == {
+        "parent": {"runs_failed": 0, "attempted": 500, "failed": 0},
+        "change": {"runs_failed": 0, "attempted": 500, "failed": 0},
+    }
+    lines = bench_pairs.format_summary(summary)
+    assert lines[0] == (
+        "job_s: parent 3 [2, 4] change 3 [1.5, 3.5] s, +0.0%, change lower in 4/5 pairs, "
+        "unresolved (parent spread exceeds the bound)"
+    )
+    assert lines[1] == "peak_rss_mb: parent 50 [50, 50] change 52 [52, 52] MB, +4.0%, change lower in 0/5 pairs"
+    assert lines[2:] == [
+        "parent: 0 runs failed, 0 of 500 operations failed",
+        "change: 0 runs failed, 0 of 500 operations failed",
+    ]
+
+
+def test_a_higher_is_better_metric_and_failures():
+    runs = pairs(
+        [result(1.0, 50.0, rate=10.0), result(1.0, 50.0, rate=10.0)],
+        [result(1.0, 50.0, rate=12.0, failed=3), {"correct": False, "error": "exit 1: boom"}],
+    )
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["metrics"] == {}  # the failed run reported no metrics
+    assert summary["failures"]["change"] == {"runs_failed": 2, "attempted": 100, "failed": 3}
+    summary = bench_pairs.summarize(runs[:1], END_TO_END)
+    rate = summary["metrics"]["mb_per_s"]
+    assert rate["better"] == "higher" and rate["change_won"] == 1
+    assert rate["relative_change"] == pytest.approx(0.2)
+    assert summary["metrics"]["job_s"]["change_won"] == 0  # a tie is not a win

@@ -25,6 +25,7 @@ from uctensor import (
     scale_apply,
     top_n,
 )
+from uctensor import recommend
 from uctensor.properties import random_sparse_tensor
 from uctensor.recommend import _query_plan
 
@@ -162,6 +163,14 @@ class TestTopN:
             predict_rating(completed, 1.9, 0)
         with pytest.raises(TypeError):
             predict_rating(completed, 0, 1.0)
+        # nor is a bool read as user or product 0 or 1
+        for flag in (True, False, np.True_):
+            with pytest.raises(TypeError, match=rf"^user id must be an integer, got {flag!r}$"):
+                top_n(completed, flag, 2)
+            with pytest.raises(TypeError, match=rf"^user id must be an integer, got {flag!r}$"):
+                predict_rating(completed, flag, 0)
+            with pytest.raises(TypeError, match=rf"^product id must be an integer, got {flag!r}$"):
+                predict_rating(completed, 0, flag)
         assert top_n(completed, np.int64(1), 2) == top_n(completed, 1, 2)
         assert predict_rating(completed, np.int32(1), np.int64(0)) == predict_rating(completed, 1, 0)
 
@@ -458,9 +467,29 @@ class TestProductOrderCache:
 
     def test_pickled_after_a_query_gives_identical_answers(self, rng):
         completed = self.completion(rng)
+        unqueried = pickle.dumps(completed)
         before = [top_n(completed, user, 5, exclude) for user in range(8) for exclude in (False, True)]
-        clone = pickle.loads(pickle.dumps(completed))
+        queried = pickle.dumps(completed)
+        assert queried == unqueried  # the plan is left out
+        clone = pickle.loads(queried)
         assert [top_n(clone, user, 5, exclude) for user in range(8) for exclude in (False, True)] == before
+
+    def test_a_plan_in_an_older_pickle_is_dropped(self, rng):
+        # an older pickle carried its plan, keyed on arrays that unpickle
+        # as the very ones of the completion: a plan of another layout must
+        # not be read as this one
+        completed = self.completion(rng)
+        top_n(completed, 0, 3)
+        plan = _query_plan(completed)
+        stale = (*plan[:4], plan[4][::-1].copy(), *plan[5:])
+        state = pickle.loads(pickle.dumps(dict(vars(completed), _product_order=stale)))
+        assert state["_product_order"][0] is state["scales"].log[(0,)]
+        clone = CompletedTensor.__new__(CompletedTensor)
+        clone.__setstate__(state)
+        assert clone._product_order is None
+        for user in range(8):
+            for exclude in (False, True):
+                assert top_n(clone, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
     def test_saved_model_is_the_same_with_or_without_queries(self, rng, tmp_path):
         completed = self.completion(rng)
@@ -529,6 +558,8 @@ class TestQueryPlan:
         completed = self.completion(rng)
         top_n(completed, 0, 3)
         arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
+        # user and product logs, order, tie_end, ramp, all_true, -product
+        # logs and gaps; rank is only read by the build
         assert len(arrays) == 8
         assert not any(a.flags.writeable for a in arrays)
 
@@ -543,3 +574,87 @@ class TestQueryPlan:
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
         assert completed._product_order[0] is completed.scales.log[(0,)]
+
+
+def gaps_oracle(completed):
+    """The plan's gaps by brute force: per row, the sorted order positions
+    of its rated products, each less its index."""
+    rank = np.argsort(np.argsort(completed.scales.log[(1,)], kind="stable"))
+    rows, products = completed.source.indices.T
+    out = []
+    for user in range(completed.shape[0]):
+        taken = np.sort(rank[products[rows == user]])
+        out += (taken - np.arange(len(taken))).tolist()
+    return out
+
+
+class TestPlanGaps:
+    """The plan's gaps, built a block of whole rows at a time, must equal
+    the brute-force oracle whatever the block size, and top_n, which reads
+    only them for the rated products of an in-range row, the reference."""
+
+    @staticmethod
+    def assert_gaps_and_answers(completed, dtype, ns):
+        gaps = _query_plan(completed)[9]
+        assert gaps.dtype == dtype
+        assert gaps.tolist() == gaps_oracle(completed)
+        for user in range(completed.shape[0]):
+            for exclude in (False, True):
+                for n in ns:
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+
+    @pytest.mark.parametrize("block", [1, 3, 25, 64, recommend.PLAN_BLOCK])
+    def test_empty_and_long_rows_across_blocks(self, rng, monkeypatch, block):
+        # rows of 0 to 40 entries: empty first, middle and last rows, rows
+        # longer than a block, and rows that would straddle a block's end
+        monkeypatch.setattr(recommend, "PLAN_BLOCK", block)
+        n_users, n_products = 12, 40
+        density = rng.uniform(0.0, 1.0, size=(n_users, 1))
+        density[[0, 5, 6, 11]] = 0.0
+        density[3] = 1.0
+        rated = np.argwhere(rng.random((n_users, n_products)) < density)
+        source = SparseTensor((n_users, n_products), rated, rng.uniform(0.5, 5.0, len(rated)))
+        completed = completion_of(source, rng.normal(size=n_users), rng.normal(size=n_products))
+        self.assert_gaps_and_answers(completed, np.uint8, (1, 2, 10, n_products + 1))
+
+    @pytest.mark.parametrize("n_products, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_smallest_dtype_that_holds_the_products(self, rng, n_products, dtype):
+        # user 0 rates only the product last in order: its gap is P - 1
+        product_logs = rng.normal(size=n_products)
+        last = int(np.argmax(product_logs))
+        rated = np.array([[0, last], *[[1, p] for p in range(0, n_products, 3)]])
+        source = SparseTensor((2, n_products), rated, np.full(len(rated), 2.0))
+        completed = completion_of(source, [0.0, 0.5], product_logs)
+        assert _query_plan(completed)[9][0] == n_products - 1
+        self.assert_gaps_and_answers(completed, dtype, (1, 10, n_products - 1, n_products + 2))
+
+    def test_uint32_gaps_past_65535_products(self, rng):
+        n_products = 70_000
+        rated = np.concatenate([
+            np.stack([np.zeros(50, dtype=int), rng.choice(n_products, 50, replace=False)], axis=1),
+            np.stack([np.ones(3000, dtype=int), rng.choice(n_products, 3000, replace=False)], axis=1),
+        ])
+        source = SparseTensor((2, n_products), rated, rng.uniform(0.5, 5.0, len(rated)))
+        product_logs = rng.normal(size=n_products)
+        product_logs[rated[rated[:, 0] == 1, 1][:200]] = -10.0  # the walk passes 200 of user 1's
+        completed = completion_of(source, [0.0, 0.2], product_logs)
+        self.assert_gaps_and_answers(completed, np.uint32, (1, 10, 300))
+        for exclude in (False, True):
+            n = 2**32 + 2  # n - 1 is past what gaps' dtype holds
+            assert top_n(completed, 1, n, exclude) == reference_top_n(completed, 1, n, exclude)
+
+    def test_rated_products_inside_the_tie_run_after_the_nth(self):
+        # products 0-3 tie; 1 and 2 are rated and lie right after the
+        # first unrated one, inside its tie run
+        source = make_tensor((1, 6), {(0, 1): 0.5, (0, 2): 3.0})
+        completed = completion_of(source, [0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        assert _query_plan(completed)[9].tolist() == [1, 1]
+        assert [p.product for p in top_n(completed, 0, 1, exclude_observed=True)] == [0]
+        assert [p.product for p in top_n(completed, 0, 2, exclude_observed=True)] == [0, 3]
+        assert [p.product for p in top_n(completed, 0, 3, exclude_observed=True)] == [0, 3, 4]
+        assert [(p.product, p.source) for p in top_n(completed, 0, 3)] == [
+            (2, "observed"), (0, "completed"), (3, "completed")
+        ]
+        for exclude in (False, True):
+            for n in range(1, 8):
+                assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
