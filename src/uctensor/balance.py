@@ -38,7 +38,7 @@ import numpy as np
 
 from .exceptions import DidNotConvergeError, EmptyTensorError
 from .tensor import (
-    ScaleSet, SparseTensor, check_int, family_sub_ids, leading_run_starts, scale_apply, subtensor_families
+    ScaleSet, SparseTensor, check_int, family_sub_ids, is_int, leading_run_starts, scale_apply, subtensor_families
 )
 
 
@@ -54,8 +54,9 @@ class SolverConfig:
     max_sweeps: int = 1000
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        epsilon = self.epsilon  # an int or a float, not a bool or a str
+        if not ((is_int(epsilon) or isinstance(epsilon, (float, np.floating))) and 0 <= epsilon < np.inf):
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
         check_int("max_sweeps", self.max_sweeps, 1)
 
 

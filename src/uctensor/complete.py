@@ -27,13 +27,14 @@ def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
     one conversion of log sums to fills (``top_n`` alone skips it, for
     rows whose every log sum it has bounded).  The fills are written over
     ``log_sums``, which is returned: every caller (``values_at``,
-    ``fill_at``, ``to_dense``, ``evaluate._uctensor`` and ``top_n``'s
-    whole-row branch) passes a temporary.  A log sum in (-700, 700)
-    gives a normal float.  One below about -709 overflows to inf (a tiny
-    observed value can do that), and one above about 745 underflows to 0,
-    the unobserved marker: either raises, naming the first such cell,
-    ``cell_at(i)`` giving the cell of position i.  Callers zero the log
-    sums of the cells they answer from the source."""
+    ``fill_at``, ``to_dense``, ``evaluate._uctensor`` and ``top_n``, over
+    a row's unrated products in walk order) passes a temporary.  A log
+    sum in (-700, 700) gives a normal float.  One below about -709
+    overflows to inf (a tiny observed value can do that), and one above
+    about 745 underflows to 0, the unobserved marker: either raises,
+    naming the first such cell, ``cell_at(i)`` giving the cell of
+    position i.  Callers zero the log sums of the cells they answer from
+    the source."""
     values = np.negative(log_sums, out=log_sums)
     if len(values) and -700.0 < values.min() and values.max() < 700.0:
         return np.exp(values, out=values)

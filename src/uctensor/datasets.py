@@ -34,7 +34,7 @@ from .exceptions import (
     TooFewRecordsError,
     UnknownCategoryError,
 )
-from .tensor import SparseTensor, check_int
+from .tensor import SparseTensor, check_int, is_int
 
 JESTER_SENTINEL = 99.0
 _INT64 = np.iinfo(np.int64)
@@ -156,8 +156,6 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of equal keys is the first occurrence."""
     # temporaries are dropped as soon as they are spent: this runs at the
     # peak of a load's memory
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     order = np.argsort(keys)
     sorted_keys = keys[order]
     starts = np.ones(len(keys), dtype=bool)
@@ -457,7 +455,7 @@ def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     (dataset order, seed); fold sizes within +-1 of each other.  n_folds
     must be an int >= 2, the seed an int >= 0."""
     n = len(dataset.rating_values)
-    if n_folds < 2:
+    if is_int(n_folds) and n_folds < 2:
         raise TooFewRecordsError(f"need at least 2 folds, got {n_folds}")
     check_int("n_folds", n_folds, 2)
     if n < n_folds:

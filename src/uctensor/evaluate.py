@@ -69,6 +69,7 @@ class ExperimentConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_int("seed", self.seed, 0)
         check_int("threads", self.threads, 1)
         if isinstance(self.categories, str):
             raise ValueError(f"categories must be a sequence of feature names, not the str {self.categories!r}")

@@ -154,10 +154,10 @@ def top_n(
     at or before it.  Its fill is smaller than theirs by a relative 1e-9,
     far beyond ``exp``'s rounding of a few 1e-16, so it can neither rank
     among the first n nor tie with them.  Otherwise some fill of the
-    row may leave the float range, and the whole row is filled, checked
-    (raising ``NonFiniteValueError`` or ``NonPositiveValueError`` that
-    names the first such cell, rated products excepted) and ranked by
-    the same sort, in O(P log P) for P products.
+    row may leave the float range, and the walk takes all P products:
+    each unrated one is filled, checked (raising ``NonFiniteValueError``
+    or ``NonPositiveValueError`` naming the first such cell in walk
+    order) and ranked by the same sort, near-linear on the sorted fills.
 
     A query costs one O(log r) binary search for a row of r rated
     products plus the prefix: its fills and the final sort (the
@@ -176,13 +176,11 @@ def top_n(
         raise IndexOutOfBoundsError(f"row {user} out of range [0, {source.shape[0]})")
     lo, hi = starts[user], starts[user + 1]
     a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
-    if -700.0 < a + least and a + greatest < 700.0:
-        products = _walk(order, tie_end, ramp, all_true, gaps[lo:hi], n)
+    in_range = -700.0 < a + least and a + greatest < 700.0  # else the walk takes every unrated product
+    products = _walk(order, tie_end, ramp, all_true, gaps[lo:hi], n if in_range else len(order))
+    if in_range:
         values = np.exp(neg_b[products] - a)  # every sum of the row is in (-700, 700)
     else:
-        unrated = all_true.copy()
-        unrated[source._flat[lo:hi] - user * source.shape[1]] = False
-        products = np.flatnonzero(unrated)
         values = inverse_scale_fills(a - neg_b[products], lambda i: (user, int(products[i])))
     ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
     if not exclude_observed:

@@ -349,11 +349,27 @@ class TestReportedResidual:
         assert model.final_residual == 0.0
         np.testing.assert_array_equal(model.balanced.values, np.ones(6))
 
+    def test_no_direction_left_while_unsettled_reports_the_recomputed_residual(self):
+        # at epsilon = 0 the recurrence's residual of 1.2e-32 never settles
+        # the solve, and p·Ap then stops it: the reported residual must be
+        # the one the returned scales give, bit for bit
+        t = make_tensor((2, 2), {(0, 0): 2.0, (0, 1): 8.0, (1, 0): 4.0})
+        with pytest.raises(DidNotConvergeError) as err:
+            balance(t, 1, SolverConfig(epsilon=0.0))
+        model = err.value.model
+        state = BalanceState(t, 1)
+        x = np.concatenate([model.scales.log[f] for f in state.families[1:]])
+        assert model.final_residual == float(np.max(np.abs(state._settle(x)))) ** 2
+        assert model.final_residual == model.residual_trace[-1] > 0.0
+
 
 class TestSolverConfig:
     def test_validation(self):
-        for epsilon in (-1.0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="finite and >= 0"):
+        # a bool is not taken as 0 or 1, nor a str compared with 0
+        for epsilon in (-1.0, float("nan"), float("inf"), float("-inf"), True, np.True_, "1e-3", None, 1j):
+            with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0, got "):
                 SolverConfig(epsilon=epsilon)
+        with pytest.raises(ValueError, match=r"got '1e-3'$"):  # quoted, not read as a number
+            SolverConfig(epsilon="1e-3")
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)

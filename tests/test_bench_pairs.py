@@ -75,3 +75,48 @@ def test_a_higher_is_better_metric_and_failures():
     assert rate["better"] == "higher" and rate["change_won"] == 1
     assert rate["relative_change"] == pytest.approx(0.2)
     assert summary["metrics"]["job_s"]["change_won"] == 0  # a tie is not a win
+
+
+STDOUT = """metric topn_s 0.00110 s
+metric job_median_s 0.00125 s
+metric passes 160 count
+metric setup_s 1.2 s
+metric job_s 0.00107 s
+metric peak_rss_mb 57.2 MB
+{"correct": true, "attempted": 16000, "failed": 0, "metrics": {"job_s": {"value": 0.00107, "unit": "s"}}}
+"""
+
+
+def test_a_run_keeps_its_median_pass_line(monkeypatch):
+    def fake_run(cmd, **kwargs):
+        assert cmd[1] == "perfbench/run.py" and kwargs["cwd"] == Path("checkout")
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, STDOUT, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    record = bench_pairs.run_once(Path("checkout"), "serve-topn", 1, 20.0)
+    assert record["correct"] and record["metrics"] == {"job_s": {"value": 0.00107, "unit": "s"}}
+    assert record["informational"] == {"job_median_s": {"value": 0.00125, "unit": "s"}}
+
+
+def test_the_median_pass_is_an_informational_row():
+    def timed(job, median):
+        return {**result(job, 50.0), "informational": {"job_median_s": {"value": median, "unit": "s"}}}
+
+    runs = pairs([timed(1.0, 2.0), timed(1.0, 3.0)], [timed(1.0, 1.0), timed(1.0, 4.0)])
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert "job_median_s" not in summary["metrics"]
+    median = summary["informational"]["job_median_s"]
+    assert median["parent"]["median"] == median["change"]["median"] == 2.5
+    assert median["change_won"] == 1 and median["bound"] is None and not median["unresolved"]
+    lines = bench_pairs.format_summary(summary)
+    assert lines[2] == (
+        "job_median_s: parent 2.5 [2.25, 2.75] change 2.5 [1.75, 3.25] s, +0.0%, "
+        "change lower in 1/2 pairs, informational (no bound)"
+    )
+    assert lines[3:] == [
+        "parent: 0 runs failed, 0 of 200 operations failed",
+        "change: 0 runs failed, 0 of 200 operations failed",
+    ]
+    # a run without the line (a failed one, or an older runner's record) leaves the row out
+    runs[0]["change"] = {"correct": False, "error": "exit 1: boom"}
+    assert bench_pairs.summarize(runs, END_TO_END)["informational"] == {}

@@ -83,6 +83,14 @@ class TestComplete:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_dense_listing_too_large_is_refused(self, tmp_path, capsys):
+        src, out = tmp_path / "big.txt", tmp_path / "out.txt"
+        src.write_text("shape 4000,2501\n0,0,2.0\n")
+        assert main(["complete", "--input", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 10004000 cells is too large for a dense listing; use --model-out")
+        assert not out.exists()
+
     def test_shape_too_big_to_index(self, tmp_path, capsys):
         src = tmp_path / "huge.txt"
         src.write_text("shape 10000000,10000000,10000000\n0,0,0,2.0\n")

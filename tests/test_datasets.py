@@ -167,6 +167,10 @@ class TestMovieLens:
         with pytest.raises(ParseError):
             load_movielens(f, fmt="1m")
 
+    def test_unknown_fmt_is_named(self, ml_files):
+        with pytest.raises(ValueError, match=r"^fmt must be '1m' or '10m', got '5m'$"):
+            load_movielens(ml_files[0], fmt="5m")
+
     def test_duplicate_pair_first_wins(self, tmp_path):
         f = tmp_path / "r.dat"
         f.write_text("1::10::5::1\n1::10::2::2\n2::10::3::3\n")
@@ -512,6 +516,13 @@ class TestSplitting:
             split_kfold(ds, 1, seed=0)
         with pytest.raises(TooFewRecordsError):
             split_kfold(ds, 99, seed=0)
+
+    @pytest.mark.parametrize("n_folds", ["3", None, 3.0, True, False])
+    def test_n_folds_that_is_not_an_int_is_named(self, ml_files, n_folds):
+        ds = load_movielens(ml_files[0])
+        with pytest.raises(ValueError, match=r"^n_folds must be an int >= 2, got ") as info:
+            split_kfold(ds, n_folds, 0)
+        assert not isinstance(info.value, TooFewRecordsError)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None, "0"])
     def test_a_seed_that_is_not_an_int_at_least_0_is_named(self, ml_files, seed):

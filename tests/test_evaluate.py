@@ -167,6 +167,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got -1$"):
             run_experiment(synthetic_dataset(0), "2d", ExperimentConfig(seed=-1))
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "0", None])
+    def test_a_seed_that_is_not_an_int_at_least_0_is_refused_at_construction(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an int >= 0, got {seed!r}$"):
+            ExperimentConfig(seed=seed)
+
 
 class TestCrossValidate:
     def test_an_oracle_predictor_scores_zero_on_every_fold_in_order(self):

@@ -499,6 +499,9 @@ V3_CORRUPTIONS = {
     "unknown version": (lambda m: header_with(m, version=4), ParseError),
     "object-dtype member": (lambda m: m.__setitem__("values", np.array([PicklesACall()] * 11)),
                             ParseError),
+    "2-D values": (lambda m: m.__setitem__("values", m["values"].reshape(11, 1)), ParseError),
+    "float keys": (lambda m: m.__setitem__("keys", m["keys"].astype(np.float64)), ParseError),
+    "raw ids one short": (lambda m: m.__setitem__("users_raw", m["users_raw"][:-1]), ParseError),
 }
 
 
@@ -518,6 +521,18 @@ def test_malformed_binary_files_raise_a_named_error(tmp_path, case):
         load_model(path)
     assert isinstance(info.value, UctensorError) and isinstance(info.value, ValueError)
     assert not UNPICKLED
+
+
+@pytest.mark.parametrize("case, why", [
+    ("2-D values", r"member 'values' is a float64 array of shape \(11, 1\)"),
+    ("float keys", r"member 'keys' is a float64 array of shape \(11,\)"),
+    ("raw ids one short", "users has 2 raw ids but 3 indices"),
+])
+def test_malformed_binary_members_are_named(tmp_path, case, why):
+    path = tmp_path / "model.json"
+    write_v3_corrupted(path, V3_CORRUPTIONS[case][0])
+    with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + why):
+        load_model(path)
 
 
 def test_object_members_are_refused_unread(tmp_path):
@@ -580,6 +595,10 @@ V4_CORRUPTIONS = {
     "nan value": (lambda h, m: m["values"].__setitem__(0, np.nan), NonFiniteValueError, "not finite"),
     "values one short of the keys": (lambda h, m: m.__setitem__("values", m["values"][:-1]), ParseError,
                                      "length mismatch"),
+    "float keys": (with_table_row("keys", dtype="<f8"), ParseError,
+                   r"member 'keys' is a float64 array of shape \(11,\)"),
+    "raw ids one short": (lambda h, m: m.__setitem__("users_raw", m["users_raw"][:-1]), ParseError,
+                          "users has 2 raw ids but 3 indices"),
 }
 
 

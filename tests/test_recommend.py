@@ -154,6 +154,11 @@ class TestTopN:
             with pytest.raises(IndexOutOfBoundsError, match=rf"^row {user} out of range \[0, {n_users}\)$"):
                 top_n(completed, user, 3)
 
+    def test_requires_2d(self, rng):
+        completed = complete(random_sparse_tensor(rng, (3, 3, 3), 0.6), 2, TIGHT)
+        with pytest.raises(NotAMatrixError, match="top_n expects a 2-D completion"):
+            top_n(completed, 0, 1)
+
     def test_ids_must_be_integers(self):
         # int() would answer a float id for another user
         completed = self.column_ordered_model()
@@ -354,10 +359,11 @@ class TestTopNEquivalence:
         assert [p.product for p in top_n(completed, 0, 1)] == [0]
 
     def test_far_log_scale_ranks_the_whole_row(self):
-        # product 2's log scale of 704 puts a_u + b_p past 700, so the whole
-        # row is filled (its fill, ~1e-306, is still a normal float) and
-        # ranked from product order: the rating 0.5 of product 3 beats the
-        # fill 0.37 of product 0, though not the fill 1 of product 1
+        # product 2's log scale of 704 puts a_u + b_p past 700, so the walk
+        # takes the whole order: every unrated product is filled (its fill,
+        # ~1e-306, is still a normal float) and ranked, and the rating 0.5 of
+        # product 3 beats the fill 0.37 of product 0, though not the fill 1
+        # of product 1
         source = make_tensor((1, 5), {(0, 3): 0.5})
         completed = completion_of(source, [0.0], [1.0, 0.0, 704.0, 2.0, 3.0])
         assert [(p.product, p.source) for p in top_n(completed, 0, 2)] == [(1, "completed"), (3, "observed")]

@@ -14,7 +14,11 @@ For each end-to-end metric (from CHANGE's ``BENCHMARK.json``) it prints
 both sides' medians and quartiles, the median's relative change, and the
 pairs the change won.  A metric whose parent quartile spread, over its
 median, exceeds the metric's bound is marked unresolved: runs that far
-apart on the same code cannot show a change within the bound.  ``--out``
+apart on the same code cannot show a change within the bound.  Each
+run's median pass time, the ``metric job_median_s`` line printed before
+the result, gets the same row, marked informational: it has no bound and
+is not an end-to-end metric, but a process whose every pass ran slow
+shows in it where ``job_s``, the fastest stages, can hide it.  ``--out``
 writes the same figures, every run's metrics, and the CPU count and
 Python and numpy versions.  The exit status is 1 if a run failed or
 reported a failed output check, else 0; PARENT and CHANGE may be the same
@@ -34,19 +38,33 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+INFORMATIONAL = [{"name": "job_median_s", "unit": "s", "better": "lower"}]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` process in ``checkout``: its last output
     line, the result object (``correct``, ``attempted``, ``failed``,
-    ``metrics``), or ``{"correct": False, "error": ...}`` if it failed."""
+    ``metrics``), with the ``INFORMATIONAL`` metric lines before it under
+    ``informational``, or ``{"correct": False, "error": ...}`` if it
+    failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "informational": informational_metrics(lines[:-1])}
+
+
+def informational_metrics(lines) -> dict:
+    """The ``INFORMATIONAL`` metrics among ``metric NAME VALUE UNIT`` lines."""
+    names = {spec["name"] for spec in INFORMATIONAL}
+    found = {}
+    for line in lines:
+        words = line.split()
+        if len(words) == 4 and words[0] == "metric" and words[1] in names:
+            found[words[1]] = {"value": float(words[2]), "unit": words[3]}
+    return found
 
 
 def quartiles(values) -> dict:
@@ -54,17 +72,15 @@ def quartiles(values) -> dict:
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """The figures of a list of pairs, each ``{"parent": result, "change":
-    result}``, for each metric of ``end_to_end`` (``name``, ``unit``,
-    ``better``, ``bound`` as in ``BENCHMARK.json``) that every run
-    reported."""
+def figures_of(runs: list[dict], specs: list[dict], key: str) -> dict:
+    """The figures of each metric of ``specs`` that every run reported
+    under ``key``."""
     figures = {}
-    for spec in end_to_end:
+    for spec in specs:
         name = spec["name"]
-        if not all(name in r[side].get("metrics", {}) for r in runs for side in SIDES):
+        if not all(name in r[side].get(key, {}) for r in runs for side in SIDES):
             continue
-        values = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in SIDES}
+        values = {side: [r[side][key][name]["value"] for r in runs] for side in SIDES}
         lower = spec.get("better", "lower") == "lower"
         won = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
@@ -80,6 +96,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(runs),
             "unresolved": spec.get("bound") is not None and spread > spec["bound"],
         }
+    return figures
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """The figures of a list of pairs, each ``{"parent": result, "change":
+    result}``, for each metric of ``end_to_end`` (``name``, ``unit``,
+    ``better``, ``bound`` as in ``BENCHMARK.json``) and of
+    ``INFORMATIONAL`` that every run reported."""
     failures = {
         side: {
             "runs_failed": sum(not r[side].get("correct", False) for r in runs),
@@ -88,13 +112,20 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         }
         for side in SIDES
     }
-    return {"metrics": figures, "failures": failures}
+    return {
+        "metrics": figures_of(runs, end_to_end, "metrics"),
+        "informational": figures_of(runs, INFORMATIONAL, "informational"),
+        "failures": failures,
+    }
 
 
 def format_summary(summary: dict) -> list[str]:
-    """One line per metric, then one per side's failures."""
+    """One line per metric, the informational ones marked, then one per
+    side's failures."""
     lines = []
-    for name, f in summary["metrics"].items():
+    rows = [(f, "") for f in summary["metrics"].items()]
+    rows += [(f, ", informational (no bound)") for f in summary["informational"].items()]
+    for (name, f), note in rows:
         p, c = f["parent"], f["change"]
         rel = "n/a" if f["relative_change"] is None else f"{f['relative_change']:+.1%}"
         lines.append(
@@ -102,6 +133,7 @@ def format_summary(summary: dict) -> list[str]:
             f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {f['unit']}, "
             f"{rel}, change {f['better']} in {f['change_won']}/{f['pairs']} pairs"
             + (", unresolved (parent spread exceeds the bound)" if f["unresolved"] else "")
+            + note
         )
     for side, t in summary["failures"].items():
         lines.append(f"{side}: {t['runs_failed']} runs failed, {t['failed']} of {t['attempted']} operations failed")
