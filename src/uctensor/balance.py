@@ -172,7 +172,7 @@ class BalanceState:
         return ScaleSet(self.tensor.shape, self.k, dict(self.log_scales), nonempty)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentModel:
     """Result of a balance solve: the source tensor, the accumulated
     per-subtensor scales, and convergence diagnostics.  The scales are

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,31 +51,24 @@ def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
 
 
 class CompletedTensor:
-    """Query interface over a completion: observed cells verbatim from the
-    source, everything else filled on demand from the scale set."""
+    """A completion's query interface, a plain value fixed at construction:
+    observed cells verbatim from the source, the rest filled on demand from
+    the scales.  A pickle holds the model alone, never ``top_n``'s ``_plan``."""
+
+    __slots__ = ("_model", "_plan")
 
     def __init__(self, model: LatentModel):
-        self.model = model
-        self.source = model.source
-        self.scales = model.scales
-        self._product_order = None  # top_n's query plan; older pickles name it so
+        self._model = model
+        self._plan = None
 
-    def __getstate__(self):
-        """The query plan is left out: the first query after a load
-        rebuilds it, so a pickle is the same before and after queries."""
-        return {**self.__dict__, "_product_order": None}
+    def __reduce__(self):
+        return CompletedTensor, (self._model,)
 
-    def __setstate__(self, state):
-        # a plan in an older pickle may have another layout; drop it
-        self.__dict__.update(state, _product_order=None)
-
-    @property
-    def shape(self) -> tuple:
-        return self.source.shape
-
-    @property
-    def k(self) -> int:
-        return self.scales.k
+    model = property(attrgetter("_model"))
+    source = property(attrgetter("_model.source"))
+    scales = property(attrgetter("_model.scales"))
+    shape = property(attrgetter("_model.source.shape"))
+    k = property(attrgetter("_model.scales.k"))
 
     def fill_at(self, index) -> float:
         """The inverse-scale-product fill, regardless of observedness."""

@@ -32,6 +32,7 @@ from .exceptions import (
     ParseError,
     ShapeMismatchError,
     TooFewRecordsError,
+    UctensorError,
     UnknownCategoryError,
 )
 from .tensor import SparseTensor, check_int, is_int
@@ -450,14 +451,19 @@ class FoldPlan:
         return self.assignment == fold
 
 
+def check_folds(n_folds) -> None:
+    """``check_int`` for ``n_folds`` >= 2, but an int below 2 is ``TooFewRecordsError``."""
+    if is_int(n_folds) and n_folds < 2:
+        raise TooFewRecordsError(f"need at least 2 folds, got {n_folds}")
+    check_int("n_folds", n_folds, 2)
+
+
 def split_kfold(dataset: RatingsDataset, n_folds: int, seed: int) -> FoldPlan:
     """Uniform random fold assignment of records; deterministic for a given
     (dataset order, seed); fold sizes within +-1 of each other.  n_folds
     must be an int >= 2, the seed an int >= 0."""
     n = len(dataset.rating_values)
-    if is_int(n_folds) and n_folds < 2:
-        raise TooFewRecordsError(f"need at least 2 folds, got {n_folds}")
-    check_int("n_folds", n_folds, 2)
+    check_folds(n_folds)
     if n < n_folds:
         raise TooFewRecordsError(f"{n} records cannot fill {n_folds} folds")
     check_int("seed", seed, 0)
@@ -588,7 +594,10 @@ def load_tensor_text(path) -> SparseTensor:
     if shape is None:
         raise ParseError(f"{path}: missing 'shape' header")
     indices = np.asarray([index for index, _ in cells], dtype=np.int64)
-    return SparseTensor(shape, indices, np.asarray([value for _, value in cells]))
+    try:
+        return SparseTensor(shape, indices, np.asarray([value for _, value in cells]))
+    except UctensorError as exc:  # out of bounds, not positive, duplicate: name the file
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_tensor_text(path, shape, indices, values) -> None:

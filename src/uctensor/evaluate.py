@@ -22,7 +22,7 @@ import numpy as np
 
 from .balance import SolverConfig, balance
 from .complete import inverse_scale_fills
-from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, split_kfold, user_feature_indices
+from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, check_folds, split_kfold, user_feature_indices
 from .datasets import _check_plan_length
 from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
 from .exceptions import DidNotConvergeError, EmptyInputError
@@ -69,6 +69,7 @@ class ExperimentConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_folds(self.n_folds)
         check_int("seed", self.seed, 0)
         check_int("threads", self.threads, 1)
         if isinstance(self.categories, str):

@@ -52,33 +52,24 @@ PLAN_BLOCK = 1 << 13  # entries of whole rows whose gaps are built at once
 
 def _query_plan(completed: CompletedTensor):
     """What every top-n query of a completion shares: ``(user logs,
-    product logs, source, starts, order, tie_end, ramp, all_true, -product
-    logs, gaps, least, greatest)``.  ``starts[u]`` is where the source's
-    row u starts among its entries, a Python list of U + 1.  ``order`` is
-    the products by ascending log scale (stable), and ``tie_end[i]`` the
-    end of the run of order positions within ``TIE_WINDOW`` of position
-    i's log scale; a query slices the index ramp and copies the all-true
-    mask rather than build them.  ``gaps``, aligned with the entries,
-    holds each row's rated products' order positions, sorted, each less
-    its index in the row: the row's unrated products ahead of it.  Its
-    dtype is the smallest unsigned one that holds P (uint16, 2 bytes an
-    entry, up to 65,535 products).  The least and greatest product log
-    scales are Python floats.  Built on the first query and kept on the
-    completion, keyed on the identity of its ``source`` and both log
-    arrays of its ``scales``, so replacing any of them rebuilds it; O(P
-    log P + U log nnz + nnz log r), and read-only, so concurrent queries
-    share it."""
-    user_logs, logs = completed.scales.log[(0,)], completed.scales.log[(1,)]
-    source = completed.source
-    plan = completed._product_order
-    if plan is None or plan[0] is not user_logs or plan[1] is not logs or plan[2] is not source:
+    starts, order, tie_end, -product logs, gaps, least, greatest)``.
+    ``starts`` lists where each row of the source starts among its
+    entries, and the entry count last.  ``order`` is the products by
+    ascending log scale (stable), and ``tie_end[i]`` the end of the run
+    of order positions within ``TIE_WINDOW`` of position i's log scale.
+    ``gaps``, aligned with the entries, holds each row's rated products'
+    order positions, sorted, each less its index in the row, in the
+    smallest unsigned dtype that holds P.  ``least`` and ``greatest`` are
+    the extreme product log scales.  The completion is a plain value, so
+    the plan is built once, on its first query, and kept read-only on it."""
+    if completed._plan is None:
+        source, user_logs, logs = completed.source, completed.scales.log[(0,)], completed.scales.log[(1,)]
         n_users, n_products = source.shape
         row_starts = leading_run_starts(source, 1)
         starts = row_starts.tolist()
         order = np.argsort(logs, kind="stable")
-        ramp = np.arange(len(order))
         rank = np.empty_like(order)
-        rank[order] = ramp
+        rank[order] = np.arange(len(order))
         gaps = np.empty(len(source._flat), dtype=np.min_scalar_type(n_products))
         u = 0
         while u < n_users:  # PLAN_BLOCK entries of whole rows at a time, so temporaries stay small
@@ -92,15 +83,14 @@ def _query_plan(completed: CompletedTensor):
             u = v
         ascending = logs[order]
         tie_end = np.searchsorted(ascending, ascending + TIE_WINDOW, side="right")
-        arrays = (order, tie_end, ramp, np.ones(len(order), dtype=bool), -logs, gaps)
+        arrays = (order, tie_end, -logs, gaps)
         for a in arrays:
             a.setflags(write=False)
-        least, greatest = float(ascending[0]), float(ascending[-1])
-        plan = completed._product_order = (user_logs, logs, source, starts, *arrays, least, greatest)
-    return plan
+        completed._plan = (user_logs, starts, *arrays, float(ascending[0]), float(ascending[-1]))
+    return completed._plan
 
 
-def _walk(order, tie_end, ramp, all_true, gaps, n) -> np.ndarray:
+def _walk(order, tie_end, gaps, n) -> np.ndarray:
     """The unrated products, in walk order, of the shortest prefix of
     ``order`` holding n unrated products, extended over every product
     whose log scale is within ``TIE_WINDOW`` of the n-th one's; ``gaps``
@@ -111,11 +101,11 @@ def _walk(order, tie_end, ramp, all_true, gaps, n) -> np.ndarray:
     nth = n - 1 + k
     end = int(tie_end[nth]) if nth < len(order) else len(order)
     if end > nth + 1:  # rated products may lie inside the tie run
-        k += int((gaps[k:] + ramp[k : len(gaps)]).searchsorted(end))
+        k += int((gaps[k:] + np.arange(k, len(gaps))).searchsorted(end))
     if not k:
         return order[:end]
-    keep = all_true[:end].copy()
-    keep[gaps[:k] + ramp[:k]] = False
+    keep = np.ones(end, dtype=bool)
+    keep[gaps[:k] + np.arange(k)] = False
     return order[:end][keep]
 
 
@@ -171,13 +161,14 @@ def top_n(
         raise NotAMatrixError("top_n expects a 2-D completion")
     check_int("n", n, 1)
     user = _id("user", user)
-    user_logs, _, source, starts, order, tie_end, ramp, all_true, neg_b, gaps, least, greatest = _query_plan(completed)
+    user_logs, starts, order, tie_end, neg_b, gaps, least, greatest = _query_plan(completed)
+    source = completed.source
     if not 0 <= user < source.shape[0]:
         raise IndexOutOfBoundsError(f"row {user} out of range [0, {source.shape[0]})")
     lo, hi = starts[user], starts[user + 1]
     a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
     in_range = -700.0 < a + least and a + greatest < 700.0  # else the walk takes every unrated product
-    products = _walk(order, tie_end, ramp, all_true, gaps[lo:hi], n if in_range else len(order))
+    products = _walk(order, tie_end, gaps[lo:hi], n if in_range else len(order))
     if in_range:
         values = np.exp(neg_b[products] - a)  # every sum of the row is in (-700, 700)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -294,25 +295,22 @@ class ScaleSet:
     subtensor, indexed by the row-major ravel of the fixed coordinates,
     and ``nonempty[f]`` flags the subtensors holding observed entries.
     Empty subtensors carry an implicit scale of 1, stored as such (log 0)
-    whatever the constructor was given for them.  The arrays are
-    read-only.
+    whatever the constructor was given for them.  A plain value: read-only
+    mappings of read-only arrays, and no attribute rebound after ``__init__``.
     """
 
     __slots__ = ("shape", "k", "families", "log", "nonempty")
 
     def __init__(self, shape, k, log_arrays, nonempty):
-        self.shape = tuple(shape)
-        self.families = tuple(subtensor_families(len(self.shape), k))
-        self.k = int(k)
-        foreign = {*log_arrays, *nonempty} - set(self.families)
+        shape = tuple(shape)
+        families = tuple(subtensor_families(len(shape), k))
+        k = int(k)
+        foreign = {*log_arrays, *nonempty} - set(families)
         if foreign:
-            raise InvalidKError(
-                f"{min(foreign)} is not a family-{self.k} family of shape {self.shape}"
-            )
-        self.log = {}
-        self.nonempty = {}
-        for f in self.families:
-            dims = tuple(self.shape[d] for d in f)
+            raise InvalidKError(f"{min(foreign)} is not a family-{k} family of shape {shape}")
+        logs, flags = {}, {}
+        for f in families:
+            dims = tuple(shape[d] for d in f)
             size = math.prod(dims)
             for what, given in (("log scales", log_arrays), ("non-empty flags", nonempty)):
                 got = np.shape(given[f]) if f in given else None
@@ -331,8 +329,15 @@ class ScaleSet:
                 raise NonFiniteValueError(f"log scale of {at} is not finite, got {log[sub]}")
             for a in (ne, log):
                 a.setflags(write=False)
-            self.nonempty[f] = ne
-            self.log[f] = log
+            flags[f], logs[f] = ne, log
+        for name, value in zip(self.__slots__, (shape, k, families, MappingProxyType(logs), MappingProxyType(flags))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScaleSet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild through the constructor
+        return ScaleSet, (self.shape, self.k, dict(self.log), dict(self.nonempty))
 
     # -- vectorized views ----------------------------------------------------
     def log_sum_at(self, indices: np.ndarray) -> np.ndarray:

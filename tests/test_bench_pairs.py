@@ -120,3 +120,24 @@ def test_the_median_pass_is_an_informational_row():
     # a run without the line (a failed one, or an older runner's record) leaves the row out
     runs[0]["change"] = {"correct": False, "error": "exit 1: boom"}
     assert bench_pairs.summarize(runs, END_TO_END)["informational"] == {}
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--pairs", "0", "--pairs must be >= 1, got 0"),
+    ("--pairs", "-2", "--pairs must be >= 1, got -2"),
+    ("--seconds", "0", "--seconds must be > 0, got 0.0"),
+    ("--seconds", "-1.5", "--seconds must be > 0, got -1.5"),
+    ("--seconds", "nan", "--seconds must be > 0, got nan"),
+], ids=["no-pairs", "negative-pairs", "zero-seconds", "negative-seconds", "nan-seconds"])
+def test_a_run_count_or_length_that_measures_nothing_is_a_usage_error(monkeypatch, capsys, option, value, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("no benchmark process may start")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    argv = ["parent", "change", "--workload", "serve-topn", "--pairs", "2", "--seconds", "1"]
+    argv[argv.index(option) + 1] = value
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.rstrip().endswith(f"error: {message}")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import re
@@ -106,6 +107,23 @@ class TestCompletion:
         t = random_sparse_tensor(rng, (7, 6), 0.3)
         completed = complete_matrix(t, TIGHT)
         assert (completed.to_dense() > 0).all()
+
+
+class TestPlainValue:
+    """A completion is a plain value: its model, and through it its source
+    and scales, are fixed at construction."""
+
+    def test_every_write_is_refused(self, three_entry_2x2):
+        completed = complete_matrix(three_entry_2x2, TIGHT)
+        model = completed.model
+        for name in ("model", "source", "scales"):
+            with pytest.raises(AttributeError):
+                setattr(completed, name, getattr(completed, name))
+        for name in ("source", "scales", "sweeps_run"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, getattr(model, name))
+        assert completed.model is model
+        assert completed.source is model.source and completed.scales is model.scales
 
 
 class TestMatrixAlias:

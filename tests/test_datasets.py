@@ -10,8 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uctensor import (
+    DuplicateIndexError,
+    IndexOutOfBoundsError,
     KeyOrderError,
     MissingFeatureFileError,
+    NonPositiveValueError,
     ParseError,
     ShapeMismatchError,
     SparseTensor,
@@ -745,6 +748,19 @@ class TestTensorText:
         f.write_text(f"# a comment\nshape {dims}\n")
         with pytest.raises(ParseError, match=r"t\.txt:2: dimensions must be >= 1"):
             load_tensor_text(f)
+
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("shape 2,2\n0,0,1.0\n0,5,2.0\n", IndexOutOfBoundsError, "index out of bounds in dimension 1"),
+        ("shape 2,2\n0,0,1.0\n1,1,-2\n", NonPositiveValueError, "value -2.0 at index (1, 1) is not strictly positive"),
+        ("shape 2,2\n0,0,1.0\n1,1,2.0\n0,0,3.0\n", DuplicateIndexError, "duplicate index (0, 0)"),
+    ], ids=["out-of-bounds", "not-positive", "repeated"])
+    def test_a_refused_cell_names_the_file(self, tmp_path, text, error, message):
+        f = tmp_path / "t.txt"
+        f.write_text(text)
+        with pytest.raises(error) as got:
+            load_tensor_text(f)
+        assert type(got.value) is error and str(got.value).startswith(f"{f}: {message}")
 
 
 # (loader, file name, text, the exact message after the file's path)

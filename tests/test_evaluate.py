@@ -14,6 +14,7 @@ from uctensor import (
     FoldPlan,
     MissingFeatureFileError,
     SolverConfig,
+    TooFewRecordsError,
     UnknownCategoryError,
     balance,
     baseline_predict,
@@ -417,6 +418,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**options)
 
+    @pytest.mark.parametrize("n_folds", [1, 0, -3])
+    def test_too_few_folds_are_refused_as_split_kfold_refuses_them(self, n_folds):
+        with pytest.raises(TooFewRecordsError, match=f"^need at least 2 folds, got {n_folds}$"):
+            ExperimentConfig(n_folds=n_folds)
+
     def test_echo_lists_every_field_in_declaration_order(self):
         config = ExperimentConfig(categories=("age", "gender"), threads=2)
         assert config.echo() == {"epsilon": 1e-10, "max_sweeps": 1000, "n_folds": 5, "seed": 0,
@@ -431,6 +437,9 @@ class TestExperimentConfig:
     ("threads", 1, True, lambda v: ExperimentConfig(threads=v)),
     ("n_folds", 2, 2.5, lambda v: run_experiment(synthetic_dataset(0), "2d", ExperimentConfig(n_folds=v))),
     ("n_folds", 2, 3.0, lambda v: split_kfold(synthetic_dataset(0), v, 0)),
+    ("n_folds", 2, 1.5, lambda v: ExperimentConfig(n_folds=v)),
+    ("n_folds", 2, True, lambda v: ExperimentConfig(n_folds=v)),
+    ("n_folds", 2, "5", lambda v: ExperimentConfig(n_folds=v)),
     ("seed", 0, True, lambda v: split_kfold(synthetic_dataset(0), 3, v)),
     ("seed", 0, 1.0, lambda v: split_kfold(synthetic_dataset(0), 3, v)),
     ("max_offset", 1, 0, lambda v: check_full_support(make_tensor((2, 2), {(0, 0): 1.0}), max_offset=v)),

@@ -453,23 +453,12 @@ class TestGlobalOrder:
 
 
 class TestProductOrderCache:
-    """top_n keeps the product order on the completion after its first
-    query; it must never serve stale answers or leak into saved models."""
+    """top_n keeps its query plan on the completion after its first
+    query; it must never leak into pickles or saved models."""
 
     @staticmethod
     def completion(rng):
         return complete_matrix(random_sparse_tensor(rng, (8, 12), 0.4), TIGHT)
-
-    def test_replaced_scales_give_answers_from_the_new_scales(self, rng):
-        completed = self.completion(rng)
-        top_n(completed, 0, 3)
-        old = completed.scales
-        completed.scales = ScaleSet(
-            old.shape, 1, {(0,): old.log[(0,)], (1,): -old.log[(1,)]}, old.nonempty
-        )
-        for user in range(8):
-            for exclude in (False, True):
-                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
     def test_pickled_after_a_query_gives_identical_answers(self, rng):
         completed = self.completion(rng)
@@ -479,23 +468,6 @@ class TestProductOrderCache:
         assert queried == unqueried  # the plan is left out
         clone = pickle.loads(queried)
         assert [top_n(clone, user, 5, exclude) for user in range(8) for exclude in (False, True)] == before
-
-    def test_a_plan_in_an_older_pickle_is_dropped(self, rng):
-        # an older pickle carried its plan, keyed on arrays that unpickle
-        # as the very ones of the completion: a plan of another layout must
-        # not be read as this one
-        completed = self.completion(rng)
-        top_n(completed, 0, 3)
-        plan = _query_plan(completed)
-        stale = (*plan[:4], plan[4][::-1].copy(), *plan[5:])
-        state = pickle.loads(pickle.dumps(dict(vars(completed), _product_order=stale)))
-        assert state["_product_order"][0] is state["scales"].log[(0,)]
-        clone = CompletedTensor.__new__(CompletedTensor)
-        clone.__setstate__(state)
-        assert clone._product_order is None
-        for user in range(8):
-            for exclude in (False, True):
-                assert top_n(clone, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
     def test_saved_model_is_the_same_with_or_without_queries(self, rng, tmp_path):
         completed = self.completion(rng)
@@ -507,33 +479,19 @@ class TestProductOrderCache:
 
 
 class TestQueryPlan:
-    """The query plan is keyed on the identity of the completion's source
-    and of its two log arrays: a replaced source, new user log scales
-    beside the same product log array, a log array replaced in the same
-    ``scales``, or a slot written by an older version, must never serve a
-    stale plan."""
+    """The query plan is a function of the completion, a plain value: it
+    is built on the first query and serves every later one."""
 
     @staticmethod
     def completion(rng):
         return complete_matrix(random_sparse_tensor(rng, (8, 12), 0.4), TIGHT)
-
-    def test_new_user_logs_beside_the_same_product_logs(self, rng):
-        completed = self.completion(rng)
-        top_n(completed, 0, 3)
-        old = completed.scales
-        new = ScaleSet(old.shape, 1, {(0,): old.log[(0,)] + rng.normal(size=8), (1,): old.log[(1,)]}, old.nonempty)
-        new.log[(1,)] = old.log[(1,)]  # the very array the plan was built from
-        completed.scales = new
-        for user in range(8):
-            for exclude in (False, True):
-                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
     def test_row_starts_with_empty_first_middle_and_last_rows(self, rng):
         dense = random_sparse_tensor(rng, (7, 5), 0.7)
         keep = ~np.isin(dense.indices[:, 0], [0, 3, 6])
         t = SparseTensor(dense.shape, dense.indices[keep], dense.values[keep])
         completed = complete_matrix(t, TIGHT)
-        starts = _query_plan(completed)[3]
+        starts = _query_plan(completed)[1]
         assert type(starts) is list
         assert starts == [0, *np.cumsum(np.bincount(t.indices[:, 0], minlength=7)).tolist()]
         assert starts[:2] == [0, 0] and starts[-2:] == [t.n_observed, t.n_observed]
@@ -541,45 +499,26 @@ class TestQueryPlan:
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
 
-    def test_a_replaced_source_gives_answers_from_its_rows(self, rng):
+    def test_the_plan_is_built_once(self, rng):
         completed = self.completion(rng)
-        for user in range(8):
-            top_n(completed, user, 3, True)
-        completed.source = random_sparse_tensor(rng, completed.shape, 0.6)
-        assert completed.source._flat.tolist() != completed.model.source._flat.tolist()
-        for user in range(8):
-            for exclude in (False, True):
-                assert top_n(completed, user, 12, exclude) == reference_top_n(completed, user, 12, exclude)
-
-    @pytest.mark.parametrize("family", [(0,), (1,)])
-    def test_a_log_array_replaced_in_the_same_scales(self, rng, family):
-        completed = self.completion(rng)
+        assert completed._plan is None
         top_n(completed, 0, 3)
-        completed.scales.log[family] = completed.scales.log[family] + rng.normal(size=completed.shape[family[0]])
+        plan = completed._plan
+        assert len(plan) == 8
         for user in range(8):
             for exclude in (False, True):
-                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
+                for n in (1, 5, 13):
+                    assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
+        assert _query_plan(completed) is plan and completed._plan is plan
 
     def test_plan_arrays_are_read_only(self, rng):
         completed = self.completion(rng)
         top_n(completed, 0, 3)
         arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
-        # user and product logs, order, tie_end, ramp, all_true, -product
-        # logs and gaps; rank is only read by the build
-        assert len(arrays) == 8
+        # user logs, order, tie_end, -product logs and gaps; rank is only
+        # read by the build
+        assert len(arrays) == 5
         assert not any(a.flags.writeable for a in arrays)
-
-    def test_slot_of_an_older_version_is_rebuilt(self, rng):
-        # older versions kept (product logs, order, rank, tie_end) there
-        completed = self.completion(rng)
-        logs = completed.scales.log[(1,)]
-        order = np.argsort(logs, kind="stable")
-        tie_end = np.searchsorted(logs[order], logs[order] + 1e-9, side="right")
-        completed._product_order = (logs, order, np.argsort(order), tie_end)
-        for user in range(8):
-            for exclude in (False, True):
-                assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
-        assert completed._product_order[0] is completed.scales.log[(0,)]
 
 
 def gaps_oracle(completed):
@@ -601,7 +540,7 @@ class TestPlanGaps:
 
     @staticmethod
     def assert_gaps_and_answers(completed, dtype, ns):
-        gaps = _query_plan(completed)[9]
+        gaps = _query_plan(completed)[5]
         assert gaps.dtype == dtype
         assert gaps.tolist() == gaps_oracle(completed)
         for user in range(completed.shape[0]):
@@ -631,7 +570,7 @@ class TestPlanGaps:
         rated = np.array([[0, last], *[[1, p] for p in range(0, n_products, 3)]])
         source = SparseTensor((2, n_products), rated, np.full(len(rated), 2.0))
         completed = completion_of(source, [0.0, 0.5], product_logs)
-        assert _query_plan(completed)[9][0] == n_products - 1
+        assert _query_plan(completed)[5][0] == n_products - 1
         self.assert_gaps_and_answers(completed, dtype, (1, 10, n_products - 1, n_products + 2))
 
     def test_uint32_gaps_past_65535_products(self, rng):
@@ -654,7 +593,7 @@ class TestPlanGaps:
         # first unrated one, inside its tie run
         source = make_tensor((1, 6), {(0, 1): 0.5, (0, 2): 3.0})
         completed = completion_of(source, [0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-        assert _query_plan(completed)[9].tolist() == [1, 1]
+        assert _query_plan(completed)[5].tolist() == [1, 1]
         assert [p.product for p in top_n(completed, 0, 1, exclude_observed=True)] == [0]
         assert [p.product for p in top_n(completed, 0, 2, exclude_observed=True)] == [0, 3]
         assert [p.product for p in top_n(completed, 0, 3, exclude_observed=True)] == [0, 3, 4]

@@ -1,7 +1,9 @@
 import itertools
 import math
+import pickle
 import re
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -308,6 +310,35 @@ class TestScaleSetMapping:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
         assert repr(scales) == "ScaleSet(shape=(2, 3), k=1, n_scales=2)"
+
+    def test_no_write_reaches_the_state(self):
+        scales = scale_set((2, 3), 1, {(0,): [2.0, 3.0]})
+        for part in (scales.log, scales.nonempty):
+            with pytest.raises(TypeError):
+                part[(1,)] = np.zeros(3)
+        for name in ScaleSet.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+                setattr(scales, name, getattr(scales, name))
+        assert scales.log[(1,)].tolist() == [0.0, 0.0, 0.0]
+
+    def test_a_pickle_round_trip_keeps_the_bits_and_the_read_only_state(self, rng):
+        shape = (3, 4, 2)
+        logs, nonempty = {}, {}
+        for fixed in subtensor_families(3, 2):
+            size = math.prod(shape[d] for d in fixed)
+            logs[fixed] = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+            logs[fixed][0] = -0.0  # a sign bit the copy must keep
+            nonempty[fixed] = rng.random(size) < 0.7
+        scales = ScaleSet(shape, 2, logs, nonempty)
+        clone = pickle.loads(pickle.dumps(scales))
+        assert (clone.shape, clone.k, clone.families) == (scales.shape, scales.k, scales.families)
+        for part in ("log", "nonempty"):
+            mapping, original = getattr(clone, part), getattr(scales, part)
+            assert type(mapping) is MappingProxyType and list(mapping) == list(original)
+            for fixed, array in mapping.items():
+                assert not array.flags.writeable
+                assert array.dtype == original[fixed].dtype and array.tobytes() == original[fixed].tobytes()
+        assert pickle.dumps(clone) == pickle.dumps(scales)
 
 
 class TestMembershipCounting:

@@ -150,6 +150,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be > 0, got {args.seconds}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     end_to_end = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
