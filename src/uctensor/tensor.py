@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -117,7 +118,9 @@ class SparseTensor:
     stored once, as the cells' row-major flat keys in ascending order
     (``_flat``, int64), beside one value per key.  16 bytes an entry
     whatever the dimension, and nothing filled in later.  ``indices``
-    derives the (N, D) coordinate rows from the keys on each access."""
+    derives the (N, D) coordinate rows from the keys on each access.  No
+    attribute is rebound or deleted after ``__init__``, so what a query
+    plan derives from a tensor stays true of it."""
 
     __slots__ = ("shape", "values", "_flat")
 
@@ -145,9 +148,9 @@ class SparseTensor:
         if n != len(values):
             raise ValueError("indices and values length mismatch")
 
-        ok = np.isfinite(values) & (values > 0.0)
-        if not ok.all():
-            bad = int(np.argmin(ok))
+        # two reductions, no temporaries: a nan fails both comparisons
+        if len(values) and not (values.min() > 0.0 and values.max() < np.inf):
+            bad = int(np.argmin(np.isfinite(values) & (values > 0.0)))
             at = f"value {values[bad]} at index {cell(bad)}"
             if not np.isfinite(values[bad]):
                 raise NonFiniteValueError(f"{at} is not finite")
@@ -170,11 +173,19 @@ class SparseTensor:
                 pos = int(np.argmax(dup))
                 raise DuplicateIndexError(f"duplicate index {_cell(_flat[pos], shape)}")
 
-        self.shape = shape
-        self.values = values
-        self._flat = _flat
-        for a in (self.values, self._flat):
+        for a in (values, _flat):
             a.setflags(write=False)
+        for name, value in zip(self.__slots__, (shape, values, _flat)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SparseTensor is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SparseTensor is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # rebuild on the stored keys: checks the values, sorts nothing
+        return partial(SparseTensor, _flat=self._flat), (self.shape, None, self.values)
 
     @property
     def indices(self) -> np.ndarray:
@@ -335,6 +346,9 @@ class ScaleSet:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ScaleSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ScaleSet is immutable: cannot delete {name!r}")
 
     def __reduce__(self):  # a mappingproxy does not pickle: rebuild through the constructor
         return ScaleSet, (self.shape, self.k, dict(self.log), dict(self.nonempty))

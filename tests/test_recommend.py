@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -504,7 +505,7 @@ class TestQueryPlan:
         assert completed._plan is None
         top_n(completed, 0, 3)
         plan = completed._plan
-        assert len(plan) == 8
+        assert len(plan) == 10
         for user in range(8):
             for exclude in (False, True):
                 for n in (1, 5, 13):
@@ -519,6 +520,8 @@ class TestQueryPlan:
         # read by the build
         assert len(arrays) == 5
         assert not any(a.flags.writeable for a in arrays)
+        gaps_view = _query_plan(completed)[6]
+        assert gaps_view.readonly and gaps_view.obj is _query_plan(completed)[5]
 
 
 def gaps_oracle(completed):
@@ -603,3 +606,85 @@ class TestPlanGaps:
         for exclude in (False, True):
             for n in range(1, 8):
                 assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
+
+
+def sorts_a_list(call) -> bool:
+    """Whether ``call()`` sorts a Python list (a ``list.sort`` C call)."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), list) and arg.__name__ == "sort":
+            seen.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return bool(seen)
+
+
+class TestFirstTie:
+    """An exclude-observed query of an in-range row whose walk ends at or
+    before the plan's first tie + 1 returns its fills in walk order, with
+    no sort; any other query sorts.  Both must equal the reference, and
+    every rating predict_rating's, bit for bit.  Products 7, 6, ..., 0 lie
+    at order positions 0, 1, ..., 7, 0.1 apart in log scale, except that
+    the product after position ``tie_at`` lies within the tie window of it;
+    user 0 rates nothing and user 1 the products at ``rated`` positions."""
+
+    @staticmethod
+    def completion(tie_at, rated):
+        positions = 0.1 * np.arange(8.0)
+        positions[tie_at + 1] = positions[tie_at] + 4e-10
+        source = make_tensor((2, 8), {(1, 7 - i): float(1 + i % 5) for i in rated})
+        completed = completion_of(source, [0.0, 0.3], positions[::-1])
+        assert _query_plan(completed)[9] == tie_at
+        return completed
+
+    @staticmethod
+    def assert_answers(completed, user, n, walk_order):
+        prepared = _query_plan(completed)  # its build sorts arrays, not lists
+        for exclude in (False, True):
+            got = []
+            sorted_ = sorts_a_list(lambda: got.extend(top_n(completed, user, n, exclude)))
+            assert _query_plan(completed) is prepared
+            assert sorted_ is not (exclude and walk_order)
+            assert got == reference_top_n(completed, user, n, exclude)
+            for p in got:
+                assert type(p) is Prediction
+                assert p.rating.hex() == predict_rating(completed, user, p.product).rating.hex()
+
+    def test_first_tie_before_the_nth_position_sorts(self):
+        completed = self.completion(1, rated=[2, 6])  # user 1 rated a tied product
+        for n in (3, 5, 9):
+            self.assert_answers(completed, 0, n, walk_order=False)
+            self.assert_answers(completed, 1, n, walk_order=False)
+        self.assert_answers(completed, 0, 1, walk_order=True)  # the walk ends at position 0
+
+    def test_nth_product_inside_its_tie_run_sorts(self):
+        # the 4th unrated product is at position 3, tied with position 4,
+        # which user 1 rated: the run extends the walk past it
+        completed = self.completion(3, rated=[4])
+        self.assert_answers(completed, 0, 4, walk_order=False)
+        self.assert_answers(completed, 1, 4, walk_order=False)
+        assert [p.product for p in top_n(completed, 1, 5, exclude_observed=True)] == [7, 6, 5, 4, 2]
+
+    def test_first_tie_past_the_prefix_returns_walk_order(self):
+        # positions 5 and 6 tie, and user 1 rated position 6 and position 1
+        completed = self.completion(5, rated=[1, 6])
+        for n in range(1, 6):
+            self.assert_answers(completed, 0, n, walk_order=True)
+        for n in range(1, 5):  # the 4th unrated product of user 1 is at position 4
+            self.assert_answers(completed, 1, n, walk_order=True)
+        self.assert_answers(completed, 0, 6, walk_order=False)  # the walk reaches the tie
+        self.assert_answers(completed, 1, 5, walk_order=False)
+
+    def test_no_tie_returns_walk_order_past_the_row(self):
+        source = make_tensor((2, 8), {(1, 3): 2.0, (1, 5): 4.0})
+        completed = completion_of(source, [0.0, 0.3], 0.1 * np.arange(8.0)[::-1])
+        assert _query_plan(completed)[9] == 8
+        for user in range(2):
+            for n in (1, 6, 8, 9):
+                self.assert_answers(completed, user, n, walk_order=True)

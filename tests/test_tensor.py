@@ -25,6 +25,7 @@ from uctensor import (
     scale_apply,
     subtensor_families,
 )
+from uctensor import tensor as tensor_module
 from uctensor.tensor import family_sub_ids, sub_ids
 
 from conftest import scale_set
@@ -51,6 +52,14 @@ class TestConstruction:
     def test_non_finite_value(self, bad):
         with pytest.raises(NonFiniteValueError, match=r"at index \(1, 0\) is not finite"):
             make_tensor((2, 2), {(0, 0): 2.0, (1, 0): bad})
+
+    @pytest.mark.parametrize("bad", [-math.inf, -0.0, -5e-324, math.nan, math.inf])
+    def test_one_bad_value_among_many_is_named(self, bad):
+        t = SparseTensor((40, 50), np.argwhere(np.ones((40, 50), dtype=bool)), np.full(2000, 3.0))
+        values = t.values.copy()
+        values[1234] = bad
+        with pytest.raises((NonFiniteValueError, NonPositiveValueError), match=r"at index \(24, 34\)"):
+            t.with_values(values)
 
     def test_errors_print_plain_int_indices(self):
         with pytest.raises(NonPositiveValueError, match=r"at index \(1, 0\) is not strictly"):
@@ -159,6 +168,40 @@ class TestConstruction:
         t = SparseTensor((2**31, 2**31), [[2**31 - 1, 2**31 - 1], [1, 0]], [3.0, 2.0])
         assert t.n_cells == 2**62 and t._flat.tolist() == [2**31, 2**62 - 1]
         assert t.value_at((2**31 - 1, 2**31 - 1)) == 3.0 and not t.is_observed((0, 2**31 - 1))
+
+
+class TestTensorIsAPlainValue:
+    """A tensor's attributes are fixed at construction: a query plan built
+    from its keys and values stays true of it."""
+
+    def test_no_attribute_is_rebound_or_deleted(self, three_entry_2x2):
+        t = three_entry_2x2
+        for name in SparseTensor.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+                delattr(t, name)
+        with pytest.raises(AttributeError, match="cannot set 'extra'"):
+            t.extra = 1
+        assert t.values.tolist() == [2.0, 8.0, 4.0] and t.shape == (2, 2)
+
+    def test_a_pickle_round_trip_keeps_the_bits_and_sorts_nothing(self, rng, monkeypatch):
+        indices = np.argwhere(rng.random((5, 4, 3)) < 0.4)
+        t = SparseTensor((5, 4, 3), indices, 10.0 ** rng.uniform(-300, 300, len(indices)))
+        body = pickle.dumps(t)
+
+        def unsorted(*args):
+            raise AssertionError("the load formed keys from rows")
+
+        monkeypatch.setattr(tensor_module, "sub_ids", unsorted)
+        clone = pickle.loads(body)
+        assert clone.shape == t.shape
+        for name in ("values", "_flat"):
+            a, b = getattr(clone, name), getattr(t, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+        with pytest.raises(AttributeError):
+            clone.values = t.values
+        assert pickle.dumps(clone) == body
 
 
 class TestEnumeration:
@@ -320,6 +363,13 @@ class TestScaleSetMapping:
             with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
                 setattr(scales, name, getattr(scales, name))
         assert scales.log[(1,)].tolist() == [0.0, 0.0, 0.0]
+
+    def test_no_slot_is_deleted(self):
+        scales = scale_set((2, 3), 1, {(0,): [2.0, 3.0]})
+        for name in ScaleSet.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+                delattr(scales, name)
+        assert scales.families == ((0,), (1,)) and scales.log[(0,)].tolist() == np.log([2.0, 3.0]).tolist()
 
     def test_a_pickle_round_trip_keeps_the_bits_and_the_read_only_state(self, rng):
         shape = (3, 4, 2)
