@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DidNotConvergeError, EmptyTensorError
-from .tensor import (
-    ScaleSet, SparseTensor, check_int, family_sub_ids, is_int, leading_run_starts, scale_apply, subtensor_families
-)
+from .tensor import ScaleSet, SparseTensor, check_int, is_int, scale_apply, subtensor_counts, subtensor_families
 
 
 @dataclass(frozen=True)
@@ -79,25 +77,18 @@ class BalanceState:
         self.families = subtensor_families(tensor.ndim, k)
         self.k = int(k)
         first, *rest = self.families
+        self.counts, rest_ids = subtensor_counts(tensor, self.families)
+        self.log_scales = {f: np.zeros(len(c)) for f, c in self.counts.items()}
         # each first-family subtensor is a run of the sorted keys, so its
         # sums and broadcasts are reduceat/repeat, several times faster
         # than bincount/gather
-        edges = leading_run_starts(tensor, len(first))
-        self.counts = {first: np.diff(edges)}
-        self.log_scales = {first: np.zeros(len(edges) - 1)}
         self._first_nonempty = np.flatnonzero(self.counts[first])
         self._runs = self.counts[first][self._first_nonempty]
-        self._starts = edges[self._first_nonempty]
+        self._starts = np.cumsum(self._runs) - self._runs
         self._inv_runs = 1.0 / self._runs
         self._y = np.log(tensor.values)
         # the rest families' scales form one vector x; their entry ids are
         # offset into it
-        rest_ids = []
-        for fixed in rest:
-            ids, size = family_sub_ids(tensor, fixed)
-            self.counts[fixed] = np.bincount(ids, minlength=size)
-            self.log_scales[fixed] = np.zeros(size)
-            rest_ids.append(ids)
         self._bounds = np.cumsum([0] + [len(self.counts[f]) for f in rest])
         self._rest_ids = [ids + lo if lo else ids for ids, lo in zip(rest_ids, self._bounds)]
         rest_counts = np.concatenate([self.counts[f] for f in rest])

@@ -20,7 +20,10 @@ from .balance import LatentModel, SolverConfig, balance
 from .exceptions import (
     InvalidGammaError, InvalidKError, NonFiniteValueError, NonPositiveValueError, NotAMatrixError
 )
-from .tensor import ScaleSet, SparseTensor, _cell, check_dense_size, check_int, index_rows, is_int, scale_apply
+from .tensor import (
+    ScaleSet, SparseTensor, _cell, check_dense_size, check_int, index_rows, is_int, key_coordinate, scale_apply,
+    unravel_keys,
+)
 
 
 def inverse_scale_fills(log_sums: np.ndarray, cell_at) -> np.ndarray:
@@ -143,14 +146,6 @@ class SupportReport:
     witnesses: np.ndarray
 
 
-def _unravel(keys: np.ndarray, shape, out: np.ndarray) -> None:
-    """Write the row-major coordinates of flat ``keys`` into (len(keys), D) ``out``."""
-    rest = keys.copy()
-    for d in range(len(shape) - 1, 0, -1):
-        np.divmod(rest, shape[d], out=(rest, out[:, d]))
-    out[:, 0] = rest
-
-
 def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> SupportReport:
     """Certify that every unobserved cell sits at the corner of a box whose
     other 2^D - 1 corners are all observed.
@@ -197,9 +192,8 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
             break
         pending = keys[w:m]
         ok = np.ones(len(pending), dtype=bool)
-        for sd, size, stride in zip(s, shape, strides):
-            coord = pending // stride
-            coord %= size
+        for d, (sd, size) in enumerate(zip(s, shape)):
+            coord = key_coordinate(pending, shape, d)
             ok &= coord < size - sd if sd > 0 else coord >= -sd
         for corner in corners:
             ok[ok] = observed[pending[ok] + sum(sd * stride for sd, stride, c in zip(s, strides, corner) if c)]
@@ -210,14 +204,13 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
             w += hits
     del observed
     witnesses = np.empty((w, 2, ndim), dtype=np.int64)
-    _unravel(keys[:w], shape, witnesses[:, 0])
-    _unravel(found[:w], [len(offsets) for offsets in searched], witnesses[:, 1])
+    unravel_keys(keys[:w], shape, witnesses[:, 0])
+    unravel_keys(found[:w], [len(offsets) for offsets in searched], witnesses[:, 1])
     for d, offsets in enumerate(searched):
         witnesses[:, 1, d] = np.take(offsets, witnesses[:, 1, d])
     del found
     keys[w:].sort()  # the pending and the up-front violations, merged row-major
-    violations = np.empty((len(keys) - w, ndim), dtype=np.int64)
-    _unravel(keys[w:], shape, violations)
+    violations = unravel_keys(keys[w:], shape)
     return SupportReport(len(violations) == 0, violations, witnesses)
 
 

@@ -21,7 +21,6 @@ formats.
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,41 +250,36 @@ def _load_movielens_users(path) -> dict:
         return dict(_parse_lines(path, fh, _user_line))
 
 
-_FIRST_LINE = re.compile(r"[^\n]+")
-
-
 def _parse_movielens_bulk(text: str):
-    """The user id, product id and rating columns of a well-formed rating
-    file in one ``np.loadtxt`` call, or None when the text needs the line-by-line parser: a blank line holding
-    whitespace, mixed 3- and 4-field lines, a lone ``:``, a token numpy
-    reads differently from ``int``/``float``, or any malformed line.  Every
+    """The user id, product id and rating columns of a well-formed
+    four-field rating file in one ``np.loadtxt`` call, or None when the
+    text needs the line-by-line parser: a blank line holding whitespace,
+    a line of another field count, a lone ``:``, a token numpy reads
+    differently from ``int``/``float``, or any malformed line.  Every
     input accepted here parses to the same values line by line.
 
     ``loadtxt`` splits on single colons and reads every other column, so
-    no line may hold a lone colon, and every parsed line must hold exactly
-    ``n_fields - 1`` separators: ``usecols`` alone would drop a surplus
-    field without a word.  Neither check copies the text.  A timestamp
-    field is read as an int64, which checks it, and then dropped."""
+    no line may hold a lone colon, and every line must hold exactly 3
+    separators: ``usecols`` alone would drop a surplus field without a
+    word.  Neither check copies the text.  The timestamp is read as an
+    int64, which checks it, and then dropped."""
     separators = text.count("::")
     if text.count(":") != 2 * separators or not text or text.isspace():
-        return None
-    n_fields = _FIRST_LINE.search(text).group().count("::") + 1
-    if n_fields not in (3, 4):
         return None
     try:
         cols = np.loadtxt(
             # bytes, not a StringIO: that would hold a 4-byte-per-character copy
             io.BytesIO(text.encode("latin-1")),
-            dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64), ("t", np.int64)][:n_fields],
+            dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64), ("t", np.int64)],
             delimiter=":",
-            usecols=(0, 2, 4, 6)[:n_fields],
+            usecols=(0, 2, 4, 6),
             comments=None,
             ndmin=1,
             encoding="latin-1",
         )
     except ValueError:
         return None
-    if separators != (n_fields - 1) * len(cols):
+    if separators != 3 * len(cols):
         return None
     return cols["u"], cols["p"], cols["r"]
 

@@ -44,7 +44,7 @@ import numpy as np
 from .balance import LatentModel
 from .complete import CompletedTensor
 from .exceptions import ParseError, UctensorError
-from .tensor import ScaleSet, SparseTensor, _cell, family_sub_ids, leading_run_starts, subtensor_families
+from .tensor import ScaleSet, SparseTensor, _cell, subtensor_counts, subtensor_families
 
 FORMAT = "uctensor-model"
 VERSION = 4
@@ -228,11 +228,8 @@ def _scale_set(source: SparseTensor, k, logs: dict, flags: dict | None) -> Scale
     """The ScaleSet of the log arrays, whose non-empty flags are derived
     from the entries: a subtensor is non-empty iff an entry lies in it.
     Stored ``flags`` (versions 1 and 2) must agree with them."""
-    first, *rest = subtensor_families(source.ndim, k)
-    derived = {first: np.diff(leading_run_starts(source, len(first))) > 0}
-    for fixed in rest:
-        ids, size = family_sub_ids(source, fixed)
-        derived[fixed] = np.bincount(ids, minlength=size) > 0
+    counts = subtensor_counts(source, subtensor_families(source.ndim, k))[0]
+    derived = {fixed: c > 0 for fixed, c in counts.items()}
     scales = ScaleSet(source.shape, k, logs, derived if flags is None else flags)
     for fixed in scales.families:
         wrong = scales.nonempty[fixed] != derived[fixed]

@@ -26,11 +26,7 @@ from .complete import (
 from .datasets import RatingsDataset
 from .evaluate import ExperimentConfig, run_experiment
 from .tensor import (
-    ScaleSet,
-    SparseTensor,
-    make_tensor,
-    max_balance_violation,
-    subtensor_families,
+    ScaleSet, SparseTensor, make_tensor, max_balance_violation, sub_ids, subtensor_families, unravel_keys
 )
 
 # tight stopping threshold for property suites: the residual bounds the
@@ -89,7 +85,7 @@ def hide_with_full_support(rng, dense, hide_fraction):
         report = check_full_support(tensor, max_offset=2)
         if report.fully_supported:
             return tensor, hidden.reshape(shape), report
-        hidden[np.ravel_multi_index(report.violations.T, shape)] = False
+        hidden[sub_ids(report.violations, shape, tuple(range(len(shape))))] = False
 
 
 def random_scale_set(rng, shape, k, low=0.1, high=10.0) -> ScaleSet:
@@ -269,7 +265,7 @@ def _ordered(rng, shape, dim):
     step = np.cumprod(rng.uniform(1.3, 2.0, size=shape[dim]))
     # per chosen prefix, in gamma order: base * step * noise
     values = [np.exp(rng.normal(0, 0.5)) * step * np.exp(rng.uniform(-0.1, 0.1, size=shape[dim])) for _ in chosen]
-    prefixes = np.repeat(np.stack(np.unravel_index(chosen, sizes), axis=1), shape[dim], axis=0)
+    prefixes = np.repeat(unravel_keys(chosen, sizes), shape[dim], axis=0)
     cells = np.insert(prefixes, dim, np.tile(gamma, n_obs), axis=1)
     return SparseTensor(shape, cells, np.concatenate(values)), tuple(gamma.tolist()), n_prefixes - n_obs
 

@@ -108,9 +108,32 @@ def sub_ids(rows: np.ndarray, shape, fixed_dims: tuple[int, ...]) -> np.ndarray:
     return ids
 
 
+def key_coordinate(keys: np.ndarray, shape, d: int) -> np.ndarray:
+    """Coordinate ``d`` of row-major flat ``keys`` of ``shape``, a new array:
+    the package's one coordinate reader.  It is key // stride(d) - (key //
+    stride(d - 1)) * shape[d], stride(d) the product of the dims after d:
+    floordiv by a scalar is several times faster than ``%`` in numpy."""
+    stride = math.prod(shape[d + 1 :])
+    coord = keys // stride if stride > 1 else keys.copy()
+    if d > 0:
+        high = keys // (stride * shape[d])
+        high *= shape[d]
+        coord -= high
+    return coord
+
+
+def unravel_keys(keys: np.ndarray, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """The (len(keys), D) coordinate rows of flat ``keys``, into ``out`` if given."""
+    if out is None:
+        out = np.empty((len(keys), len(shape)), dtype=np.int64)
+    for d in range(len(shape)):
+        out[:, d] = key_coordinate(keys, shape, d)
+    return out
+
+
 def _cell(key, shape) -> tuple:
     """The coordinates of one flat key, as plain ints."""
-    return tuple(int(c) for c in np.unravel_index(int(key), shape))
+    return tuple(unravel_keys(np.array([key], dtype=np.int64), shape)[0].tolist())
 
 
 class SparseTensor:
@@ -192,7 +215,7 @@ class SparseTensor:
         """The entries' (N, D) int64 coordinate rows, in key order, derived
         from the flat keys on each access: O(N) time and a new (read-only)
         array, so no hot path reads it."""
-        rows = np.stack(np.unravel_index(self._flat, self.shape), axis=1)
+        rows = unravel_keys(self._flat, self.shape)
         rows.setflags(write=False)
         return rows
 
@@ -266,25 +289,12 @@ def make_tensor(shape, entries) -> SparseTensor:
 
 def family_sub_ids(tensor: SparseTensor, fixed_dims: tuple[int, ...]):
     """Per-entry subtensor ids for one family (``sub_ids`` of the entries),
-    plus the dense id-space size, derived from the flat keys.
-
-    Coordinate d of a key is key // stride(d) - (key // stride(d - 1)) *
-    shape[d], where stride(d) is the product of the dims after d: integer
-    floordiv by a scalar is several times faster than ``%`` in numpy."""
+    plus the dense id-space size, derived from the flat keys."""
     shape, keys = tensor.shape, tensor._flat
-    ids = None
-    for d in fixed_dims:
-        stride = math.prod(shape[d + 1 :])
-        coord = keys // stride if stride > 1 else keys.copy()
-        if d > 0:
-            high = keys // (stride * shape[d])
-            high *= shape[d]
-            coord -= high
-        if ids is None:
-            ids = coord
-        else:
-            ids *= shape[d]
-            ids += coord
+    ids = key_coordinate(keys, shape, fixed_dims[0])
+    for d in fixed_dims[1:]:
+        ids *= shape[d]
+        ids += key_coordinate(keys, shape, d)
     return ids, math.prod(shape[d] for d in fixed_dims)
 
 
@@ -295,6 +305,21 @@ def leading_run_starts(tensor: SparseTensor, lead: int) -> np.ndarray:
     ``searchsorted`` finds them all without forming per-entry ids."""
     stride = math.prod(tensor.shape[lead:])
     return tensor._flat.searchsorted(np.arange(math.prod(tensor.shape[:lead]) + 1) * stride)
+
+
+def subtensor_counts(tensor: SparseTensor, families) -> tuple[dict, list]:
+    """Each family's per-subtensor entry counts, by family, and the
+    per-entry ids (``family_sub_ids``) of every family but the first.
+    ``families`` is in canonical order, so the first fixes the leading
+    dims: its counts come from its runs of keys, with no per-entry ids."""
+    first, *rest = families
+    counts = {first: np.diff(leading_run_starts(tensor, len(first)))}
+    rest_ids = []
+    for fixed in rest:
+        ids, size = family_sub_ids(tensor, fixed)
+        counts[fixed] = np.bincount(ids, minlength=size)
+        rest_ids.append(ids)
+    return counts, rest_ids
 
 
 class ScaleSet:

@@ -37,6 +37,8 @@ from uctensor import (
 from uctensor.complete import ORDERING_BYTES_PER_CELL, SUPPORT_BYTES_PER_CELL, UNIT_GAP_BYTES_PER_CELL
 from uctensor.tensor import MAX_DENSE_CELLS
 from uctensor.properties import (
+    PROPERTY_EPSILON,
+    PROPERTY_SWEEPS,
     _ordered,
     hide_with_full_support,
     random_scale_set,
@@ -44,6 +46,7 @@ from uctensor.properties import (
 )
 
 import checker_oracle
+import lstsq_oracle
 from conftest import TIGHT, reversed_balance
 
 # the module, which the package's ``complete`` function shadows as an attribute
@@ -557,6 +560,50 @@ class TestUniqueness:
         lex = complete(tensor, 1, TIGHT)
         rev = CompletedTensor(reversed_balance(tensor, 1, TIGHT))
         np.testing.assert_allclose(lex.to_dense(), rev.to_dense(), atol=1e-8)
+
+
+# seeded random patterns, D = 2 to 4 and every k, each dense enough that
+# some of its unobserved cells are estimable and some cases leave cells free
+LSTSQ_CASES = [((6, 5), 1, 0.4), ((4, 3, 3), 1, 0.75), ((4, 3, 3), 2, 0.3),
+               ((3, 3, 3, 3), 1, 0.85), ((3, 3, 2, 2), 2, 0.6), ((3, 3, 2, 2), 3, 0.3)]
+
+
+def lstsq_case(shape, k, density, seed):
+    """A seeded random tensor, its cells in row-major (key) order, its
+    unobserved cells, and the oracle's design matrix and fit."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < density
+    mask.flat[0] = True
+    cells = np.argwhere(mask)
+    tensor = SparseTensor(shape, cells, np.exp(rng.normal(0, 1, len(cells))))
+    a = lstsq_oracle.design(cells, shape, k)
+    return tensor, np.argwhere(~mask), a, lstsq_oracle.fit(a, np.log(tensor.values))
+
+
+class TestLeastSquaresOracle:
+    """The balance is the least-squares fit of the log entries by the
+    subtensor indicators (``lstsq_oracle``): the solve reaches the fit's
+    residuals, and a completion fills every estimable cell as the fit does."""
+
+    config = SolverConfig(epsilon=PROPERTY_EPSILON, max_sweeps=PROPERTY_SWEEPS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape,k,density", LSTSQ_CASES)
+    def test_estimable_fills_equal_the_fit(self, shape, k, density, seed):
+        tensor, unobserved, a, (x, _, rank) = lstsq_case(shape, k, density, seed)
+        rows = lstsq_oracle.design(unobserved, shape, k)
+        ok = lstsq_oracle.estimable(a, rows)
+        assert ok.tolist() == [np.linalg.matrix_rank(np.vstack((a, row))) == rank for row in rows]
+        assert ok.any()
+        got = complete(tensor, k, self.config).values_at(unobserved[ok])
+        np.testing.assert_allclose(got, np.exp(rows[ok] @ x), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape,k,density", LSTSQ_CASES)
+    def test_balanced_logs_equal_the_residuals(self, shape, k, density, seed):
+        tensor, _, _, (_, residuals, _) = lstsq_case(shape, k, density, seed)
+        balanced = complete(tensor, k, self.config).model.balanced
+        np.testing.assert_allclose(np.log(balanced.values), residuals, rtol=0, atol=1e-10)
 
 
 @st.composite

@@ -355,7 +355,7 @@ class TestMovieLensParser:
         "text,bulk",
         [
             ("1::10::5::1\n2::11::4::2\n", True),
-            ("\n1::10::5\n2::11::4\n", True),
+            ("\n1::10::5\n2::11::4\n", False),  # three fields: the line parser
             ("1::10::5::1\n2::11::4::2::9\n", False),  # surplus field
             ("1::10::5\n2::11::4::2\n", False),  # surplus field, 3-field file
             ("1:x:2:y:3:z:4\n", False),  # lone colons

@@ -26,7 +26,7 @@ from uctensor import (
     subtensor_families,
 )
 from uctensor import tensor as tensor_module
-from uctensor.tensor import family_sub_ids, sub_ids
+from uctensor.tensor import _cell, family_sub_ids, key_coordinate, sub_ids, subtensor_counts, unravel_keys
 
 from conftest import scale_set
 
@@ -471,6 +471,75 @@ class TestKeyStorage:
             t.with_values(values)
         assert str(from_keys.value) == str(from_rows.value)
         assert "at index (1, 0, 1)" in str(from_keys.value)
+
+
+# D = 1 to 4, size-1 dimensions, and 3037000499**2 cells, within 1e-9 of int64's maximum
+CODEC_SHAPES = [(7,), (1,), (5, 3), (1, 4), (6, 1), (3, 1, 4), (2, 3, 4, 5), (1, 1, 1, 1),
+                (3037000499, 3037000499), (3, 1, 3037000499)]
+
+
+def codec_keys(shape, n, seed):
+    """Up to ``n`` distinct ascending flat keys of ``shape``, seeded: the
+    first and last cell, and random ones between."""
+    n_cells = math.prod(shape)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    return np.unique(np.concatenate(([0, n_cells - 1], rng.integers(0, n_cells, n, dtype=np.int64))))
+
+
+class TestKeyCodec:
+    """The key format's one reader (``key_coordinate`` and what is built on
+    it) against numpy's own codec: ``np.unravel_index``,
+    ``np.ravel_multi_index`` and ``np.bincount``."""
+
+    @pytest.mark.parametrize("n", [0, 60])
+    @pytest.mark.parametrize("shape", CODEC_SHAPES)
+    def test_coordinates_match_unravel_index(self, shape, n):
+        keys = codec_keys(shape, n, seed=len(shape) * 100 + n)
+        want = np.stack(np.unravel_index(keys, shape), axis=1)
+        for d in range(len(shape)):
+            coord = key_coordinate(keys, shape, d)
+            assert coord.dtype == np.int64 and np.array_equal(coord, want[:, d])
+        rows = unravel_keys(keys, shape)
+        assert rows.dtype == np.int64 and np.array_equal(rows, want)
+        out = np.full((len(keys), 2, len(shape)), -1, dtype=np.int64)
+        unravel_keys(keys, shape, out[:, 1])
+        assert np.array_equal(out[:, 1], want) and (out[:, 0] == -1).all()
+        assert [_cell(key, shape) for key in keys.tolist()] == [tuple(r) for r in want.tolist()]
+        t = SparseTensor(shape, None, np.ones(len(keys)), _flat=keys)
+        assert t.indices.dtype == np.int64 and np.array_equal(t.indices, want)
+
+    @pytest.mark.parametrize("n", [0, 60])
+    @pytest.mark.parametrize("shape", [s for s in CODEC_SHAPES if len(s) > 1])
+    def test_family_ids_match_ravel_multi_index(self, shape, n):
+        keys = codec_keys(shape, n, seed=len(shape) * 100 + n + 1)
+        t = SparseTensor(shape, None, np.ones(len(keys)), _flat=keys)
+        cells = np.unravel_index(keys, shape)
+        for r in range(1, len(shape) + 1):
+            for fixed in itertools.combinations(range(len(shape)), r):
+                dims = [shape[d] for d in fixed]
+                ids, size = family_sub_ids(t, fixed)
+                want = np.ravel_multi_index([cells[d] for d in fixed], dims)
+                assert ids.dtype == np.int64 and np.array_equal(ids, want)
+                assert size == math.prod(dims)
+
+    @pytest.mark.parametrize("n", [0, 60])
+    @pytest.mark.parametrize("shape", [s for s in CODEC_SHAPES if 1 < len(s) and math.prod(s) < 10**6])
+    def test_counts_match_bincount(self, shape, n):
+        keys = codec_keys(shape, n, seed=len(shape) * 100 + n + 2)
+        t = SparseTensor(shape, None, np.ones(len(keys)), _flat=keys)
+        cells = np.unravel_index(keys, shape)
+        for k in range(1, len(shape)):
+            families = subtensor_families(len(shape), k)
+            counts, rest_ids = subtensor_counts(t, families)
+            assert list(counts) == families and len(rest_ids) == len(families) - 1
+            for i, fixed in enumerate(families):
+                dims = [shape[d] for d in fixed]
+                ids = np.ravel_multi_index([cells[d] for d in fixed], dims)
+                assert np.array_equal(counts[fixed], np.bincount(ids, minlength=math.prod(dims)))
+                if i:
+                    assert np.array_equal(rest_ids[i - 1], ids)
 
 
 class TestLogSums:
