@@ -24,7 +24,6 @@ from .datasets import (
     FoldPlan,
     RatingsDataset,
     build_tensor_2d,
-    build_tensor_3d,
     encode_features,
     load_jester,
     load_movielens,

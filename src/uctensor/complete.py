@@ -165,9 +165,12 @@ def check_full_support(tensor: SparseTensor, max_offset: int | None = None) -> S
     up-front violations last, row-major.  Peaks at
     ``SUPPORT_BYTES_PER_CELL`` bytes a cell for D = 2 and 3, the report
     most of it.  Exponential in D and linear in the search volume: a
-    verification tool, not a production path.
+    verification tool, not a production path.  A 1-D tensor, which no
+    completion exists for, raises InvalidKError as ``complete`` does.
     """
     shape, ndim, n = tensor.shape, tensor.ndim, tensor.n_cells
+    if ndim < 2:
+        raise InvalidKError(f"a {ndim}-D tensor has no completion: k must be in [1, {ndim - 1}]")
     if max_offset is None:
         max_offset = max(shape)
     else:

@@ -312,8 +312,8 @@ def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDat
     The timestamp is optional; when given it must be an int64, and it is
     not kept: no computation reads it.
 
-    fmt "1m" validates whole-star ratings in [1, 5]; "10m" allows
-    half-star steps down to 0.5.  ``users_path`` attaches demographics
+    fmt "1m" checks that each rating lies in [1, 5], "10m" in [0.5, 5]:
+    only the range, not the star steps.  ``users_path`` attaches demographics
     (required later for 3-D tensors)."""
     fmt = fmt.lower()
     if fmt not in ("1m", "10m"):
@@ -415,7 +415,14 @@ def age_group(age: int) -> int:
 def encode_features(categories) -> tuple:
     """The ``FEATURE_BLOCKS`` positions of ``categories``, ascending: the
     blocks concatenate in that fixed order whatever the order given, and
-    an alias or a repeat names its block once."""
+    an alias or a repeat names its block once.  ``categories`` must be a
+    non-empty iterable of names, not a str."""
+    if isinstance(categories, str):
+        raise UnknownCategoryError(f"categories must be a sequence of feature names, not the str {categories!r}")
+    try:
+        categories = iter(categories)
+    except TypeError:
+        raise UnknownCategoryError(f"categories must be a sequence of feature names, got {categories!r}") from None
     names = [name for name, _ in FEATURE_BLOCKS]
     blocks = set()
     for cat in categories:
@@ -499,61 +506,22 @@ def build_tensor_2d(dataset: RatingsDataset, fold_plan: FoldPlan, test_fold: int
     return records_tensor(dataset, order[fold_plan.assignment[order] != test_fold])
 
 
-def user_feature_indices(dataset: RatingsDataset, categories) -> tuple[int, np.ndarray]:
-    """The width of the concatenated blocks of ``categories`` and the
-    (n_users, n_cat) array of each dense user's feature indices, one column
-    per included block, offset by the widths of the blocks before it.
-    Raises MissingFeatureFileError when the dataset has no features table
-    or a user is missing from it, and UnknownCategoryError for a bad
-    category."""
+def user_feature_indices(dataset: RatingsDataset, categories) -> np.ndarray:
+    """The (n_users, n_cat) codes of ``categories`` for each dense user, one
+    column per included block in ``FEATURE_BLOCKS`` order: the 3-D run's
+    check that every user carries them.  Raises MissingFeatureFileError
+    when the dataset has no features table or a user is missing from it,
+    and UnknownCategoryError for a bad category."""
     if dataset.features is None:
         raise MissingFeatureFileError(
             f"dataset {dataset.name!r} has no user features; 3-D mode needs a users file"
         )
-    blocks = list(encode_features(categories))
-    codes = dataset.features[:, blocks]
+    codes = dataset.features[:, list(encode_features(categories))]
     missing = (codes < 0).any(axis=1)
     if missing.any():
         raw = next(raw for raw, dense in dataset.users.items() if missing[dense])
         raise MissingFeatureFileError(f"user {raw} missing from the features table")
-    widths = [FEATURE_BLOCKS[b][1] for b in blocks]
-    codes += np.cumsum([0, *widths[:-1]])
-    return sum(widths), codes
-
-
-def build_tensor_3d(dataset: RatingsDataset, categories, fold_plan: FoldPlan, test_fold: int):
-    """Train tensor (users x features x products): each training record
-    writes its shifted rating at [u, f, p] for every feature index f of its
-    user.  The held-out records come as arrays: (M, 2) (user, product)
-    indices, M shifted truths, and the (M, n_cat) feature indices of each
-    record's user, one column per included category.
-
-    ``run_experiment`` does not build this tensor: its fills equal the 2-D
-    fills at every feature (README), so a 3-D run solves the 2-D tensor.
-    It is the direct 3-D solve that lift is tested against.
-
-    Returns ``(tensor, pairs, truth, features)``."""
-    _check_plan_length(fold_plan, dataset)
-    dim, feats_per_user = user_feature_indices(dataset, categories)
-    test = fold_plan.test_mask(test_fold)
-    train = ~test
-    u = dataset.user_index[train]
-    p = dataset.product_index[train]
-    r = dataset.shifted_values[train]
-    n_cat = feats_per_user.shape[1]
-    # one entry per (record, included category); blocks are disjoint so a
-    # record can never write the same cell twice
-    indices = np.empty((len(u) * n_cat, 3), dtype=np.int64)
-    indices[:, 0] = np.repeat(u, n_cat)
-    indices[:, 1] = feats_per_user[u].reshape(-1)
-    indices[:, 2] = np.repeat(p, n_cat)
-    values = np.repeat(r, n_cat)
-    shape = (dataset.n_users, dim, dataset.n_products)
-    tensor = SparseTensor(shape, indices, values)
-
-    test_users = dataset.user_index[test]
-    pairs = np.stack([test_users, dataset.product_index[test]], axis=1)
-    return tensor, pairs, dataset.shifted_values[test], feats_per_user[test_users]
+    return codes
 
 
 # ---------------------------------------------------------------------------

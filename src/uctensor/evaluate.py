@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -22,9 +23,8 @@ import numpy as np
 
 from .balance import SolverConfig, balance
 from .complete import inverse_scale_fills
-from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, check_folds, split_kfold, user_feature_indices
-from .datasets import _check_plan_length
-from .datasets import build_tensor_3d  # noqa: F401  bench_spans.Tracer.install wraps it here
+from .datasets import FoldPlan, RatingsDataset, build_tensor_2d, check_folds, encode_features, split_kfold
+from .datasets import _check_plan_length, user_feature_indices
 from .exceptions import DidNotConvergeError, EmptyInputError
 from .tensor import check_int
 
@@ -60,7 +60,8 @@ def mae(pred, truth) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig(SolverConfig):
     """Everything a run needs beyond the dataset itself.  ``categories``
-    names the user features a 3-D run requires."""
+    names the user features a 3-D run requires; they are resolved here,
+    and kept as given, in a tuple."""
 
     n_folds: int = 5
     seed: int = 0
@@ -72,8 +73,10 @@ class ExperimentConfig(SolverConfig):
         check_folds(self.n_folds)
         check_int("seed", self.seed, 0)
         check_int("threads", self.threads, 1)
-        if isinstance(self.categories, str):
-            raise ValueError(f"categories must be a sequence of feature names, not the str {self.categories!r}")
+        if not isinstance(self.categories, str):  # kept whole, so that an iterator is read once
+            with suppress(TypeError):  # encode_features names a non-iterable
+                object.__setattr__(self, "categories", tuple(self.categories))
+        encode_features(self.categories)
 
     def echo(self) -> dict:
         return {**asdict(self), "categories": list(self.categories)}
@@ -197,7 +200,10 @@ def _fold_2d(dataset, fold_plan, fold, predict) -> FoldResult:
                       mae(clamped, truth), len(trace), wall, cold, converged, len(test), trace)
 
 
-_fold_3d = _fold_2d  # bench_spans.Tracer.install wraps both fold names here
+# bench_spans.Tracer.install wraps both fold names and both builder names
+# here; no run calls the 3-D ones
+_fold_3d = _fold_2d
+build_tensor_3d = build_tensor_2d
 
 
 def _cross_validate(dataset, fold_plan, predict, threads=1) -> list:

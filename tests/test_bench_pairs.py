@@ -2,6 +2,7 @@
 is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -141,3 +142,32 @@ def test_a_run_count_or_length_that_measures_nothing_is_a_usage_error(monkeypatc
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and err.rstrip().endswith(f"error: {message}")
+
+
+def test_the_out_file_names_each_checkouts_commit(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    parent, change = tmp_path / "parent", tmp_path
+    git = {
+        (parent, "rev-parse"): (128, "", "fatal: not a git repository"),
+        (change, "rev-parse"): (0, "0123abcd\n", ""),
+        (change, "status"): (0, " M src/uctensor/evaluate.py\n?? new.py\n", ""),
+    }
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return bench_pairs.subprocess.CompletedProcess(cmd, *git.get((kwargs["cwd"], cmd[1]), (0, "", "")))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, STDOUT, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "serve-topn", "--pairs", "1",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["checkouts"] == {"parent": None, "change": {"head": "0123abcd", "dirty": True}}
+    git[(change, "status")] = (0, "", "")
+    assert bench_pairs.checkout_state(change) == {"head": "0123abcd", "dirty": False}
+
+
+def test_a_directory_outside_any_work_tree_has_no_checkout_state(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert bench_pairs.checkout_state(tmp_path) is None

@@ -185,6 +185,13 @@ class TestFullSupport:
         assert [offset for cell, offset in wide.witnesses.tolist() if cell == [0, 0]] == [[2, 2]]
         assert [0, 0] in tight.violations.tolist()
 
+    def test_a_1d_tensor_is_refused_as_complete_refuses_it(self):
+        t = make_tensor((3,), {(0,): 1.0})
+        with pytest.raises(InvalidKError, match=re.escape("k must be in [1, 0]")):
+            complete(t, 1)
+        with pytest.raises(InvalidKError, match=re.escape("a 1-D tensor has no completion: k must be in [1, 0]")):
+            check_full_support(t)
+
     @pytest.mark.parametrize("max_offset", [[1], [1, 1, 1], [1, 1], (1, 1), 1.0, "1"])
     def test_max_offset_is_none_or_one_int(self, three_entry_2x2, max_offset):
         with pytest.raises(ValueError, match=re.escape(f"max_offset must be an int >= 1, got {max_offset!r}")):

@@ -21,7 +21,6 @@ from uctensor import (
     TooFewRecordsError,
     UnknownCategoryError,
     build_tensor_2d,
-    build_tensor_3d,
     encode_features,
     load_jester,
     load_movielens,
@@ -39,6 +38,7 @@ from uctensor.datasets import (
 from uctensor.properties import synthetic_dataset
 
 from conftest import write_movielens_fixture
+from feature_oracle import build_tensor_3d, feature_indices
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -453,7 +453,7 @@ class TestFeatureEncoding:
     def indices(ml_files, categories):
         """The blocks' width and {raw user id: feature indices}."""
         ds = load_movielens(*ml_files)
-        dim, index = user_feature_indices(ds, categories)
+        dim, index = feature_indices(ds, categories)
         return dim, {raw: tuple(index[dense].tolist()) for raw, dense in ds.users.items()}
 
     def test_age_group_cap(self):
@@ -484,6 +484,24 @@ class TestFeatureEncoding:
             encode_features(("zodiac",))
         with pytest.raises(UnknownCategoryError, match="at least one feature category"):
             encode_features(())
+
+    @pytest.mark.parametrize("categories, message", [
+        ("age", "categories must be a sequence of feature names, not the str 'age'"),
+        (None, "categories must be a sequence of feature names, got None"),
+        (5, "categories must be a sequence of feature names, got 5"),
+    ])
+    def test_a_str_or_a_non_iterable_is_refused(self, categories, message):
+        with pytest.raises(UnknownCategoryError, match=f"^{message}$"):
+            encode_features(categories)
+
+    def test_the_library_check_gathers_the_codes_without_offsets(self, ml_files):
+        ds = load_movielens(*ml_files)
+        codes = user_feature_indices(ds, ("occup", "age", "Age"))
+        np.testing.assert_array_equal(codes, ds.features[:, [0, 2]])
+        assert codes.dtype == np.int64
+        dim, index = feature_indices(ds, ("occup", "age"))
+        assert dim == 27
+        np.testing.assert_array_equal(index, codes + [0, 6])
 
 
 class TestSplitting:

@@ -19,7 +19,6 @@ from uctensor import (
     balance,
     baseline_predict,
     build_tensor_2d,
-    build_tensor_3d,
     check_full_support,
     complete_matrix,
     load_jester,
@@ -31,10 +30,12 @@ from uctensor import (
     split_kfold,
     top_n,
 )
+import uctensor
 from uctensor import evaluate
 from uctensor.properties import synthetic_dataset
 
 from conftest import TIGHT, trace_oracle, write_jester_grid, write_movielens_fixture
+from feature_oracle import build_tensor_3d
 
 # rating-scale magnitudes, quantized so squared errors cannot underflow
 grid_floats = st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 6))
@@ -272,6 +273,10 @@ class TestThreeDimensionalMode:
         if fixture.get("density"):
             assert all(f.cold_pairs > 0 for f in report.per_fold)
 
+    def test_the_3d_builder_is_the_tests_oracle_not_the_librarys(self):
+        assert not hasattr(uctensor, "build_tensor_3d")
+        assert build_tensor_3d.__module__ == "feature_oracle"
+
     def test_without_a_users_file(self, tmp_path):
         ratings, _ = write_movielens_fixture(tmp_path)
         with pytest.raises(MissingFeatureFileError, match="needs a users file"):
@@ -413,10 +418,24 @@ class TestExperimentConfig:
         ({"max_sweeps": 0}, "max_sweeps must be an int >= 1, got 0"),
         ({"threads": 0}, "threads must be an int >= 1, got 0"),
         ({"categories": "age"}, "categories must be a sequence of feature names, not the str 'age'"),
+        # each of these was taken before, and a run failed only after scoring every fold
+        ({"categories": None}, "categories must be a sequence of feature names, got None"),
+        ({"categories": 5}, "categories must be a sequence of feature names, got 5"),
+        ({"categories": ()}, "at least one feature category is required"),
+        ({"categories": ("zodiac",)}, "unknown feature category 'zodiac'; expected age, gender or occupation"),
+        ({"categories": ("age", 5)}, "unknown feature category 5; expected age, gender or occupation"),
     ])
     def test_bad_settings_are_refused_at_construction(self, options, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             ExperimentConfig(**options)
+        if "categories" in options:
+            assert isinstance(info.value, UnknownCategoryError)
+
+    def test_categories_are_read_once_and_kept_as_given(self, tmp_path):
+        ds = load_movielens(*write_movielens_fixture(tmp_path))
+        config = ExperimentConfig(n_folds=2, categories=iter(["Occup", "age"]))
+        assert config.categories == ("Occup", "age")
+        assert run_experiment(ds, "3d", config).categories == ["Occup", "age"]
 
     @pytest.mark.parametrize("n_folds", [1, 0, -3])
     def test_too_few_folds_are_refused_as_split_kfold_refuses_them(self, n_folds):

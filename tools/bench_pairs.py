@@ -19,10 +19,13 @@ run's median pass time, the ``metric job_median_s`` line printed before
 the result, gets the same row, marked informational: it has no bound and
 is not an end-to-end metric, but a process whose every pass ran slow
 shows in it where ``job_s``, the fastest stages, can hide it.  ``--out``
-writes the same figures, every run's metrics, and the CPU count and
-Python and numpy versions.  The exit status is 1 if a run failed or
-reported a failed output check, else 0; PARENT and CHANGE may be the same
-checkout (an A/A run).
+writes the same figures, every run's metrics, the CPU count and Python
+and numpy versions, and under ``checkouts`` each checkout's ``git
+rev-parse HEAD`` and whether ``git status --porcelain`` listed changes,
+taken before the first run (``null`` for a directory that is not a git
+work tree).  The exit status is 1 if a run failed or reported a failed
+output check, else 0; PARENT and CHANGE may be the same checkout (an
+A/A run).
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return {**json.loads(lines[-1]), "informational": informational_metrics(lines[:-1])}
+
+
+def checkout_state(checkout: Path) -> dict | None:
+    """``{"head": commit, "dirty": bool}`` of the git work tree at
+    ``checkout``, or None if it is not one (or git is missing)."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+        status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    if head.returncode != 0 or status.returncode != 0:
+        return None
+    return {"head": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
 
 
 def informational_metrics(lines) -> dict:
@@ -156,6 +172,7 @@ def main(argv=None) -> int:
         parser.error(f"--seconds must be > 0, got {args.seconds}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     end_to_end = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    states = {side: checkout_state(path) for side, path in checkouts.items()}
 
     runs = []
     for i in range(args.pairs):
@@ -176,6 +193,7 @@ def main(argv=None) -> int:
             "seconds": args.seconds,
             "seed0": args.seed0,
             "machine": {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+            "checkouts": states,
             **summary,
             "runs": runs,
         }
