@@ -33,15 +33,20 @@ def _id(name: str, value) -> int:
 
 def predict_rating(completed: CompletedTensor, user: int, product: int) -> Prediction:
     """2-D query: the training value if (user, product) was observed, else
-    the inverse-scale fill.  The ids must be integers (``_id``); the
-    source's lookup checks the cell's bounds."""
+    the inverse-scale fill.  The ids must be integers (``_id``); one
+    lookup of the cell in the source checks its bounds and finds its
+    stored value, and a fill is ``inverse_scale_fills`` of a_u + b_p, the
+    sum ``log_sum_at`` forms for a 2-D cell."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("predict_rating expects a 2-D completion")
     user, product = _id("user", user), _id("product", product)
-    observed = completed.source.value_at((user, product))
-    if observed is not None:
-        return Prediction(user, product, observed, "observed")
-    return Prediction(user, product, completed.fill_at((user, product)), "completed")
+    source = completed.source
+    pos, hit = source._locate([(user, product)])
+    if hit[0]:
+        return Prediction(user, product, float(source.values[pos[0]]), "observed")
+    logs = completed.scales.log
+    log_sum = np.array([logs[(0,)][user] + logs[(1,)][product]])
+    return Prediction(user, product, float(inverse_scale_fills(log_sum, lambda _: (user, product))[0]), "completed")
 
 
 # Products whose log scales differ by at most this much are walked past
@@ -51,27 +56,32 @@ PLAN_BLOCK = 1 << 13  # entries of whole rows whose gaps are built at once
 
 
 def _query_plan(completed: CompletedTensor):
-    """What every top-n query of a completion shares: ``(user logs,
-    starts, order, tie_end, -product logs, gaps, gaps view, least,
-    greatest, first tie)``.  ``starts`` lists where each row of the
-    source starts among its entries, and the entry count last.
-    ``order`` is the products by ascending log scale (stable), and
-    ``tie_end[i]`` the end of the run of order positions within
-    ``TIE_WINDOW`` of position i's log scale.  ``gaps``, aligned with the
-    entries, holds each row's rated products' order positions, sorted,
-    each less its index in the row, in the smallest unsigned dtype that
-    holds P; the gaps view is a read-only ``memoryview`` of it, which
-    ``bisect`` searches with a Python int and without a slice.
-    ``least`` and ``greatest`` are the extreme product log scales, and
-    the first tie is the first order position i whose tie run goes past
-    i + 1 (P if none): every two consecutive positions before it differ
-    by more than ``TIE_WINDOW``.  The completion is a plain value, so
-    the plan is built once, on its first query, and kept read-only on it."""
+    """What every top-n query of a 2-D completion shares: ``(user logs,
+    starts, walk, tie_end, order, walk logs, gaps, gaps view, least,
+    greatest, first tie)``.  ``order`` is the products by ascending log
+    scale (stable), a read-only array, and ``walk`` the same order as a
+    tuple of ints; ``walk logs`` is the read-only array of the negated
+    product log scales in that order, -b of ``walk[i]`` at position i.
+    ``tie_end[i]`` is the end of the run of order positions within
+    ``TIE_WINDOW`` of position i's log scale.  The user log scales,
+    ``starts`` (where each row of the source starts among its entries,
+    and the entry count last) and ``tie_end`` are tuples too, so a query
+    reads them as Python numbers.  ``gaps``, aligned with the entries,
+    holds each row's rated products' order positions, sorted, each less
+    its index in the row, in the smallest unsigned dtype that holds P;
+    the gaps view is a read-only ``memoryview`` of it, which ``bisect``
+    searches with a Python int and without a slice.  ``least`` and
+    ``greatest`` are the extreme product log scales, and the first tie
+    is the first order position i whose tie run goes past i + 1 (P if
+    none): every two consecutive positions before it differ by more than
+    ``TIE_WINDOW``.  The completion is a plain value, so the plan is
+    built once, on its first query, and kept on it, holding no list and
+    no writable array."""
     if completed._plan is None:
         source, user_logs, logs = completed.source, completed.scales.log[(0,)], completed.scales.log[(1,)]
         n_users, n_products = source.shape
         row_starts = leading_run_starts(source, 1)
-        starts = row_starts.tolist()
+        starts = tuple(row_starts.tolist())
         order = np.argsort(logs, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -89,34 +99,48 @@ def _query_plan(completed: CompletedTensor):
         ascending = logs[order]
         tie_end = np.searchsorted(ascending, ascending + TIE_WINDOW, side="right")
         tied = np.flatnonzero(tie_end > np.arange(1, n_products + 1))
-        arrays = (order, tie_end, -logs, gaps)
-        for a in arrays:
+        walk_logs = -ascending
+        for a in (order, walk_logs, gaps):
             a.setflags(write=False)
         completed._plan = (
-            user_logs, starts, *arrays, memoryview(gaps), float(ascending[0]), float(ascending[-1]),
+            tuple(user_logs.tolist()), starts, tuple(order.tolist()), tuple(tie_end.tolist()), order, walk_logs,
+            gaps, memoryview(gaps), float(ascending[0]), float(ascending[-1]),
             int(tied[0]) if len(tied) else n_products,
         )
     return completed._plan
 
 
-def _walk(order, tie_end, gaps, gaps_view, lo, hi, n) -> tuple[np.ndarray, int]:
-    """The unrated products, in walk order, of the shortest prefix of
-    ``order`` holding n unrated products, extended over every product
-    whose log scale is within ``TIE_WINDOW`` of the n-th one's, and the
-    prefix's end; ``gaps[lo:hi]`` is the user's row of the plan's."""
-    # the n-th unrated product sits at order position n - 1 + (rated
-    # before it), and the j-th rated one at gaps[j] + j
-    k = bisect_right(gaps_view, n - 1, lo, hi) - lo
-    nth = n - 1 + k
-    end = int(tie_end[nth]) if nth < len(order) else len(order)
+def _walk(tie_end, gaps, lo, hi, k, nth):
+    """The order positions of the unrated products of the shortest prefix
+    of the order holding position ``nth``, the n-th unrated product's,
+    extended over every product whose log scale is within ``TIE_WINDOW``
+    of its own: a slice when the prefix holds none of the ``k`` rated
+    products before ``nth``, else an array.  ``gaps[lo:hi]`` is the
+    user's row of the plan's."""
+    end = tie_end[nth] if nth < len(tie_end) else len(tie_end)
     if end > nth + 1:  # rated products may lie inside the tie run
         k += int((gaps[lo + k : hi] + np.arange(k, hi - lo)).searchsorted(end))
     if not k:
-        return order[:end], end
+        return slice(end)
     # the j-th unrated product of the prefix has the rated ones whose
     # gap is at most j before it
     ar = np.arange(end - k)
-    return order[ar + gaps[lo : lo + k].searchsorted(ar, side="right")], end
+    return ar + gaps[lo : lo + k].searchsorted(ar, side="right")
+
+
+def _without(products, values, gaps_view, lo, k):
+    """``products`` and ``values`` without the items at the prefix's k
+    rated positions, ``gaps_view[lo + j] + j``, each list joined from the
+    slices between them."""
+    kept_products, kept_values, start = [], [], 0
+    for j in range(k):
+        cut = gaps_view[lo + j] + j
+        kept_products += products[start:cut]
+        kept_values += values[start:cut]
+        start = cut + 1
+    kept_products += products[start:]
+    kept_values += values[start:]
+    return kept_products, kept_values
 
 
 def top_n(
@@ -128,31 +152,41 @@ def top_n(
     """Products ranked by predicted rating (descending), ties broken by
     ascending product index.  Optionally drops products the user already
     rated.  ``user`` must be an integer (``_id``: a bool is refused) in
-    range, ``n`` an int >= 1.
+    range, ``n`` an int >= 1; a completion that is not 2-D raises
+    ``NotAMatrixError`` before either is checked.
 
     A 2-D fill is exp(-(a_u + b_p)), so every user ranks the products it
     has not rated by one global order: ascending product log scale b_p.
     A query walks that order, kept in the completion's ``_query_plan``,
     only until it holds the n-th unrated product, and then on over every
     product whose b_p is within ``TIE_WINDOW`` of that product's.  The
-    user's row is one slice of the source's entries, between the row
-    starts the plan keeps, and of the plan's ``gaps``, where one
-    ``bisect_right`` of n - 1 counts the rated products before the n-th
-    unrated one, and one ``searchsorted`` places the prefix's unrated
-    products among its rated ones (``_walk``).  Only the unrated
-    products of the prefix are filled, from a_u + b_p, the sum
-    ``log_sum_at`` forms.
+    plan keeps the order twice, as a tuple of ints and as an array, the
+    negated b in walk order as one array, the user log scales, the row
+    starts and the tie ends as tuples, and ``gaps``: per row, the rated
+    products' order positions, sorted, each less its index in the row.
+    The user's row is one slice of ``gaps`` between two row starts, where
+    one ``bisect_right`` of n - 1 counts the k rated products before the
+    n-th unrated one, which so sits at position n - 1 + k, and the j-th
+    rated one at ``gaps[j] + j``.
 
     An exclude-observed query of an in-range row (below) whose prefix
-    ends at or before the plan's first tie position + 1 returns the
-    fills in walk order, and sorts nothing: two consecutive walked log
-    scales differ by more than ``TIE_WINDOW``, so, as for the products
-    past the prefix below, the fills strictly decrease.  Any other query
-    sorts: unless they are excluded, every rated product joins the fills
-    with its observed value, and one ``sort`` over (-value, product,
+    ends at or before the plan's first tie position + 1 takes the
+    prefix's products as a slice of the order tuple and its fills as
+    ``exp`` of one contiguous slice of the walk-ordered -b, less a_u
+    (-b - a_u is exactly -(a_u + b_p)), converted to floats by one
+    ``tolist``, and joins the slices between its k rated positions.  It
+    sorts nothing: two consecutive walked log scales differ by more than
+    ``TIE_WINDOW``, so, as for the products past the prefix below, the
+    fills strictly decrease.  Any other query places the prefix's
+    unrated products among its rated ones with one ``searchsorted``
+    (``_walk``), fills them from the walk-ordered -b by position, and
+    sorts: unless they are excluded, the ratings at least the row's n-th
+    largest (ties kept, found by one ``np.partition``) join the fills
+    with their observed values, and one ``sort`` over (-value, product,
     source) triples ranks them all, ties to the smaller product index.
-    The fills come in walk order, nearly sorted, so sorting them takes
-    linear time even over a run of tied fills.
+    A rating below the n-th largest has n ratings ahead of it, so it
+    cannot rank.  The fills come in walk order, nearly sorted, so
+    sorting them takes linear time even over a run of tied fills.
 
     The answer is exact, ties included.  When a_u + min(b) and a_u +
     max(b) lie in (-700, 700), every sum of the row does, each rounded
@@ -168,39 +202,60 @@ def top_n(
     order) and ranked by the same sort, near-linear on the sorted fills.
 
     A query costs one O(log r) binary search for a row of r rated
-    products plus the prefix: the placement of its unrated products, its
-    fills, and the final sort when it sorts (the include-observed branch
-    adds the row's r ratings to it), none of it growing with the number
-    of products or of stored entries, and no sort of the row.  The
-    completion pays, on its first query, for the plan: the O(P log P)
-    sort of its P products, one O(U log nnz) search for where each of
-    its U rows starts among its nnz entries, and the O(nnz log r) sort
-    of each row's order positions."""
-    if len(completed.shape) != 2:
+    products plus the prefix: in walk order, O(n + k) list work and one
+    ``exp`` with no per-answer numpy call; otherwise the placement, the
+    fills and the final sort (the include-observed branch adds an O(r)
+    partition of the row's ratings and at least n of them to it), none
+    of it growing with the number of products or of stored entries, and
+    no sort of the row.  The completion pays, on its first query, for
+    the plan: the O(P log P) sort of its P products, one O(U log nnz)
+    search for where each of its U rows starts among its nnz entries,
+    and the O(nnz log r) sort of each row's order positions."""
+    plan = completed._plan
+    if plan is None and len(completed.shape) != 2:  # a plan is only built for a 2-D completion
         raise NotAMatrixError("top_n expects a 2-D completion")
-    check_int("n", n, 1)
-    user = _id("user", user)
-    user_logs, starts, order, tie_end, neg_b, gaps, gaps_view, least, greatest, first_tie = _query_plan(completed)
-    source = completed.source
-    if not 0 <= user < source.shape[0]:
-        raise IndexOutOfBoundsError(f"row {user} out of range [0, {source.shape[0]})")
+    if type(n) is not int or n < 1:  # the checks, with a fast path for a plain int
+        check_int("n", n, 1)
+    if type(user) is not int:
+        user = _id("user", user)
+    user_logs, starts, walk, tie_end, order, walk_logs, gaps, gaps_view, least, greatest, first_tie = (
+        plan or _query_plan(completed)
+    )
+    if not 0 <= user < len(user_logs):
+        raise IndexOutOfBoundsError(f"row {user} out of range [0, {len(user_logs)})")
     lo, hi = starts[user], starts[user + 1]
-    a = float(user_logs[user])  # float sums round as numpy's; -(a + b) is exactly -b - a
+    a, n_products = user_logs[user], len(walk)  # float sums round as numpy's; -(a + b) is exactly -b - a
     in_range = -700.0 < a + least and a + greatest < 700.0  # else the walk takes every unrated product
-    products, end = _walk(order, tie_end, gaps, gaps_view, lo, hi, n if in_range else len(order))
+    m = n if in_range else n_products
+    # the m-th unrated product sits at order position m - 1 + k, k the
+    # rated products before it, and the j-th rated one at gaps[lo + j] + j
+    k = bisect_right(gaps_view, m - 1, lo, hi) - lo
+    nth = m - 1 + k
+    end = min(nth + 1, n_products)
+    # before the first tie no tie run extends the prefix past ``end``, and
+    # the fills strictly decrease in walk order
+    if exclude_observed and in_range and end <= first_tie:
+        products, values = walk[:end], np.exp(walk_logs[:end] - a).tolist()  # every sum of the row is in (-700, 700)
+        if k:
+            products, values = _without(products, values, gaps_view, lo, k)
+        # ``tuple.__new__`` builds each answer without the Python frame of
+        # the generated ``Prediction.__new__``; the fields are in
+        # declaration order
+        answers = zip(repeat(user), products, values, repeat("completed"))
+        return list(map(tuple.__new__, repeat(Prediction), answers))
+    positions = _walk(tie_end, gaps, lo, hi, k, nth)
+    products = order[positions]
     if in_range:
-        values = np.exp(neg_b[products] - a)  # every sum of the row is in (-700, 700)
-        if exclude_observed and end <= first_tie + 1:  # the fills strictly decrease in walk order
-            # ``tuple.__new__`` builds each answer without the Python frame
-            # of the generated ``Prediction.__new__``; the fields are in
-            # declaration order
-            answers = zip(repeat(user), products.tolist(), values.tolist(), repeat("completed"))
-            return list(map(tuple.__new__, repeat(Prediction), answers))
+        values = np.exp(walk_logs[positions] - a)
     else:
-        values = inverse_scale_fills(a - neg_b[products], lambda i: (user, int(products[i])))
+        values = inverse_scale_fills(a - walk_logs[positions], lambda i: (user, int(products[i])))
     ranked = list(zip((-values).tolist(), products.tolist(), repeat("completed")))
     if not exclude_observed:
-        rated = source._flat[lo:hi] - user * source.shape[1]
-        ranked += zip((-source.values[lo:hi]).tolist(), rated.tolist(), repeat("observed"))
+        source = completed.source
+        ratings, keys = source.values[lo:hi], source._flat[lo:hi]
+        if hi - lo > n:  # a rating below the n-th largest has n ratings ahead of it
+            keep = ratings >= np.partition(ratings, hi - lo - n)[hi - lo - n]
+            ratings, keys = ratings[keep], keys[keep]
+        ranked += zip((-ratings).tolist(), (keys - user * n_products).tolist(), repeat("observed"))
     ranked.sort()
     return [tuple.__new__(Prediction, (user, p, -v, s)) for v, p, s in ranked[:n]]  # as above

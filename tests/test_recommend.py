@@ -405,7 +405,8 @@ class TestTopNEquivalence:
 
 class TestTopNMidSize:
     """Every user of a seeded 300 x 500 completion whose rows are mostly
-    rated, so that most walks pass many rated products before they stop."""
+    rated, so that most walks pass many rated products before they stop,
+    at n = 1, 10, 50, P and P + 1."""
 
     @staticmethod
     def completion():
@@ -418,9 +419,10 @@ class TestTopNMidSize:
 
     @staticmethod
     def assert_equals_reference(completed):
+        n_products = completed.shape[1]
         for user in range(completed.shape[0]):
             for exclude in (False, True):
-                for n in (1, 10, 50):
+                for n in (1, 10, 50, n_products, n_products + 1):
                     assert top_n(completed, user, n, exclude) == reference_top_n(completed, user, n, exclude)
 
     def test_solved_scales(self):
@@ -432,6 +434,27 @@ class TestTopNMidSize:
         solved = self.completion()
         tied = completion_of(solved.source, solved.scales.log[(0,)], np.full(500, 0.25))
         self.assert_equals_reference(tied)
+
+    def test_rated_products_at_the_ends_of_the_prefix(self):
+        # rows 2-5 of the solved completion rate, in walk order, only
+        # position 0, only position 9 (n - 1 for n = 10), the consecutive
+        # positions 3-5, and positions 0-9 and 12; row 0 rates every
+        # product and row 1 none
+        solved = self.completion()
+        walk = _query_plan(solved)[2]
+        positions = {2: [0], 3: [9], 4: [3, 4, 5], 5: [*range(10), 12]}
+        indices = solved.source.indices
+        keep = ~np.isin(indices[:, 0], list(positions))
+        extra = np.array([[user, walk[i]] for user, at in positions.items() for i in at])
+        rated = np.concatenate([indices[keep], extra])
+        ratings = np.concatenate([solved.source.values[keep], np.arange(len(extra)) % 5 + 1.0])
+        source = SparseTensor(solved.shape, rated, ratings)
+        completed = completion_of(source, solved.scales.log[(0,)], solved.scales.log[(1,)])
+        starts, gaps = _query_plan(completed)[1], _query_plan(completed)[6]
+        for user, at in positions.items():  # each rated position less its index in the row
+            assert gaps[starts[user] : starts[user + 1]].tolist() == [i - j for j, i in enumerate(at)]
+        assert starts[1] - starts[0] == 500 and starts[2] == starts[1]
+        self.assert_equals_reference(completed)
 
 
 class TestGlobalOrder:
@@ -493,9 +516,9 @@ class TestQueryPlan:
         t = SparseTensor(dense.shape, dense.indices[keep], dense.values[keep])
         completed = complete_matrix(t, TIGHT)
         starts = _query_plan(completed)[1]
-        assert type(starts) is list
-        assert starts == [0, *np.cumsum(np.bincount(t.indices[:, 0], minlength=7)).tolist()]
-        assert starts[:2] == [0, 0] and starts[-2:] == [t.n_observed, t.n_observed]
+        assert type(starts) is tuple
+        assert starts == (0, *np.cumsum(np.bincount(t.indices[:, 0], minlength=7)).tolist())
+        assert starts[:2] == (0, 0) and starts[-2:] == (t.n_observed, t.n_observed)
         for user in range(7):
             for exclude in (False, True):
                 assert top_n(completed, user, 5, exclude) == reference_top_n(completed, user, 5, exclude)
@@ -505,7 +528,7 @@ class TestQueryPlan:
         assert completed._plan is None
         top_n(completed, 0, 3)
         plan = completed._plan
-        assert len(plan) == 10
+        assert len(plan) == 11
         for user in range(8):
             for exclude in (False, True):
                 for n in (1, 5, 13):
@@ -516,12 +539,37 @@ class TestQueryPlan:
         completed = self.completion(rng)
         top_n(completed, 0, 3)
         arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
-        # user logs, order, tie_end, -product logs and gaps; rank is only
-        # read by the build
-        assert len(arrays) == 5
+        # order, the negated product logs in walk order and gaps; rank is
+        # only read by the build, and the user logs and tie_end are tuples
+        assert len(arrays) == 3
         assert not any(a.flags.writeable for a in arrays)
-        gaps_view = _query_plan(completed)[6]
-        assert gaps_view.readonly and gaps_view.obj is _query_plan(completed)[5]
+        gaps_view = _query_plan(completed)[7]
+        assert gaps_view.readonly and gaps_view.obj is _query_plan(completed)[6]
+
+    def test_no_plan_member_is_mutable(self, rng):
+        # every member is a number, a tuple of numbers, a read-only array
+        # or a read-only view, so concurrent queries can share the plan
+        completed = self.completion(rng)
+        plan = _query_plan(completed)
+        assert type(plan) is tuple
+        for member in plan:
+            if isinstance(member, np.ndarray):
+                assert not member.flags.writeable
+            elif isinstance(member, memoryview):
+                assert member.readonly
+            elif isinstance(member, tuple):
+                assert all(type(x) in (int, float) for x in member)
+            else:
+                assert type(member) in (int, float)
+
+    def test_walk_members_agree_with_the_scales(self, rng):
+        completed = self.completion(rng)
+        user_logs, starts, walk, tie_end, order, walk_logs = _query_plan(completed)[:6]
+        product_logs = completed.scales.log[(1,)]
+        assert walk == tuple(np.argsort(product_logs, kind="stable").tolist()) == tuple(order.tolist())
+        assert walk_logs.tolist() == (-product_logs[list(walk)]).tolist()
+        assert user_logs == tuple(completed.scales.log[(0,)].tolist())
+        assert len(tie_end) == len(walk) and all(type(e) is int and e > i for i, e in enumerate(tie_end))
 
 
 def gaps_oracle(completed):
@@ -543,7 +591,7 @@ class TestPlanGaps:
 
     @staticmethod
     def assert_gaps_and_answers(completed, dtype, ns):
-        gaps = _query_plan(completed)[5]
+        gaps = _query_plan(completed)[6]
         assert gaps.dtype == dtype
         assert gaps.tolist() == gaps_oracle(completed)
         for user in range(completed.shape[0]):
@@ -573,7 +621,7 @@ class TestPlanGaps:
         rated = np.array([[0, last], *[[1, p] for p in range(0, n_products, 3)]])
         source = SparseTensor((2, n_products), rated, np.full(len(rated), 2.0))
         completed = completion_of(source, [0.0, 0.5], product_logs)
-        assert _query_plan(completed)[5][0] == n_products - 1
+        assert _query_plan(completed)[6][0] == n_products - 1
         self.assert_gaps_and_answers(completed, dtype, (1, 10, n_products - 1, n_products + 2))
 
     def test_uint32_gaps_past_65535_products(self, rng):
@@ -596,7 +644,7 @@ class TestPlanGaps:
         # first unrated one, inside its tie run
         source = make_tensor((1, 6), {(0, 1): 0.5, (0, 2): 3.0})
         completed = completion_of(source, [0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-        assert _query_plan(completed)[5].tolist() == [1, 1]
+        assert _query_plan(completed)[6].tolist() == [1, 1]
         assert [p.product for p in top_n(completed, 0, 1, exclude_observed=True)] == [0]
         assert [p.product for p in top_n(completed, 0, 2, exclude_observed=True)] == [0, 3]
         assert [p.product for p in top_n(completed, 0, 3, exclude_observed=True)] == [0, 3, 4]
@@ -640,7 +688,7 @@ class TestFirstTie:
         positions[tie_at + 1] = positions[tie_at] + 4e-10
         source = make_tensor((2, 8), {(1, 7 - i): float(1 + i % 5) for i in rated})
         completed = completion_of(source, [0.0, 0.3], positions[::-1])
-        assert _query_plan(completed)[9] == tie_at
+        assert _query_plan(completed)[10] == tie_at
         return completed
 
     @staticmethod
@@ -684,7 +732,7 @@ class TestFirstTie:
     def test_no_tie_returns_walk_order_past_the_row(self):
         source = make_tensor((2, 8), {(1, 3): 2.0, (1, 5): 4.0})
         completed = completion_of(source, [0.0, 0.3], 0.1 * np.arange(8.0)[::-1])
-        assert _query_plan(completed)[9] == 8
+        assert _query_plan(completed)[10] == 8
         for user in range(2):
             for n in (1, 6, 8, 9):
                 self.assert_answers(completed, user, n, walk_order=True)
