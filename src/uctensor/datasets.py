@@ -9,7 +9,10 @@ text format for toy problems.
 Ratings are stored on their native scale together with a translational
 ``shift`` chosen so that shifted values are strictly positive (tensors
 cannot hold zeros or negatives); MovieLens needs no shift, Jester gets
-``-min + 1``.  The shift cancels inside RMSE/MAE differences.
+``-low + 1 = 11`` from the bottom of its declared range.  Predictions
+are unshifted before they are scored, so the shift's subtraction
+cancels, but the fills do not: the balance fits log(r + s), so every
+fill, and so the RMSE and MAE, depend on s.
 
 The text loaders share one line rule: each line is stripped, blank lines
 are skipped (and, in the tensor format only, lines starting with ``#``),
@@ -354,8 +357,11 @@ def load_jester(path) -> RatingsDataset:
     [-10, 10] or 99 for unrated.  Users are row numbers, products are
     joke column numbers.
 
-    All observed values get shifted by ``-min + 1`` so the smallest stored
-    value is exactly 1."""
+    All observed values get shifted by ``-low + 1 = 11``, from the
+    bottom of the declared range, so the lowest rating the scale allows
+    is stored as 1; the shift reads no record, so a held-out one cannot
+    set the training values."""
+    native_range = (-10.0, 10.0)
     n_cols = None
 
     def row(line):
@@ -371,7 +377,7 @@ def load_jester(path) -> RatingsDataset:
         values = []
         for token in parts[1:]:
             value = float(token)
-            if value != JESTER_SENTINEL and not -10.0 <= value <= 10.0:
+            if value != JESTER_SENTINEL and not native_range[0] <= value <= native_range[1]:
                 raise ValueError(f"rating {value} outside native range (-10, 10)")
             values.append(value)
         return values
@@ -396,8 +402,8 @@ def load_jester(path) -> RatingsDataset:
         user_index=raw_u,
         product_index=raw_p,
         rating_values=ratings,
-        shift=-float(ratings.min()) + 1.0,
-        native_range=(-10.0, 10.0),
+        shift=-native_range[0] + 1.0,
+        native_range=native_range,
         key_order=np.arange(len(raw_u)),
     )
 

@@ -435,6 +435,15 @@ class TestJester:
         assert ds.n_users == 3
         assert int((ds.user_index == 1).sum()) == 0
 
+    def test_shift_comes_from_the_declared_range(self, tmp_path):
+        # no rating reaches -10: the shift is still 11, so which records
+        # a fold holds out cannot move the stored training values
+        f = tmp_path / "jester.csv"
+        f.write_text("2,-3.5,2.0,99\n1,99,99,7.25\n")
+        ds = load_jester(f)
+        assert ds.shift == 11.0
+        assert sorted(ds.shifted_values.tolist()) == [7.5, 13.0, 18.25]
+
     def test_out_of_range_value(self, tmp_path):
         f = tmp_path / "jester.csv"
         f.write_text("1,-10.5,99\n")

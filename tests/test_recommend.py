@@ -32,6 +32,15 @@ from uctensor.recommend import _query_plan
 
 from conftest import TIGHT, scale_set
 
+# The members of ``_query_plan``, in order: the one place the tests know
+# the plan's layout.
+PLAN_MEMBERS = ("user_logs", "starts", "walk", "tie_end", "walk_logs", "gaps", "least", "greatest", "first_tie")
+
+
+def plan_member(completed, name):
+    """The member ``name`` of ``completed``'s query plan."""
+    return _query_plan(completed)[PLAN_MEMBERS.index(name)]
+
 
 class TestPredictRating:
     def test_completed_query(self, three_entry_2x2):
@@ -435,13 +444,24 @@ class TestTopNMidSize:
         tied = completion_of(solved.source, solved.scales.log[(0,)], np.full(500, 0.25))
         self.assert_equals_reference(tied)
 
+    def test_far_log_scale_rows(self):
+        # one product log scale of 702 puts every a_u + max(b) past 700:
+        # every row, most of them mostly rated, fills and ranks the whole
+        # walk, its rated products cut out of it
+        solved = self.completion()
+        product_logs = solved.scales.log[(1,)].copy()
+        product_logs[7] = 702.0
+        far = completion_of(solved.source, solved.scales.log[(0,)], product_logs)
+        assert (far.scales.log[(0,)] + 702.0 > 700.0).all()
+        self.assert_equals_reference(far)
+
     def test_rated_products_at_the_ends_of_the_prefix(self):
         # rows 2-5 of the solved completion rate, in walk order, only
         # position 0, only position 9 (n - 1 for n = 10), the consecutive
         # positions 3-5, and positions 0-9 and 12; row 0 rates every
         # product and row 1 none
         solved = self.completion()
-        walk = _query_plan(solved)[2]
+        walk = plan_member(solved, "walk")
         positions = {2: [0], 3: [9], 4: [3, 4, 5], 5: [*range(10), 12]}
         indices = solved.source.indices
         keep = ~np.isin(indices[:, 0], list(positions))
@@ -450,7 +470,7 @@ class TestTopNMidSize:
         ratings = np.concatenate([solved.source.values[keep], np.arange(len(extra)) % 5 + 1.0])
         source = SparseTensor(solved.shape, rated, ratings)
         completed = completion_of(source, solved.scales.log[(0,)], solved.scales.log[(1,)])
-        starts, gaps = _query_plan(completed)[1], _query_plan(completed)[6]
+        starts, gaps = plan_member(completed, "starts"), plan_member(completed, "gaps").obj
         for user, at in positions.items():  # each rated position less its index in the row
             assert gaps[starts[user] : starts[user + 1]].tolist() == [i - j for j, i in enumerate(at)]
         assert starts[1] - starts[0] == 500 and starts[2] == starts[1]
@@ -515,7 +535,7 @@ class TestQueryPlan:
         keep = ~np.isin(dense.indices[:, 0], [0, 3, 6])
         t = SparseTensor(dense.shape, dense.indices[keep], dense.values[keep])
         completed = complete_matrix(t, TIGHT)
-        starts = _query_plan(completed)[1]
+        starts = plan_member(completed, "starts")
         assert type(starts) is tuple
         assert starts == (0, *np.cumsum(np.bincount(t.indices[:, 0], minlength=7)).tolist())
         assert starts[:2] == (0, 0) and starts[-2:] == (t.n_observed, t.n_observed)
@@ -528,7 +548,7 @@ class TestQueryPlan:
         assert completed._plan is None
         top_n(completed, 0, 3)
         plan = completed._plan
-        assert len(plan) == 11
+        assert len(plan) == len(PLAN_MEMBERS) == 9
         for user in range(8):
             for exclude in (False, True):
                 for n in (1, 5, 13):
@@ -539,12 +559,13 @@ class TestQueryPlan:
         completed = self.completion(rng)
         top_n(completed, 0, 3)
         arrays = [a for a in _query_plan(completed) if isinstance(a, np.ndarray)]
-        # order, the negated product logs in walk order and gaps; rank is
-        # only read by the build, and the user logs and tie_end are tuples
-        assert len(arrays) == 3
-        assert not any(a.flags.writeable for a in arrays)
-        gaps_view = _query_plan(completed)[7]
-        assert gaps_view.readonly and gaps_view.obj is _query_plan(completed)[6]
+        # the negated product logs in walk order; rank and the order array
+        # are only read by the build, the user logs, walk and tie_end are
+        # tuples, and gaps is a view of its array
+        assert len(arrays) == 1 and arrays[0] is plan_member(completed, "walk_logs")
+        gaps = plan_member(completed, "gaps")
+        assert type(gaps) is memoryview and gaps.readonly and isinstance(gaps.obj, np.ndarray)
+        assert not any(a.flags.writeable for a in (*arrays, gaps.obj))
 
     def test_no_plan_member_is_mutable(self, rng):
         # every member is a number, a tuple of numbers, a read-only array
@@ -564,9 +585,11 @@ class TestQueryPlan:
 
     def test_walk_members_agree_with_the_scales(self, rng):
         completed = self.completion(rng)
-        user_logs, starts, walk, tie_end, order, walk_logs = _query_plan(completed)[:6]
+        user_logs, walk, tie_end, walk_logs = (
+            plan_member(completed, name) for name in ("user_logs", "walk", "tie_end", "walk_logs")
+        )
         product_logs = completed.scales.log[(1,)]
-        assert walk == tuple(np.argsort(product_logs, kind="stable").tolist()) == tuple(order.tolist())
+        assert walk == tuple(np.argsort(product_logs, kind="stable").tolist())
         assert walk_logs.tolist() == (-product_logs[list(walk)]).tolist()
         assert user_logs == tuple(completed.scales.log[(0,)].tolist())
         assert len(tie_end) == len(walk) and all(type(e) is int and e > i for i, e in enumerate(tie_end))
@@ -591,7 +614,7 @@ class TestPlanGaps:
 
     @staticmethod
     def assert_gaps_and_answers(completed, dtype, ns):
-        gaps = _query_plan(completed)[6]
+        gaps = plan_member(completed, "gaps").obj
         assert gaps.dtype == dtype
         assert gaps.tolist() == gaps_oracle(completed)
         for user in range(completed.shape[0]):
@@ -621,7 +644,7 @@ class TestPlanGaps:
         rated = np.array([[0, last], *[[1, p] for p in range(0, n_products, 3)]])
         source = SparseTensor((2, n_products), rated, np.full(len(rated), 2.0))
         completed = completion_of(source, [0.0, 0.5], product_logs)
-        assert _query_plan(completed)[6][0] == n_products - 1
+        assert plan_member(completed, "gaps")[0] == n_products - 1
         self.assert_gaps_and_answers(completed, dtype, (1, 10, n_products - 1, n_products + 2))
 
     def test_uint32_gaps_past_65535_products(self, rng):
@@ -644,7 +667,7 @@ class TestPlanGaps:
         # first unrated one, inside its tie run
         source = make_tensor((1, 6), {(0, 1): 0.5, (0, 2): 3.0})
         completed = completion_of(source, [0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-        assert _query_plan(completed)[6].tolist() == [1, 1]
+        assert plan_member(completed, "gaps").tolist() == [1, 1]
         assert [p.product for p in top_n(completed, 0, 1, exclude_observed=True)] == [0]
         assert [p.product for p in top_n(completed, 0, 2, exclude_observed=True)] == [0, 3]
         assert [p.product for p in top_n(completed, 0, 3, exclude_observed=True)] == [0, 3, 4]
@@ -653,6 +676,20 @@ class TestPlanGaps:
         ]
         for exclude in (False, True):
             for n in range(1, 8):
+                assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
+
+    def test_rated_product_ending_a_two_product_tie_run(self):
+        # product 0 lies one ulp past product 1 in log scale, so the walk
+        # is 1, 0, 2 and the first tie run is positions 0-1; both sums
+        # round to 2, so the fills tie and the rated product 0, the
+        # smaller index, would rank first were it not cut from the prefix
+        source = make_tensor((1, 3), {(0, 0): 2.0})
+        completed = completion_of(source, [1.0], [np.nextafter(1.0, 2.0), 1.0, 2.0])
+        assert plan_member(completed, "walk") == (1, 0, 2) and plan_member(completed, "first_tie") == 0
+        assert predict_rating(completed, 0, 1).rating == np.exp(-2.0)
+        assert [p.product for p in top_n(completed, 0, 1, exclude_observed=True)] == [1]
+        for exclude in (False, True):
+            for n in range(1, 5):
                 assert top_n(completed, 0, n, exclude) == reference_top_n(completed, 0, n, exclude)
 
 
@@ -688,7 +725,7 @@ class TestFirstTie:
         positions[tie_at + 1] = positions[tie_at] + 4e-10
         source = make_tensor((2, 8), {(1, 7 - i): float(1 + i % 5) for i in rated})
         completed = completion_of(source, [0.0, 0.3], positions[::-1])
-        assert _query_plan(completed)[10] == tie_at
+        assert plan_member(completed, "first_tie") == tie_at
         return completed
 
     @staticmethod
@@ -732,7 +769,7 @@ class TestFirstTie:
     def test_no_tie_returns_walk_order_past_the_row(self):
         source = make_tensor((2, 8), {(1, 3): 2.0, (1, 5): 4.0})
         completed = completion_of(source, [0.0, 0.3], 0.1 * np.arange(8.0)[::-1])
-        assert _query_plan(completed)[10] == 8
+        assert plan_member(completed, "first_tie") == 8
         for user in range(2):
             for n in (1, 6, 8, 9):
                 self.assert_answers(completed, user, n, walk_order=True)
