@@ -59,7 +59,7 @@ class SolverConfig:
 
 
 def _max_square(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r))) ** 2
+    return float(np.maximum.reduce(np.abs(r))) ** 2
 
 
 class BalanceState:

@@ -261,28 +261,30 @@ def _parse_movielens_bulk(text: str):
     differently from ``int``/``float``, or any malformed line.  Every
     input accepted here parses to the same values line by line.
 
-    ``loadtxt`` splits on single colons and reads every other column, so
-    no line may hold a lone colon, and every line must hold exactly 3
-    separators: ``usecols`` alone would drop a surplus field without a
-    word.  Neither check copies the text.  The timestamp is read as an
+    ``loadtxt`` splits on single colons, so a line ``u::p::r::t`` is seven
+    columns: the four fields and, between each ``::`` pair, an empty
+    filler.  It refuses a line of any other column count, and each
+    one-byte filler must read empty: a space, a tab or the first byte of
+    a longer filler is kept.  A NUL would read as empty too, so a text
+    holding one goes to the line parser.  The timestamp is read as an
     int64, which checks it, and then dropped."""
-    separators = text.count("::")
-    if text.count(":") != 2 * separators or not text or text.isspace():
+    if not text or text.isspace() or "\0" in text:
         return None
     try:
         cols = np.loadtxt(
             # bytes, not a StringIO: that would hold a 4-byte-per-character copy
             io.BytesIO(text.encode("latin-1")),
-            dtype=[("u", np.int64), ("p", np.int64), ("r", np.float64), ("t", np.int64)],
+            dtype=[("u", np.int64), ("_1", "S1"), ("p", np.int64), ("_2", "S1"),
+                   ("r", np.float64), ("_3", "S1"), ("t", np.int64)],
             delimiter=":",
-            usecols=(0, 2, 4, 6),
             comments=None,
             ndmin=1,
             encoding="latin-1",
         )
     except ValueError:
         return None
-    if separators != 3 * len(cols):
+    # an empty filler is the byte 0
+    if any(cols[filler].view(np.uint8).any() for filler in ("_1", "_2", "_3")):
         return None
     return cols["u"], cols["p"], cols["r"]
 
@@ -313,7 +315,11 @@ def _parse_movielens_lines(text: str, path, lo: float):
 def load_movielens(ratings_path, users_path=None, fmt: str = "1m") -> RatingsDataset:
     """Parse a MovieLens rating file (``UserID::MovieID::Rating::Timestamp``).
     The timestamp is optional; when given it must be an int64, and it is
-    not kept: no computation reads it.
+    not kept: no computation reads it.  A four-field file is read in one
+    ``np.loadtxt`` call as seven single-colon columns, the three empty
+    ones between the ``::`` pairs checked (``_parse_movielens_bulk``);
+    any other text, or one with a rating out of range, is parsed line
+    by line, and a ParseError names its first bad line.
 
     fmt "1m" checks that each rating lies in [1, 5], "10m" in [0.5, 5]:
     only the range, not the star steps.  ``users_path`` attaches demographics

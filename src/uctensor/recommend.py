@@ -33,20 +33,26 @@ def _id(name: str, value) -> int:
 
 def predict_rating(completed: CompletedTensor, user: int, product: int) -> Prediction:
     """2-D query: the training value if (user, product) was observed, else
-    the inverse-scale fill.  The ids must be integers (``_id``); one
-    lookup of the cell in the source checks its bounds and finds its
-    stored value, and a fill is ``inverse_scale_fills`` of a_u + b_p, the
-    sum ``log_sum_at`` forms for a 2-D cell.  The rating is on the stored
-    scale, shift included (``RatingsDataset.shift``); ``uctensor
-    recommend`` unshifts and clamps what it prints from the model
-    header."""
+    the inverse-scale fill.  The ids must be integers (``_id``) within
+    the shape, checked as ints with ``index_rows``'s error; one search
+    of the cell's key, user * P + product, in the source's sorted keys
+    finds its stored value, and a fill is ``inverse_scale_fills`` of
+    a_u + b_p, the sum ``log_sum_at`` forms for a 2-D cell.  The rating
+    is on the stored scale, shift included (``RatingsDataset.shift``);
+    ``uctensor recommend`` unshifts and clamps what it prints from the
+    model header."""
     if len(completed.shape) != 2:
         raise NotAMatrixError("predict_rating expects a 2-D completion")
     user, product = _id("user", user), _id("product", product)
     source = completed.source
-    pos, hit = source._locate([(user, product)])
-    if hit[0]:
-        return Prediction(user, product, float(source.values[pos[0]]), "observed")
+    shape = source.shape
+    for d, index in enumerate((user, product)):
+        if not 0 <= index < shape[d]:
+            raise IndexOutOfBoundsError(f"index out of bounds in dimension {d} for shape {shape}")
+    keys, key = source._flat, user * shape[1] + product
+    pos = int(keys.searchsorted(key))
+    if pos < len(keys) and keys[pos] == key:
+        return Prediction(user, product, float(source.values[pos]), "observed")
     logs = completed.scales.log
     log_sum = np.array([logs[(0,)][user] + logs[(1,)][product]])
     return Prediction(user, product, float(inverse_scale_fills(log_sum, lambda _: (user, product))[0]), "completed")
@@ -113,13 +119,17 @@ def _query_plan(completed: CompletedTensor):
 def _without(products, values, gaps, lo, k):
     """``products`` and ``values`` without the items at the prefix's k
     rated positions, ``gaps[lo + j] + j``, each list joined from the
-    slices between them."""
-    kept_products, kept_values, start = [], [], 0
-    for j in range(k):
-        cut = gaps[lo + j] + j
-        kept_products += products[start:cut]
-        kept_values += values[start:cut]
-        start = cut + 1
+    slices between them.  Rated positions j, j + 1, ... that share a gap
+    are adjacent, so each such run is cut at once."""
+    kept_products, kept_values, start, j = [], [], 0, 0
+    while j < k:
+        gap = gaps[lo + j]
+        kept_products += products[start : gap + j]
+        kept_values += values[start : gap + j]
+        j += 1
+        while j < k and gaps[lo + j] == gap:
+            j += 1
+        start = gap + j
     kept_products += products[start:]
     kept_values += values[start:]
     return kept_products, kept_values

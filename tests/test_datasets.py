@@ -263,7 +263,7 @@ ID_TOKENS = (["1", "2", "3", "17", "4294967296"],
 RATING_TOKENS = (["1", "2", "3", "5", "4.5"],
                  ["0.5", "3.", ".5", "5e0", " 4 ", "+2", "5_0", "6", "0", "-1", "nan", "inf", ""])
 STAMP_TOKENS = (["97830", "1"], ["-1", " 2 ", "x", "1.5"])
-SEPARATORS = (["::"], [":", ":::", " :: ", "::::"])
+SEPARATORS = (["::"], [":", ":::", " :: ", "::::", ": :", ":\x00:"])
 PADDING = ([""], [" ", "\t", "\x0c", "\xa0", "\x85"])
 NEWLINES = (["\n"], ["\r\n", "\r", "\n\n", "\n \n"])
 
@@ -336,12 +336,20 @@ class TestMovieLensParser:
             ("1::10::5::1\n# comment\n", 2),  # no comment syntax
             ("1::10::5::1\r\n2::11::x::2\r\n", 2),  # CRLF line counting
             ("1::10::5::1\n \n2::11::x::2\n\t\n", 3),  # whitespace-only lines still counted
-            # loadtxt splits on single colons and reads every other column:
-            # lone colons must not pass for separators, not even when the
-            # line's "::" count is that of a good line
+            # loadtxt splits on single colons: lone colons must not pass
+            # for separators, not even when the line has the seven columns
+            # of a good one, whose fillers between the colons are empty
             ("1:x:2:y:3:z:4\n", 1),
             ("1::10::5::1\n1:x:2:y:3:z:4\n", 2),
             ("1::10::5::1\n1:x:2:y:3:z:4::a::b::c\n", 2),
+            ("1: :2::3::4\n", 1),  # a filler holding a space
+            ("1::10::5::1\n1: :2::3::4\n", 2),
+            ("1::2:\t:3::4\n", 1),  # a tab
+            ("1::10::5::1\n1::2:\t:3::4\n", 2),
+            ("1:xy:2::3::4\n", 1),  # two characters
+            ("1::10::5::1\n1::2::3:xy:4\n", 2),
+            ("1:\x00:2::3::4\n", 1),  # a NUL, which a one-byte filler reads as empty
+            ("1::10::5::1\n1::2::3:\x00:4\n", 2),
         ],
     )
     def test_malformed_line_is_named(self, tmp_path, text, line):
@@ -360,6 +368,14 @@ class TestMovieLensParser:
             ("1::10::5\n2::11::4::2\n", False),  # surplus field, 3-field file
             ("1:x:2:y:3:z:4\n", False),  # lone colons
             ("1::10::5::1\n1:x:2:y:3:z:4::a::b::c\n", False),  # lone colons, 3 separators
+            ("1: :2::3::4\n", False),  # seven columns, a space in a filler
+            ("1::10::5::1\n1: :2::3::4\n", False),
+            ("1::2:\t:3::4\n", False),  # a tab
+            ("1::10::5::1\n1::2:\t:3::4\n", False),
+            ("1:xy:2::3::4\n", False),  # two characters
+            ("1::10::5::1\n1::2::3:xy:4\n", False),
+            ("1:\x00:2::3::4\n", False),  # a NUL
+            ("1::10::5::1\n1::2::3:\x00:4\n", False),
             ("1::10::5::1\n2::11::4\n", False),  # missing field
         ],
     )

@@ -1,4 +1,5 @@
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -63,6 +64,15 @@ class TestPredictRating:
         completed = complete_matrix(three_entry_2x2, TIGHT)
         with pytest.raises(IndexOutOfBoundsError):
             predict_rating(completed, 5, 0)
+        # index_rows's message, naming the first dimension out of range
+        (n_users, n_products), shape = completed.shape, re.escape(str(completed.shape))
+        for user, product, d in ((-1, 0, 0), (n_users, 0, 0), (0, -1, 1), (0, n_products, 1), (-1, -1, 0)):
+            message = f"^index out of bounds in dimension {d} for shape {shape}$"
+            with pytest.raises(IndexOutOfBoundsError, match=message):
+                predict_rating(completed, user, product)
+        # both ids are checked as integers before either is bounded
+        with pytest.raises(TypeError, match="product id must be an integer"):
+            predict_rating(completed, -1, 0.5)
 
     def test_requires_2d(self, rng):
         completed = complete(random_sparse_tensor(rng, (3, 3, 3), 0.6), 2, TIGHT)
